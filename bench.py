@@ -196,27 +196,14 @@ def run_benchmarks() -> dict:
         "set-column :text_len exp:{string:length(text)}",
     ]
     _lake_seq = [0]
-    # WR_CDC_SPILL=fs: run the apply through the PURE OBJECT-STORE exchange
-    # (table on an injected SubTreeFileSystem, no POSIX spill scratch,
-    # spill_mode="fs") — for the A/B against the default POSIX-scratch path
-    cdc_spill_fs = os.environ.get("WR_CDC_SPILL", "") == "fs"
 
     def _apply_fresh():
         # a repeat apply on the SAME table is a watermark no-op, so each
         # attempt gets a fresh lake dir (identical work every time)
         _lake_seq[0] += 1
-        if cdc_spill_fs:
-            import pyarrow.fs as pafs
-
-            root = os.path.join(workdir, f"lake{_lake_seq[0]}")
-            os.makedirs(root, exist_ok=True)
-            fs = pafs.SubTreeFileSystem(root, pafs.LocalFileSystem())
-            lake = CdcTable("lake", num_partitions=128, filesystem=fs)
-            assert lake.spill_mode == "fs"
-        else:
-            lake = CdcTable(
-                os.path.join(workdir, f"lake{_lake_seq[0]}"), num_partitions=128
-            )
+        lake = CdcTable(
+            os.path.join(workdir, f"lake{_lake_seq[0]}"), num_partitions=128
+        )
         return lake.apply_changes(segs, recipe=cdc_recipe)
 
     dt, manifest = _best_of(_apply_fresh)

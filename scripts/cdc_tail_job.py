@@ -47,10 +47,6 @@ def main(argv: list[str] | None = None) -> int:
                     help="events per transaction window (None = one txn)")
     ap.add_argument("--mode", default="auto", choices=["cow", "mor", "auto"])
     ap.add_argument("--num-partitions", type=int, default=64)
-    ap.add_argument("--spill-scratch", default=None,
-                    help="cluster-shared POSIX scratch for the spill "
-                         "exchange (required when --table-dir is a "
-                         "filesystem URI like s3://...)")
     ap.add_argument("--recipe-file", default=None,
                     help="optional in-flight directive recipe (one per line)")
     ap.add_argument("--compact-after", action="store_true",
@@ -70,8 +66,7 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.recipe_file) as f:
             recipe = [ln.strip() for ln in f if ln.strip() and not ln.startswith("//")]
 
-    table = CdcTable(args.table_dir, num_partitions=args.num_partitions,
-                     spill_scratch=args.spill_scratch)
+    table = CdcTable(args.table_dir, num_partitions=args.num_partitions)
     wm0 = table.watermark
     t0 = time.time()
     manifests = table.tail(

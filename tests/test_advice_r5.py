@@ -132,13 +132,17 @@ def test_minhash_index_compact_sweeps_orphan_dirs(ray_session, tmp_path):
     assert idx.dedup_increment(dup).count() == 0
 
 
-def test_cdc_resume_survives_lost_spill_scratch(ray_session, tmp_path, monkeypatch):
-    """ADVICE r5: with a remote table fs the DELTA_DONE marker lives on the
-    durable fs while spills live on POSIX scratch. If the scratch is lost
-    after the marker was written (crash + node replacement), resume used to
-    trust the marker and every merge retry failed on missing spill files.
-    The engine must now detect the missing spills, clear the marker, and
-    rewrite them."""
+def test_cdc_resume_survives_lost_spill_scratch(
+    ray_session, tmp_path, monkeypatch, spills_at_commit
+):
+    """ADVICE r5: the DELTA_DONE marker says the spill phase is complete, but
+    a spill file it indexes can still vanish before the merge (a store
+    lifecycle rule, a manual staging cleanup). Resume used to trust the
+    marker and every merge retry failed on the missing file. The engine
+    must detect the missing spill, clear the marker, and rewrite the
+    spills."""
+    import json
+
     import pyarrow.fs as pafs
     import ray.data as rd
 
@@ -150,9 +154,7 @@ def test_cdc_resume_survives_lost_spill_scratch(ray_session, tmp_path, monkeypat
     info = generate_change_stream(str(d), n_convs=20, n_events=400,
                                   n_segments=2, seed=11)
     fs = pafs.SubTreeFileSystem(str(tmp_path), pafs.LocalFileSystem())
-    scratch = tmp_path / "scratch"
-    table = eng.CdcTable("lake", num_partitions=4, filesystem=fs,
-                         spill_scratch=str(scratch))
+    table = eng.CdcTable("lake", num_partitions=4, filesystem=fs)
     table.init_from_snapshot(rd.read_parquet(info["base"]))
 
     # crash AFTER the spill write + marker commit, BEFORE the merge —
@@ -167,16 +169,20 @@ def test_cdc_resume_survives_lost_spill_scratch(ray_session, tmp_path, monkeypat
         table.apply_changes(info["segments"])
     monkeypatch.setattr(eng.MergePartition, "__init__", orig_init)
 
-    # the marker was committed to the durable fs... and then the scratch dies
-    import shutil
-
-    assert any(tmp_path.glob("lake/staging/*/DELTA_DONE"))
-    shutil.rmtree(scratch)
+    # the marker was committed... and then one indexed spill disappears
+    (marker,) = tmp_path.glob("lake/staging/*/DELTA_DONE")
+    txn_dir = marker.parent
+    index = json.loads((txn_dir / "spill-index.json").read_text())
+    before = {f for spills in index.values() for f, _, _ in spills}
+    (txn_dir / "spills" / sorted(before)[0]).unlink()
 
     # retry must rewrite the spills and reach full parity
-    table2 = eng.CdcTable("lake", num_partitions=4, filesystem=fs,
-                          spill_scratch=str(scratch))
-    table2.apply_changes(info["segments"])
+    table2 = eng.CdcTable("lake", num_partitions=4, filesystem=fs)
+    m = table2.apply_changes(info["segments"])
+    assert m["txn_id"] == txn_dir.name
+    indexed, on_disk = spills_at_commit[m["txn_id"]]
+    assert indexed and indexed <= on_disk
+    assert not indexed & before, "resume must rewrite, not reuse, the spills"
     oracle = replay_oracle(info["base"], info["segments"])
     assert_tables_equal(table2.read_arrow(), oracle)
 
@@ -412,10 +418,11 @@ def test_sessionize_sharded_random_streams_match_plain(ray_session):
             pd.testing.assert_frame_equal(plain, got[plain.columns])
 
 
-def test_cdc_objectstore_lww_random_stream(ray_session, tmp_path):
+def test_cdc_objectstore_lww_random_stream(ray_session, tmp_path, spills_at_commit):
     """Randomized replay parity through the object-store exchange: a seeded
-    random change stream applied via spill_mode='fs' must match the pandas
-    replay oracle exactly (LWW on lsn, deletes suppressed, stable order)."""
+    random change stream applied through an injected pyarrow fs must match
+    the pandas replay oracle exactly (LWW on lsn, deletes suppressed,
+    stable order)."""
     import pyarrow.fs as pafs
     import ray.data as rd
 
@@ -429,16 +436,19 @@ def test_cdc_objectstore_lww_random_stream(ray_session, tmp_path):
     )
     fs = pafs.SubTreeFileSystem(str(tmp_path), pafs.LocalFileSystem())
     table = CdcTable("lake", num_partitions=8, filesystem=fs)
-    assert table.spill_mode == "fs"
     table.init_from_snapshot(rd.read_parquet(info["base"]))
     for seg in info["segments"]:  # incremental tail through the fs exchange
-        table.apply_changes([seg])
+        m = table.apply_changes([seg])
+        indexed, on_disk = spills_at_commit[m["txn_id"]]
+        assert indexed and indexed <= on_disk
     oracle = replay_oracle(info["base"], info["segments"])
     assert_tables_equal(table.read_arrow(), oracle)
 
 
-def test_cdc_objectstore_hot_partition_salted_merge(ray_session, tmp_path, monkeypatch):
-    """Hot-partition salting × fs-mode exchange: a skewed stream whose hot
+def test_cdc_objectstore_hot_partition_salted_merge(
+    ray_session, tmp_path, monkeypatch, spills_at_commit
+):
+    """Hot-partition salting × object-store exchange: a skewed stream whose hot
     partition splits into salted sub-merges must reach replay parity when
     the spills live on the table's pyarrow.fs (ranged reads, several sub
     tasks re-reading the same spill batches through the reader cache)."""
@@ -455,12 +465,71 @@ def test_cdc_objectstore_hot_partition_salted_merge(ray_session, tmp_path, monke
     )
     fs = pafs.SubTreeFileSystem(str(tmp_path), pafs.LocalFileSystem())
     table = CdcTable("lake", num_partitions=4, filesystem=fs)
-    assert table.spill_mode == "fs"
     table.init_from_snapshot(rd.read_parquet(info["base"]))
     m = table.apply_changes(info["segments"])
+    indexed, on_disk = spills_at_commit[m["txn_id"]]
+    assert indexed and indexed <= on_disk
     oracle = replay_oracle(info["base"], info["segments"])
     assert_tables_equal(table.read_arrow(), oracle)
     # the hot partitions really did split (several staged sub-files)
     multi = [v for v in m["partitions"].values()
              if isinstance(v, list) and len(v) > 1]
     assert multi, "expected at least one salted multi-file partition"
+
+
+def test_exact_dedup_keeps_large_string_schema(ray_session):
+    """ADVICE r5: the within-block combiner round-tripped only blocks WITH
+    duplicates through pandas, turning large_string into string, so blocks
+    with and without duplicates entered the shuffle with different
+    schemas. Both the combiner and the per-bucket reduce now subset with
+    ``take``: every output block keeps the input's Arrow types."""
+    import ray
+
+    dups = pa.table({
+        "doc_id": pa.array([1, 2, 3, 4], pa.int64()),
+        "text": pa.array(["a", "b", "a", "b"], pa.large_string()),
+    })
+    uniq = pa.table({
+        "doc_id": pa.array([5, 6, 7], pa.int64()),
+        "text": pa.array(["a", "c", "d"], pa.large_string()),
+    })
+    for method in ("full", "hash_ids"):
+        out = exact_dedup(rd.from_arrow([dups, uniq]), method=method)
+        blocks = [ray.get(r) for r in out.to_arrow_refs()]
+        assert {b.schema.field("text").type for b in blocks if b.num_rows} == {
+            pa.large_string()
+        }, method
+        got = pa.concat_tables([b for b in blocks if b.num_rows])
+        assert sorted(got.column("doc_id").to_pylist()) == [1, 2, 6, 7], method
+
+
+def test_exact_dedup_keeps_null_id_rows(ray_session):
+    """ADVICE r5: null ids cannot be ranked, so no method drops a null-id
+    row (as the broadcast filter before range pruning did); the hash_ids
+    filter takes its range bounds over non-null ids only — string ids with
+    nulls used to raise comparing None with str."""
+    t = pa.table({
+        "doc_id": pa.array(["d1", None, "d3", None, "d5", "d6", None],
+                           pa.string()),
+        "text": pa.array(["a", "a", "b", "c", "a", "b", "c"], pa.string()),
+    })
+    for method in ("full", "hash_ids"):
+        out = exact_dedup(rd.from_arrow(t).repartition(3), method=method)
+        ids = out.to_pandas()["doc_id"].tolist()
+        assert sorted(i for i in ids if i is not None) == ["d1", "d3"], method
+        assert sum(i is None for i in ids) == 3, method
+
+
+def test_drop_block_cache_skips_oversized_block(monkeypatch):
+    """ADVICE r5: a dropped-id block larger than the cache cap alone is not
+    cached — it used to clear the whole working set and be inserted
+    anyway, breaking the bound."""
+    from wrangler_ray.ops import dedup
+
+    monkeypatch.setattr(dedup, "_DROP_BLOCK_CACHE", {})
+    monkeypatch.setattr(dedup, "_DROP_CACHE_MAX_ELEMS", 10)
+    dedup._cache_drop_block("a", np.arange(6))
+    dedup._cache_drop_block("big", np.arange(11))
+    assert set(dedup._DROP_BLOCK_CACHE) == {"a"}
+    dedup._cache_drop_block("b", np.arange(6))  # full: evict, then insert
+    assert set(dedup._DROP_BLOCK_CACHE) == {"b"}

@@ -214,6 +214,61 @@ def test_tail_windows_and_compact(tmp_path, stream, ray_session, monkeypatch):
     assert before.equals(after)  # compaction changes layout, not content
 
 
+def test_compact_resumes_after_crash_before_commit(
+    tmp_path, stream, ray_session, monkeypatch
+):
+    """A compaction that crashes after staging its partitions but before the
+    manifest commit resumes on the next ``compact()``: staged partitions are
+    skipped (not rewritten), salted sub-files and MOR deltas — tombstones
+    included — fold into one base file per partition, and the content is
+    unchanged."""
+    table = _fresh_table(tmp_path, stream, ray_session)
+    monkeypatch.setenv("WR_CDC_SPLIT_ROWS", "50")  # salted multi-file parts
+    table.apply_changes(stream["segments"][:2])
+    monkeypatch.delenv("WR_CDC_SPLIT_ROWS")
+    m = table.apply_changes(stream["segments"][2:], mode="mor")
+    assert any(len(v) > 1 for v in m["partitions"].values())
+    deltas = [f for f in table.files() if f.endswith("-delta.parquet")]
+    assert deltas
+    assert any("D" in pq.read_table(f, columns=["op"]).column("op").to_pylist()
+               for f in deltas)
+    before = table.read_arrow()
+    assert_tables_equal(before, replay_oracle(stream["base"], stream["segments"]))
+
+    finalize = CdcTable._finalize
+
+    def crash(self, lineage, txn_id, *args, **kwargs):
+        if txn_id.endswith("-compact"):
+            raise RuntimeError("simulated crash before compaction commit")
+        return finalize(self, lineage, txn_id, *args, **kwargs)
+
+    monkeypatch.setattr(CdcTable, "_finalize", crash)
+    with pytest.raises(RuntimeError, match="simulated crash"):
+        table.compact()
+    monkeypatch.setattr(CdcTable, "_finalize", finalize)
+    txn = f"txn-{m['version'] + 1:08d}-compact"
+    staging = tmp_path / "lake" / "staging" / txn
+    staged = {p.name: p.stat().st_mtime_ns for p in staging.glob("p*.parquet")}
+    multi = [p for p, v in m["partitions"].items()
+             if len(v) > 1 or m["deltas"].get(p)]
+    assert sorted(staged) == sorted(f"p{int(p):05d}.parquet" for p in multi)
+    assert table.latest_manifest()["version"] == m["version"]
+
+    m2 = table.compact()
+    assert m2["txn_id"] == txn
+    assert all(len(v) == 1 for v in m2["partitions"].values())
+    assert not m2.get("deltas")
+    assert not staging.exists()
+    assert before.equals(table.read_arrow())
+    # resume-skip: every committed file is the file staged before the crash
+    for part in multi:
+        (rel,) = m2["partitions"][part]
+        committed = tmp_path / "lake" / rel
+        assert committed.stat().st_mtime_ns == staged[f"p{int(part):05d}.parquet"]
+        assert m2["lineage"][part]["changes_applied"] == 0
+        assert m2["lineage"][part]["watermark_lsn"] is None
+
+
 def test_time_travel_read(tmp_path, stream, ray_session):
     table = _fresh_table(tmp_path, stream, ray_session)
     v1 = table.apply_changes(stream["segments"][:2])["version"]
@@ -580,23 +635,27 @@ def test_schema_promotion_and_fallback():
     assert u2.field("v").type == pa.string()
 
 
-def test_cdc_table_on_injected_filesystem(tmp_path, stream, ray_session):
-    """The table's durable state (manifests, data, staged files) runs
-    against an injected pyarrow SubTreeFileSystem — the object-store
-    portability seam — with the mmap spill exchange on an explicit POSIX
-    scratch path. Full replay parity, MOR apply, compaction, time travel,
-    point lookup and vacuum all through the injected fs."""
+def test_cdc_table_on_injected_filesystem(
+    tmp_path, stream, ray_session, spills_at_commit
+):
+    """The table's durable state (manifests, data, staged files) and its
+    spill exchange run against an injected pyarrow SubTreeFileSystem — the
+    object-store portability seam. Full replay parity, MOR apply,
+    compaction, time travel, point lookup and vacuum all through the
+    injected fs."""
     import pyarrow.fs as pafs
     import ray.data as rd
 
     fs = pafs.SubTreeFileSystem(str(tmp_path), pafs.LocalFileSystem())
-    scratch = str(tmp_path / "scratch")
-    table = CdcTable("lake", num_partitions=8, filesystem=fs,
-                     spill_scratch=scratch)
+    table = CdcTable("lake", num_partitions=8, filesystem=fs)
     table.init_from_snapshot(rd.read_parquet(stream["base"]))
     table.apply_changes(stream["segments"][:2])
     v_after_two = table.latest_manifest()["version"]
-    table.apply_changes(stream["segments"][2:], mode="mor")
+    m = table.apply_changes(stream["segments"][2:], mode="mor")
+    # the exchange went through the injected fs, under lake/staging/<txn>/
+    for txn in (table.manifest_at(v_after_two)["txn_id"], m["txn_id"]):
+        indexed, on_disk = spills_at_commit[txn]
+        assert indexed and indexed <= on_disk
     oracle = replay_oracle(stream["base"], stream["segments"])
     assert_tables_equal(table.read_arrow(), oracle)
 
@@ -620,28 +679,26 @@ def test_cdc_table_on_injected_filesystem(tmp_path, stream, ray_session):
     assert res["removed_manifests"] >= 1
     assert_tables_equal(table.read_arrow(), oracle)
 
-    # a non-local filesystem without explicit scratch switches the exchange
-    # to spill_mode="fs" (spills through the table fs — no POSIX anywhere)
-    t2 = CdcTable("lake2", filesystem=fs)
-    assert t2.spill_mode == "fs" and t2.spill_scratch is None
 
-
-def test_cdc_objectstore_exchange_no_posix_scratch(tmp_path, stream, ray_session):
-    """VERDICT r4 missing #1: the full engine on an S3-style fs with NO
-    spill_scratch — spills written through the table's pyarrow.fs, merge
-    tasks reading their record batch via ranged reads. Replay parity,
-    idempotent re-apply, MOR, resume-after-crash, and no POSIX paths
-    anywhere outside the injected subtree root."""
+def test_cdc_objectstore_exchange_no_posix_scratch(
+    tmp_path, stream, ray_session, spills_at_commit
+):
+    """VERDICT r4 missing #1: the full engine on an S3-style fs —
+    spills written through the table's pyarrow.fs, merge tasks reading
+    their record batch via ranged reads. Replay parity, idempotent
+    re-apply, MOR, resume-after-crash, and no POSIX paths anywhere outside
+    the injected subtree root."""
     import pyarrow.fs as pafs
     import ray.data as rd
 
     fs = pafs.SubTreeFileSystem(str(tmp_path), pafs.LocalFileSystem())
     table = CdcTable("lake", num_partitions=8, filesystem=fs)
-    assert table.spill_mode == "fs"
     table.init_from_snapshot(rd.read_parquet(stream["base"]))
-    table.apply_changes(stream["segments"][:2])
-    # the spill files must have gone through the injected fs (staging dir),
-    # and be cleaned up at commit
+    m = table.apply_changes(stream["segments"][:2])
+    # the spill files must have gone through the injected fs (under
+    # lake/staging/<txn>/spills/), and be cleaned up at commit
+    indexed, on_disk = spills_at_commit[m["txn_id"]]
+    assert indexed and indexed <= on_disk
     assert not list(tmp_path.glob("lake/staging/*/spills/*.arrow"))
     table.apply_changes(stream["segments"][2:], mode="mor")
     oracle = replay_oracle(stream["base"], stream["segments"])
@@ -662,9 +719,9 @@ def test_cdc_objectstore_exchange_no_posix_scratch(tmp_path, stream, ray_session
 
 
 def test_cdc_objectstore_resume_after_merge_crash(tmp_path, stream, ray_session, monkeypatch):
-    """fs-mode spills double as the resume checkpoint exactly like the POSIX
-    scratch: a crash after the spill write + marker resumes straight into
-    merging from the persisted spills (no rewrite), and reaches parity."""
+    """The spills double as the resume checkpoint: a crash after the spill
+    write + marker resumes straight into merging from the persisted spills
+    (no rewrite), and reaches parity."""
     import pyarrow.fs as pafs
     import ray.data as rd
 

@@ -17,8 +17,8 @@ Pipeline shape (pure Ray Data; no raw tasks):
                                                       #   map output
     from_items(parts).map_batches(merge_partition)    # one merge task per
       → lineage rows (tiny)                           # touched partition;
-                                                      # reads its batches from
-                                                      # the spills via mmap
+                                                      # ranged reads of its
+                                                      # batches from the spills
     manifest commit: staged files + lineage → atomic rename
 
 The transactional-manifest design (atomic manifest pointer swap, copy-on-write
@@ -30,22 +30,17 @@ re-expressed over Ray Data with a filesystem spill exchange.
 Exactly-once: each apply is a transaction keyed by (parent manifest version,
 target watermark). Partition merges write to ``staging/<txn>/``; a partition
 whose staged file already exists is skipped (resume); the commit is a single
-atomic ``os.replace`` of the manifest pointer. Replaying any suffix of the
+atomic ``fs.move`` of the manifest pointer. Replaying any suffix of the
 log is idempotent because the merge is last-writer-wins on ``_lsn``.
 
-Deployment shape: the table's DURABLE state (manifests, data files, staged
-outputs) goes through ``pyarrow.fs`` (``filesystem=`` injectable), so the
-lake itself can live on an object store. The spill EXCHANGE picks its
-placement per deployment:
-- POSIX scratch (default on a local table fs, or pass ``spill_scratch=`` for
-  cluster-shared NFS/Lustre/EFS): map tasks write Arrow-IPC files that merge
-  tasks ``memory_map`` — the fastest path (zero-copy reads).
-- Pure object-store exchange (remote table fs, NO ``spill_scratch``): spills
-  are written THROUGH the table's own pyarrow.fs under the transaction's
-  staging dir; merge tasks issue ranged reads (IPC footer + exactly their
-  record batch). Nothing requires shared POSIX anywhere — the whole engine
-  runs against plain S3-style storage — at the cost of the exchange volume
-  crossing the object store once in each direction.
+Deployment shape: ONE storage path. The table's durable state (manifests,
+data files, staged outputs) AND its spill exchange go through the table's
+``pyarrow.fs`` (``filesystem=`` injectable; local disk by default), so the
+whole engine runs against plain S3-style storage. Map tasks stream their
+Arrow-IPC spills to ``staging/<txn>/spills/``; merge tasks issue ranged
+reads (IPC footer + exactly their record batch). The spills share the
+staged outputs' resume and cleanup lifecycle: they double as the resume
+checkpoint and are deleted with the txn's staging dir at commit.
 
 Scale notes (100 TB design point):
 - ``num_partitions`` should be ≥ 2× cluster cores; one partition = one merge
@@ -150,23 +145,26 @@ class SpillWriter:
     keep the max-_lsn row per key (hot-key update storms collapse here, before
     anything crosses the wire), then write the whole block as a single
     Arrow-IPC file with **one record batch per partition** and return the tiny
-    ``(part, file, batch_index)`` index. The merge side mmaps the file and
-    reads exactly its batch — zero-copy, no footer-stat parsing, no
-    small-file explosion (previously a hive-partitioned parquet write produced
-    blocks × partitions ≈ 15k tiny files and was the scaling bottleneck:
-    ~10.5 s flat at 8 and 32 cpus; the IPC spill is CPU-bound and scales).
+    ``(part, file, batch_index)`` index. The merge side reads the IPC footer
+    and exactly its batch through the table's pyarrow.fs — no footer-stat
+    parsing, no small-file explosion (previously a hive-partitioned parquet
+    write produced blocks × partitions ≈ 15k tiny files and was the scaling
+    bottleneck: ~10.5 s flat at 8 and 32 cpus; the IPC spill is CPU-bound
+    and scales).
     LZ4-framed compression keeps exchange bytes small at 100 TB while
     decompression stays ~GB/s per core.
     """
 
     def __init__(self, num_partitions: int, spill_dir: str, fs=None):
+        import pyarrow.fs as pafs
+
         self.num_partitions = num_partitions
         self.spill_dir = spill_dir
-        # fs=None → POSIX scratch (OSFile + atomic os.replace); a pyarrow fs
-        # → pure object-store exchange (stream + move; on object stores a
-        # single PUT is object-atomic, and only files named by returned
-        # index rows are ever read, so torn writes are unreachable anyway)
-        self.fs = fs
+        # the table's pyarrow fs (local disk when None). Spills are streamed
+        # straight to their final name: on object stores a single PUT is
+        # object-atomic, and only files named by returned index rows are
+        # ever read, so a torn write is unreachable on any store
+        self.fs = fs if fs is not None else pafs.LocalFileSystem()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import uuid
@@ -211,20 +209,11 @@ class SpillWriter:
         # with the txn's staging dir at commit)
         fname = f"spill-{uuid.uuid4().hex}.arrow"
         opts = pa.ipc.IpcWriteOptions(compression="lz4")
-        if self.fs is None:
-            path = os.path.join(self.spill_dir, fname)
-            tmp = path + ".tmp"
-            with pa.OSFile(tmp, "wb") as sink:
-                with pa.ipc.new_file(sink, t.schema, options=opts) as w:
-                    for s, e in zip(starts, ends):
-                        w.write_batch(t.slice(s, e - s).to_batches()[0])
-            os.replace(tmp, path)
-        else:
-            path = posixpath.join(self.spill_dir, fname)
-            with self.fs.open_output_stream(path) as sink:
-                with pa.ipc.new_file(sink, t.schema, options=opts) as w:
-                    for s, e in zip(starts, ends):
-                        w.write_batch(t.slice(s, e - s).to_batches()[0])
+        path = posixpath.join(self.spill_dir, fname)
+        with self.fs.open_output_stream(path) as sink:
+            with pa.ipc.new_file(sink, t.schema, options=opts) as w:
+                for s, e in zip(starts, ends):
+                    w.write_batch(t.slice(s, e - s).to_batches()[0])
         return self._index(
             [int(pvals[s]) for s in starts],
             list(range(len(starts))),
@@ -249,19 +238,23 @@ class MergePartition:
 
     The change batch reaches partitions via indexed Arrow-IPC spill files
     (one per map block, written by ``SpillWriter``) rather than a Ray Data
-    groupby shuffle: the spill write + mmap'd batch reads are far cheaper
+    groupby shuffle: the spill write + ranged batch reads are far cheaper
     than the object-store sort/hash shuffle (13-34 s on 5M rows), and the
     spill directory doubles as the resume checkpoint — the exchange lives on
-    (shared) storage, Spark-external-shuffle style.
+    the table's own storage, Spark-external-shuffle style.
 
     Runs as ``map_batches(batch_size=1)`` over rows of
     (part: int32, sub: int32, n_subs: int32, spills: json
-    [[file, batch_index], ...]): reads exactly its record batches from each
-    spill via ``pa.memory_map`` (zero-copy), loads the partition's current
-    file(s) (schemas reconciled — additive evolution null-backfills), applies
-    LWW on _lsn, drops deletes, sorts by (conv_id, turn_idx) for the
-    stable-turn-ordering invariant, writes a staged file and returns ONE
-    lineage row per merge task.
+    [[file, batch_index], ...], mor: bool): reads exactly its record batches
+    from each spill through ``fs`` (IPC footer + ranged batch reads), loads
+    the partition's current file(s) (schemas reconciled — additive evolution
+    null-backfills), applies LWW on _lsn, drops deletes, sorts by (conv_id,
+    turn_idx) for the stable-turn-ordering invariant, writes a staged file
+    and returns ONE lineage row per merge task.
+
+    **Compaction** is the same merge with no spills: a copy-on-write merge of
+    zero changes folds the partition's base and delta files into one file
+    (``changes_applied=0``, ``watermark_lsn=None``).
 
     **Hot-partition salting**: when the exchange index shows a partition's
     pending rows exceed the split threshold (one huge conversation, or an
@@ -278,7 +271,6 @@ class MergePartition:
         current_files: dict[int, list],
         fs=None,
         spill_dir: Optional[str] = None,
-        spill_fs=None,
     ):
         import pyarrow.fs as pafs
 
@@ -287,28 +279,23 @@ class MergePartition:
         self.current_files = current_files
         self.fs = fs if fs is not None else pafs.LocalFileSystem()
         self.staging_dir = posixpath.join(table_dir, "staging", txn_id)
-        # spill_fs=None → POSIX scratch, mmap'd (zero-copy reads);
-        # a pyarrow fs → object-store exchange, ranged reads (IPC footer +
-        # exactly this task's record batch — never the whole spill file)
-        self.spill_fs = spill_fs
         self.spill_dir = spill_dir or posixpath.join(self.staging_dir, "spills")
         self._readers: dict[str, pa.ipc.RecordBatchFileReader] = {}
 
-    def _read_spill_batches(self, spills: list) -> pa.Table:
+    def _read_spill_batches(self, spills: list) -> Optional[pa.Table]:
+        """This task's record batches (ranged reads: IPC footer + exactly the
+        batch, never the whole spill file); None when there are no spills
+        (compaction)."""
         tabs = []
         for fname, bidx in spills:
             r = self._readers.get(fname)
             if r is None:
-                if self.spill_fs is None:
-                    src = pa.memory_map(os.path.join(self.spill_dir, fname))
-                else:
-                    src = self.spill_fs.open_input_file(
-                        posixpath.join(self.spill_dir, fname)
-                    )
-                r = pa.ipc.open_file(src)
+                r = pa.ipc.open_file(
+                    self.fs.open_input_file(posixpath.join(self.spill_dir, fname))
+                )
                 self._readers[fname] = r
             tabs.append(pa.Table.from_batches([r.get_batch(int(bidx))]))
-        return concat_reconciled(tabs)
+        return concat_reconciled(tabs) if tabs else None
 
     @staticmethod
     def _sub_filter(t: pa.Table, sub: int, n_subs: int) -> pa.Table:
@@ -339,7 +326,7 @@ class MergePartition:
                 # deletes stay as op='D' rows so readers can suppress base rows
                 merged = _lww_reduce(changes)
             else:
-                tables = [changes]
+                tables = [changes] if changes is not None else []
                 for cur_path in self.current_files.get(part, []):
                     cur = pq.read_table(
                         posixpath.join(self.table_dir, cur_path),
@@ -362,78 +349,23 @@ class MergePartition:
         return pa.concat_tables(out)
 
     def _lineage(
-        self, part: int, sub: int, staged: str, rows: int, changes: pa.Table,
-        mor: bool = False,
+        self, part: int, sub: int, staged: str, rows: int,
+        changes: Optional[pa.Table], mor: bool = False,
     ) -> pa.Table:
-        wm = pc.max(changes.column(LSN_COL)).as_py() if changes.num_rows else None
+        n = changes.num_rows if changes is not None else 0
+        wm = pc.max(changes.column(LSN_COL)).as_py() if n else None
         return pa.table(
             {
                 "part": pa.array([part], pa.int32()),
                 "sub": pa.array([sub], pa.int32()),
                 "rows": pa.array([rows], pa.int64()),
-                "changes_applied": pa.array([changes.num_rows], pa.int64()),
+                "changes_applied": pa.array([n], pa.int64()),
                 "watermark_lsn": pa.array([wm], pa.int64()),
                 "file": pa.array([staged], pa.string()),
                 "sha256": pa.array([_file_digest(staged, self.fs)], pa.string()),
                 "delta": pa.array([mor], pa.bool_()),
             }
         )
-
-
-class _CompactPartition:
-    """One task per multi-file partition: concat the (already merged,
-    delete-free) sub-files, restore the (conv_id, turn_idx) sort, write one
-    staged file, return a lineage row (changes_applied=0 — compaction moves
-    no new data)."""
-
-    def __init__(self, table_dir: str, txn_id: str, fs=None):
-        import pyarrow.fs as pafs
-
-        self.table_dir = table_dir
-        self.txn_id = txn_id
-        self.fs = fs if fs is not None else pafs.LocalFileSystem()
-        self.staging_dir = posixpath.join(table_dir, "staging", txn_id)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out = []
-        for row in batch.to_pylist():
-            part = int(row["part"])
-            files = json.loads(row["files"])
-            staged = posixpath.join(self.staging_dir, f"p{part:05d}.parquet")
-            if not fsio.exists(self.fs, staged):
-                merged = apply_lww_semantics(
-                    concat_reconciled(
-                        [pq.read_table(posixpath.join(self.table_dir, f),
-                                       filesystem=self.fs)
-                         for f in files]
-                    )
-                )
-                idx = pc.sort_indices(
-                    merged,
-                    sort_keys=[("conv_id", "ascending"), ("turn_idx", "ascending")],
-                )
-                merged = merged.take(idx)
-                self.fs.create_dir(self.staging_dir, recursive=True)
-                tmp = staged + ".tmp"
-                with self.fs.open_output_stream(tmp) as sink:
-                    pq.write_table(merged, sink)
-                self.fs.move(tmp, staged)
-            rows = pq.read_metadata(staged, filesystem=self.fs).num_rows
-            out.append(
-                pa.table(
-                    {
-                        "part": pa.array([part], pa.int32()),
-                        "sub": pa.array([0], pa.int32()),
-                        "rows": pa.array([rows], pa.int64()),
-                        "changes_applied": pa.array([0], pa.int64()),
-                        "watermark_lsn": pa.array([None], pa.int64()),
-                        "file": pa.array([staged], pa.string()),
-                        "sha256": pa.array([_file_digest(staged, self.fs)], pa.string()),
-                        "delta": pa.array([False], pa.bool_()),
-                    }
-                )
-            )
-        return pa.concat_tables(out)
 
 
 class CdcTable:
@@ -444,30 +376,18 @@ class CdcTable:
         <dir>/manifests/manifest-<version>.json   (+ MANIFEST pointer file)
         <dir>/data/p<part>/<txn>.parquet
         <dir>/staging/<txn>/p<part>.parquet
+        <dir>/staging/<txn>/spills/spill-<uuid>.arrow   (the exchange)
+
+    Everything, the spill exchange included, goes through ONE pyarrow.fs
+    (``filesystem=``, a URI's filesystem, or local disk): merge tasks read
+    their record batches with ranged reads, and the spills share the staged
+    outputs' resume and cleanup lifecycle.
     """
 
     def __init__(self, table_dir: str, num_partitions: int = 64,
-                 filesystem=None, spill_scratch: Optional[str] = None):
-        import pyarrow.fs as pafs
-
+                 filesystem=None):
         self.fs, self.table_dir = fsio.resolve_fs(table_dir, filesystem)
         self.num_partitions = num_partitions
-        self._local = isinstance(self.fs, pafs.LocalFileSystem)
-        # Exchange placement: with a POSIX scratch (explicit, or implicit on
-        # a local table fs) spills are mmap'd from cluster-shared POSIX
-        # storage — the fastest path. On a remote table fs with NO scratch,
-        # spills go THROUGH the table's own pyarrow.fs under the txn staging
-        # dir (spill_mode="fs"): a pure object-store exchange — merge tasks
-        # read their record batch via ranged reads instead of mmap, and the
-        # spills share the durable store's resume/cleanup lifecycle.
-        if spill_scratch is not None or self._local:
-            self.spill_mode = "posix"
-            self.spill_scratch = spill_scratch or posixpath.join(
-                self.table_dir, "staging"
-            )
-        else:
-            self.spill_mode = "fs"
-            self.spill_scratch = None
         for sub in ("manifests", "data", "staging"):
             self.fs.create_dir(posixpath.join(self.table_dir, sub), recursive=True)
 
@@ -706,64 +626,40 @@ class CdcTable:
         import sys
         import time as _time
 
-        import ray.data as rd
-
         timing = os.environ.get("WR_CDC_TIMING")
         _t0 = _time.perf_counter()
         self._last_metrics = {}
         txn_dir = posixpath.join(self.table_dir, "staging", txn_id)
-        # spill placement (see CdcTable.__init__): POSIX scratch (mmap'd by
-        # merge tasks) when available, else THROUGH the table's pyarrow.fs
-        # under the txn staging dir (pure object-store exchange)
-        if self.spill_mode == "posix":
-            spill_dir = os.path.join(self.spill_scratch, txn_id, "spills")
-            spill_fs = None
-            spill_exists = lambda f: os.path.exists(os.path.join(spill_dir, f))  # noqa: E731
-        else:
-            spill_dir = posixpath.join(txn_dir, "spills")
-            spill_fs = self.fs
-            spill_exists = lambda f: fsio.exists(  # noqa: E731
-                self.fs, posixpath.join(spill_dir, f)
-            )
+        spill_dir = posixpath.join(txn_dir, "spills")
         marker = posixpath.join(txn_dir, "DELTA_DONE")
         index_path = posixpath.join(txn_dir, "spill-index.json")
         resume = fsio.exists(self.fs, marker)
         if resume:
-            # the marker/index live on the DURABLE table fs while spills may
-            # live on a (possibly node-local) POSIX scratch — if the scratch
-            # was lost after the marker was written, blindly trusting the
-            # marker would make every merge retry fail on missing spill files
-            # with no recovery path. Verify the referenced files still exist;
-            # if any is gone, clear the marker and rewrite the spills.
             by_part = {
                 int(k): v for k, v in fsio.read_json(self.fs, index_path).items()
             }
+            # a spill named by the index can vanish after the marker was
+            # written (a store lifecycle rule, a manual staging cleanup);
+            # blindly trusting the marker would make every merge retry fail
+            # on the missing file with no recovery path. Verify the files
+            # still exist; if any is gone, clear the marker and rewrite.
             missing = [
-                f
-                for spills in by_part.values()
-                for f, _bi, _n in spills
-                if not spill_exists(f)
+                f for f in {f for spills in by_part.values() for f, _, _ in spills}
+                if not fsio.exists(self.fs, posixpath.join(spill_dir, f))
             ]
             if missing:
                 logger.warning(
                     "txn %s: DELTA_DONE marker present but %d spill file(s) "
-                    "missing from scratch %s — clearing the marker and "
-                    "rewriting the spills",
+                    "missing from %s — clearing the marker and rewriting "
+                    "the spills",
                     txn_id, len(missing), spill_dir,
                 )
                 self.fs.delete_file(marker)
                 resume = False
         if not resume:
-            if self.spill_mode == "posix":
-                if os.path.exists(spill_dir):  # partial write, crashed run
-                    import shutil
-
-                    shutil.rmtree(spill_dir)
-                os.makedirs(spill_dir, exist_ok=True)
-            else:
-                fsio.delete_dir(self.fs, spill_dir)
-                self.fs.create_dir(spill_dir, recursive=True)
-            writer = SpillWriter(self.num_partitions, spill_dir, fs=spill_fs)
+            fsio.delete_dir(self.fs, spill_dir)  # partial write, crashed run
+            self.fs.create_dir(spill_dir, recursive=True)
+            writer = SpillWriter(self.num_partitions, spill_dir, fs=self.fs)
             index_rows = prepped.map_batches(
                 writer, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
             ).take_all()
@@ -772,14 +668,9 @@ class CdcTable:
                 by_part.setdefault(int(r["part"]), []).append(
                     [r["file"], int(r["batch_index"]), int(r["rows"])]
                 )
-            self.fs.create_dir(txn_dir, recursive=True)
             fsio.write_json_atomic(self.fs, index_path, by_part)
             with self.fs.open_output_stream(marker) as f:
                 f.write(b"done")
-        else:
-            by_part = {
-                int(k): v for k, v in fsio.read_json(self.fs, index_path).items()
-            }
         self._last_metrics["exchange_write_s"] = round(_time.perf_counter() - _t0, 3)
         if timing:
             print(f"WRTIME delta_write {_time.perf_counter()-_t0:.2f}", file=sys.stderr)
@@ -819,15 +710,9 @@ class CdcTable:
             return []
         merge = MergePartition(
             self.table_dir, txn_id, current_files=current_files,
-            fs=self.fs, spill_dir=spill_dir, spill_fs=spill_fs,
+            fs=self.fs, spill_dir=spill_dir,
         )
-        lineage = (
-            # one block per partition → one merge TASK per partition (a single
-            # block would serialize all merges into one task)
-            rd.from_items(items, override_num_blocks=len(items))
-            .map_batches(merge, batch_format="pyarrow", batch_size=1)
-            .take_all()
-        )
+        lineage = self._run_merges(merge, items)
         self._last_metrics["merge_s"] = round(_time.perf_counter() - _t0, 3)
         self._last_metrics["merge_tasks"] = len(items)
         self._last_metrics["spill_files"] = len(
@@ -836,6 +721,18 @@ class CdcTable:
         if timing:
             print(f"WRTIME merge {_time.perf_counter()-_t0:.2f}", file=sys.stderr)
         return lineage
+
+    @staticmethod
+    def _run_merges(merge: MergePartition, items: list[dict]) -> list[dict]:
+        import ray.data as rd
+
+        # one block per item → one merge TASK per (part, sub) (a single block
+        # would serialize all merges into one task)
+        return (
+            rd.from_items(items, override_num_blocks=len(items))
+            .map_batches(merge, batch_format="pyarrow", batch_size=1)
+            .take_all()
+        )
 
     def _finalize(self, lineage: list[dict], txn_id: str, watermark: int, parent) -> dict:
         """Promote staged files into data/, commit the manifest atomically."""
@@ -920,13 +817,8 @@ class CdcTable:
             ),
         }
         self._commit_manifest(new_manifest)
-        # post-commit: the txn's staging (markers, index) and its POSIX spill
-        # scratch are garbage
-        import shutil
-
+        # post-commit: the txn's staging (markers, index, spills) is garbage
         fsio.delete_dir(self.fs, posixpath.join(self.table_dir, "staging", txn_id))
-        if self.spill_mode == "posix":  # fs-mode spills lived under staging/
-            shutil.rmtree(os.path.join(self.spill_scratch, txn_id), ignore_errors=True)
         return new_manifest
 
     # -- tail / compact ----------------------------------------------------
@@ -999,9 +891,11 @@ class CdcTable:
         merge-on-read delta files back into the base — into one file per
         partition. Transactional like any apply: staged files → atomic
         manifest commit; the watermark is unchanged. Run it when read
-        amplification from deltas/subs outweighs the write win."""
-        import ray.data as rd
+        amplification from deltas/subs outweighs the write win.
 
+        Each partition is a ``MergePartition`` task with NO spills: a
+        copy-on-write merge of zero changes is exactly a compaction (same LWW
+        fold, key sort, staged name and resume-skip as an apply)."""
         m = self.latest_manifest()
         if not m:
             raise FileNotFoundError(f"no committed manifest in {self.table_dir}")
@@ -1015,16 +909,16 @@ class CdcTable:
         if not multi:
             return m
         txn_id = f"txn-{m['version'] + 1:08d}-compact"
-        comp = _CompactPartition(self.table_dir, txn_id, fs=self.fs)
-        items = [
-            {"part": int(p), "files": json.dumps(files)}
-            for p, files in sorted(multi.items(), key=lambda kv: int(kv[0]))
-        ]
-        lineage = (
-            rd.from_items(items, override_num_blocks=len(items))
-            .map_batches(comp, batch_format="pyarrow", batch_size=1)
-            .take_all()
+        merge = MergePartition(
+            self.table_dir, txn_id,
+            current_files={int(p): files for p, files in multi.items()},
+            fs=self.fs,
         )
+        items = [
+            {"part": int(p), "sub": 0, "n_subs": 1, "spills": "[]", "mor": False}
+            for p in sorted(multi, key=int)
+        ]
+        lineage = self._run_merges(merge, items)
         return self._finalize(
             lineage, txn_id, m["watermark_lsn"], parent=m["version"]
         )

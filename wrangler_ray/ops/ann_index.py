@@ -73,30 +73,6 @@ class IvfIndex:
                  else int(d.split("-")[1]) < self.meta["incr"])
         ]
 
-    def _vacuum_orphans(self) -> int:
-        """Delete dead incr dirs left by a crash between a compact's meta
-        commit and its old-dir deletion: any ``incr-j`` with ``j <
-        meta['incr']`` that is not in the committed live set is unreachable
-        (reads only visit ``_committed_incr_dirs``) and would otherwise leak
-        forever — ``_committed_incr_dirs`` never returns it, so a plain
-        re-compact sees ≤1 live dir and returns early. In-flight dirs
-        (``j >= meta['incr']``) are left alone. Returns dirs removed."""
-        live = self.meta.get("live_incrs")
-        if live is None:  # pre-compaction layout: all j < incr are live
-            return 0
-        live_names = {f"incr-{int(j):06d}" for j in live}
-        root = posixpath.join(self.index_dir, "cells")
-        removed = 0
-        for d in fsio.list_subdirs(self.fs, root):
-            if (
-                d.startswith("incr-")
-                and d not in live_names
-                and int(d.split("-")[1]) < self.meta["incr"]
-            ):
-                fsio.delete_dir(self.fs, posixpath.join(root, d))
-                removed += 1
-        return removed
-
     def compact(self) -> int:
         """Fold every committed increment into ONE consolidated increment —
         after many appends each probed cell spans many small files (read
@@ -105,13 +81,16 @@ class IvfIndex:
         increment only becomes visible at the meta commit, which also
         switches ``live_incrs`` to it; the old increment directories are
         deleted AFTER the commit (a crash between commit and cleanup leaves
-        dead dirs that the next compact's ``_vacuum_orphans`` sweeps before
-        the ≤1-live-dir early return). Returns rows compacted."""
+        dead dirs that the next compact's ``fsio.vacuum_orphan_incrs``
+        sweeps before the ≤1-live-dir early return). Returns rows
+        compacted."""
         import ray.data as rd
 
         if self.meta is None:
             raise ValueError("index not built")
-        self._vacuum_orphans()
+        fsio.vacuum_orphan_incrs(
+            self.fs, [posixpath.join(self.index_dir, "cells")], self.meta
+        )
         old_dirs = self._committed_incr_dirs()
         if len(old_dirs) <= 1:
             return 0

@@ -1,7 +1,8 @@
 """Distributed connected components (min-label propagation) over an edge
 Dataset — the scale path for dedup clustering when the candidate-edge set
-exceeds driver memory (wrangler_ray.ops.dedup collects edges on the driver by
-default and raises past a cap; this module is the documented fallback).
+exceeds driver memory (wrangler_ray.ops.dedup union-finds edges on the driver
+while the distinct edge set fits ``max_driver_edges``, and auto-routes here
+past that cap).
 
 Algorithm: iterative min-label propagation.
     label(u) ← min(u, neighbors(u))                    (init)

@@ -7,9 +7,10 @@ Shuffle shape (the part that matters at 100 TB):
 - near-dup (MinHash/SimHash/embedding-LSH): signatures per batch (numpy) →
   explode to (bucket_key, doc_id) pairs — a FRACTION of the input bytes —
   → groupby(bucket) emits candidate edges → connected components. Candidate
-  edges are ~O(#duplicates); we union-find them on the driver (documented
-  assumption: duplicate clusters ≪ corpus; for adversarial corpora swap in
-  the iterative min-label-propagation groupby loop).
+  edges are ~O(#duplicates); while the distinct edge set fits
+  ``max_driver_edges`` they are union-found on the driver, and past that cap
+  the pipeline auto-routes to distributed min-label propagation
+  (``wrangler_ray.ops.cc``) — it never raises on a large edge set.
 """
 
 from __future__ import annotations
@@ -30,6 +31,21 @@ def _content_hash(texts: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # exact dedup
 # ---------------------------------------------------------------------------
+
+def _min_id_rows(t: pa.Table, keys: list[str], id_col: str) -> np.ndarray:
+    """Sorted row positions to keep: the min-id row per distinct ``keys``
+    value (compared by VALUE; ``dropna=False`` keeps one representative for
+    null keys, which pandas' groupby would otherwise drop), plus every
+    null-id row: a null id cannot be ranked, so it is never dropped. Only
+    the key and id columns go through pandas, without schema metadata, so
+    the index is positional; callers subset with ``take`` and keep the
+    block's Arrow types (large_string, dictionaries, timezones, fixed-size
+    lists) intact."""
+    df = t.select([*keys, id_col]).replace_schema_metadata(None).to_pandas()
+    keep = df.groupby(keys, sort=False, dropna=False)[id_col].idxmin().dropna()
+    nulls = np.flatnonzero(df[id_col].isna().to_numpy())
+    return np.union1d(keep.to_numpy(np.int64), nulls)
+
 
 def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
                 num_buckets: int = 128, method: str = "full"):
@@ -70,12 +86,9 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
         # exchange volume drops by the block's internal dup fraction for
         # free; on an all-unique block this is one vectorized groupby pass.
         if t.num_rows:
-            df = t.to_pandas()
-            keep = df.groupby(text_col, sort=False, dropna=False)[id_col].idxmin()
-            if len(keep) < len(df):
-                t = pa.Table.from_pandas(
-                    df.loc[np.sort(keep.to_numpy())], preserve_index=False
-                )
+            keep = _min_id_rows(t, [text_col], id_col)
+            if len(keep) < t.num_rows:
+                t = t.take(pa.array(keep))
         h = _content_hash(t.column(text_col).to_numpy(zero_copy_only=False))
         # metadata stripped: parquet files written by pandas carry a dict
         # that makes the schema unhashable — every shuffle reduce over such
@@ -86,18 +99,8 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
 
     def keep_first(g: pa.Table) -> pa.Table:
         # within one coarse bucket: min id per distinct text (collision-safe);
-        # dropna=False so null-text rows keep one representative (pandas
-        # drops NaN groups by default — that silently deleted every null-text
-        # row from the dedup output); pyarrow in/out (pandas map_groups
-        # output path is slow in Ray 2.49)
-        df = g.to_pandas()
-        idx = df.groupby(text_col, sort=False, dropna=False)[id_col].idxmin()
-        # metadata stripped: from_pandas attaches a pandas dict that makes
-        # the schema UNHASHABLE, so every such block trips Ray's
-        # "Failed to hash the schemas" warning and defeats its schema dedup
-        return pa.Table.from_pandas(
-            df.loc[idx], preserve_index=False
-        ).replace_schema_metadata(None)
+        # pyarrow in/out (pandas map_groups output path is slow in Ray 2.49)
+        return g.take(pa.array(_min_id_rows(g, [text_col], id_col)))
 
     return (
         ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
@@ -119,6 +122,18 @@ _NULL_H2_SENTINEL = np.uint64(0xA5A5_5A5A_DEAD_BEEF)
 # every dropped-id block of a 10^10-row corpus
 _DROP_BLOCK_CACHE: dict = {}
 _DROP_CACHE_MAX_ELEMS = 50_000_000
+
+
+def _cache_drop_block(key: str, arr: np.ndarray) -> None:
+    """Cache one fetched dropped-id block. A block that alone exceeds the cap
+    is not cached (it would evict the whole working set and still break the
+    bound); otherwise a full cache is cleared before the insert."""
+    if len(arr) > _DROP_CACHE_MAX_ELEMS:
+        return
+    cached = sum(len(v) for v in _DROP_BLOCK_CACHE.values())
+    if cached + len(arr) > _DROP_CACHE_MAX_ELEMS:
+        _DROP_BLOCK_CACHE.clear()
+    _DROP_BLOCK_CACHE[key] = arr
 
 
 def _exact_dedup_hash_ids(ds, text_col: str, id_col: str, num_buckets: int):
@@ -154,11 +169,10 @@ def _exact_dedup_hash_ids(ds, text_col: str, id_col: str, num_buckets: int):
         )
 
     def dropped_ids(g: pa.Table) -> pa.Table:
-        df = g.to_pandas()
-        keep = df.groupby(["h1", "h2"], sort=False)[id_col].idxmin()
-        return pa.table(
-            {id_col: pa.array(df[id_col].drop(index=keep).to_numpy())}
+        drop = np.setdiff1d(
+            np.arange(g.num_rows), _min_id_rows(g, ["h1", "h2"], id_col)
         )
+        return pa.table({id_col: g.column(id_col).take(pa.array(drop))})
 
     # dropped ids, id-sorted → range-partitioned blocks in the OBJECT STORE;
     # the block refs (driver-held in `live` below, captured by the filter
@@ -190,30 +204,29 @@ def _exact_dedup_hash_ids(ds, text_col: str, id_col: str, num_buckets: int):
         key = ref.hex()
         arr = _DROP_BLOCK_CACHE.get(key)
         if arr is None:
-            arr = (
-                ray.get(ref).column(id_col).to_numpy(zero_copy_only=False)
-            )
-            if (
-                sum(len(v) for v in _DROP_BLOCK_CACHE.values()) + len(arr)
-                > _DROP_CACHE_MAX_ELEMS
-            ):
-                _DROP_BLOCK_CACHE.clear()
-            _DROP_BLOCK_CACHE[key] = arr
+            arr = ray.get(ref).column(id_col).to_numpy(zero_copy_only=False)
+            _cache_drop_block(key, arr)
         return arr
 
     # `live` (driver-held ObjectRef list, captured in this closure) keeps the
     # dropped-id blocks alive via the driver's reference counting for the
     # returned pipeline's lifetime — no need to pin the dataset handle
     def remove(t: pa.Table) -> pa.Table:
-        ids = t.column(id_col).to_numpy(zero_copy_only=False)
+        # null-id rows are never dropped (a null id cannot be ranked, see
+        # _min_id_rows): range bounds and matching use non-null ids only
+        col = t.column(id_col)
+        valid = pc.is_valid(col).to_numpy(zero_copy_only=False)
+        ids = col.drop_null().to_numpy(zero_copy_only=False)
         if len(ids) == 0:
             return t
         lo, hi = ids.min(), ids.max()
-        mask = np.zeros(len(ids), bool)
+        hit = np.zeros(len(ids), bool)
         for blo, bhi, ref in live:
             if bhi < lo or blo > hi:  # range-pruned: block can't match
                 continue
-            mask |= np.isin(ids, _fetch_block(ref))
+            hit |= np.isin(ids, _fetch_block(ref))
+        mask = np.zeros(len(valid), bool)
+        mask[valid] = hit
         return t.filter(pa.array(~mask))
 
     return ds.map_batches(remove, batch_format="pyarrow", zero_copy_batch=True)
@@ -1371,11 +1384,7 @@ def embedding_dedup(
             )
 
         def keep_first_vec(g: pa.Table) -> pa.Table:
-            df = g.to_pandas()
-            idx = df.groupby(["_vh1", "_vh2"], sort=False)[id_col].idxmin()
-            return pa.Table.from_pandas(
-            df.loc[idx], preserve_index=False
-        ).replace_schema_metadata(None)
+            return g.take(pa.array(_min_id_rows(g, ["_vh1", "_vh2"], id_col)))
 
         ds = (
             ds.map_batches(add_vec_key, batch_format="pyarrow", zero_copy_batch=True)

@@ -144,31 +144,6 @@ class MinHashDedupIndex:
             files.extend(fsio.list_parquet(self.fs, p, recursive=sub is None))
         return files
 
-    def _vacuum_orphans(self) -> int:
-        """Delete dead incr dirs left by a crash between a compact's meta
-        commit and its old-dir deletion: any ``incr-j`` with ``j <
-        meta['incr']`` not in the committed ``live_incrs`` set is
-        unreachable (``_incr_files`` never lists it) and would otherwise
-        leak forever — the next compact would see ≤1 live dir and return
-        early without sweeping. In-flight dirs (``j >= meta['incr']``) are
-        left alone. Returns dirs removed."""
-        live = self.meta.get("live_incrs")
-        if live is None:  # pre-compaction layout: all j < incr are live
-            return 0
-        live_names = {f"incr-{int(j):06d}" for j in live}
-        removed = 0
-        for kind in ("texts", "signatures", "bands"):
-            root = posixpath.join(self.index_dir, kind)
-            for d in fsio.list_subdirs(self.fs, root):
-                if (
-                    d.startswith("incr-")
-                    and d not in live_names
-                    and int(d.split("-")[1]) < self.meta["incr"]
-                ):
-                    fsio.delete_dir(self.fs, posixpath.join(root, d))
-                    removed += 1
-        return removed
-
     def compact(self) -> int:
         """Fold every committed increment's texts / signatures / band rows
         into ONE consolidated increment — per-increment file counts grow
@@ -178,16 +153,20 @@ class MinHashDedupIndex:
         row-group stats. Crash-safe like an increment: the consolidated
         directories only become visible at the meta commit (live_incrs
         switch); old directories are deleted after (a crash in between
-        leaves dead dirs that the next compact's ``_vacuum_orphans`` sweeps
-        before the ≤1-dir early return). Returns docs consolidated."""
+        leaves dead dirs that the next compact's
+        ``fsio.vacuum_orphan_incrs`` sweeps before the ≤1-dir early
+        return). Returns docs consolidated."""
         import ray.data as rd
 
         if self.meta.get("layout", 1) < 2:
             raise ValueError("compact() requires the v2 (banded) layout")
         if self.meta["incr"] == 0:
             return 0
-        self._vacuum_orphans()
-        old = {k: self._incr_files(k) for k in ("texts", "signatures", "bands")}
+        kinds = ("texts", "signatures", "bands")
+        fsio.vacuum_orphan_incrs(
+            self.fs, [posixpath.join(self.index_dir, k) for k in kinds], self.meta
+        )
+        old = {k: self._incr_files(k) for k in kinds}
         n_dirs = len({posixpath.dirname(f) for f in old["texts"]})
         if n_dirs <= 1:
             return 0

@@ -86,3 +86,34 @@ def list_parquet(fs: pafs.FileSystem, path: str, recursive: bool = False) -> lis
 def delete_dir(fs: pafs.FileSystem, path: str) -> None:
     if exists(fs, path):
         fs.delete_dir(path)
+
+
+def vacuum_orphan_incrs(fs: pafs.FileSystem, roots: list[str], meta: dict) -> int:
+    """Delete the dead ``incr-j`` dirs under each of ``roots`` that a crash
+    between an index compaction's meta commit and its old-dir deletion left
+    behind: any ``incr-j`` with ``j < meta['incr']`` that is not in the
+    committed ``meta['live_incrs']`` set is unreachable (reads only visit
+    live increments) and would otherwise leak forever — the next compaction
+    sees ≤1 live dir and returns early without sweeping. In-flight dirs
+    (``j >= meta['incr']``) are left alone. Returns dirs removed.
+
+    Single-writer contract (see module docstring): an append that allocated
+    ``incr-j`` before a CONCURRENT compaction committed would have its
+    in-flight dir swept here. Safe because one writer owns an index at a
+    time; concurrent writers need the external lock the module docstring
+    describes."""
+    live = meta.get("live_incrs")
+    if live is None:  # pre-compaction layout: all j < incr are live
+        return 0
+    live_names = {f"incr-{int(j):06d}" for j in live}
+    removed = 0
+    for root in roots:
+        for d in list_subdirs(fs, root):
+            if (
+                d.startswith("incr-")
+                and d not in live_names
+                and int(d.split("-")[1]) < meta["incr"]
+            ):
+                delete_dir(fs, posixpath.join(root, d))
+                removed += 1
+    return removed
