@@ -76,45 +76,45 @@ def _run_cdc(sf_dir: str, recipe=None, objectstore: bool = False):
     from wrangler_ray.cdc.engine import CdcTable
 
     changes = _derive_changes(sf_dir)
-    workdir = tempfile.mkdtemp(prefix="wr_cdc_")
-    seg_dir = os.path.join(workdir, "segments")
-    os.makedirs(seg_dir)
-    # split into 4 segments by lsn order (cross-segment merge exercised)
-    idx = pc.sort_indices(changes, sort_keys=[("lsn", "ascending")])
-    changes = changes.take(idx)
-    n = changes.num_rows
-    segs = []
-    for i in range(4):
-        part = changes.slice(i * n // 4, (i + 1) * n // 4 - i * n // 4)
-        p = os.path.join(seg_dir, f"segment-{i:03d}.parquet")
-        pq.write_table(part, p)
-        segs.append(p)
-    if objectstore:
-        # S3-style deployment shape: durable state AND the spill exchange
-        # through an injected pyarrow.fs subtree (VERDICT r4 missing #1)
-        import glob
+    with tempfile.TemporaryDirectory(prefix="wr_cdc_") as workdir:
+        seg_dir = os.path.join(workdir, "segments")
+        os.makedirs(seg_dir)
+        # split into 4 segments by lsn order (cross-segment merge exercised)
+        idx = pc.sort_indices(changes, sort_keys=[("lsn", "ascending")])
+        changes = changes.take(idx)
+        n = changes.num_rows
+        segs = []
+        for i in range(4):
+            part = changes.slice(i * n // 4, (i + 1) * n // 4 - i * n // 4)
+            p = os.path.join(seg_dir, f"segment-{i:03d}.parquet")
+            pq.write_table(part, p)
+            segs.append(p)
+        if objectstore:
+            # S3-style deployment shape: durable state AND the spill exchange
+            # through an injected pyarrow.fs subtree (VERDICT r4 missing #1)
+            import glob
 
-        import pyarrow.fs as pafs
+            import pyarrow.fs as pafs
 
-        fs = pafs.SubTreeFileSystem(workdir, pafs.LocalFileSystem())
-        table = CdcTable("lake", num_partitions=16, filesystem=fs)
-        finalize, spills = table._finalize, []
+            fs = pafs.SubTreeFileSystem(workdir, pafs.LocalFileSystem())
+            table = CdcTable("lake", num_partitions=16, filesystem=fs)
+            finalize, spills = table._finalize, []
 
-        def _finalize(lineage, txn_id, *args, **kwargs):
-            # the commit deletes the spills: look for them just before it
-            spills.extend(glob.glob(os.path.join(
-                workdir, "lake", "staging", txn_id, "spills", "*.arrow")))
-            return finalize(lineage, txn_id, *args, **kwargs)
+            def _finalize(lineage, txn_id, *args, **kwargs):
+                # the commit deletes the spills: look for them just before it
+                spills.extend(glob.glob(os.path.join(
+                    workdir, "lake", "staging", txn_id, "spills", "*.arrow")))
+                return finalize(lineage, txn_id, *args, **kwargs)
 
-        table._finalize = _finalize
-    else:
-        table = CdcTable(os.path.join(workdir, "lake"), num_partitions=16)
-    table.apply_changes(segs, recipe=recipe)
-    if objectstore:  # the exchange went through the injected fs
-        assert spills, "no spill files under lake/staging/<txn>/spills/"
-    out = table.read_arrow(drop_internal=False)
-    names = ["lsn" if c == "_lsn" else c for c in out.column_names]
-    return out.rename_columns(names)
+            table._finalize = _finalize
+        else:
+            table = CdcTable(os.path.join(workdir, "lake"), num_partitions=16)
+        table.apply_changes(segs, recipe=recipe)
+        if objectstore:  # the exchange went through the injected fs
+            assert spills, "no spill files under lake/staging/<txn>/spills/"
+        out = table.read_arrow(drop_internal=False)
+        names = ["lsn" if c == "_lsn" else c for c in out.column_names]
+        return out.rename_columns(names)
 
 
 def _run_cdc_evolved(sf_dir: str):
@@ -135,19 +135,19 @@ def _run_cdc_evolved(sf_dir: str):
     new_schema = new_schema.append_column("note", note)
     old_schema = changes.filter(pc.invert(even))
 
-    workdir = tempfile.mkdtemp(prefix="wr_cdc_evo_")
-    seg_dir = os.path.join(workdir, "segments")
-    os.makedirs(seg_dir)
-    segs = []
-    for i, part in enumerate((old_schema, new_schema)):
-        p = os.path.join(seg_dir, f"segment-{i:03d}.parquet")
-        pq.write_table(part, p)
-        segs.append(p)
-    table = CdcTable(os.path.join(workdir, "lake"), num_partitions=16)
-    table.apply_changes(segs)
-    out = table.read_arrow(drop_internal=False)
-    names = ["lsn" if c == "_lsn" else c for c in out.column_names]
-    return out.rename_columns(names)
+    with tempfile.TemporaryDirectory(prefix="wr_cdc_evo_") as workdir:
+        seg_dir = os.path.join(workdir, "segments")
+        os.makedirs(seg_dir)
+        segs = []
+        for i, part in enumerate((old_schema, new_schema)):
+            p = os.path.join(seg_dir, f"segment-{i:03d}.parquet")
+            pq.write_table(part, p)
+            segs.append(p)
+        table = CdcTable(os.path.join(workdir, "lake"), num_partitions=16)
+        table.apply_changes(segs)
+        out = table.read_arrow(drop_internal=False)
+        names = ["lsn" if c == "_lsn" else c for c in out.column_names]
+        return out.rename_columns(names)
 
 
 def entry() -> Any:
@@ -880,22 +880,22 @@ def queries() -> dict[str, Callable[[str], Any]]:
         idx = pc.sort_indices(changes, sort_keys=[("lsn", "ascending")])
         changes = changes.take(idx)
         n = changes.num_rows
-        workdir = tempfile.mkdtemp(prefix="wr_cdc_mor_")
-        seg_dir = os.path.join(workdir, "segments")
-        os.makedirs(seg_dir)
-        segs = []
-        for i in range(4):
-            part = changes.slice(i * n // 4, (i + 1) * n // 4 - i * n // 4)
-            p = os.path.join(seg_dir, f"segment-{i:03d}.parquet")
-            pq.write_table(part, p)
-            segs.append(p)
-        table = CdcTable(os.path.join(workdir, "lake"), num_partitions=16)
-        table.apply_changes(segs[:2], mode="cow")
-        table.apply_changes([segs[2]], mode="mor")
-        table.apply_changes([segs[3]], mode="mor")
-        out = table.read_arrow(drop_internal=False)
-        names = ["lsn" if c == "_lsn" else c for c in out.column_names]
-        return out.rename_columns(names)
+        with tempfile.TemporaryDirectory(prefix="wr_cdc_mor_") as workdir:
+            seg_dir = os.path.join(workdir, "segments")
+            os.makedirs(seg_dir)
+            segs = []
+            for i in range(4):
+                part = changes.slice(i * n // 4, (i + 1) * n // 4 - i * n // 4)
+                p = os.path.join(seg_dir, f"segment-{i:03d}.parquet")
+                pq.write_table(part, p)
+                segs.append(p)
+            table = CdcTable(os.path.join(workdir, "lake"), num_partitions=16)
+            table.apply_changes(segs[:2], mode="cow")
+            table.apply_changes([segs[2]], mode="mor")
+            table.apply_changes([segs[3]], mode="mor")
+            out = table.read_arrow(drop_internal=False)
+            names = ["lsn" if c == "_lsn" else c for c in out.column_names]
+            return out.rename_columns(names)
 
     def cdc_compact_vacuum(sf_dir):
         # maintenance paths under the gate: MOR deltas folded back by
@@ -908,26 +908,26 @@ def queries() -> dict[str, Callable[[str], Any]]:
         idx = pc.sort_indices(changes, sort_keys=[("lsn", "ascending")])
         changes = changes.take(idx)
         n = changes.num_rows
-        workdir = tempfile.mkdtemp(prefix="wr_cdc_cv_")
-        seg_dir = os.path.join(workdir, "segments")
-        os.makedirs(seg_dir)
-        segs = []
-        for i in range(4):
-            part = changes.slice(i * n // 4, (i + 1) * n // 4 - i * n // 4)
-            p = os.path.join(seg_dir, f"segment-{i:03d}.parquet")
-            pq.write_table(part, p)
-            segs.append(p)
-        table = CdcTable(os.path.join(workdir, "lake"), num_partitions=16)
-        table.apply_changes(segs[:2], mode="cow")
-        table.apply_changes([segs[2]], mode="mor")
-        table.apply_changes([segs[3]], mode="mor")
-        table.compact()
-        if table._has_deltas():
-            raise AssertionError("compact() left merge-on-read deltas behind")
-        table.vacuum(keep_versions=1)
-        out = table.read_arrow(drop_internal=False)
-        names = ["lsn" if c == "_lsn" else c for c in out.column_names]
-        return out.rename_columns(names)
+        with tempfile.TemporaryDirectory(prefix="wr_cdc_cv_") as workdir:
+            seg_dir = os.path.join(workdir, "segments")
+            os.makedirs(seg_dir)
+            segs = []
+            for i in range(4):
+                part = changes.slice(i * n // 4, (i + 1) * n // 4 - i * n // 4)
+                p = os.path.join(seg_dir, f"segment-{i:03d}.parquet")
+                pq.write_table(part, p)
+                segs.append(p)
+            table = CdcTable(os.path.join(workdir, "lake"), num_partitions=16)
+            table.apply_changes(segs[:2], mode="cow")
+            table.apply_changes([segs[2]], mode="mor")
+            table.apply_changes([segs[3]], mode="mor")
+            table.compact()
+            if table._has_deltas():
+                raise AssertionError("compact() left merge-on-read deltas behind")
+            table.vacuum(keep_versions=1)
+            out = table.read_arrow(drop_internal=False)
+            names = ["lsn" if c == "_lsn" else c for c in out.column_names]
+            return out.rename_columns(names)
 
     def cdc_resume_idempotent(sf_dir):
         # exactly-once under at-least-once delivery: segment 0 is delivered
@@ -940,23 +940,23 @@ def queries() -> dict[str, Callable[[str], Any]]:
         idx = pc.sort_indices(changes, sort_keys=[("lsn", "ascending")])
         changes = changes.take(idx)
         n = changes.num_rows
-        workdir = tempfile.mkdtemp(prefix="wr_cdc_idem_")
-        seg_dir = os.path.join(workdir, "segments")
-        os.makedirs(seg_dir)
-        segs = []
-        for i, part in enumerate(
-            (changes.slice(0, n // 2), changes.slice(n // 2, n - n // 2))
-        ):
-            p = os.path.join(seg_dir, f"segment-{i:03d}.parquet")
-            pq.write_table(part, p)
-            segs.append(p)
-        table = CdcTable(os.path.join(workdir, "lake"), num_partitions=16)
-        table.apply_changes([segs[0]])
-        table.apply_changes([segs[0]])  # duplicate delivery — must no-op
-        table.apply_changes(segs)       # full re-delivery — prefix skipped
-        out = table.read_arrow(drop_internal=False)
-        names = ["lsn" if c == "_lsn" else c for c in out.column_names]
-        return out.rename_columns(names)
+        with tempfile.TemporaryDirectory(prefix="wr_cdc_idem_") as workdir:
+            seg_dir = os.path.join(workdir, "segments")
+            os.makedirs(seg_dir)
+            segs = []
+            for i, part in enumerate(
+                (changes.slice(0, n // 2), changes.slice(n // 2, n - n // 2))
+            ):
+                p = os.path.join(seg_dir, f"segment-{i:03d}.parquet")
+                pq.write_table(part, p)
+                segs.append(p)
+            table = CdcTable(os.path.join(workdir, "lake"), num_partitions=16)
+            table.apply_changes([segs[0]])
+            table.apply_changes([segs[0]])  # duplicate delivery — must no-op
+            table.apply_changes(segs)       # full re-delivery — prefix skipped
+            out = table.read_arrow(drop_internal=False)
+            names = ["lsn" if c == "_lsn" else c for c in out.column_names]
+            return out.rename_columns(names)
 
     def cdc_time_travel(sf_dir):
         # manifest time travel: two transactions, then read(version=1) must
@@ -968,22 +968,22 @@ def queries() -> dict[str, Callable[[str], Any]]:
         idx = pc.sort_indices(changes, sort_keys=[("lsn", "ascending")])
         changes = changes.take(idx)
         n = changes.num_rows
-        workdir = tempfile.mkdtemp(prefix="wr_cdc_tt_")
-        seg_dir = os.path.join(workdir, "segments")
-        os.makedirs(seg_dir)
-        segs = []
-        for i, part in enumerate(
-            (changes.slice(0, n // 2), changes.slice(n // 2, n - n // 2))
-        ):
-            p = os.path.join(seg_dir, f"segment-{i:03d}.parquet")
-            pq.write_table(part, p)
-            segs.append(p)
-        table = CdcTable(os.path.join(workdir, "lake"), num_partitions=16)
-        table.apply_changes([segs[0]])
-        table.apply_changes([segs[1]])
-        out = table.read_arrow(drop_internal=False, version=1)
-        names = ["lsn" if c == "_lsn" else c for c in out.column_names]
-        return out.rename_columns(names)
+        with tempfile.TemporaryDirectory(prefix="wr_cdc_tt_") as workdir:
+            seg_dir = os.path.join(workdir, "segments")
+            os.makedirs(seg_dir)
+            segs = []
+            for i, part in enumerate(
+                (changes.slice(0, n // 2), changes.slice(n // 2, n - n // 2))
+            ):
+                p = os.path.join(seg_dir, f"segment-{i:03d}.parquet")
+                pq.write_table(part, p)
+                segs.append(p)
+            table = CdcTable(os.path.join(workdir, "lake"), num_partitions=16)
+            table.apply_changes([segs[0]])
+            table.apply_changes([segs[1]])
+            out = table.read_arrow(drop_internal=False, version=1)
+            names = ["lsn" if c == "_lsn" else c for c in out.column_names]
+            return out.rename_columns(names)
 
     def hash_join_orders_customer(sf_dir):
         from wrangler_ray.ops.joins import hash_join
@@ -1411,24 +1411,24 @@ def queries() -> dict[str, Callable[[str], Any]]:
         docs = pq.read_table(os.path.join(sf_dir, "documents.parquet"))
         ids = docs.column("doc_id").to_numpy()
         mid = int(np.median(ids))
-        idx = MinHashDedupIndex(
-            tempfile.mkdtemp(prefix="wr_dedup_idx_"),
-            num_perm=128, bands=32, shingle_k=50, jaccard_threshold=1.0,
-        )
-        import ray.data as rd
-
-        parts = []
-        for keep in (ids <= mid, ids > mid):
-            inc = rd.from_arrow(docs.filter(pa.array(keep))).repartition(4)
-            out = idx.dedup_increment(inc)
-            parts.append(
-                pa.concat_tables(
-                    out.iter_batches(batch_size=None, batch_format="pyarrow")
-                )
+        with tempfile.TemporaryDirectory(prefix="wr_dedup_idx_") as workdir:
+            idx = MinHashDedupIndex(
+                workdir, num_perm=128, bands=32, shingle_k=50, jaccard_threshold=1.0,
             )
-        return pa.concat_tables(parts).select(
-            ["doc_id", "text", "lang", "source", "n_chars"]
-        )
+            import ray.data as rd
+
+            parts = []
+            for keep in (ids <= mid, ids > mid):
+                inc = rd.from_arrow(docs.filter(pa.array(keep))).repartition(4)
+                out = idx.dedup_increment(inc)
+                parts.append(
+                    pa.concat_tables(
+                        out.iter_batches(batch_size=None, batch_format="pyarrow")
+                    )
+                )
+            return pa.concat_tables(parts).select(
+                ["doc_id", "text", "lang", "source", "n_chars"]
+            )
 
     def dedup_index_pruned_invariant(sf_dir):
         # the band-PARTITIONED index layout (v2): four id-ordered increments
@@ -1442,28 +1442,28 @@ def queries() -> dict[str, Callable[[str], Any]]:
         docs = pq.read_table(os.path.join(sf_dir, "documents.parquet"))
         ids = docs.column("doc_id").to_numpy()
         qs = np.quantile(ids, [0.25, 0.5, 0.75])
-        idx = MinHashDedupIndex(
-            tempfile.mkdtemp(prefix="wr_dedup_idxp_"),
-            num_perm=128, bands=32, shingle_k=50, jaccard_threshold=1.0,
-            sig_parts=16,
-        )
-        import ray.data as rd
-
-        bounds = [ids.min() - 1, *qs, ids.max()]
-        parts = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            inc = rd.from_arrow(
-                docs.filter(pa.array((ids > lo) & (ids <= hi)))
-            ).repartition(4)
-            out = idx.dedup_increment(inc)
-            parts.append(
-                pa.concat_tables(
-                    out.iter_batches(batch_size=None, batch_format="pyarrow")
-                )
+        with tempfile.TemporaryDirectory(prefix="wr_dedup_idxp_") as workdir:
+            idx = MinHashDedupIndex(
+                workdir, num_perm=128, bands=32, shingle_k=50, jaccard_threshold=1.0,
+                sig_parts=16,
             )
-        return pa.concat_tables(parts).select(
-            ["doc_id", "text", "lang", "source", "n_chars"]
-        )
+            import ray.data as rd
+
+            bounds = [ids.min() - 1, *qs, ids.max()]
+            parts = []
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                inc = rd.from_arrow(
+                    docs.filter(pa.array((ids > lo) & (ids <= hi)))
+                ).repartition(4)
+                out = idx.dedup_increment(inc)
+                parts.append(
+                    pa.concat_tables(
+                        out.iter_batches(batch_size=None, batch_format="pyarrow")
+                    )
+                )
+            return pa.concat_tables(parts).select(
+                ["doc_id", "text", "lang", "source", "n_chars"]
+            )
 
     def dedup_index_compacted_invariant(sf_dir):
         # compact() mid-ingest must not change semantics: two increments,
@@ -1474,30 +1474,30 @@ def queries() -> dict[str, Callable[[str], Any]]:
         docs = pq.read_table(os.path.join(sf_dir, "documents.parquet"))
         ids = docs.column("doc_id").to_numpy()
         qs = np.quantile(ids, [0.25, 0.5, 0.75])
-        idx = MinHashDedupIndex(
-            tempfile.mkdtemp(prefix="wr_dedup_idxc_"),
-            num_perm=128, bands=32, shingle_k=50, jaccard_threshold=1.0,
-            sig_parts=16,
-        )
-        import ray.data as rd
-
-        bounds = [ids.min() - 1, *qs, ids.max()]
-        parts = []
-        for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            inc = rd.from_arrow(
-                docs.filter(pa.array((ids > lo) & (ids <= hi)))
-            ).repartition(4)
-            out = idx.dedup_increment(inc)
-            parts.append(
-                pa.concat_tables(
-                    out.iter_batches(batch_size=None, batch_format="pyarrow")
-                )
+        with tempfile.TemporaryDirectory(prefix="wr_dedup_idxc_") as workdir:
+            idx = MinHashDedupIndex(
+                workdir, num_perm=128, bands=32, shingle_k=50, jaccard_threshold=1.0,
+                sig_parts=16,
             )
-            if i == 1:
-                idx.compact()
-        return pa.concat_tables(parts).select(
-            ["doc_id", "text", "lang", "source", "n_chars"]
-        )
+            import ray.data as rd
+
+            bounds = [ids.min() - 1, *qs, ids.max()]
+            parts = []
+            for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+                inc = rd.from_arrow(
+                    docs.filter(pa.array((ids > lo) & (ids <= hi)))
+                ).repartition(4)
+                out = idx.dedup_increment(inc)
+                parts.append(
+                    pa.concat_tables(
+                        out.iter_batches(batch_size=None, batch_format="pyarrow")
+                    )
+                )
+                if i == 1:
+                    idx.compact()
+            return pa.concat_tables(parts).select(
+                ["doc_id", "text", "lang", "source", "n_chars"]
+            )
 
     def similarity_ivf_index_compact_invariant(sf_dir):
         # persisted IVF after an append + compact() still returns the exact
@@ -1511,13 +1511,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
         mid = int(np.median(vid))
         import ray.data as rd
 
-        idx = IvfIndex(tempfile.mkdtemp(prefix="wr_ivf_idxc_"))
-        idx.build(rd.from_arrow(emb.filter(pa.array(vid <= mid))),
-                  num_clusters=8, seed=3)
-        idx.append(rd.from_arrow(emb.filter(pa.array(vid > mid))))
-        idx.compact()
-        out = idx.query(q, k=5, nprobe=8)
-        return _round_cols(out.drop_columns(["query_idx"]), {"score": 3})
+        with tempfile.TemporaryDirectory(prefix="wr_ivf_idxc_") as workdir:
+            idx = IvfIndex(workdir)
+            idx.build(rd.from_arrow(emb.filter(pa.array(vid <= mid))),
+                      num_clusters=8, seed=3)
+            idx.append(rd.from_arrow(emb.filter(pa.array(vid > mid))))
+            idx.compact()
+            out = idx.query(q, k=5, nprobe=8)
+            return _round_cols(out.drop_columns(["query_idx"]), {"score": 3})
 
     def similarity_ivf_index_invariant(sf_dir):
         # the PERSISTED IVF index at nprobe=all cells reads every cell back
@@ -1528,10 +1529,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         emb = pq.read_table(os.path.join(sf_dir, "embeddings.parquet"))
         q = np.asarray(emb.column("embedding").to_pylist()[0], np.float32)[None, :]
-        idx = IvfIndex(tempfile.mkdtemp(prefix="wr_ivf_idx_"))
-        idx.build(_read(sf_dir, "embeddings"), num_clusters=8, seed=3)
-        out = idx.query(q, k=5, nprobe=8)
-        return _round_cols(out.drop_columns(["query_idx"]), {"score": 3})
+        with tempfile.TemporaryDirectory(prefix="wr_ivf_idx_") as workdir:
+            idx = IvfIndex(workdir)
+            idx.build(_read(sf_dir, "embeddings"), num_clusters=8, seed=3)
+            out = idx.query(q, k=5, nprobe=8)
+            return _round_cols(out.drop_columns(["query_idx"]), {"score": 3})
 
     def similarity_lsh_exhaustive_invariant(sf_dir):
         # degenerate LSH: num_planes=0 → one bucket → nothing pruned → the
@@ -1653,19 +1655,19 @@ def queries() -> dict[str, Callable[[str], Any]]:
         from wrangler_ray.sources import read_any
 
         nation = pq.read_table(os.path.join(sf_dir, "nation.parquet"))
-        workdir = tempfile.mkdtemp(prefix="wr_src_")
-        path = os.path.join(workdir, "nation.csv")
-        import pyarrow.csv as pacsv
+        with tempfile.TemporaryDirectory(prefix="wr_src_") as workdir:
+            path = os.path.join(workdir, "nation.csv")
+            import pyarrow.csv as pacsv
 
-        pacsv.write_csv(nation, path)
-        out = read_any(path)
-        t = pa.concat_tables(out.iter_batches(batch_size=None, batch_format="pyarrow"))
-        # CSV round-trip types: cast keys back to the parquet schema
-        return t.cast(pa.schema([
-            pa.field("n_nationkey", pa.int32()),
-            pa.field("n_name", pa.string()),
-            pa.field("n_regionkey", pa.int32()),
-        ]))
+            pacsv.write_csv(nation, path)
+            out = read_any(path)
+            t = pa.concat_tables(out.iter_batches(batch_size=None, batch_format="pyarrow"))
+            # CSV round-trip types: cast keys back to the parquet schema
+            return t.cast(pa.schema([
+                pa.field("n_nationkey", pa.int32()),
+                pa.field("n_name", pa.string()),
+                pa.field("n_regionkey", pa.int32()),
+            ]))
 
     def source_avro_roundtrip(sf_dir):
         # sources surface: encode nation as TWO Avro object-container files
@@ -1685,18 +1687,18 @@ def queries() -> dict[str, Callable[[str], Any]]:
             ],
         }
         rows = nation.to_pylist()
-        workdir = tempfile.mkdtemp(prefix="wr_src_avro_")
-        half = len(rows) // 2
-        for i, chunk in enumerate((rows[:half], rows[half:])):
-            with open(os.path.join(workdir, f"part-{i}.avro"), "wb") as f:
-                f.write(write_container(schema, chunk))
-        out = read_any(workdir, fmt="avro")
-        t = pa.concat_tables(out.iter_batches(batch_size=None, batch_format="pyarrow"))
-        return t.cast(pa.schema([
-            pa.field("n_nationkey", pa.int32()),
-            pa.field("n_name", pa.string()),
-            pa.field("n_regionkey", pa.int32()),
-        ]))
+        with tempfile.TemporaryDirectory(prefix="wr_src_avro_") as workdir:
+            half = len(rows) // 2
+            for i, chunk in enumerate((rows[:half], rows[half:])):
+                with open(os.path.join(workdir, f"part-{i}.avro"), "wb") as f:
+                    f.write(write_container(schema, chunk))
+            out = read_any(workdir, fmt="avro")
+            t = pa.concat_tables(out.iter_batches(batch_size=None, batch_format="pyarrow"))
+            return t.cast(pa.schema([
+                pa.field("n_nationkey", pa.int32()),
+                pa.field("n_name", pa.string()),
+                pa.field("n_regionkey", pa.int32()),
+            ]))
 
     def dedup_simhash_invariant(sf_dir):
         # corpus-independent invariant for the one dedup method with no

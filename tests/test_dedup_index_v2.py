@@ -222,7 +222,7 @@ def test_banded_index_distributed_tail(ray_session, tmp_path):
     )
     k2_dist = sorted(
         minhash_lsh_dedup(inc2, jaccard_threshold=0.7, pre_exact=False,
-                          indexed=idx, distributed=True).to_pandas()["doc_id"]
+                          indexed=idx, max_driver_edges=0).to_pandas()["doc_id"]
     )
     batch = sorted(
         minhash_lsh_dedup(_mk(ids, texts, 0, 20), jaccard_threshold=0.7)

@@ -167,7 +167,9 @@ def test_minhash_tiny_pair_cap_matches_exhaustive(ray_session, distributed):
     from wrangler_ray.ops.dedup import minhash_lsh_dedup
 
     tab = _dup_corpus()
-    kw = dict(jaccard_threshold=0.8, distributed=distributed)
+    kw = dict(jaccard_threshold=0.8)
+    if distributed:  # every edge set crosses the cap → distributed tail
+        kw["max_driver_edges"] = 0
     survivors_tiny = sorted(
         minhash_lsh_dedup(rd.from_arrow(tab), pair_cap=2, **kw)
         .to_pandas()["doc_id"]

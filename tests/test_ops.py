@@ -282,6 +282,28 @@ def test_dedup_auto_switch_crosses_driver_cap(docs_ds):
     )
     assert sh_auto == sh_driver
 
+    import ray.data as rd
+    from wrangler_ray.ops.dedup import embedding_dedup
+
+    rng = np.random.RandomState(0)
+    base = rng.randn(4, 16).astype(np.float32)
+    # rows 4, 5: near-dups of row 0 (one cluster of three); row 6: of row 1
+    vecs = np.vstack([base, base[0] + rng.randn(2, 16) * 1e-3,
+                      base[1] + rng.randn(16) * 1e-3])
+    emb = rd.from_arrow(pa.table({
+        "vec_id": pa.array(range(len(vecs)), pa.int64()),
+        "embedding": pa.array([list(map(float, v)) for v in vecs],
+                              pa.list_(pa.float32())),
+    }))
+    em_driver = sorted(
+        embedding_dedup(emb, cosine_threshold=0.99).to_pandas()["vec_id"]
+    )
+    em_auto = sorted(
+        embedding_dedup(emb, cosine_threshold=0.99, max_driver_edges=0)
+        .to_pandas()["vec_id"]
+    )
+    assert em_auto == em_driver == [0, 1, 2, 3]
+
 
 def test_brute_force_topk_many_queries(ray_session):
     """64-query batch through the distributed groupby('query_idx') merge —

@@ -278,7 +278,7 @@ def test_minhash_distributed_matches_driver(ray_session):
     )
     drv = sorted(minhash_lsh_dedup(ds, jaccard_threshold=0.7).to_pandas()["doc_id"])
     dist = sorted(
-        minhash_lsh_dedup(ds, jaccard_threshold=0.7, distributed=True)
+        minhash_lsh_dedup(ds, jaccard_threshold=0.7, max_driver_edges=0)
         .to_pandas()["doc_id"]
     )
     assert drv == dist == [0, 3, 4]
@@ -299,7 +299,7 @@ def test_simhash_distributed_matches_driver(ray_session):
         pa.table({"doc_id": pa.array(range(3), pa.int64()), "text": texts})
     )
     drv = sorted(simhash_dedup(ds).to_pandas()["doc_id"])
-    dist = sorted(simhash_dedup(ds, distributed=True).to_pandas()["doc_id"])
+    dist = sorted(simhash_dedup(ds, max_driver_edges=0).to_pandas()["doc_id"])
     assert drv == dist == [0, 2]
 
 

@@ -1,8 +1,9 @@
 """Distributed connected components (min-label propagation) over an edge
 Dataset — the scale path for dedup clustering when the candidate-edge set
-exceeds driver memory (wrangler_ray.ops.dedup union-finds edges on the driver
-while the distinct edge set fits ``max_driver_edges``, and auto-routes here
-past that cap).
+exceeds driver memory (wrangler_ray.ops.dedup clusters edges on the driver
+with a vectorized min-label kernel while the distinct edge set fits
+``max_driver_edges``, and auto-routes here past that cap — always, with
+``max_driver_edges=0``).
 
 Algorithm: iterative min-label propagation.
     label(u) ← min(u, neighbors(u))                    (init)

@@ -6,19 +6,25 @@ Shuffle shape (the part that matters at 100 TB):
   but grouped on a uniform hash → no skew.
 - near-dup (MinHash/SimHash/embedding-LSH): signatures per batch (numpy) →
   explode to (bucket_key, doc_id) pairs — a FRACTION of the input bytes —
-  → groupby(bucket) emits candidate edges → connected components. Candidate
-  edges are ~O(#duplicates); while the distinct edge set fits
-  ``max_driver_edges`` they are union-found on the driver, and past that cap
-  the pipeline auto-routes to distributed min-label propagation
-  (``wrangler_ray.ops.cc``) — it never raises on a large edge set.
+  → groupby(bucket) emits candidate edges → connected components → one
+  survivor filter (``_drop_clustered``). Candidate edges are
+  ~O(#duplicates); while the distinct edge set fits ``max_driver_edges``
+  they are clustered on the driver by a vectorized min-label kernel
+  (``_non_min_ids``), and past that cap the pipeline auto-routes to
+  distributed min-label propagation (``wrangler_ray.ops.cc``) — it never
+  raises on a large edge set.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from wrangler_ray.ops.cc import connected_components, drop_non_representatives
 
 _HASH_SEED = 0x9E3779B97F4A7C15
 
@@ -77,19 +83,32 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
         return _exact_dedup_hash_ids(ds, text_col, id_col, num_buckets)
     if method != "full":
         raise ValueError(f"unknown exact_dedup method {method!r}")
+    return _min_id_exchange(
+        ds, [text_col], id_col, num_buckets,
+        lambda t: _content_hash(t.column(text_col).to_numpy(zero_copy_only=False)),
+    )
+
+
+def _min_id_exchange(ds, keys: list[str], id_col: str, num_buckets: int,
+                     key_hash, drop: tuple = ()):
+    """Keep the min-id row per distinct ``keys`` value (see _min_id_rows)
+    through one exchange on a coarse bucket of ``key_hash(t)`` (a uint64
+    hash of the key columns — equal keys must hash equal): one map_groups
+    task per bucket with a vectorized groupby inside, instead of one Python
+    call per distinct value. ``drop`` names key columns to remove after."""
 
     def add_bucket(t: pa.Table) -> pa.Table:
         # WITHIN-BLOCK COMBINER before the exchange: keep the min-id row per
-        # distinct text inside this block (min is associative, texts compared
+        # distinct key inside this block (min is associative, keys compared
         # by VALUE — collision-safe like keep_first), so the shuffle ships
-        # only each block's distinct texts. On a crawl-like corpus the
+        # only each block's distinct keys. On a crawl-like corpus the
         # exchange volume drops by the block's internal dup fraction for
         # free; on an all-unique block this is one vectorized groupby pass.
         if t.num_rows:
-            keep = _min_id_rows(t, [text_col], id_col)
+            keep = _min_id_rows(t, keys, id_col)
             if len(keep) < t.num_rows:
                 t = t.take(pa.array(keep))
-        h = _content_hash(t.column(text_col).to_numpy(zero_copy_only=False))
+        h = key_hash(t)
         # metadata stripped: parquet files written by pandas carry a dict
         # that makes the schema unhashable — every shuffle reduce over such
         # blocks trips Ray's "Failed to hash the schemas" warning
@@ -98,15 +117,15 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
         )
 
     def keep_first(g: pa.Table) -> pa.Table:
-        # within one coarse bucket: min id per distinct text (collision-safe);
+        # within one coarse bucket: min id per distinct key (collision-safe);
         # pyarrow in/out (pandas map_groups output path is slow in Ray 2.49)
-        return g.take(pa.array(_min_id_rows(g, [text_col], id_col)))
+        return g.take(pa.array(_min_id_rows(g, keys, id_col)))
 
     return (
         ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("_b")
         .map_groups(keep_first, batch_format="pyarrow")
-        .drop_columns(["_b"])
+        .drop_columns(["_b", *drop])
     )
 
 
@@ -571,17 +590,6 @@ def _dedupe_pairs_df(df: pd.DataFrame) -> pd.DataFrame:
     return df.drop_duplicates(ignore_index=True)
 
 
-def _collect_edges(ds_pairs) -> pd.DataFrame:
-    """Collect candidate edges on the driver as a deduplicated (a, b[, ch])
-    frame (caller has already checked |edges| fits driver memory). Arrow-batch
-    collection + vectorized dedupe — never per-row dict iteration."""
-    tabs = list(ds_pairs.iter_batches(batch_size=None, batch_format="pyarrow"))
-    t = pa.concat_tables([t for t in tabs if t.num_rows]) if tabs else None
-    if t is None or t.num_rows == 0:
-        return pd.DataFrame({"a": [], "b": []})
-    return _dedupe_pairs_df(t.to_pandas())
-
-
 def _distinct_pairs(pairs):
     """Global DISTINCT over (a, b) edge rows via a bucketed exchange — the
     same pair surfaces from up to `bands` different LSH buckets, so the raw
@@ -615,50 +623,90 @@ def _distinct_pairs(pairs):
     )
 
 
-def _edges_or_distributed(pairs, max_driver_edges: int):
-    """Materialize the candidate-edge dataset and decide the clustering route:
-    returns (pairs_mat, edges_df) when the edge count fits the driver
-    (union-find path), or (pairs_mat, None) to auto-route to the distributed
-    label-propagation path — a 100 TB crawl corpus blows past any driver cap
-    on the first run, so this must never raise. The count is free metadata
-    after materialize(). A raw count over the cap is first re-counted after a
-    global pair-DISTINCT (the same pair arrives from up to `bands` buckets);
-    only a cap-exceeding DISTINCT edge set goes distributed."""
-    mat = pairs.materialize()
-    if mat.count() > max_driver_edges:
-        mat = _distinct_pairs(mat).materialize()
-        if mat.count() > max_driver_edges:
-            return mat, None
-    return mat, _collect_edges(mat)
+def _non_min_ids(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sorted ids of every edge endpoint that is NOT its connected
+    component's minimum id — the rows a near-dup filter drops. Vectorized
+    min-label propagation over ``np.unique`` node ranks: each round hooks
+    the larger root of every edge that still spans two trees onto the
+    smaller one (scatter-min), then pointer-jumps every node to its root.
+    Ranks are in id order, so each component keeps its min id. Every round
+    removes at least one root per live edge; pointer jumping makes a long
+    chain take O(log n) jumps, not O(n) rounds."""
+    nodes, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
+    ea, eb = inv[: len(a)], inv[len(a):]
+    parent = np.arange(len(nodes))
+    while True:
+        ra, rb = parent[ea], parent[eb]
+        live = ra != rb  # an edge inside one tree stays inside it
+        if not live.any():
+            return nodes[parent != np.arange(len(nodes))]
+        ea, eb, ra, rb = ea[live], eb[live], ra[live], rb[live]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
 
 
-def _cc_drop(ds, pairs, id_col):
-    """Distributed tail shared by the dedup variants whose edges are already
-    fully verified: min-label-propagation components + representative join
-    (ops.cc) — no driver-resident edge set."""
-    from wrangler_ray.ops.cc import connected_components, drop_non_representatives
+def _drop_clustered(ds, pairs, id_col: str, max_driver_edges: int,
+                    verify=None, distributed_finish=None):
+    """The near-dup tail every variant shares: cluster the candidate edges
+    ``pairs`` (a, b[, ch, fb]) and keep the min-id row of each cluster.
 
-    labels = connected_components(pairs.materialize())
-    return drop_non_representatives(ds, labels, id_col=id_col)
+    The edge count is free metadata after materialize(). A raw count over
+    ``max_driver_edges`` is first re-counted after a global pair-DISTINCT
+    (the same pair arrives from up to `bands` buckets); a DISTINCT edge set
+    still over the cap goes to ``distributed_finish(pairs)`` — by default
+    min-label-propagation components + representative join (ops.cc), for
+    edges that are already fully verified. A 100 TB crawl corpus blows past
+    any driver cap on the first run, so this never raises. Under the cap the
+    edges are collected, ``verify(edges) -> (a, b)`` keeps the accepted
+    ones, the driver kernel clusters them and ``ds`` is filtered once."""
+    pairs = pairs.materialize()
+    if pairs.count() > max_driver_edges:
+        pairs = _distinct_pairs(pairs).materialize()
+        if pairs.count() > max_driver_edges:
+            if distributed_finish is not None:
+                return distributed_finish(pairs)
+            labels = connected_components(pairs)
+            return drop_non_representatives(ds, labels, id_col=id_col)
+    # under the cap: collect as a deduplicated (a, b[, ch, fb]) frame —
+    # Arrow-batch collection + vectorized dedupe, never per-row iteration
+    tabs = [t for t in pairs.iter_batches(batch_size=None, batch_format="pyarrow")
+            if t.num_rows]
+    if not tabs:
+        return ds
+    edges = _dedupe_pairs_df(pa.concat_tables(tabs).to_pandas())
+    a, b = edges["a"].to_numpy(), edges["b"].to_numpy()
+    if verify is not None:
+        a, b = verify(edges)
+    drop_arr = _non_min_ids(a, b)
+
+    def remove_dups(t: pa.Table) -> pa.Table:
+        ids = t.column(id_col).to_numpy(zero_copy_only=False)
+        return t.filter(pa.array(~np.isin(ids, drop_arr)))
+
+    return ds.map_batches(remove_dups, batch_format="pyarrow", zero_copy_batch=True)
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def find(self, x):
-        p = self.parent.setdefault(x, x)
-        while p != x:
-            self.parent[x] = p = self.parent.setdefault(p, p)
-            x, p = p, self.parent[p]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # deterministic: smaller id wins
-            lo, hi = (ra, rb) if ra <= rb else (rb, ra)
-            self.parent[hi] = lo
+def _verified_bucket_pairs(df: pd.DataFrame, key_cols: list, id_col: str,
+                           cap: int, keep) -> pa.Table:
+    """Locally verified candidate edges of one coarse bucket: all pairs per
+    key group (``_group_all_pairs``; star+chain past ``cap``), the
+    ``keep(a, b)`` accept mask, then one repair round — members whose
+    fallback star edge failed ``keep`` are re-paired all-vs-all
+    (chunk-bounded) and verified immediately. Returns an (a, b) int64
+    table."""
+    a, b, fb = _group_all_pairs(df, key_cols, id_col, cap=cap)
+    ok = keep(a, b)
+    rep_a, rep_b = _repair_candidates(a, b, fb.astype(bool), ok, cap=cap)
+    a, b = a[ok], b[ok]
+    if len(rep_a):
+        rep_ok = keep(rep_a, rep_b)
+        a = np.concatenate([a, rep_a[rep_ok]])
+        b = np.concatenate([b, rep_b[rep_ok]])
+    return pa.table({"a": pa.array(a, pa.int64()), "b": pa.array(b, pa.int64())})
 
 
 def minhash_lsh_dedup(
@@ -670,7 +718,6 @@ def minhash_lsh_dedup(
     jaccard_threshold: float = 0.8,
     shingle_k: int = 5,
     exact_margin: float = 0.12,
-    distributed: bool = False,
     max_driver_edges: int = 4_000_000,
     pair_cap: int = 256,
     pre_exact=True,  # True | False | "hash_ids"
@@ -733,13 +780,13 @@ def minhash_lsh_dedup(
     of THIS call's input docs — so an index appending the survivors persists
     them by filtering instead of re-signing.
 
-    ``distributed=True`` switches to the no-driver-state path for corpora
-    whose candidate-edge set exceeds driver memory: edges stay a Dataset,
-    verification is a double hash-join against the signature table with the
-    same MinHash estimate (estimate-only — no exact-borderline pass), and
-    clustering + drop run via wrangler_ray.ops.cc (min-label-propagation
-    connected components + representative join). Same semantics up to the
-    borderline estimate band."""
+    Past ``max_driver_edges`` distinct candidate edges (so always with
+    ``max_driver_edges=0``) the tail takes the no-driver-state path: edges
+    stay a Dataset, signatures attach through two bucketed-groupby stages,
+    verification uses the same MinHash estimate (estimate-only — no
+    exact-borderline pass), and clustering + drop run via wrangler_ray.ops.cc
+    (min-label-propagation connected components + representative join).
+    Same semantics up to the borderline estimate band."""
     assert num_perm % bands == 0
     if pre_exact:
         # materialized: the deduped result is consumed up to three times
@@ -946,38 +993,24 @@ def minhash_lsh_dedup(
     def _finish(result):
         return (result, signed, banded_own) if return_artifacts else result
 
-    def _signed_full():
+    def distributed_finish(mat):
         # the distributed tail attaches signatures by id with no driver-side
         # candidate set to prune on — union the persisted table (banded-index
         # protocol only; the legacy tuple already unioned it into `signed`)
-        return signed.union(hist_sigs_for(None)) if banded_index else signed
+        full = signed.union(hist_sigs_for(None)) if banded_index else signed
+        return _distributed_dedup_finish(
+            ds, full, mat, id_col, num_perm, jaccard_threshold, pair_cap
+        )
 
-    if distributed:
-        return _finish(_distributed_dedup_finish(
-            ds, _signed_full(), pairs, id_col, num_perm, jaccard_threshold,
-            pair_cap
-        ))
-
-    pairs, edges = _edges_or_distributed(pairs, max_driver_edges)
-    if edges is None:  # edge set too large for driver union-find — auto-switch
-        return _finish(_distributed_dedup_finish(
-            ds, _signed_full(), pairs, id_col, num_perm, jaccard_threshold,
-            pair_cap
-        ))
-
-    if len(edges):
+    def verify(edges: pd.DataFrame) -> tuple:
+        """Two-tier verification plus one repair round over the collected
+        candidate edges; returns the accepted (a, b) id arrays."""
+        # bucket_edges flags every edge (ch, fb) and the pair-DISTINCT keeps
+        # the flags, so a non-empty edge frame always carries both
         a_ids = edges["a"].to_numpy()
         b_ids = edges["b"].to_numpy()
-        chain_mask = (
-            edges["ch"].to_numpy().astype(bool)
-            if "ch" in edges.columns
-            else np.zeros(len(a_ids), bool)
-        )
-        fb_mask = (
-            edges["fb"].to_numpy().astype(bool)
-            if "fb" in edges.columns
-            else np.zeros(len(a_ids), bool)
-        )
+        chain_mask = edges["ch"].to_numpy().astype(bool)
+        fb_mask = edges["fb"].to_numpy().astype(bool)
         cand = np.unique(np.concatenate([a_ids, b_ids]))
 
         # fetch candidate SIGNATURES (num_perm·8 bytes each, not texts),
@@ -1129,31 +1162,19 @@ def minhash_lsh_dedup(
         # group) that FAILED verification would silently disconnect true
         # pairs among its members — re-pair those members all-vs-all
         # (chunk-bounded) and verify the repair edges the same way
-        if (fb_mask & ~accept).any():
-            rep_a, rep_b = _repair_candidates(a_ids, b_ids, fb_mask, accept,
-                                              cap=pair_cap)
-            if len(rep_a):
-                rep_acc = _verify(rep_a, rep_b, np.zeros(len(rep_a), bool))
-                a_ids = np.concatenate([a_ids[accept], rep_a[rep_acc]])
-                b_ids = np.concatenate([b_ids[accept], rep_b[rep_acc]])
-                accept = np.ones(len(a_ids), bool)
+        rep_a, rep_b = _repair_candidates(a_ids, b_ids, fb_mask, accept,
+                                          cap=pair_cap)
+        a_ids, b_ids = a_ids[accept], b_ids[accept]
+        if len(rep_a):
+            rep_acc = _verify(rep_a, rep_b, np.zeros(len(rep_a), bool))
+            a_ids = np.concatenate([a_ids, rep_a[rep_acc]])
+            b_ids = np.concatenate([b_ids, rep_b[rep_acc]])
+        return a_ids, b_ids
 
-        uf = _UnionFind()
-        for a, b in zip(a_ids[accept], b_ids[accept]):
-            uf.union(a, b)
-        drop = {x for x in uf.parent if uf.find(x) != x}
-    else:
-        drop = set()
-
-    drop_arr = np.array(sorted(drop))
-
-    def remove_dups(t: pa.Table) -> pa.Table:
-        ids = t.column(id_col).to_numpy(zero_copy_only=False)
-        return t.filter(pa.array(~np.isin(ids, drop_arr)))
-
-    return _finish(
-        ds.map_batches(remove_dups, batch_format="pyarrow", zero_copy_batch=True)
-    )
+    return _finish(_drop_clustered(
+        ds, pairs, id_col, max_driver_edges, verify=verify,
+        distributed_finish=distributed_finish,
+    ))
 
 
 def ngram_jaccard(a: str, b: str, k: int = 5) -> float:
@@ -1228,13 +1249,13 @@ def simhash64_batch(texts) -> np.ndarray:
 
 
 def simhash_dedup(ds, text_col: str = "text", id_col: str = "doc_id", max_hamming: int = 3,
-                  distributed: bool = False, max_driver_edges: int = 4_000_000,
+                  max_driver_edges: int = 4_000_000,
                   pair_cap: int = 256, pre_exact=True):
     """SimHash near-dup: 64-bit signature, 4×16-bit band blocking (any pair
     within hamming ≤3 shares at least one exact 16-bit band), verify hamming
-    within buckets, drop non-representatives. ``distributed=True`` clusters
-    with ops.cc min-label propagation instead of driver union-find (edges are
-    already hamming-verified inside the buckets). ``pre_exact`` collapses
+    within buckets, drop non-representatives. Edges are already
+    hamming-verified inside the buckets, so past ``max_driver_edges`` they
+    cluster with ops.cc min-label propagation as they are. ``pre_exact`` collapses
     byte-identical texts first (identical text ⟹ identical simhash ⟹
     hamming 0 ≤ any max_hamming — semantics-preserving, see
     minhash_lsh_dedup)."""
@@ -1272,15 +1293,9 @@ def simhash_dedup(ds, text_col: str = "text", id_col: str = "doc_id", max_hammin
     def bucket_edges(g: pa.Table) -> pa.Table:
         # all pairs within each (band,key) bucket (star-to-first would miss
         # true pairs whenever the first member fails the hamming check), then
-        # one vectorized hamming verify over the whole pair list. Verification
-        # is LOCAL here, so the oversized-group star fallback repairs in
-        # place: members whose fb star edge fails the hamming check are
-        # re-paired all-vs-all (chunk-bounded) and re-verified immediately.
+        # one vectorized hamming verify over the whole pair list, repaired in
+        # place for oversized groups (see _verified_bucket_pairs)
         df = g.to_pandas()
-        a_np, b_np, fb = _group_all_pairs(df, ["band", "key"], id_col,
-                                          cap=pair_cap)
-        if not len(a_np):
-            return pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64())})
         sig_map = pd.Series(
             # undo the order-preserving MSB flip with an integer XOR — adding
             # 2**63 to an int64 array silently promotes to float64 on numpy
@@ -1291,42 +1306,19 @@ def simhash_dedup(ds, text_col: str = "text", id_col: str = "doc_id", max_hammin
         )
         sig_map = sig_map[~sig_map.index.duplicated()]
 
-        def _ham_keep(aa: np.ndarray, bb: np.ndarray) -> np.ndarray:
+        def ham_keep(aa: np.ndarray, bb: np.ndarray) -> np.ndarray:
             xor = sig_map.loc[aa].to_numpy() ^ sig_map.loc[bb].to_numpy()
             bits = np.unpackbits(xor.view(np.uint8).reshape(len(xor), 8), axis=1)
             return bits.sum(axis=1) <= max_hamming
 
-        keep = _ham_keep(a_np, b_np)
-        if (fb.astype(bool) & ~keep).any():
-            rep_a, rep_b = _repair_candidates(a_np, b_np, fb.astype(bool),
-                                              keep, cap=pair_cap)
-            if len(rep_a):
-                rep_keep = _ham_keep(rep_a, rep_b)
-                a_np = np.concatenate([a_np[keep], rep_a[rep_keep]])
-                b_np = np.concatenate([b_np[keep], rep_b[rep_keep]])
-                keep = np.ones(len(a_np), bool)
-        return pa.table({"a": pa.array(a_np[keep], pa.int64()),
-                         "b": pa.array(b_np[keep], pa.int64())})
+        return _verified_bucket_pairs(df, ["band", "key"], id_col, pair_cap,
+                                      ham_keep)
 
     signed = ds.map_batches(
         sign, batch_format="pyarrow", zero_copy_batch=True
     ).materialize()  # signature table only — tiny vs the corpus
     pairs = signed.groupby("_bkt").map_groups(bucket_edges, batch_format="pyarrow")
-    if distributed:
-        return _cc_drop(ds, pairs, id_col)
-    pairs, edges = _edges_or_distributed(pairs, max_driver_edges)
-    if edges is None:  # auto-switch: edges exceed the driver cap
-        return _cc_drop(ds, pairs, id_col)
-    uf = _UnionFind()
-    for a, b in zip(edges["a"].to_numpy(), edges["b"].to_numpy()):
-        uf.union(a, b)
-    drop_arr = np.array(sorted(x for x in uf.parent if uf.find(x) != x))
-
-    def remove_dups(t: pa.Table) -> pa.Table:
-        ids = t.column(id_col).to_numpy(zero_copy_only=False)
-        return t.filter(pa.array(~np.isin(ids, drop_arr)))
-
-    return ds.map_batches(remove_dups, batch_format="pyarrow", zero_copy_batch=True)
+    return _drop_clustered(ds, pairs, id_col, max_driver_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -1341,13 +1333,13 @@ def embedding_dedup(
     num_planes: int = 16,
     seed: int = 3,
     dim: int | None = None,
-    distributed: bool = False,
     max_driver_edges: int = 4_000_000,
     pre_exact: bool = True,
 ):
     """Embedding near-dup: random-hyperplane LSH bucket → within-bucket exact
-    cosine → union-find → keep min-id. ``num_planes`` sign bits per vector;
-    exact cosine verification happens only within buckets.
+    cosine → connected components → keep min-id. ``num_planes`` sign bits
+    per vector; exact cosine verification happens only within buckets, over
+    ALL pairs of each bucket (no pair cap).
 
     ``pre_exact`` collapses BYTE-identical vectors first (keep min id per
     distinct vector): an identical vector has cosine 1.0 ≥ any threshold
@@ -1357,6 +1349,8 @@ def embedding_dedup(
     same argument as the text pre-pass in minhash_lsh_dedup."""
     import ray
 
+    from wrangler_ray.ops.similarity import vecs_np
+
     if pre_exact:
 
         def add_vec_key(t: pa.Table) -> pa.Table:
@@ -1364,8 +1358,6 @@ def embedding_dedup(
             # vectorized (one hash pass over the flattened element view, then
             # an unweighted and a position-weighted fold): distinct vectors
             # collide on BOTH with probability ~2^-128 — treat as identity
-            from wrangler_ray.ops.similarity import vecs_np
-
             raw = vecs_np(t.column(vec_col))
             n, d = raw.shape
             eh = (
@@ -1378,19 +1370,13 @@ def embedding_dedup(
                 h1 = eh.sum(axis=1, dtype=np.uint64)
                 h2 = (eh * w[None, :]).sum(axis=1, dtype=np.uint64)
             t = t.append_column("_vh1", pa.array(h1.astype(np.int64)))
-            t = t.append_column("_vh2", pa.array(h2.astype(np.int64)))
-            return t.append_column(
-                "_vb", pa.array((h1 % np.uint64(128)).astype(np.int32))
-            )
+            return t.append_column("_vh2", pa.array(h2.astype(np.int64)))
 
-        def keep_first_vec(g: pa.Table) -> pa.Table:
-            return g.take(pa.array(_min_id_rows(g, ["_vh1", "_vh2"], id_col)))
-
-        ds = (
-            ds.map_batches(add_vec_key, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby("_vb")
-            .map_groups(keep_first_vec, batch_format="pyarrow")
-            .drop_columns(["_vh1", "_vh2", "_vb"])
+        ds = _min_id_exchange(
+            ds.map_batches(add_vec_key, batch_format="pyarrow", zero_copy_batch=True),
+            ["_vh1", "_vh2"], id_col, 128,
+            lambda t: t.column("_vh1").to_numpy().astype(np.uint64),
+            drop=("_vh1", "_vh2"),
         ).materialize()  # consumed by dim probe + signing + survivor filter
 
     if dim is None:
@@ -1402,19 +1388,18 @@ def embedding_dedup(
     planes = rng.randn(dim, num_planes).astype(np.float32)
     planes_ref = ray.put(planes)
 
-    def sign(t: pa.Table) -> pa.Table:
-        pl = ray.get(planes_ref)
-        from wrangler_ray.ops.similarity import vecs_np
-
-        vecs = vecs_np(t.column(vec_col))
+    def unit_vecs(col) -> np.ndarray:
+        vecs = vecs_np(col)
         norms = np.linalg.norm(vecs, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
-        unit = vecs / norms
-        bits = (unit @ pl) > 0
-        keys = np.zeros(len(vecs), np.int64)
+        return vecs / norms
+
+    def sign(t: pa.Table) -> pa.Table:
+        bits = (unit_vecs(t.column(vec_col)) @ ray.get(planes_ref)) > 0
+        keys = np.zeros(t.num_rows, np.int64)
         for j in range(num_planes):
             keys |= bits[:, j].astype(np.int64) << j
-        out = pa.table(
+        return pa.table(
             {
                 "_bkt": pa.array((keys % 256).astype(np.int32)),
                 "key": pa.array(keys, pa.int64()),
@@ -1422,73 +1407,36 @@ def embedding_dedup(
                 vec_col: t.column(vec_col),
             }
         )
-        return out
 
     def bucket_edges(g: pa.Table) -> pa.Table:
-        # all pairs within each LSH key bucket, exact cosine verified —
-        # BATCHED by group-size class: groups of equal size stack into one
-        # (n_groups, s, d) tensor and verify with a single einsum, instead of
-        # one small matmul per group
-        from wrangler_ray.ops.similarity import vecs_np
-
-        if g.num_rows == 0:
-            return pa.table({"a": pa.array([], pa.int64()),
-                             "b": pa.array([], pa.int64())})
-        order = pc.sort_indices(
-            g, sort_keys=[("key", "ascending"), (id_col, "ascending")]
-        )
-        g = g.take(order)
-        keys = g.column("key").to_numpy(zero_copy_only=False)
+        # all pairs within each LSH key bucket (cap = bucket size, so never
+        # the star fallback), exact cosine verified over the unit vectors
         ids = g.column(id_col).to_numpy(zero_copy_only=False)
-        vecs = vecs_np(g.column(vec_col))
-        norms = np.linalg.norm(vecs, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        unit = vecs / norms
-        # group boundaries over the sorted keys
-        new_grp = np.ones(len(keys), bool)
-        new_grp[1:] = keys[1:] != keys[:-1]
-        gid = np.cumsum(new_grp) - 1
-        counts = np.bincount(gid)
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        a_out, b_out = [], []
-        for s in np.unique(counts):
-            if s < 2:
-                continue
-            gsel = np.nonzero(counts == s)[0]
-            idx = offsets[gsel][:, None] + np.arange(s)[None, :]  # (n_g, s)
-            m_ids = ids[idx]
-            m_vec = unit[idx]  # (n_g, s, d)
-            sims = np.einsum("gsd,gtd->gst", m_vec, m_vec)
-            iu, ju = np.triu_indices(int(s), k=1)
-            hit = sims[:, iu, ju] >= cosine_threshold  # (n_g, n_pairs)
-            gi, pi = np.nonzero(hit)
-            a_out.append(m_ids[gi, iu[pi]])
-            b_out.append(m_ids[gi, ju[pi]])
-        if not a_out:
-            return pa.table({"a": pa.array([], pa.int64()),
-                             "b": pa.array([], pa.int64())})
-        return pa.table({"a": pa.array(np.concatenate(a_out), pa.int64()),
-                         "b": pa.array(np.concatenate(b_out), pa.int64())})
+        unit = unit_vecs(g.column(vec_col))
+        order = np.argsort(ids, kind="stable")
+        sorted_ids = ids[order]
+
+        def cos_keep(aa: np.ndarray, bb: np.ndarray) -> np.ndarray:
+            ia = order[np.searchsorted(sorted_ids, aa)]
+            ib = order[np.searchsorted(sorted_ids, bb)]
+            # chunked: two (n_pairs × dim) gathers at once would be
+            # GB-scale on a large bucket
+            ok = np.empty(len(ia), bool)
+            for s in range(0, len(ia), 1 << 16):
+                sl = slice(s, s + (1 << 16))
+                ok[sl] = np.einsum(
+                    "ij,ij->i", unit[ia[sl]], unit[ib[sl]]
+                ) >= cosine_threshold
+            return ok
+
+        df = g.select(["key", id_col]).to_pandas()
+        return _verified_bucket_pairs(df, ["key"], id_col, len(df), cos_keep)
 
     signed = ds.map_batches(
         sign, batch_format="pyarrow", zero_copy_batch=True
     ).materialize()  # signature table only — tiny vs the corpus
     pairs = signed.groupby("_bkt").map_groups(bucket_edges, batch_format="pyarrow")
-    if distributed:
-        return _cc_drop(ds, pairs, id_col)
-    pairs, edges = _edges_or_distributed(pairs, max_driver_edges)
-    if edges is None:  # auto-switch: edges exceed the driver cap
-        return _cc_drop(ds, pairs, id_col)
-    uf = _UnionFind()
-    for a, b in zip(edges["a"].to_numpy(), edges["b"].to_numpy()):
-        uf.union(a, b)
-    drop_arr = np.array(sorted(x for x in uf.parent if uf.find(x) != x))
-
-    def remove_dups(t: pa.Table) -> pa.Table:
-        ids = t.column(id_col).to_numpy(zero_copy_only=False)
-        return t.filter(pa.array(~np.isin(ids, drop_arr)))
-
-    return ds.map_batches(remove_dups, batch_format="pyarrow", zero_copy_batch=True)
+    return _drop_clustered(ds, pairs, id_col, max_driver_edges)
 
 
 def ngram_jaccard_dedup(
@@ -1503,7 +1451,7 @@ def ngram_jaccard_dedup(
     metric; MinHash+LSH (high-recall parameters: 128 perms × 32 bands →
     band-collision probability ≈ j^4) only generates the candidate pairs so
     no O(n²) comparison ever happens. Every candidate pair is verified with
-    the TRUE shingle-set Jaccard before union-find."""
+    the TRUE shingle-set Jaccard before clustering."""
     return minhash_lsh_dedup(
         ds,
         text_col=text_col,
@@ -1528,8 +1476,6 @@ def _distributed_dedup_finish(ds, signed, pairs, id_col, num_perm,
     propagation. Every step is a Dataset operation."""
     import ray.data as rd
 
-    from wrangler_ray.ops.cc import connected_components, drop_non_representatives
-
     B = 64
     sig_bytes = num_perm * 8
 
@@ -1552,8 +1498,6 @@ def _distributed_dedup_finish(ds, signed, pairs, id_col, num_perm,
         if want_chain:
             return t.filter(pa.array(ch)).select(["a", "b"])
         return t.filter(pa.array(~ch)).select(["a", "b", "fb"])
-
-    import functools
 
     chain_edges = pairs.map_batches(
         functools.partial(split_chain, want_chain=True),
@@ -1670,11 +1614,9 @@ def _distributed_dedup_finish(ds, signed, pairs, id_col, num_perm,
             {"a": pa.array(a_ids[keep], pa.int64()), "b": pa.array(b_ids[keep], pa.int64())}
         )
 
-    import functools as _ft
-
     st2 = attach_sigs(pairs).materialize()
     verified = st2.map_batches(
-        _ft.partial(est_split, want_failed_fb=False),
+        functools.partial(est_split, want_failed_fb=False),
         batch_format="pyarrow", zero_copy_batch=True,
     ).union(chain_edges)
 
@@ -1686,7 +1628,7 @@ def _distributed_dedup_finish(ds, signed, pairs, id_col, num_perm,
     # oversized LSH groups, so the driver sees ≤ one row per oversized-group
     # member, never the corpus
     fb_edges = st2.map_batches(
-        _ft.partial(est_split, want_failed_fb=True),
+        functools.partial(est_split, want_failed_fb=True),
         batch_format="pyarrow", zero_copy_batch=True,
     ).materialize()
     if fb_edges.count() > 0:
@@ -1706,7 +1648,7 @@ def _distributed_dedup_finish(ds, signed, pairs, id_col, num_perm,
             )
             verified = verified.union(
                 attach_sigs(repair_ds).map_batches(
-                    _ft.partial(est_split, want_failed_fb=False),
+                    functools.partial(est_split, want_failed_fb=False),
                     batch_format="pyarrow", zero_copy_batch=True,
                 )
             )
