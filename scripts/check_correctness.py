@@ -1,14 +1,30 @@
-"""Emulate the driver's correctness gate: run each queries() entry and its
-oracle_sql() side-by-side at sf0.01, compare row count + schema +
-order-insensitive values. Usage: python scripts/check_correctness.py [sf_dir] [names...]"""
+"""Correctness runner: execute `__ray_entry__.queries()` entries against
+their `oracle_sql()` DuckDB oracles and compare.
+
+    python scripts/check_correctness.py [sf_dir] [names...]
+
+With no names every query runs. A query passes only if it passes both
+compare rules: the normalized frames are equal (sorted columns, floats
+rounded to 6 places, rows sorted), AND, column by column over the rows
+sorted as strings, floats agree within ``allclose(atol=1e-6)`` and every
+other value is equal as a string. Prints one line per query, then a JSON
+summary line; exits non-zero on any failure. ``RAY_GRAFT_CPUS`` sizes the
+Ray session (default 8) when the caller has not started one.
+"""
 
 from __future__ import annotations
 
+import json
 import os
 import sys
+import time
 
 import duckdb
+import numpy as np
 import pandas as pd
+
+TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
+          "lineitem", "events", "documents", "embeddings"]
 
 
 def to_pandas(obj):
@@ -39,14 +55,50 @@ def normalize(df: pd.DataFrame) -> pd.DataFrame:
     return df.sort_values(list(df.columns)).reset_index(drop=True)
 
 
-def main():
+def sort_as_str(df: pd.DataFrame) -> pd.DataFrame:
+    df = df[sorted(df.columns)].copy()
+    for c in df.columns:
+        if df[c].dtype == object:
+            df[c] = df[c].astype(str)
+    return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+
+def compare(mine: pd.DataFrame, ora: pd.DataFrame) -> str | None:
+    """None when both rules pass, else why the query fails."""
+    a, b = normalize(mine), normalize(ora)
+    if list(a.columns) != list(b.columns):
+        return f"columns {list(a.columns)} != {list(b.columns)}"
+    if len(a) != len(b):
+        return f"rows {len(a)} != {len(b)}"
+    if not a.equals(b):
+        diff_cols = [c for c in a.columns if not a[c].equals(b[c])]
+        lines = [f"value mismatch in {diff_cols}"]
+        for c in diff_cols[:2]:
+            neq = a[c] != b[c]
+            lines.append(f"   mine: {a[c][neq].head(3).tolist()} "
+                         f"oracle: {b[c][neq].head(3).tolist()}")
+        return "\n".join(lines)
+    g, e = sort_as_str(mine), sort_as_str(ora)
+    for c in g.columns:
+        gv, ev = g[c].to_numpy(), e[c].to_numpy()
+        if gv.dtype.kind == "f" or ev.dtype.kind == "f":
+            ok = np.allclose(gv.astype(float), ev.astype(float), atol=1e-6, equal_nan=True)
+        else:
+            ok = (pd.Series(gv).astype(str) == pd.Series(ev).astype(str)).all()
+        if not ok:
+            return f"1e-6 allclose mismatch in {c}"
+    return None
+
+
+def main() -> int:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
 
     import ray
 
-    ray.init(address="local", num_cpus=8, include_dashboard=False,
-             ignore_reinit_error=True, logging_level="ERROR")
+    if not ray.is_initialized():
+        ray.init(address="local", num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "8")),
+                 include_dashboard=False, logging_level="ERROR")
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
@@ -55,56 +107,36 @@ def main():
     import __ray_entry__ as entrymod
 
     con = duckdb.connect()
-    for name in ("region", "nation", "customer", "supplier", "part", "orders",
-                 "lineitem", "events", "documents", "embeddings"):
-        con.execute(
-            f"CREATE VIEW {name} AS SELECT * FROM read_parquet('{sf_dir}/{name}.parquet')"
-        )
+    for name in TABLES:
+        path = os.path.join(sf_dir, f"{name}.parquet")
+        if os.path.exists(path):
+            con.execute(f"CREATE VIEW {name} AS SELECT * FROM read_parquet('{path}')")
 
-    qs = entrymod.queries()
     oracles = entrymod.oracle_sql()
-    failures = 0
-    for name, fn in qs.items():
+    fails, ok, no_oracle = [], 0, 0
+    for name, fn in entrymod.queries().items():
         if only and name not in only:
             continue
+        t0 = time.time()
         try:
             mine = to_pandas(fn(sf_dir))
-        except Exception as e:
-            print(f"FAIL  {name}: query raised {type(e).__name__}: {e}")
-            failures += 1
-            continue
-        if name not in oracles:
-            print(f"rows  {name}: {len(mine)} rows (no oracle)")
-            continue
-        try:
-            ora = con.execute(oracles[name]).df()
-        except Exception as e:
-            print(f"FAIL  {name}: oracle raised {e}")
-            failures += 1
-            continue
-        a, b = normalize(mine), normalize(ora)
-        if list(a.columns) != list(b.columns):
-            print(f"FAIL  {name}: columns {list(a.columns)} != {list(b.columns)}")
-            failures += 1
-            continue
-        if len(a) != len(b):
-            print(f"FAIL  {name}: rows {len(a)} != {len(b)}")
-            failures += 1
-            continue
-        eq = a.equals(b)
-        if not eq:
-            diff_cols = [c for c in a.columns if not a[c].equals(b[c])]
-            print(f"FAIL  {name}: value mismatch in {diff_cols}")
-            for c in diff_cols[:2]:
-                neq = a[c] != b[c]
-                print("   mine:", a[c][neq].head(3).tolist(),
-                      "oracle:", b[c][neq].head(3).tolist())
-            failures += 1
+            if name not in oracles:
+                no_oracle += 1
+                print(f"rows  {name}: {len(mine)} rows (no oracle)", flush=True)
+                continue
+            why = compare(mine, con.execute(oracles[name]).df())
+        except Exception as e:  # noqa: BLE001 — report, don't abort the sweep
+            why = f"raised {type(e).__name__}: {e}"
+        if why is None:
+            ok += 1
+            print(f"ok    {name}: {len(mine)} rows match {time.time() - t0:.1f}s", flush=True)
         else:
-            print(f"ok    {name}: {len(a)} rows match")
+            fails.append(name)
+            print(f"FAIL  {name}: {why}", flush=True)
+    print(json.dumps({"ok": ok, "no_oracle": no_oracle, "fails": fails}), flush=True)
     ray.shutdown()
-    sys.exit(1 if failures else 0)
+    return 1 if fails else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

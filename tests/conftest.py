@@ -45,7 +45,7 @@ def spills_at_commit(monkeypatch, tmp_path):
         if index.exists():
             indexed = {
                 f for spills in json.loads(index.read_text()).values()
-                for f, _, _ in spills
+                for f, *_ in spills
             }
         on_disk = {p.name for p in (staging / "spills").glob("*.arrow")}
         seen[txn_id] = (indexed, on_disk)

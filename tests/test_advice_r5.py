@@ -173,7 +173,7 @@ def test_cdc_resume_survives_lost_spill_scratch(
     (marker,) = tmp_path.glob("lake/staging/*/DELTA_DONE")
     txn_dir = marker.parent
     index = json.loads((txn_dir / "spill-index.json").read_text())
-    before = {f for spills in index.values() for f, _, _ in spills}
+    before = {f for spills in index.values() for f, *_ in spills}
     (txn_dir / "spills" / sorted(before)[0]).unlink()
 
     # retry must rewrite the spills and reach full parity

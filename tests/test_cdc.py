@@ -750,3 +750,145 @@ def test_cdc_objectstore_resume_after_merge_crash(tmp_path, stream, ray_session,
     from wrangler_ray.cdc.oracle import assert_tables_equal as _eq
 
     _eq(table2.read_arrow(), oracle)
+
+
+def test_merge_partition_resume_opens_no_spill(tmp_path):
+    """A merge task whose staged file exists (a resumed transaction) reuses
+    it without opening a spill, and reports the same lineage row."""
+    import pyarrow as pa
+
+    from wrangler_ray.cdc.engine import MergePartition, SpillWriter
+
+    n = 300
+    changes = pa.table({
+        "_lsn": pa.array(range(1, n + 1), pa.int64()),
+        "op": ["U"] * n,
+        "conv_id": [f"c{i % 11}" for i in range(n)],
+        "turn_idx": pa.array([i % 13 for i in range(n)], pa.int64()),
+        "text": [f"t{i}" for i in range(n)],
+    })
+    spill_dir = tmp_path / "spills"
+    spill_dir.mkdir()
+    index = SpillWriter(4, str(spill_dir))(changes).to_pylist()
+    part = index[0]["part"]
+    spills = [[r["file"], r["batch_index"]] for r in index if r["part"] == part]
+    merge = MergePartition(
+        str(tmp_path / "lake"), "txn-1", current_files={}, spill_dir=str(spill_dir)
+    )
+    calls = []
+    read_spills = merge._read_spill_batches
+    merge._read_spill_batches = lambda s: calls.append(s) or read_spills(s)
+    items = pa.Table.from_pylist([
+        {"part": part, "sub": 0, "n_subs": 1, "spills": json.dumps(spills), "mor": False}
+    ])
+    first = merge(items).to_pylist()
+    assert len(calls) == 1
+    second = merge(items).to_pylist()
+    assert len(calls) == 1, "the resumed merge must not open a spill"
+    assert [(r["file"], r["rows"], r["sha256"]) for r in second] == [
+        (r["file"], r["rows"], r["sha256"]) for r in first
+    ]
+    assert first[0]["rows"] == pq.read_metadata(first[0]["file"]).num_rows > 0
+
+
+def _max_lsn_by_partition(segments, num_partitions):
+    """{partition: max lsn} over the change events of ``segments``."""
+    import pyarrow as pa
+
+    from wrangler_ray.cdc.engine import _hash_partition
+
+    ev = pa.concat_tables(
+        [pq.read_table(s, columns=["lsn", "conv_id"]) for s in segments]
+    ).to_pandas()
+    ev["part"] = _hash_partition(ev["conv_id"].to_numpy(dtype=object), num_partitions)
+    return {str(p): int(v) for p, v in ev.groupby("part")["lsn"].max().items()}
+
+
+def test_salted_apply_change_counts_match_unsalted(
+    tmp_path, stream, ray_session, monkeypatch
+):
+    """The manifest's per-partition change counts come from the spill
+    index, so salting a partition over sub-merges does not change them."""
+    import ray.data as rd
+
+    monkeypatch.setenv("WR_CDC_BLOCK_ROWS", "500")  # several spills per partition
+    lineage = {}
+    for name, split in (("plain", None), ("salted", "50")):
+        if split:
+            monkeypatch.setenv("WR_CDC_SPLIT_ROWS", split)
+        table = CdcTable(str(tmp_path / name), num_partitions=8)
+        table.init_from_snapshot(rd.read_parquet(stream["base"]))
+        lineage[name] = table.apply_changes(stream["segments"])["lineage"]
+    assert any(r["n_subs"] > 1 for r in lineage["salted"].values())
+    assert all(r["n_subs"] == 1 for r in lineage["plain"].values())
+    counts = {
+        name: {p: (r["changes_applied"], r["watermark_lsn"]) for p, r in lin.items()}
+        for name, lin in lineage.items()
+    }
+    assert counts["salted"] == counts["plain"]
+    assert {p: wm for p, (_, wm) in counts["plain"].items()} == _max_lsn_by_partition(
+        stream["segments"], 8
+    )
+
+
+def test_tail_file_uri_matches_local_path(tmp_path, stream, ray_session):
+    """tail() lists a ``file://`` URI through the same filesystem path as a
+    local directory and commits the same table."""
+    seg_dir = os.path.dirname(stream["segments"][0])
+    tables = {}
+    for name, where in (("local", seg_dir), ("uri", "file://" + seg_dir)):
+        table = _fresh_table(tmp_path / name, stream, ray_session)
+        ms = table.tail(where, pattern="segment-*.parquet", window_events=600)
+        assert len(ms) >= 2
+        tables[name] = (table, ms)
+    (local, ms_local), (uri, ms_uri) = tables["local"], tables["uri"]
+    assert [m["watermark_lsn"] for m in ms_uri] == [m["watermark_lsn"] for m in ms_local]
+    assert uri.read_arrow().equals(local.read_arrow())
+    assert uri.tail("file://" + seg_dir, pattern="segment-*.parquet") == []
+
+
+def _dataset_table(ds, names):
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    t = pa.concat_tables(list(ds.iter_batches(batch_format="pyarrow", batch_size=None)))
+    t = t.select(names)
+    return t.take(pc.sort_indices(t, [("conv_id", "ascending"), ("turn_idx", "ascending")]))
+
+
+def test_read_contract_on_salted_mor_table(tmp_path, stream, ray_session, monkeypatch):
+    """read() on a merge-on-read table with salted sub-files, op='D'
+    deletes and the schema-evolved ``model`` column returns the same rows
+    as read_arrow(), at the latest and an earlier version, and
+    ``columns=`` with ``drop_internal=False`` returns exactly the requested
+    columns plus ``_lsn`` and ``op``."""
+    import pyarrow.compute as pc
+
+    monkeypatch.setenv("WR_CDC_SPLIT_ROWS", "50")
+    table = _fresh_table(tmp_path, stream, ray_session)
+    m1 = table.apply_changes(stream["segments"][:2])
+    m2 = table.apply_changes(stream["segments"][2:], mode="mor")
+    assert any(len(v) > 1 for v in m2["partitions"].values()), "salted subs"
+    deltas = [f for f in table.files() if f.endswith("-delta.parquet")]
+    assert deltas
+    assert any(
+        "D" in pq.read_table(f, columns=["op"]).column("op").to_pylist() for f in deltas
+    ), "the deltas carry delete rows"
+
+    exp = table.read_arrow()
+    assert "model" in exp.column_names and exp.column("model").null_count < exp.num_rows
+    assert _dataset_table(table.read(), exp.column_names).equals(exp)
+
+    old = table.read_arrow(version=m1["version"])
+    got = _dataset_table(table.read(version=m1["version"]), old.column_names)
+    assert got.equals(old)
+    assert old.num_rows != exp.num_rows or not old.equals(exp.select(old.column_names))
+
+    cols = ["conv_id", "turn_idx", "text", "model"]
+    ds = table.read(columns=cols, drop_internal=False)
+    assert set(ds.schema().names) == set(cols) | {"_lsn", "op"}
+    full = table.read_arrow(drop_internal=False)
+    assert _dataset_table(ds, cols + ["_lsn"]).equals(full.select(cols + ["_lsn"]))
+    ds = table.read(columns=["text"], drop_internal=False)
+    assert set(ds.schema().names) == {"text", "_lsn", "op"}
+    assert ds.count() == full.num_rows

@@ -21,6 +21,10 @@ Pipeline shape (pure Ray Data; no raw tasks):
                                                       # batches from the spills
     manifest commit: staged files + lineage → atomic rename
 
+    from_items(parts).map_batches(read_partition)     # reads: one task per
+                                                      # partition, LWW inside
+                                                      # it — no shuffle
+
 The transactional-manifest design (atomic manifest pointer swap, copy-on-write
 file sets, merge-on-read deltas, compaction, vacuum, time travel) follows the
 public Delta Lake architecture (Armbrust et al., "Delta Lake: High-Performance
@@ -96,10 +100,9 @@ def _turn_salt(turn_idx: np.ndarray, n_subs: int) -> np.ndarray:
     return (turn_idx.astype(np.int64) % n_subs).astype(np.int32)
 
 
-def _file_digest(path: str, fs=None) -> str:
+def _file_digest(path: str, fs) -> str:
     h = hashlib.sha256()
-    opener = fs.open_input_stream if fs is not None else lambda p: open(p, "rb")
-    with opener(path) as f:
+    with fs.open_input_stream(path) as f:
         for chunk in iter(lambda: f.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
@@ -137,6 +140,26 @@ def _lww_reduce(table: pa.Table) -> pa.Table:
     return t.filter(pa.array(keep))
 
 
+def read_partition(
+    fs, table_dir: str, files: list, schema: pa.Schema, lww: bool, filters=None
+) -> pa.Table:
+    """Read one partition's data files (paths relative to ``table_dir``) as
+    one table on ``schema``, with ``apply_lww_semantics`` applied when
+    ``lww`` is set. Every reader of the table goes through this kernel.
+
+    One ``pq.read_table`` over the file list reads only ``schema``'s columns
+    from storage, null-backfills the columns a file lacks (additive schema
+    evolution), casts each column to its unified type, and skips the row
+    groups whose statistics rule out ``filters``; one call over the list
+    opens one dataset instead of one per file. A partition's files (its
+    base file or salted subs, then its merge-on-read deltas) hold every row
+    of its keys, so a reader never needs an exchange: LWW within the
+    partition is the whole merge."""
+    paths = [posixpath.join(table_dir, f) for f in files]
+    t = pq.read_table(paths, filesystem=fs, schema=schema, filters=filters)
+    return apply_lww_semantics(t) if lww else t
+
+
 class SpillWriter:
     """Map side of the exchange — the sort-shuffle map-output writer.
 
@@ -145,7 +168,8 @@ class SpillWriter:
     keep the max-_lsn row per key (hot-key update storms collapse here, before
     anything crosses the wire), then write the whole block as a single
     Arrow-IPC file with **one record batch per partition** and return the tiny
-    ``(part, file, batch_index)`` index. The merge side reads the IPC footer
+    ``(part, file, batch_index, rows, max_lsn)`` index; the driver sums it into
+    each partition's change counts. The merge side reads the IPC footer
     and exactly its batch through the table's pyarrow.fs — no footer-stat
     parsing, no small-file explosion (previously a hive-partitioned parquet
     write produced blocks × partitions ≈ 15k tiny files and was the scaling
@@ -170,7 +194,7 @@ class SpillWriter:
         import uuid
 
         if batch.num_rows == 0:
-            return self._index([], [], "", [])
+            return self._index([], [], "", [], [])
         conv = batch.column("conv_id").to_numpy(zero_copy_only=False)
         # ONE hash pass serves both the partition assignment and the sort
         # surrogate: sorting by the 64-bit conv hash instead of the string
@@ -204,6 +228,8 @@ class SpillWriter:
         bounds = np.flatnonzero(np.diff(pvals)) + 1
         starts = np.concatenate(([0], bounds))
         ends = np.concatenate((bounds, [len(pvals)]))
+        lsn = t.column(LSN_COL).to_numpy(zero_copy_only=False)
+        max_lsn = np.maximum.reduceat(lsn, starts)
         # task-attempt-unique name: a retried task writes a fresh file; only
         # files named by returned index rows are ever read (orphans are wiped
         # with the txn's staging dir at commit)
@@ -219,16 +245,20 @@ class SpillWriter:
             list(range(len(starts))),
             fname,
             [int(e - s) for s, e in zip(starts, ends)],
+            max_lsn,
         )
 
     @staticmethod
-    def _index(parts: list, batch_idx: list, fname: str, rows: list) -> pa.Table:
+    def _index(
+        parts: list, batch_idx: list, fname: str, rows: list, max_lsn
+    ) -> pa.Table:
         return pa.table(
             {
                 "part": pa.array(parts, pa.int32()),
                 "file": pa.array([fname] * len(parts), pa.string()),
                 "batch_index": pa.array(batch_idx, pa.int32()),
                 "rows": pa.array(rows, pa.int64()),
+                "max_lsn": pa.array(max_lsn, pa.int64()),
             }
         )
 
@@ -238,23 +268,24 @@ class MergePartition:
 
     The change batch reaches partitions via indexed Arrow-IPC spill files
     (one per map block, written by ``SpillWriter``) rather than a Ray Data
-    groupby shuffle: the spill write + ranged batch reads are far cheaper
+    hash shuffle: the spill write + ranged batch reads are far cheaper
     than the object-store sort/hash shuffle (13-34 s on 5M rows), and the
     spill directory doubles as the resume checkpoint — the exchange lives on
     the table's own storage, Spark-external-shuffle style.
 
     Runs as ``map_batches(batch_size=1)`` over rows of
     (part: int32, sub: int32, n_subs: int32, spills: json
-    [[file, batch_index], ...], mor: bool): reads exactly its record batches
-    from each spill through ``fs`` (IPC footer + ranged batch reads), loads
-    the partition's current file(s) (schemas reconciled — additive evolution
-    null-backfills), applies LWW on _lsn, drops deletes, sorts by (conv_id,
-    turn_idx) for the stable-turn-ordering invariant, writes a staged file
-    and returns ONE lineage row per merge task.
-
-    **Compaction** is the same merge with no spills: a copy-on-write merge of
-    zero changes folds the partition's base and delta files into one file
-    (``changes_applied=0``, ``watermark_lsn=None``).
+    [[file, batch_index], ...], mor: bool) and returns ONE lineage row per
+    merge task. COW, MOR and compaction run the same steps: gather the
+    tables (its record batches of each spill, read through ``fs``, plus the
+    partition's current files unless MOR; schemas reconciled — additive
+    evolution null-backfills), keep this sub's rows, LWW on _lsn
+    (``_lww_reduce`` for MOR, which keeps delete rows;
+    ``apply_lww_semantics`` otherwise, which drops them), one (conv_id,
+    turn_idx) sort for the stable-turn-ordering invariant, one staged
+    write. **Compaction** is a copy-on-write merge with no spills: it folds
+    the partition's base and delta files into one file. A staged file that
+    already exists is reused before any spill is opened (resume).
 
     **Hot-partition salting**: when the exchange index shows a partition's
     pending rows exceed the split threshold (one huge conversation, or an
@@ -282,10 +313,9 @@ class MergePartition:
         self.spill_dir = spill_dir or posixpath.join(self.staging_dir, "spills")
         self._readers: dict[str, pa.ipc.RecordBatchFileReader] = {}
 
-    def _read_spill_batches(self, spills: list) -> Optional[pa.Table]:
+    def _read_spill_batches(self, spills: list) -> list[pa.Table]:
         """This task's record batches (ranged reads: IPC footer + exactly the
-        batch, never the whole spill file); None when there are no spills
-        (compaction)."""
+        batch, never the whole spill file); empty for compaction."""
         tabs = []
         for fname, bidx in spills:
             r = self._readers.get(fname)
@@ -295,12 +325,7 @@ class MergePartition:
                 )
                 self._readers[fname] = r
             tabs.append(pa.Table.from_batches([r.get_batch(int(bidx))]))
-        return concat_reconciled(tabs) if tabs else None
-
-    @staticmethod
-    def _sub_filter(t: pa.Table, sub: int, n_subs: int) -> pa.Table:
-        turn = t.column("turn_idx").to_numpy(zero_copy_only=False)
-        return t.filter(pa.array(_turn_salt(turn, n_subs) == sub))
+        return tabs
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         out = []
@@ -312,30 +337,26 @@ class MergePartition:
             stem = f"p{part:05d}" if n_subs <= 1 else f"p{part:05d}-s{sub:02d}"
             name = f"{stem}-delta.parquet" if mor else f"{stem}.parquet"
             staged = posixpath.join(self.staging_dir, name)
-            changes = self._read_spill_batches(json.loads(row["spills"]))
-            if n_subs > 1:
-                changes = self._sub_filter(changes, sub, n_subs)
             if fsio.exists(self.fs, staged):
                 # resume: already merged in a previous (crashed) attempt of
-                # the same transaction — idempotent skip.
-                meta = pq.read_metadata(staged, filesystem=self.fs)
-                out.append(self._lineage(part, sub, staged, meta.num_rows, changes, mor))
+                # the same transaction — idempotent skip, no spill is opened
+                rows = pq.read_metadata(staged, filesystem=self.fs).num_rows
+                out.append(self._lineage(part, sub, staged, rows, mor))
                 continue
-            if mor:
-                # merge-on-read: write ONLY the LWW'd changes as a delta file;
-                # deletes stay as op='D' rows so readers can suppress base rows
-                merged = _lww_reduce(changes)
-            else:
-                tables = [changes] if changes is not None else []
-                for cur_path in self.current_files.get(part, []):
-                    cur = pq.read_table(
-                        posixpath.join(self.table_dir, cur_path),
-                        filesystem=self.fs,
-                    )
-                    if n_subs > 1:
-                        cur = self._sub_filter(cur, sub, n_subs)
-                    tables.append(cur)
-                merged = apply_lww_semantics(concat_reconciled(tables))
+            # merge-on-read writes ONLY the LWW'd changes as a delta file
+            # (deletes stay as op='D' rows so readers can suppress base
+            # rows); copy-on-write folds in the partition's current files
+            tables = self._read_spill_batches(json.loads(row["spills"]))
+            if not mor:
+                tables += [
+                    pq.read_table(posixpath.join(self.table_dir, f), filesystem=self.fs)
+                    for f in self.current_files.get(part, [])
+                ]
+            merged = concat_reconciled(tables)
+            if n_subs > 1:
+                turn = merged.column("turn_idx").to_numpy(zero_copy_only=False)
+                merged = merged.filter(pa.array(_turn_salt(turn, n_subs) == sub))
+            merged = _lww_reduce(merged) if mor else apply_lww_semantics(merged)
             idx = pc.sort_indices(
                 merged, sort_keys=[("conv_id", "ascending"), ("turn_idx", "ascending")]
             )
@@ -345,22 +366,17 @@ class MergePartition:
             with self.fs.open_output_stream(tmp) as sink:
                 pq.write_table(merged, sink)
             self.fs.move(tmp, staged)
-            out.append(self._lineage(part, sub, staged, merged.num_rows, changes, mor))
+            out.append(self._lineage(part, sub, staged, merged.num_rows, mor))
         return pa.concat_tables(out)
 
-    def _lineage(
-        self, part: int, sub: int, staged: str, rows: int,
-        changes: Optional[pa.Table], mor: bool = False,
-    ) -> pa.Table:
-        n = changes.num_rows if changes is not None else 0
-        wm = pc.max(changes.column(LSN_COL)).as_py() if n else None
+    def _lineage(self, part: int, sub: int, staged: str, rows: int, mor: bool) -> pa.Table:
+        """What only this task knows; the driver adds the partition's change
+        counts from the spill index."""
         return pa.table(
             {
                 "part": pa.array([part], pa.int32()),
                 "sub": pa.array([sub], pa.int32()),
                 "rows": pa.array([rows], pa.int64()),
-                "changes_applied": pa.array([n], pa.int64()),
-                "watermark_lsn": pa.array([wm], pa.int64()),
                 "file": pa.array([staged], pa.string()),
                 "sha256": pa.array([_file_digest(staged, self.fs)], pa.string()),
                 "delta": pa.array([mor], pa.bool_()),
@@ -397,23 +413,28 @@ class CdcTable:
     def _pointer(self) -> str:
         return posixpath.join(self.table_dir, "manifests", "MANIFEST")
 
+    def _load_manifest(self, name: str) -> Optional[dict]:
+        m = fsio.read_json(self.fs, posixpath.join(self.table_dir, "manifests", name))
+        if m is not None:
+            # legacy manifests stored a bare path string for a one-file
+            # partition; every caller sees a list
+            m["partitions"] = {
+                k: [v] if isinstance(v, str) else v for k, v in m["partitions"].items()
+            }
+        return m
+
     def latest_manifest(self) -> Optional[dict]:
         if not fsio.exists(self.fs, self._pointer):
             return None
         with self.fs.open_input_stream(self._pointer) as f:
             name = f.read().decode().strip()
-        return fsio.read_json(
-            self.fs, posixpath.join(self.table_dir, "manifests", name)
-        )
+        return self._load_manifest(name)
 
     def manifest_at(self, version: int) -> dict:
         """Time travel: load a specific committed manifest version (old data
         files are never rewritten, so any committed version stays readable
         until a retention job removes it)."""
-        path = posixpath.join(
-            self.table_dir, "manifests", f"manifest-{version:08d}.json"
-        )
-        m = fsio.read_json(self.fs, path)
+        m = self._load_manifest(f"manifest-{version:08d}.json")
         if m is None:
             raise FileNotFoundError(f"no manifest version {version} in {self.table_dir}")
         return m
@@ -421,16 +442,15 @@ class CdcTable:
     def _commit_manifest(self, manifest: dict) -> None:
         """Atomic: write manifest file, then atomically swap the pointer
         (tmp + move — a true rename on local FS, a single-object switch on
-        object stores). Optimistic concurrency (Delta-style): the commit is
-        only valid if the table is still at the parent version — a
-        concurrent committer that got there first raises instead of being
-        silently overwritten. That conflict check is reliable on
-        LocalFileSystem only: on object stores `move` is copy+delete (not a
-        compare-and-swap), so two concurrent committers can BOTH pass the
-        parent check and one transaction is silently lost — multi-writer
-        commits there need an external lock or conditional-put support (see
-        ops/fsio.py module docstring). Intended deployment is one
-        tail/apply driver per table."""
+        object stores). Optimistic check (Delta-style): the commit raises
+        when the table is no longer at the parent version, so a writer that
+        started from a stale version fails instead of overwriting a commit
+        it never saw. The check reads the pointer and then renames it, which
+        is not atomic on ANY store, local disk included: two committers
+        racing through that window can both pass and one committed
+        transaction is silently lost. The contract is therefore one writer
+        per table (one tail/apply/compact driver); concurrent writers need
+        an external lock or a conditional-put store (see ops/fsio.py)."""
         current = self.latest_manifest()
         current_v = current["version"] if current else None
         if current_v != manifest.get("parent"):
@@ -464,8 +484,8 @@ class CdcTable:
 
         txn_id = f"txn-init-{snapshot_lsn}"
         prepped = ds.map_batches(add_cols, batch_format="pyarrow", zero_copy_batch=True)
-        lineage = self._exchange_and_merge(prepped, txn_id, current_files={})
-        return self._finalize(lineage, txn_id, snapshot_lsn, parent=None)
+        lineage, changes = self._exchange_and_merge(prepped, txn_id, current_files={})
+        return self._finalize(lineage, txn_id, snapshot_lsn, None, changes)
 
     def apply_changes(
         self,
@@ -493,23 +513,14 @@ class CdcTable:
         watermark = manifest["watermark_lsn"] if manifest else 0
         parent = manifest["version"] if manifest else None
         base_files = (
-            {
-                int(k): (v if isinstance(v, list) else [v])
-                for k, v in manifest["partitions"].items()
-            }
-            if manifest
-            else {}
-        )
-        delta_files = (
-            {int(k): list(v) for k, v in manifest.get("deltas", {}).items() if v}
-            if manifest
-            else {}
+            {int(k): v for k, v in manifest["partitions"].items()} if manifest else {}
         )
         # a COW rewrite must absorb the partition's pending deltas too
-        current_files = {
-            p: base_files.get(p, []) + delta_files.get(p, [])
-            for p in set(base_files) | set(delta_files)
-        }
+        current_files = (
+            {int(k): v for k, v in self._live_files(manifest).items()}
+            if manifest
+            else {}
+        )
 
         # additive schema unification across segment footers (metadata-only
         # reads — parallel threads: pq footer parsing is C++ and releases the
@@ -592,7 +603,7 @@ class CdcTable:
             return batch
 
         prepped = ds.map_batches(rename_lsn, batch_format="pyarrow", zero_copy_batch=True)
-        lineage = self._exchange_and_merge(
+        lineage, changes = self._exchange_and_merge(
             prepped, txn_id, current_files, mode=mode, base_files=base_files
         )
         if not lineage:
@@ -601,12 +612,9 @@ class CdcTable:
             # changed, so do NOT burn a manifest version on an empty txn
             return manifest
         if max_lsn == watermark:
-            # no footer stats available: fall back to the lineage watermark
-            max_lsn = max(
-                (r["watermark_lsn"] for r in lineage if r["watermark_lsn"]),
-                default=watermark,
-            )
-        return self._finalize(lineage, txn_id, max_lsn, parent=parent)
+            # no footer stats available: fall back to the exchange's max lsn
+            max_lsn = max(wm for _, wm in changes.values())
+        return self._finalize(lineage, txn_id, max_lsn, parent, changes)
 
     def _exchange_and_merge(
         self,
@@ -615,9 +623,11 @@ class CdcTable:
         current_files: dict,
         mode: str = "cow",
         base_files: Optional[dict] = None,
-    ) -> list[dict]:
+    ) -> tuple[list[dict], dict[int, tuple]]:
         """The exchange: map-side indexed IPC spill write (streaming, no
         object-store shuffle) → one merge task per touched partition.
+        Returns the merge tasks' lineage rows and, per touched partition,
+        ``(changes, max_lsn)`` summed from the spill index.
 
         The driver holds only the spill index (≤ blocks × partitions tiny
         rows) and persists it next to a DELTA_DONE marker, making the
@@ -644,7 +654,7 @@ class CdcTable:
             # on the missing file with no recovery path. Verify the files
             # still exist; if any is gone, clear the marker and rewrite.
             missing = [
-                f for f in {f for spills in by_part.values() for f, _, _ in spills}
+                f for f in {s[0] for spills in by_part.values() for s in spills}
                 if not fsio.exists(self.fs, posixpath.join(spill_dir, f))
             ]
             if missing:
@@ -666,7 +676,7 @@ class CdcTable:
             by_part: dict[int, list] = {}
             for r in index_rows:
                 by_part.setdefault(int(r["part"]), []).append(
-                    [r["file"], int(r["batch_index"]), int(r["rows"])]
+                    [r["file"], int(r["batch_index"]), int(r["rows"]), int(r["max_lsn"])]
                 )
             fsio.write_json_atomic(self.fs, index_path, by_part)
             with self.fs.open_output_stream(marker) as f:
@@ -695,9 +705,13 @@ class CdcTable:
             )
             return pending < 0.2 * base_rows
 
+        changes = {
+            p: (sum(s[2] for s in spills), max(s[3] for s in spills))
+            for p, spills in by_part.items()
+        }
         items = []
         for p, spills in sorted(by_part.items()):
-            pending = sum(s[2] for s in spills)
+            pending = changes[p][0]
             n_subs = min(16, max(1, -(-pending // split_rows)))
             spills_json = json.dumps([[s[0], s[1]] for s in spills])
             mor = _use_mor(p, pending)
@@ -707,7 +721,7 @@ class CdcTable:
                      "mor": mor}
                 )
         if not items:
-            return []
+            return [], {}
         merge = MergePartition(
             self.table_dir, txn_id, current_files=current_files,
             fs=self.fs, spill_dir=spill_dir,
@@ -716,11 +730,11 @@ class CdcTable:
         self._last_metrics["merge_s"] = round(_time.perf_counter() - _t0, 3)
         self._last_metrics["merge_tasks"] = len(items)
         self._last_metrics["spill_files"] = len(
-            {f for spills in by_part.values() for f, _, _ in spills}
+            {s[0] for spills in by_part.values() for s in spills}
         )
         if timing:
             print(f"WRTIME merge {_time.perf_counter()-_t0:.2f}", file=sys.stderr)
-        return lineage
+        return lineage, changes
 
     @staticmethod
     def _run_merges(merge: MergePartition, items: list[dict]) -> list[dict]:
@@ -734,13 +748,16 @@ class CdcTable:
             .take_all()
         )
 
-    def _finalize(self, lineage: list[dict], txn_id: str, watermark: int, parent) -> dict:
-        """Promote staged files into data/, commit the manifest atomically."""
+    def _finalize(
+        self, lineage: list[dict], txn_id: str, watermark: int, parent,
+        changes: Optional[dict] = None,
+    ) -> dict:
+        """Promote staged files into data/, commit the manifest atomically.
+        ``changes`` holds each touched partition's ``(changes, max_lsn)``
+        from the spill index (none for a compaction)."""
+        changes = changes or {}
         manifest = self.latest_manifest()
-        partitions = {
-            k: (v if isinstance(v, list) else [v])
-            for k, v in (manifest["partitions"] if manifest else {}).items()
-        }
+        partitions = dict(manifest["partitions"]) if manifest else {}
         deltas = {
             k: list(v) for k, v in (manifest.get("deltas", {}) if manifest else {}).items()
         }
@@ -768,17 +785,13 @@ class CdcTable:
                     deltas[key] = []
                     touched.add(key)
                 partitions[key].append(rel)
+            n, wm = changes.get(part, (0, None))
             entry = lineage_rec.setdefault(
                 key,
-                {"rows": 0, "changes_applied": 0, "watermark_lsn": None,
+                {"rows": 0, "changes_applied": n, "watermark_lsn": wm,
                  "sha256": [], "n_subs": 0, "delta": is_delta},
             )
             entry["rows"] += int(r["rows"])
-            entry["changes_applied"] += int(r["changes_applied"])
-            if r["watermark_lsn"] is not None:
-                entry["watermark_lsn"] = max(
-                    entry["watermark_lsn"] or 0, r["watermark_lsn"]
-                )
             entry["sha256"].append(r["sha256"])
             entry["n_subs"] += 1
         metrics = dict(getattr(self, "_last_metrics", {}))
@@ -837,27 +850,21 @@ class CdcTable:
         resumable unit at 10^10-event scale: each window commits its own
         manifest, so a crash re-tails from the last watermark. Returns the
         manifests committed (empty list if nothing new). ``segment_dir``
-        may be a local path or a filesystem URI (``s3://...``) — URI
-        segments are discovered via pyarrow.fs and passed through to the
-        readers, which resolve URIs natively."""
-        if "://" in segment_dir:
-            import fnmatch
+        may be a local path or a filesystem URI (``s3://...``) — segments
+        are listed through its pyarrow.fs, and URI segments keep their
+        scheme for the readers, which resolve URIs natively."""
+        import fnmatch
 
-            import pyarrow.fs as pafs
+        import pyarrow.fs as pafs
 
-            sfs, sdir = pafs.FileSystem.from_uri(segment_dir)
-            scheme = segment_dir.split("://", 1)[0]
-            sel = pafs.FileSelector(sdir, allow_not_found=True)
-            segs = sorted(
-                f"{scheme}://{i.path}"
-                for i in sfs.get_file_info(sel)
-                if i.type == pafs.FileType.File
-                and fnmatch.fnmatch(posixpath.basename(i.path), pattern)
-            )
-        else:
-            import glob as _glob
-
-            segs = sorted(_glob.glob(os.path.join(segment_dir, pattern)))
+        sfs, sdir = fsio.resolve_fs(segment_dir)
+        scheme = segment_dir.split("://", 1)[0] + "://" if "://" in segment_dir else ""
+        segs = sorted(
+            scheme + i.path
+            for i in sfs.get_file_info(pafs.FileSelector(sdir, allow_not_found=True))
+            if i.type == pafs.FileType.File
+            and fnmatch.fnmatch(posixpath.basename(i.path), pattern)
+        )
         if not segs:
             return []
         if not window_events:
@@ -899,24 +906,14 @@ class CdcTable:
         m = self.latest_manifest()
         if not m:
             raise FileNotFoundError(f"no committed manifest in {self.table_dir}")
-        deltas = m.get("deltas", {})
-        multi = {}
-        for p, v in m["partitions"].items():
-            bases = v if isinstance(v, list) else [v]
-            d = deltas.get(p, [])
-            if len(bases) > 1 or d:
-                multi[p] = bases + d
+        multi = {int(p): f for p, f in self._live_files(m).items() if len(f) > 1}
         if not multi:
             return m
         txn_id = f"txn-{m['version'] + 1:08d}-compact"
-        merge = MergePartition(
-            self.table_dir, txn_id,
-            current_files={int(p): files for p, files in multi.items()},
-            fs=self.fs,
-        )
+        merge = MergePartition(self.table_dir, txn_id, current_files=multi, fs=self.fs)
         items = [
-            {"part": int(p), "sub": 0, "n_subs": 1, "spills": "[]", "mor": False}
-            for p in sorted(multi, key=int)
+            {"part": p, "sub": 0, "n_subs": 1, "spills": "[]", "mor": False}
+            for p in sorted(multi)
         ]
         lineage = self._run_merges(merge, items)
         return self._finalize(
@@ -939,12 +936,8 @@ class CdcTable:
                 mv = self.manifest_at(v)
             except FileNotFoundError:
                 continue
-            for val in mv["partitions"].values():
-                for f in (val if isinstance(val, list) else [val]):
-                    referenced.add(posixpath.normpath(f))
-            for val in mv.get("deltas", {}).values():
-                for f in val:
-                    referenced.add(posixpath.normpath(f))
+            for files in self._live_files(mv).values():
+                referenced.update(posixpath.normpath(f) for f in files)
         removed = 0
         data_dir = posixpath.join(self.table_dir, "data")
         for full in fsio.list_parquet(self.fs, data_dir, recursive=True):
@@ -968,22 +961,34 @@ class CdcTable:
 
     # -- read --------------------------------------------------------------
 
-    def files(self, version: Optional[int] = None) -> list[str]:
-        """All data files of the (versioned) manifest — base files plus any
-        merge-on-read delta files. Keys never overlap across partitions, so a
-        reader that applies ``apply_lww_semantics`` over the union is correct
-        whether or not deltas exist."""
+    @staticmethod
+    def _live_files(m: dict) -> dict[str, list]:
+        """Each partition's live data files, relative to the table dir: its
+        base file (one per salted sub) then its merge-on-read deltas."""
+        deltas = m.get("deltas", {})
+        return {
+            p: m["partitions"].get(p, []) + deltas.get(p, [])
+            for p in sorted(set(m["partitions"]) | set(deltas), key=int)
+        }
+
+    def _manifest(self, version: Optional[int]) -> dict:
         m = self.manifest_at(version) if version is not None else self.latest_manifest()
         if not m:
-            return []
-        out = []
-        for v in m["partitions"].values():
-            for f in (v if isinstance(v, list) else [v]):
-                out.append(posixpath.join(self.table_dir, f))
-        for v in m.get("deltas", {}).values():
-            for f in v:
-                out.append(posixpath.join(self.table_dir, f))
-        return out
+            raise FileNotFoundError(f"no committed manifest in {self.table_dir}")
+        return m
+
+    def _footer_schema(self, files: list) -> pa.Schema:
+        return unified_schema([
+            pq.read_schema(posixpath.join(self.table_dir, f), filesystem=self.fs)
+            for f in files
+        ])
+
+    def files(self, version: Optional[int] = None) -> list[str]:
+        """All data files of the (versioned) manifest — base files plus any
+        merge-on-read delta files."""
+        m = self.manifest_at(version) if version is not None else self.latest_manifest()
+        live = self._live_files(m) if m else {}
+        return [posixpath.join(self.table_dir, f) for files in live.values() for f in files]
 
     def _has_deltas(self, version: Optional[int] = None) -> bool:
         m = self.manifest_at(version) if version is not None else self.latest_manifest()
@@ -995,123 +1000,74 @@ class CdcTable:
         version: Optional[int] = None,
         columns: Optional[list] = None,
     ):
-        """The table as a Ray Dataset (one file per partition — or per salted
-        sub-partition for hot partitions — pre-sorted by (conv_id, turn_idx)
-        within each file). Pass ``version`` to time-travel to an earlier
-        committed manifest; ``columns`` prunes at the parquet read (only the
-        named columns leave storage — key/merge columns are added back as
-        needed when deltas must be merged)."""
+        """The table (or the committed ``version``) as a lazy Ray Dataset
+        with one read task per partition, each a ``read_partition`` over the
+        partition's files. Partitions hold disjoint keys, so a partition
+        with merge-on-read deltas applies last-writer-wins on its own and no
+        shuffle is needed; a partition without deltas is read as stored
+        (each file sorted by (conv_id, turn_idx); no order across files).
+
+        The schema is the union of the files' footers. ``columns`` prunes at
+        the parquet read (only the named columns leave storage); when deltas
+        exist the key and LWW columns are read too and dropped afterwards.
+        ``drop_internal`` drops ``_lsn`` and ``op``."""
         import ray.data as rd
 
-        files = self.files(version)
-        if not files:
-            raise FileNotFoundError(f"no committed manifest in {self.table_dir}")
-        read_cols = None
+        m = self._manifest(version)
+        deltas = m.get("deltas", {})
+        items = [
+            {"files": files, "lww": bool(deltas.get(p))}
+            for p, files in self._live_files(m).items()
+        ]
+        schema = self._footer_schema([f for i in items for f in i["files"]])
+        drop = {LSN_COL, "op"} if drop_internal else set()
         if columns is not None:
-            read_cols = list(columns)
-            # merge-on-read needs the key + LWW columns even if not requested
-            if self._has_deltas(version):
-                for c in ("conv_id", "turn_idx", LSN_COL, "op"):
-                    if c not in read_cols:
-                        read_cols.append(c)
-        schema = unified_schema(
-            [pq.read_schema(f, filesystem=self.fs) for f in files]
+            merged = any(i["lww"] for i in items)
+            keep = list(columns) + (KEY_COLS + [LSN_COL, "op"] if merged else [])
+            schema = pa.schema(
+                [schema.field(c) for c in dict.fromkeys(keep) if c in schema.names]
+            )
+            drop |= set(KEY_COLS) - set(columns)
+        out_schema = pa.schema([f for f in schema if f.name not in drop])
+        fs, table_dir = self.fs, self.table_dir
+
+        def read_one(batch: pa.Table) -> pa.Table:
+            (item,) = batch.to_pylist()
+            t = read_partition(fs, table_dir, item["files"], schema, item["lww"])
+            # LWW drops ``op``: project every partition onto one schema
+            return unify_to_schema(t, out_schema)
+
+        return rd.from_items(items, override_num_blocks=len(items)).map_batches(
+            read_one, batch_format="pyarrow", batch_size=1
         )
-        if read_cols is not None:
-            # prune by passing a SUBSET schema (not columns=: with mixed
-            # base/delta schemas the columns kwarg reads per-fragment column
-            # sets that no longer unify)
-            avail = [c for c in read_cols if c in schema.names]
-            schema = pa.schema([schema.field(c) for c in avail])
-        ds = rd.read_parquet(files, schema=schema, filesystem=self.fs)
-        if self._has_deltas(version):
-            # merge-on-read: suppress base rows shadowed/deleted by delta
-            # rows. Partition keys never overlap across files, so one
-            # bucketed groupby on conv_id restores exact LWW semantics.
-            def merge_grp(g: pa.Table) -> pa.Table:
-                if g.num_rows == 0:
-                    return g
-                return apply_lww_semantics(g)
-
-            def add_bucket(t: pa.Table) -> pa.Table:
-                conv = t.column("conv_id").to_numpy(zero_copy_only=False)
-                return t.append_column(
-                    "_rb", pa.array(_hash_partition(conv, 256), pa.int32())
-                )
-
-            ds = (
-                ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-                .groupby("_rb")
-                .map_groups(merge_grp, batch_format="pyarrow")
-                .drop_columns(["_rb"])
-            )
-        drop_after = [c for c in (LSN_COL, "op") if drop_internal]
-        if columns is not None:
-            drop_after += [
-                c for c in ("conv_id", "turn_idx") if c not in columns
-            ]
-
-        def final_project(t: pa.Table) -> pa.Table:
-            return t.drop_columns([c for c in drop_after if c in t.column_names])
-
-        if drop_after:
-            ds = ds.map_batches(
-                final_project, batch_format="pyarrow", zero_copy_batch=True
-            )
-        return ds
 
     def lookup_conversation(self, conv_id: str, version: Optional[int] = None) -> pa.Table:
-        """Point lookup: hash the key to its partition and read ONLY that
-        partition's files (plus its deltas) — O(partition), not O(table).
-        Returns the conversation's turns in turn order."""
-        m = self.manifest_at(version) if version is not None else self.latest_manifest()
-        if not m:
-            raise FileNotFoundError(f"no committed manifest in {self.table_dir}")
-        part = int(_hash_partition(np.array([conv_id], dtype=object), m["num_partitions"])[0])
-        # legacy manifests may store a single path string instead of a list —
-        # normalize BEFORE list() (list("a/b.parquet") would split into chars)
-        v = m["partitions"].get(str(part), [])
-        rels = list(v) if isinstance(v, list) else [v]
-        dv = m.get("deltas", {}).get(str(part), [])
-        rels += dv if isinstance(dv, list) else [dv]
-        tabs = []
-        for rel in rels:
-            f = posixpath.join(self.table_dir, rel)
-            # row-group pruning via parquet statistics on the sorted conv_id
-            pf = pq.ParquetFile(self.fs.open_input_file(f))
-            groups = []
-            for g in range(pf.metadata.num_row_groups):
-                st = pf.metadata.row_group(g).column(
-                    pf.schema_arrow.names.index("conv_id")
-                ).statistics
-                if st is None or (st.min <= conv_id <= st.max):
-                    groups.append(g)
-            if groups:
-                tabs.append(pf.read_row_groups(groups))
-        if not tabs:
+        """Point lookup: hash the key to its partition and ``read_partition``
+        ONLY that partition's files (plus its deltas), skipping the row
+        groups whose conv_id statistics exclude the key — O(partition), not
+        O(table). Returns the conversation's turns in turn order, without
+        ``_lsn``."""
+        m = self._manifest(version)
+        part = str(int(_hash_partition(np.array([conv_id], dtype=object), m["num_partitions"])[0]))
+        deltas = m.get("deltas", {}).get(part, [])
+        files = m["partitions"].get(part, []) + deltas
+        if not files:
             return pa.table({})
-        out = concat_reconciled(tabs)
-        out = out.filter(pc.equal(out.column("conv_id"), conv_id))
-        out = apply_lww_semantics(out)
-        idx = pc.sort_indices(out, sort_keys=[("turn_idx", "ascending")])
-        out = out.take(idx)
-        if LSN_COL in out.column_names:
-            out = out.drop_columns([LSN_COL])
-        return out
+        out = read_partition(
+            self.fs, self.table_dir, files, self._footer_schema(files), bool(deltas),
+            filters=pc.field("conv_id") == conv_id,
+        )
+        out = out.take(pc.sort_indices(out, sort_keys=[("turn_idx", "ascending")]))
+        return out.drop_columns([c for c in (LSN_COL, "op") if c in out.column_names])
 
     def read_arrow(self, drop_internal: bool = True, version: Optional[int] = None) -> pa.Table:
-        """Driver-side read for tests/small tables."""
-        files = self.files(version)
-        tabs = [pq.read_table(f, filesystem=self.fs) for f in files]
-        schema = unified_schema([t.schema for t in tabs])
-        out = pa.concat_tables([unify_to_schema(t, schema) for t in tabs])
-        # LWW + delete suppression is a no-op for pure-base reads (keys are
-        # unique) and restores exact semantics under merge-on-read deltas
-        out = apply_lww_semantics(out)
-        idx = pc.sort_indices(
+        """Driver-side read for tests/small tables: ``read_partition`` over
+        every live file, sorted by (conv_id, turn_idx)."""
+        files = [f for fl in self._live_files(self._manifest(version)).values() for f in fl]
+        out = read_partition(self.fs, self.table_dir, files, self._footer_schema(files), True)
+        out = out.take(pc.sort_indices(
             out, sort_keys=[("conv_id", "ascending"), ("turn_idx", "ascending")]
-        )
-        out = out.take(idx)
-        if drop_internal and LSN_COL in out.column_names:
+        ))
+        if drop_internal:
             out = out.drop_columns([LSN_COL])
         return out

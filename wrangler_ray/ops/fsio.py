@@ -11,15 +11,14 @@ point is still a single visible switch of the meta object; readers never see
 a torn file either way.
 
 Concurrency contract: readers are always safe, and SINGLE-writer commits are
-exactly-once on every store. MULTI-writer commits (two processes committing
-the same meta/manifest concurrently) are only conflict-checked on
-`LocalFileSystem`, where the CdcTable manifest pointer's read-then-rename
-check makes the loser fail. On object stores, copy+delete `move` plus the
-read-then-write check is NOT a compare-and-swap: two concurrent committers
-can both pass the parent check and one committed transaction is silently
-lost. Concurrent writers on an object store need an external lock (or a
-store with conditional-put, wired in here) — the engine's intended
-deployment is one tail/apply driver per table, which needs neither.
+exactly-once on every store. The contract is one writer per table or index.
+The CdcTable manifest pointer's parent check (read the pointer, then rename
+over it) only catches a writer that started from a version already
+replaced; it is not a compare-and-swap on ANY store, local disk included:
+two committers racing between the read and the rename can both pass, and
+one committed transaction is silently lost. Concurrent writers need an
+external lock (or a store with conditional-put, wired in here); one
+tail/apply driver per table needs neither.
 """
 from __future__ import annotations
 
