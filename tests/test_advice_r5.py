@@ -135,12 +135,11 @@ def test_minhash_index_compact_sweeps_orphan_dirs(ray_session, tmp_path):
 def test_cdc_resume_survives_lost_spill_scratch(
     ray_session, tmp_path, monkeypatch, spills_at_commit
 ):
-    """ADVICE r5: the DELTA_DONE marker says the spill phase is complete, but
-    a spill file it indexes can still vanish before the merge (a store
-    lifecycle rule, a manual staging cleanup). Resume used to trust the
-    marker and every merge retry failed on the missing file. The engine
-    must detect the missing spill, clear the marker, and rewrite the
-    spills."""
+    """ADVICE r5: the persisted spill index says the spill phase is
+    complete, but a spill file it indexes can still vanish before the merge
+    (a store lifecycle rule, a manual staging cleanup). Resume used to trust
+    it and every merge retry failed on the missing file. The engine must
+    detect the missing spill, drop the index, and rewrite the spills."""
     import json
 
     import pyarrow.fs as pafs
@@ -157,8 +156,8 @@ def test_cdc_resume_survives_lost_spill_scratch(
     table = eng.CdcTable("lake", num_partitions=4, filesystem=fs)
     table.init_from_snapshot(rd.read_parquet(info["base"]))
 
-    # crash AFTER the spill write + marker commit, BEFORE the merge —
-    # MergePartition is constructed driver-side right after the marker write
+    # crash AFTER the spill write + spill-index write, BEFORE the merge —
+    # MergePartition is constructed driver-side right after the index write
     orig_init = eng.MergePartition.__init__
 
     def boom(self, *a, **k):
@@ -169,9 +168,9 @@ def test_cdc_resume_survives_lost_spill_scratch(
         table.apply_changes(info["segments"])
     monkeypatch.setattr(eng.MergePartition, "__init__", orig_init)
 
-    # the marker was committed... and then one indexed spill disappears
-    (marker,) = tmp_path.glob("lake/staging/*/DELTA_DONE")
-    txn_dir = marker.parent
+    # the index was written... and then one indexed spill disappears
+    (index_file,) = tmp_path.glob("lake/staging/*/spill-index.json")
+    txn_dir = index_file.parent
     index = json.loads((txn_dir / "spill-index.json").read_text())
     before = {f for spills in index.values() for f, *_ in spills}
     (txn_dir / "spills" / sorted(before)[0]).unlink()

@@ -466,6 +466,26 @@ def test_concurrent_commit_rejected(tmp_path, stream, ray_session):
         table._commit_manifest(stale)
 
 
+def test_readers_on_table_from_empty_snapshot(tmp_path, ray_session):
+    """A table committed from an empty snapshot has a manifest with no live
+    files: every reader returns zero rows instead of raising."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    empty = pa.table({
+        "conv_id": pa.array([], pa.string()),
+        "turn_idx": pa.array([], pa.int32()),
+        "text": pa.array([], pa.string()),
+    })
+    table = CdcTable(str(tmp_path / "lake"), num_partitions=4)
+    m = table.init_from_snapshot(rd.from_arrow(empty))
+    assert m["version"] == 1 and m["partitions"] == {}
+    assert table.read().count() == 0
+    assert table.read(columns=["text"]).take_all() == []
+    assert table.read_arrow().num_rows == 0
+    assert table.lookup_conversation("c0").num_rows == 0
+
+
 def test_read_column_pruning_and_point_lookup(tmp_path, stream, ray_session):
     table = _fresh_table(tmp_path, stream, ray_session)
     table.apply_changes(stream["segments"][:2])

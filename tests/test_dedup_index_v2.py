@@ -5,6 +5,7 @@ partitions its own keys hash to — signatures are reused from the dedup run
 work through the legacy full-read path.
 """
 
+import glob
 import json
 import os
 import shutil
@@ -181,11 +182,12 @@ def test_v1_legacy_index_still_works(ray_session, tmp_path):
 
     # strip the v2 artifacts: drop bands/, rewrite meta as v1
     shutil.rmtree(os.path.join(work, "bands"))
-    with open(os.path.join(work, "meta.json")) as f:
+    newest = sorted(glob.glob(os.path.join(work, "meta-*.json")))[-1]
+    with open(newest) as f:
         meta = json.load(f)
     for key in ("layout", "sig_parts"):
         meta.pop(key)
-    with open(os.path.join(work, "meta.json"), "w") as f:
+    with open(newest, "w") as f:
         json.dump(meta, f)
 
     legacy = MinHashDedupIndex(work, jaccard_threshold=0.7)

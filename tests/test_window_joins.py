@@ -137,6 +137,38 @@ def test_ivf_topk_matches_brute_force(ray_session):
         assert len(e & a) >= 4
 
 
+def test_ivf_topk_and_index_train_the_same_centroids(ray_session, tmp_path, monkeypatch):
+    """ivf_topk and IvfIndex.build share one seeded k-means trainer: the
+    same inputs and seed give identical centroids through both callers."""
+    import ray.data as rd
+
+    from wrangler_ray.ops import similarity
+    from wrangler_ray.ops.ann_index import IvfIndex
+
+    vecs = np.random.RandomState(1).randn(500, 8).astype(np.float32)
+    ds = rd.from_arrow(pa.table({
+        "vec_id": pa.array(range(500), pa.int64()),
+        "embedding": pa.array([list(map(float, v)) for v in vecs],
+                              pa.list_(pa.float32())),
+    }))
+    params = dict(num_clusters=6, train_size=200, kmeans_iters=5, seed=11)
+    trained = []
+    train = similarity._train_centroids
+
+    def spy(*a, **k):
+        trained.append(train(*a, **k))
+        return trained[-1]
+
+    monkeypatch.setattr(similarity, "_train_centroids", spy)
+    similarity.ivf_topk(ds, vecs[:2], k=3, nprobe=2, **params)
+    idx = IvfIndex(str(tmp_path / "ivf"))
+    idx.build(ds, **params)
+    direct = train(ds, "embedding", 6, 200, 5, 11)
+    assert trained[0].shape == (6, 8)
+    np.testing.assert_array_equal(trained[0], idx.centroids)
+    np.testing.assert_array_equal(trained[0], direct)
+
+
 def test_ngram_jaccard_dedup(ray_session):
     import ray.data as rd
 

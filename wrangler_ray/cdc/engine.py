@@ -19,13 +19,13 @@ Pipeline shape (pure Ray Data; no raw tasks):
       → lineage rows (tiny)                           # touched partition;
                                                       # ranged reads of its
                                                       # batches from the spills
-    manifest commit: staged files + lineage → atomic rename
+    manifest commit: staged files + lineage → create the next log entry
 
     from_items(parts).map_batches(read_partition)     # reads: one task per
                                                       # partition, LWW inside
                                                       # it — no shuffle
 
-The transactional-manifest design (atomic manifest pointer swap, copy-on-write
+The transactional-manifest design (a numbered manifest log, copy-on-write
 file sets, merge-on-read deltas, compaction, vacuum, time travel) follows the
 public Delta Lake architecture (Armbrust et al., "Delta Lake: High-Performance
 ACID Table Storage over Cloud Object Stores", VLDB 2020 — see PAPERS.md),
@@ -33,9 +33,11 @@ re-expressed over Ray Data with a filesystem spill exchange.
 
 Exactly-once: each apply is a transaction keyed by (parent manifest version,
 target watermark). Partition merges write to ``staging/<txn>/``; a partition
-whose staged file already exists is skipped (resume); the commit is a single
-atomic ``fs.move`` of the manifest pointer. Replaying any suffix of the
-log is idempotent because the merge is last-writer-wins on ``_lsn``.
+whose staged file already exists is skipped (resume); the commit creates
+manifest ``parent + 1`` in the table's log only if it is absent
+(``fsio.log_commit``), so of two racing writers one commits and the other
+gets ``ConcurrentCommitError``. Replaying any suffix of the binlog is
+idempotent because the merge is last-writer-wins on ``_lsn``.
 
 Deployment shape: ONE storage path. The table's durable state (manifests,
 data files, staged outputs) AND its spill exchange go through the table's
@@ -73,12 +75,9 @@ import pyarrow.parquet as pq
 
 from wrangler_ray.core.schema import concat_reconciled, unified_schema, unify_to_schema
 from wrangler_ray.ops import fsio
+from wrangler_ray.ops.fsio import ConcurrentCommitError  # noqa: F401  (public here)
 
 logger = logging.getLogger(__name__)
-
-class ConcurrentCommitError(RuntimeError):
-    """Another transaction committed first (optimistic concurrency check)."""
-
 
 KEY_COLS = ["conv_id", "turn_idx"]
 LSN_COL = "_lsn"
@@ -389,9 +388,13 @@ class CdcTable:
     commits (exactly-once sink, SURVEY.md §7.1 step 4).
 
     Layout:
-        <dir>/manifests/manifest-<version>.json   (+ MANIFEST pointer file)
-        <dir>/data/p<part>/<txn>.parquet
-        <dir>/staging/<txn>/p<part>.parquet
+        <dir>/manifests/manifest-NNNNNNNN.json   the commit log: one entry per
+                                                 version, latest = highest
+                                                 listed (``fsio.log_*``)
+        <dir>/data/p<part>/<txn>-sNN[-delta].parquet
+        <dir>/staging/<txn>/p<part>[-sNN][-delta].parquet
+        <dir>/staging/<txn>/spill-index.json     written once every spill is;
+                                                 its existence = resume point
         <dir>/staging/<txn>/spills/spill-<uuid>.arrow   (the exchange)
 
     Everything, the spill exchange included, goes through ONE pyarrow.fs
@@ -407,14 +410,14 @@ class CdcTable:
         for sub in ("manifests", "data", "staging"):
             self.fs.create_dir(posixpath.join(self.table_dir, sub), recursive=True)
 
-    # -- manifest ----------------------------------------------------------
+    # -- manifest log ------------------------------------------------------
 
     @property
-    def _pointer(self) -> str:
-        return posixpath.join(self.table_dir, "manifests", "MANIFEST")
+    def _log_dir(self) -> str:
+        return posixpath.join(self.table_dir, "manifests")
 
-    def _load_manifest(self, name: str) -> Optional[dict]:
-        m = fsio.read_json(self.fs, posixpath.join(self.table_dir, "manifests", name))
+    @staticmethod
+    def _normalize_manifest(m: Optional[dict]) -> Optional[dict]:
         if m is not None:
             # legacy manifests stored a bare path string for a one-file
             # partition; every caller sees a list
@@ -424,49 +427,30 @@ class CdcTable:
         return m
 
     def latest_manifest(self) -> Optional[dict]:
-        if not fsio.exists(self.fs, self._pointer):
-            return None
-        with self.fs.open_input_stream(self._pointer) as f:
-            name = f.read().decode().strip()
-        return self._load_manifest(name)
+        """The highest manifest version listed in the log (None before the
+        first commit)."""
+        return self._normalize_manifest(fsio.log_latest(self.fs, self._log_dir, "manifest-"))
 
     def manifest_at(self, version: int) -> dict:
         """Time travel: load a specific committed manifest version (old data
         files are never rewritten, so any committed version stays readable
         until a retention job removes it)."""
-        m = self._load_manifest(f"manifest-{version:08d}.json")
+        m = self._normalize_manifest(fsio.read_json(
+            self.fs, posixpath.join(self._log_dir, f"manifest-{version:08d}.json")
+        ))
         if m is None:
             raise FileNotFoundError(f"no manifest version {version} in {self.table_dir}")
         return m
 
     def _commit_manifest(self, manifest: dict) -> None:
-        """Atomic: write manifest file, then atomically swap the pointer
-        (tmp + move — a true rename on local FS, a single-object switch on
-        object stores). Optimistic check (Delta-style): the commit raises
-        when the table is no longer at the parent version, so a writer that
-        started from a stale version fails instead of overwriting a commit
-        it never saw. The check reads the pointer and then renames it, which
-        is not atomic on ANY store, local disk included: two committers
-        racing through that window can both pass and one committed
-        transaction is silently lost. The contract is therefore one writer
-        per table (one tail/apply/compact driver); concurrent writers need
-        an external lock or a conditional-put store (see ops/fsio.py)."""
-        current = self.latest_manifest()
-        current_v = current["version"] if current else None
-        if current_v != manifest.get("parent"):
-            raise ConcurrentCommitError(
-                f"table moved to version {current_v} while this transaction "
-                f"(parent {manifest.get('parent')}) was in flight; re-apply "
-                "from the new watermark"
-            )
-        name = f"manifest-{manifest['version']:08d}.json"
-        fsio.write_json_atomic(
-            self.fs, posixpath.join(self.table_dir, "manifests", name), manifest
-        )
-        tmp = self._pointer + ".ptr"
-        with self.fs.open_output_stream(tmp) as f:
-            f.write(name.encode())
-        self.fs.move(tmp, self._pointer)  # THE commit point
+        """Create manifest ``version`` (= parent + 1) in the log only if it
+        is absent, after checking that no version at or past it is listed —
+        so a writer that started from a stale version (even one whose
+        parent + 1 a ``vacuum()`` has since deleted) fails. Raises
+        ``ConcurrentCommitError``: re-apply from the new watermark. Of two
+        writers racing for one version on local disk exactly one commits;
+        on object stores the create is list-then-PUT (see ops/fsio.py)."""
+        fsio.log_commit(self.fs, self._log_dir, "manifest-", manifest["version"], manifest)
 
     @property
     def watermark(self) -> int:
@@ -549,16 +533,16 @@ class CdcTable:
         pending = []
         max_lsn = watermark
         pending_rows = 0
-        for p, s, md in zip(segment_paths, schemas, metas):
-            seg_max = None
-            try:
-                i = s.names.index("lsn")
-                stats = [
-                    md.row_group(g).column(i).statistics for g in range(md.num_row_groups)
-                ]
-                seg_max = max(st.max for st in stats if st is not None)
-            except Exception:
-                pass
+        for p, md in zip(segment_paths, metas):
+            # the parquet leaf index of the top-level lsn column (a nested
+            # column before it shifts leaf indices off the arrow ones)
+            i = [md.schema.column(j).path for j in range(md.num_columns)].index("lsn")
+            stats = [md.row_group(g).column(i).statistics for g in range(md.num_row_groups)]
+            # a row group without statistics could hold any lsn: no pruning;
+            # one without min/max holds only null lsns, which never apply
+            seg_max = None if any(st is None for st in stats) else max(
+                (st.max for st in stats if st.has_min_max), default=None
+            )
             if seg_max is not None and seg_max <= watermark:
                 continue  # fully applied already
             pending.append(p)
@@ -630,43 +614,38 @@ class CdcTable:
         ``(changes, max_lsn)`` summed from the spill index.
 
         The driver holds only the spill index (≤ blocks × partitions tiny
-        rows) and persists it next to a DELTA_DONE marker, making the
-        (non-atomic) spill phase all-or-nothing: a crash after the spill
-        write resumes straight into merging from the saved index."""
-        import sys
+        rows) and writes it atomically once every spill is written, making
+        the (non-atomic) spill phase all-or-nothing: the index's existence
+        is the checkpoint, and a crash after it resumes straight into
+        merging from the saved index."""
         import time as _time
 
-        timing = os.environ.get("WR_CDC_TIMING")
         _t0 = _time.perf_counter()
         self._last_metrics = {}
         txn_dir = posixpath.join(self.table_dir, "staging", txn_id)
         spill_dir = posixpath.join(txn_dir, "spills")
-        marker = posixpath.join(txn_dir, "DELTA_DONE")
         index_path = posixpath.join(txn_dir, "spill-index.json")
-        resume = fsio.exists(self.fs, marker)
-        if resume:
-            by_part = {
-                int(k): v for k, v in fsio.read_json(self.fs, index_path).items()
-            }
-            # a spill named by the index can vanish after the marker was
+        by_part = fsio.read_json(self.fs, index_path)
+        if by_part is not None:
+            by_part = {int(k): v for k, v in by_part.items()}
+            # a spill named by the index can vanish after the index was
             # written (a store lifecycle rule, a manual staging cleanup);
-            # blindly trusting the marker would make every merge retry fail
+            # blindly trusting the index would make every merge retry fail
             # on the missing file with no recovery path. Verify the files
-            # still exist; if any is gone, clear the marker and rewrite.
+            # still exist; if any is gone, delete the index and rewrite.
             missing = [
                 f for f in {s[0] for spills in by_part.values() for s in spills}
                 if not fsio.exists(self.fs, posixpath.join(spill_dir, f))
             ]
             if missing:
                 logger.warning(
-                    "txn %s: DELTA_DONE marker present but %d spill file(s) "
-                    "missing from %s — clearing the marker and rewriting "
-                    "the spills",
+                    "txn %s: %d spill file(s) of the spill index missing from "
+                    "%s — deleting the index and rewriting the spills",
                     txn_id, len(missing), spill_dir,
                 )
-                self.fs.delete_file(marker)
-                resume = False
-        if not resume:
+                self.fs.delete_file(index_path)
+                by_part = None
+        if by_part is None:
             fsio.delete_dir(self.fs, spill_dir)  # partial write, crashed run
             self.fs.create_dir(spill_dir, recursive=True)
             writer = SpillWriter(self.num_partitions, spill_dir, fs=self.fs)
@@ -679,11 +658,7 @@ class CdcTable:
                     [r["file"], int(r["batch_index"]), int(r["rows"]), int(r["max_lsn"])]
                 )
             fsio.write_json_atomic(self.fs, index_path, by_part)
-            with self.fs.open_output_stream(marker) as f:
-                f.write(b"done")
         self._last_metrics["exchange_write_s"] = round(_time.perf_counter() - _t0, 3)
-        if timing:
-            print(f"WRTIME delta_write {_time.perf_counter()-_t0:.2f}", file=sys.stderr)
         _t0 = _time.perf_counter()
         # hot-partition detection from the index (no data read): a partition
         # whose pending rows exceed the split threshold is merged by several
@@ -732,8 +707,6 @@ class CdcTable:
         self._last_metrics["spill_files"] = len(
             {s[0] for spills in by_part.values() for s in spills}
         )
-        if timing:
-            print(f"WRTIME merge {_time.perf_counter()-_t0:.2f}", file=sys.stderr)
         return lineage, changes
 
     @staticmethod
@@ -867,27 +840,23 @@ class CdcTable:
         )
         if not segs:
             return []
-        if not window_events:
-            before = self.latest_manifest()
-            m = self.apply_changes(segs, recipe=recipe, mode=mode)
-            # compare versions, not identity: latest_manifest() json-loads a
-            # fresh dict each call, so a no-op apply returns an equal-but-
-            # distinct dict
-            committed = m and (before is None or m["version"] != before["version"])
-            return [m] if committed else []
-        windows: list[list[str]] = [[]]
-        acc = 0
-        for p in segs:
-            rows = pq.read_metadata(p).num_rows
-            if windows[-1] and acc + rows > window_events:
-                windows.append([])
-                acc = 0
-            windows[-1].append(p)
-            acc += rows
+        windows = [segs]
+        if window_events:
+            windows, acc = [[]], 0
+            for p in segs:
+                rows = pq.read_metadata(p).num_rows
+                if windows[-1] and acc + rows > window_events:
+                    windows.append([])
+                    acc = 0
+                windows[-1].append(p)
+                acc += rows
         out = []
-        version = self.latest_manifest()["version"] if self.latest_manifest() else None
+        before = self.latest_manifest()
+        version = before["version"] if before else None
         for w in windows:
             m = self.apply_changes(w, recipe=recipe, mode=mode)
+            # compare versions, not identity: a no-op apply returns an
+            # equal-but-distinct manifest dict
             if m and m["version"] != version:
                 out.append(m)
                 version = m["version"]
@@ -923,8 +892,9 @@ class CdcTable:
     def vacuum(self, keep_versions: int = 2) -> dict:
         """Garbage-collect data files not referenced by the newest
         ``keep_versions`` manifests (copy-on-write keeps every txn's files on
-        disk for time travel; vacuum bounds that). Returns counts. Never
-        touches the staging area of an in-flight transaction."""
+        disk for time travel; vacuum bounds that), the manifests older than
+        those, and the staging dirs of committed versions. Returns counts.
+        Never touches the staging area of an in-flight transaction."""
         m = self.latest_manifest()
         if not m:
             return {"removed_files": 0, "removed_manifests": 0}
@@ -945,18 +915,14 @@ class CdcTable:
             if rel not in referenced:
                 self.fs.delete_file(full)
                 removed += 1
-        removed_manifests = 0
-        mdir = posixpath.join(self.table_dir, "manifests")
-        import pyarrow.fs as pafs
-
-        sel = pafs.FileSelector(mdir, allow_not_found=True)
-        for info in self.fs.get_file_info(sel):
-            f = posixpath.basename(info.path)
-            if f.startswith("manifest-") and f.endswith(".json"):
-                v = int(f[len("manifest-"):-len(".json")])
-                if v not in keep:
-                    self.fs.delete_file(info.path)
-                    removed_manifests += 1
+        removed_manifests = fsio.log_prune(self.fs, self._log_dir, "manifest-", min(keep))
+        staging = posixpath.join(self.table_dir, "staging")
+        for d in fsio.list_subdirs(self.fs, staging):
+            # a crash between a commit and its cleanup leaves the committed
+            # txn's staging dir behind (txn-<version>-…; txn-init-… is v1)
+            v = d.removeprefix("txn-").split("-")[0]
+            if d.startswith("txn-") and (int(v) if v.isdigit() else 1) <= latest:
+                fsio.delete_dir(self.fs, posixpath.join(staging, d))
         return {"removed_files": removed, "removed_manifests": removed_manifests}
 
     # -- read --------------------------------------------------------------
@@ -1029,6 +995,8 @@ class CdcTable:
             )
             drop |= set(KEY_COLS) - set(columns)
         out_schema = pa.schema([f for f in schema if f.name not in drop])
+        if not items:  # a table committed from an empty snapshot
+            return rd.from_arrow(out_schema.empty_table())
         fs, table_dir = self.fs, self.table_dir
 
         def read_one(batch: pa.Table) -> pa.Table:
@@ -1064,6 +1032,8 @@ class CdcTable:
         """Driver-side read for tests/small tables: ``read_partition`` over
         every live file, sorted by (conv_id, turn_idx)."""
         files = [f for fl in self._live_files(self._manifest(version)).values() for f in fl]
+        if not files:  # a table committed from an empty snapshot
+            return pa.table({})
         out = read_partition(self.fs, self.table_dir, files, self._footer_schema(files), True)
         out = out.take(pc.sort_indices(
             out, sort_keys=[("conv_id", "ascending"), ("turn_idx", "ascending")]

@@ -6,7 +6,9 @@ call — right when the corpus is already in flight, wrong when the same
 corpus serves many query batches. `IvfIndex` persists each inverted cell as
 its own Parquet directory, one subdirectory per committed increment:
 
-    index_dir/meta.json                     centroids (f32), params, count, incr
+    index_dir/meta-NNNNNNNN.json               the commit log: entry N =
+                                               centroids (f32), params, count,
+                                               incr: N, live_incrs
     index_dir/cells/incr-00000K/c=J/*.parquet  (id, vec) nearest to centroid J
 
 so a query with ``nprobe`` probes READS only the probed cells from storage —
@@ -15,11 +17,16 @@ bytes a full scan moves. Appends assign new vectors to the existing
 centroids and add a new increment directory (no retrain; centroid drift is
 handled by ``rebuild=True``).
 
-Crash-rerun safety mirrors `MinHashDedupIndex`: cell files land in an
-increment directory that only becomes visible when the meta commit (atomic
-tmp+rename, LAST step) bumps ``incr`` past it; a build/append that crashed
-mid-write leaves an orphan directory that the re-run deletes and rewrites,
-so re-running can never double-insert vectors into query results.
+Crash-rerun safety and the commit log mirror `MinHashDedupIndex`: cell
+files land in an increment directory that only becomes visible when the
+log commit (``fsio.log_commit``, create-if-absent, LAST step) adds it to
+``live_incrs``; a build/append that crashed mid-write leaves an orphan
+directory that the re-run deletes and rewrites, so re-running can never
+double-insert vectors into query results, and a second handle committing
+the same ``incr`` gets ``ConcurrentCommitError``. Every entry carries the
+centroids, so ``compact()`` prunes the entries it supersedes; an index with
+only a legacy mutable ``meta.json`` opens from it and its next commit starts
+the log.
 
 All storage goes through ``pyarrow.fs`` (``filesystem=`` injectable), so the
 index can live on an object store, not just local disk.
@@ -40,6 +47,7 @@ from wrangler_ray.ops.similarity import (
     _BatchTopK,
     _merge_topk,
     _normalize,
+    _train_centroids,
     vecs_np,
 )
 
@@ -47,50 +55,35 @@ from wrangler_ray.ops.similarity import (
 class IvfIndex:
     def __init__(self, index_dir: str, filesystem=None):
         self.fs, self.index_dir = fsio.resolve_fs(index_dir, filesystem)
-        self.meta_path = posixpath.join(self.index_dir, "meta.json")
-        self.meta = fsio.read_json(self.fs, self.meta_path)
+        self._cells = posixpath.join(self.index_dir, "cells")
+        self.meta = fsio.index_meta(self.fs, self.index_dir)
 
     @property
     def centroids(self) -> np.ndarray:
         return np.asarray(self.meta["centroids"], np.float32)
 
-    def _commit_meta(self) -> None:
-        fsio.write_json_atomic(self.fs, self.meta_path, self.meta)
+    def _incr_dir(self, j: int) -> str:
+        return posixpath.join(self._cells, f"incr-{int(j):06d}")
 
     def _committed_incr_dirs(self) -> list[str]:
-        root = posixpath.join(self.index_dir, "cells")
-        live = self.meta.get("live_incrs")
-        names = (
-            [f"incr-{int(k):06d}" for k in live]
-            if live is not None
-            else None
-        )
-        return [
-            posixpath.join(root, d)
-            for d in fsio.list_subdirs(self.fs, root)
-            if d.startswith("incr-")
-            and (d in names if names is not None
-                 else int(d.split("-")[1]) < self.meta["incr"])
-        ]
+        return [self._incr_dir(j) for j in self.meta["live_incrs"]]
 
     def compact(self) -> int:
         """Fold every committed increment into ONE consolidated increment —
         after many appends each probed cell spans many small files (read
         amplification grows with append count); compaction restores one file
         set per cell. Crash-safe like build/append: the consolidated
-        increment only becomes visible at the meta commit, which also
-        switches ``live_incrs`` to it; the old increment directories are
-        deleted AFTER the commit (a crash between commit and cleanup leaves
-        dead dirs that the next compact's ``fsio.vacuum_orphan_incrs``
-        sweeps before the ≤1-live-dir early return). Returns rows
-        compacted."""
+        increment only becomes visible at the log commit, which switches
+        ``live_incrs`` to it; the old increment directories and the log
+        entries it supersedes are deleted AFTER the commit (a crash between
+        commit and cleanup leaves dead dirs that the next compact's
+        ``fsio.vacuum_orphan_incrs`` sweeps before the ≤1-live-dir early
+        return). Returns rows compacted."""
         import ray.data as rd
 
         if self.meta is None:
             raise ValueError("index not built")
-        fsio.vacuum_orphan_incrs(
-            self.fs, [posixpath.join(self.index_dir, "cells")], self.meta
-        )
+        fsio.vacuum_orphan_incrs(self.fs, [self._cells], self.meta)
         old_dirs = self._committed_incr_dirs()
         if len(old_dirs) <= 1:
             return 0
@@ -109,24 +102,24 @@ class IvfIndex:
             filesystem=self.fs,
         )
         n = self._assign_and_write(ds, self.meta["vec_col"], self.meta["id_col"])
-        self.meta["incr"] = k + 1
-        self.meta["live_incrs"] = [k]
-        self._commit_meta()
+        self.meta = fsio.index_commit(self.fs, self.index_dir, self.meta, live_incrs=[k])
         for d in old_dirs:
             fsio.delete_dir(self.fs, d)
+        fsio.log_prune(self.fs, self.index_dir, fsio.INDEX_LOG, k + 1)
         return n
 
     def _assign_and_write(self, ds, vec_col: str, id_col: str) -> int:
         """Assign every vector to its nearest centroid and write one
         partitioned Parquet tree under the NEXT increment directory (the
-        pruning unit). The caller commits meta afterwards — until then the
+        pruning unit). The caller commits afterwards — until then the
         directory is an invisible orphan, so a crashed attempt re-runs
         cleanly (we delete any leftover first; write_parquet generates fresh
-        file names, which would otherwise double every vector)."""
+        file names, which would otherwise double every vector). A stale
+        handle fails before it deletes anything: the directory may be
+        another handle's committed increment."""
         cent = self.centroids
-        k = self.meta["incr"]
-        incr_dir = posixpath.join(self.index_dir, "cells", f"incr-{k:06d}")
-        fsio.delete_dir(self.fs, incr_dir)
+        k = fsio.index_next_incr(self.fs, self.index_dir, [self._cells], self.meta)
+        incr_dir = self._incr_dir(k)
 
         def tag(t: pa.Table) -> pa.Table:
             if t.num_rows == 0:
@@ -159,25 +152,7 @@ class IvfIndex:
         — storage order is not random) and write every cell."""
         if self.meta is not None:
             raise ValueError(f"index at {self.index_dir} already built")
-        n = ds.count()
-        frac = min(1.0, (train_size * 1.25) / max(n, 1))
-        sample = (
-            ds.random_sample(frac, seed=seed).limit(train_size).take_all()
-            if frac < 1.0
-            else ds.take_all()
-        )
-        x = _normalize(np.stack([np.asarray(r[vec_col], np.float32) for r in sample]))
-        rng = np.random.RandomState(seed)
-        nc = min(num_clusters, len(x))
-        cent = x[rng.choice(len(x), size=nc, replace=False)]
-        for _ in range(kmeans_iters):
-            assign = (x @ cent.T).argmax(axis=1)
-            for c in range(nc):
-                m = assign == c
-                if m.any():
-                    v = x[m].mean(axis=0)
-                    norm = np.linalg.norm(v)
-                    cent[c] = v / norm if norm else cent[c]
+        cent = _train_centroids(ds, vec_col, num_clusters, train_size, kmeans_iters, seed)
         self.fs.create_dir(self.index_dir, recursive=True)
         self.meta = {
             "centroids": [[float(v) for v in row] for row in cent],
@@ -185,11 +160,12 @@ class IvfIndex:
             "id_col": id_col,
             "count": 0,
             "incr": 0,
+            "live_incrs": [],
         }
-        n_written = self._assign_and_write(ds, vec_col, id_col)
-        self.meta["count"] = n_written
-        self.meta["incr"] = 1
-        self._commit_meta()
+        n = self._assign_and_write(ds, vec_col, id_col)
+        self.meta = fsio.index_commit(
+            self.fs, self.index_dir, self.meta, count=n, live_incrs=[0]
+        )
         return {"cells": len(cent), "count": self.meta["count"]}
 
     def append(self, ds) -> int:
@@ -199,11 +175,13 @@ class IvfIndex:
         if self.meta is None:
             raise ValueError("index not built")
         n = self._assign_and_write(ds, self.meta["vec_col"], self.meta["id_col"])
-        self.meta["count"] += n
-        if self.meta.get("live_incrs") is not None:  # post-compaction layout
-            self.meta["live_incrs"].append(self.meta["incr"])
-        self.meta["incr"] += 1
-        self._commit_meta()
+        self.meta = fsio.index_commit(
+            self.fs,
+            self.index_dir,
+            self.meta,
+            count=self.meta["count"] + n,
+            live_incrs=self.meta["live_incrs"] + [self.meta["incr"]],
+        )
         return n
 
     def query(self, queries: np.ndarray, k: int = 10, nprobe: int = 4) -> pa.Table:

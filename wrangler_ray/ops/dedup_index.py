@@ -32,19 +32,28 @@ run over the concatenated corpus (pinned by the in-repo A/B test and the
 
 Storage layout (v2; one subdirectory per committed increment):
 
-    index_dir/meta.json                         {params, watermark, count, incr}
+    index_dir/meta-NNNNNNNN.json                the commit log: entry N =
+                                                {params, watermark, count,
+                                                incr: N, live_incrs}
     index_dir/texts/incr-00000K/*.parquet       (id, text)
     index_dir/signatures/incr-00000K/*.parquet  (id, sig, dig)
     index_dir/bands/incr-00000K/pb=J/*.parquet  (band, key, id, dig)
 
-The meta commit is atomic (tmp + rename) and happens LAST, so a crashed
-increment leaves only unreferenced files: re-running the increment is safe
-and the orphan directories are deleted and rewritten. All storage goes
-through ``pyarrow.fs`` (``filesystem=`` injectable — object-store capable).
+Every commit (an increment, a compaction) bumps ``incr`` by one and creates
+log entry ``incr`` LAST (``fsio.log_commit``: create-if-absent), so a
+crashed increment leaves only unreferenced files: re-running the increment
+is safe and the orphan directories are deleted and rewritten, and a second
+handle committing the same ``incr`` gets ``ConcurrentCommitError``. Reads
+visit only the ``live_incrs`` of the latest entry; ``compact()`` prunes the
+entries it supersedes. All storage goes through ``pyarrow.fs``
+(``filesystem=`` injectable — object-store capable).
 
-v1 indexes (built before the band layout existed, meta without ``layout``)
-keep working: they fall back to the legacy full-signature-table read and
-never gain band partitions — rebuild to get pruned increments.
+Legacy layouts keep working: an index with one mutable ``meta.json`` and no
+log opens from it (no ``live_incrs`` means increments ``0..incr-1``) and
+its next commit starts the log. v1 indexes (built before the band layout
+existed, meta without ``layout``) fall back to the legacy full-signature-
+table read and never gain band partitions — rebuild to get pruned
+increments.
 """
 from __future__ import annotations
 
@@ -61,6 +70,9 @@ from wrangler_ray.ops.dedup import (
 )
 
 
+_KINDS = ("texts", "signatures", "bands")
+
+
 class MinHashDedupIndex:
     def __init__(
         self,
@@ -73,14 +85,13 @@ class MinHashDedupIndex:
         filesystem=None,
     ):
         self.fs, self.index_dir = fsio.resolve_fs(index_dir, filesystem)
-        self.meta_path = posixpath.join(self.index_dir, "meta.json")
         params = {
             "num_perm": num_perm,
             "bands": bands,
             "shingle_k": shingle_k,
             "jaccard_threshold": jaccard_threshold,
         }
-        meta = fsio.read_json(self.fs, self.meta_path)
+        meta = fsio.index_meta(self.fs, self.index_dir)
         if meta is not None:
             for k, v in params.items():
                 if meta[k] != v:
@@ -106,6 +117,7 @@ class MinHashDedupIndex:
                 "watermark": None,
                 "count": 0,
                 "incr": 0,
+                "live_incrs": [],
             }
 
     @property
@@ -120,23 +132,20 @@ class MinHashDedupIndex:
     def sig_parts(self) -> int:
         return self.meta["sig_parts"]
 
+    @property
+    def _roots(self) -> list[str]:
+        return [posixpath.join(self.index_dir, kind) for kind in _KINDS]
+
+    def _incr_dir(self, kind: str, j: int) -> str:
+        return posixpath.join(self.index_dir, kind, f"incr-{int(j):06d}")
+
     def _incr_files(self, kind: str, sub: str | None = None) -> list:
-        """Parquet files of every COMMITTED increment under ``kind`` (an
-        increment that crashed before its meta commit leaves orphan dirs —
-        ignored; after a compact() only ``live_incrs`` count); ``sub``
+        """Parquet files of every live increment under ``kind`` (orphan dirs
+        of a crashed increment or a compaction are never visited); ``sub``
         narrows to one partition subdir per increment."""
-        root = posixpath.join(self.index_dir, kind)
-        live = self.meta.get("live_incrs")
-        names = [f"incr-{int(j):06d}" for j in live] if live is not None else None
         files: list = []
-        for d in fsio.list_subdirs(self.fs, root):
-            if not d.startswith("incr-"):
-                continue
-            if (d not in names) if names is not None else (
-                int(d.split("-")[1]) >= self.meta["incr"]
-            ):
-                continue
-            p = posixpath.join(root, d)
+        for j in self.meta["live_incrs"]:
+            p = self._incr_dir(kind, j)
             if sub is not None:
                 p = posixpath.join(p, sub)
             # band files nest one level deeper (pb=J/) — recurse so a
@@ -151,9 +160,9 @@ class MinHashDedupIndex:
         (increment × pb partition). Rows are re-sorted (texts/signatures by
         id, band rows by key) so the id- and key-filter pushdowns keep tight
         row-group stats. Crash-safe like an increment: the consolidated
-        directories only become visible at the meta commit (live_incrs
-        switch); old directories are deleted after (a crash in between
-        leaves dead dirs that the next compact's
+        directories only become visible at the log commit (live_incrs
+        switch); old directories and superseded log entries are deleted
+        after (a crash in between leaves dead dirs that the next compact's
         ``fsio.vacuum_orphan_incrs`` sweeps before the ≤1-dir early
         return). Returns docs consolidated."""
         import ray.data as rd
@@ -162,31 +171,24 @@ class MinHashDedupIndex:
             raise ValueError("compact() requires the v2 (banded) layout")
         if self.meta["incr"] == 0:
             return 0
-        kinds = ("texts", "signatures", "bands")
-        fsio.vacuum_orphan_incrs(
-            self.fs, [posixpath.join(self.index_dir, k) for k in kinds], self.meta
-        )
-        old = {k: self._incr_files(k) for k in kinds}
+        fsio.vacuum_orphan_incrs(self.fs, self._roots, self.meta)
+        old = {k: self._incr_files(k) for k in _KINDS}
         n_dirs = len({posixpath.dirname(f) for f in old["texts"]})
         if n_dirs <= 1:
             return 0
         id_col = self.meta["id_col"]
-        k = self.meta["incr"]
-        for kind in ("texts", "signatures", "bands"):
-            fsio.delete_dir(
-                self.fs, posixpath.join(self.index_dir, kind, f"incr-{k:06d}")
-            )
+        k = fsio.index_next_incr(self.fs, self.index_dir, self._roots, self.meta)
         texts = rd.read_parquet(old["texts"], filesystem=self.fs).sort(id_col)
         texts = texts.materialize()
         n = texts.count()
         texts.write_parquet(
-            posixpath.join(self.index_dir, "texts", f"incr-{k:06d}"),
+            self._incr_dir("texts", k),
             filesystem=self.fs,
         )
         rd.read_parquet(old["signatures"], filesystem=self.fs).sort(
             id_col
         ).write_parquet(
-            posixpath.join(self.index_dir, "signatures", f"incr-{k:06d}"),
+            self._incr_dir("signatures", k),
             filesystem=self.fs,
         )
         parts = self.meta["sig_parts"]
@@ -202,23 +204,17 @@ class MinHashDedupIndex:
         rd.read_parquet(old["bands"], filesystem=self.fs).map_batches(
             re_pb, batch_format="pyarrow", zero_copy_batch=True
         ).sort("key").write_parquet(
-            posixpath.join(self.index_dir, "bands", f"incr-{k:06d}"),
+            self._incr_dir("bands", k),
             partition_cols=["pb"],
             filesystem=self.fs,
         )
-        self.meta["incr"] = k + 1
-        self.meta["live_incrs"] = [k]
-        self._commit_meta()
-        old_dirs = {posixpath.dirname(f) for files in old.values() for f in files}
-        for d in sorted(old_dirs):
-            # band files live one level deeper (pb=J); delete the incr root
-            if posixpath.basename(d).startswith("pb="):
-                d = posixpath.dirname(d)
-            fsio.delete_dir(self.fs, d)
+        live = self.meta["live_incrs"]
+        self.meta = fsio.index_commit(self.fs, self.index_dir, self.meta, live_incrs=[k])
+        for j in live:
+            for kind in _KINDS:
+                fsio.delete_dir(self.fs, self._incr_dir(kind, j))
+        fsio.log_prune(self.fs, self.index_dir, fsio.INDEX_LOG, k + 1)
         return n
-
-    def _commit_meta(self) -> None:
-        fsio.write_json_atomic(self.fs, self.meta_path, self.meta)
 
     # -- the banded-index protocol consumed by minhash_lsh_dedup ----------
 
@@ -325,13 +321,10 @@ class MinHashDedupIndex:
                 "documents always win their clusters"
             )
         legacy = self.meta.get("layout", 1) < 2
-        if self.meta.get("id_col") is None:
-            self.meta["id_col"] = id_col
-            self.meta["text_col"] = text_col
-        elif self.meta["id_col"] != id_col or self.meta["text_col"] != text_col:
+        stored = (self.meta.get("id_col"), self.meta.get("text_col"))
+        if stored[0] is not None and stored != (id_col, text_col):
             raise ValueError(
-                f"index at {self.index_dir} stores "
-                f"({self.meta['id_col']}, {self.meta['text_col']}) columns, "
+                f"index at {self.index_dir} stores {stored} columns, "
                 f"got ({id_col}, {text_col})"
             )
         # materialized: the deduped increment is consumed several times
@@ -356,14 +349,7 @@ class MinHashDedupIndex:
         )
         out = out.materialize()
 
-        # a crashed previous attempt at THIS increment leaves orphan files in
-        # the uncommitted incr-k dirs; clear them so the re-run replaces
-        # rather than appends (write_parquet generates fresh file names)
-        k = self.meta["incr"]
-        for kind in ("texts", "signatures", "bands"):
-            fsio.delete_dir(
-                self.fs, posixpath.join(self.index_dir, kind, f"incr-{k:06d}")
-            )
+        k = fsio.index_next_incr(self.fs, self.index_dir, self._roots, self.meta)
 
         surv = np.sort(np.concatenate(
             [t.column(id_col).to_numpy(zero_copy_only=False)
@@ -378,13 +364,13 @@ class MinHashDedupIndex:
             return t.filter(pa.array(np.isin(ids, ray.get(surv_ref))))
 
         out.select_columns([id_col, text_col]).write_parquet(
-            posixpath.join(self.index_dir, "texts", f"incr-{k:06d}"),
+            self._incr_dir("texts", k),
             filesystem=self.fs,
         )
         signed.map_batches(
             keep_surv, batch_format="pyarrow", zero_copy_batch=True
         ).write_parquet(
-            posixpath.join(self.index_dir, "signatures", f"incr-{k:06d}"),
+            self._incr_dir("signatures", k),
             filesystem=self.fs,
         )
         if not legacy:
@@ -402,17 +388,20 @@ class MinHashDedupIndex:
             banded.map_batches(
                 band_out, batch_format="pyarrow", zero_copy_batch=True
             ).sort("key").write_parquet(
-                posixpath.join(self.index_dir, "bands", f"incr-{k:06d}"),
+                self._incr_dir("bands", k),
                 partition_cols=["pb"],
                 filesystem=self.fs,
             )
 
         n_kept = out.count()
-        if n_kept:
-            self.meta["watermark"] = int(out.max(id_col))
-        self.meta["count"] += int(n_kept)
-        if self.meta.get("live_incrs") is not None:  # post-compaction layout
-            self.meta["live_incrs"].append(k)
-        self.meta["incr"] = k + 1
-        self._commit_meta()
+        self.meta = fsio.index_commit(
+            self.fs,
+            self.index_dir,
+            self.meta,
+            id_col=id_col,
+            text_col=text_col,
+            watermark=int(out.max(id_col)) if n_kept else self.meta["watermark"],
+            count=self.meta["count"] + int(n_kept),
+            live_incrs=self.meta["live_incrs"] + [k],
+        )
         return out

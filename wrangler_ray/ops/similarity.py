@@ -230,6 +230,38 @@ def lsh_topk(
     return _merge_topk(partials, k, id_col)
 
 
+def _train_centroids(
+    ds, vec_col: str, num_clusters: int, train_size: int, kmeans_iters: int, seed: int
+) -> np.ndarray:
+    """Unit-norm k-means centroids (cosine), trained driver-side on a seeded
+    RANDOM sample of at most ``train_size`` rows. ``ds.limit()`` alone would
+    take the FIRST blocks in storage order — on a partitioned/clustered
+    corpus that biases centroids to one shard. Same inputs and seed, same
+    centroids: ``ivf_topk`` and ``IvfIndex.build`` both train here."""
+    n = ds.count()
+    frac = min(1.0, (train_size * 1.25) / max(n, 1))
+    sample = (
+        ds.random_sample(frac, seed=seed).limit(train_size).take_all()
+        if frac < 1.0
+        else ds.take_all()
+    )
+    if not sample:
+        sample = ds.limit(train_size).take_all()
+    x = _normalize(np.stack([np.asarray(r[vec_col], np.float32) for r in sample]))
+    rng = np.random.RandomState(seed)
+    nc = min(num_clusters, len(x))
+    cent = x[rng.choice(len(x), size=nc, replace=False)]
+    for _ in range(kmeans_iters):
+        assign = (x @ cent.T).argmax(axis=1)  # cosine == dot on unit vectors
+        for c in range(nc):
+            m = assign == c
+            if m.any():
+                v = x[m].mean(axis=0)
+                n2 = np.linalg.norm(v)
+                cent[c] = v / n2 if n2 else cent[c]
+    return cent
+
+
 def ivf_topk(
     ds,
     queries: np.ndarray,
@@ -252,30 +284,7 @@ def ivf_topk(
 
     queries = np.asarray(queries, np.float32)
 
-    # --- train centroids on a seeded RANDOM sample (driver-side; bounded by
-    # train_size). ds.limit() would take the FIRST blocks in storage order —
-    # on a partitioned/clustered corpus that biases centroids to one shard.
-    n = ds.count()
-    frac = min(1.0, (train_size * 1.25) / max(n, 1))
-    sample = (
-        ds.random_sample(frac, seed=seed).limit(train_size).take_all()
-        if frac < 1.0
-        else ds.take_all()
-    )
-    if not sample:
-        sample = ds.limit(train_size).take_all()
-    x = _normalize(np.stack([np.asarray(r[vec_col], np.float32) for r in sample]))
-    rng = np.random.RandomState(seed)
-    nc = min(num_clusters, len(x))
-    cent = x[rng.choice(len(x), size=nc, replace=False)]
-    for _ in range(kmeans_iters):
-        assign = (x @ cent.T).argmax(axis=1)  # cosine == dot on unit vectors
-        for c in range(nc):
-            m = assign == c
-            if m.any():
-                v = x[m].mean(axis=0)
-                n2 = np.linalg.norm(v)
-                cent[c] = v / n2 if n2 else cent[c]
+    cent = _train_centroids(ds, vec_col, num_clusters, train_size, kmeans_iters, seed)
     qref = ray.put(queries)
 
     q_unit = _normalize(queries)
