@@ -454,11 +454,12 @@ def test_cdc_objectstore_hot_partition_salted_merge(
     import pyarrow.fs as pafs
     import ray.data as rd
 
+    from wrangler_ray.cdc import engine
     from wrangler_ray.cdc.engine import CdcTable
     from wrangler_ray.cdc.generate import generate_change_stream
     from wrangler_ray.cdc.oracle import assert_tables_equal, replay_oracle
 
-    monkeypatch.setenv("WR_CDC_SPLIT_ROWS", "200")  # force salted sub-merges
+    monkeypatch.setattr(engine, "SPLIT_ROWS", 200)  # force salted sub-merges
     info = generate_change_stream(
         str(tmp_path / "s"), n_convs=6, n_events=3000, n_segments=2, seed=31,
     )

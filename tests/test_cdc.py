@@ -7,6 +7,7 @@ import os
 import pyarrow.parquet as pq
 import pytest
 
+from wrangler_ray.cdc import engine
 from wrangler_ray.cdc.engine import CdcTable
 from wrangler_ray.cdc.generate import generate_change_stream
 from wrangler_ray.cdc.oracle import assert_tables_equal, replay_oracle
@@ -128,7 +129,7 @@ def test_hot_partition_salted_merge(tmp_path, ray_session, monkeypatch):
     import numpy as np
     import pyarrow as pa
 
-    monkeypatch.setenv("WR_CDC_SPLIT_ROWS", "500")  # force splitting
+    monkeypatch.setattr(engine, "SPLIT_ROWS", 500)  # force splitting
     n = 4000
     lsn = np.arange(1, n + 1, dtype=np.int64)
     # 90% of events hit ONE conversation across 2000 distinct turns
@@ -181,7 +182,7 @@ def test_tail_windows_and_compact(tmp_path, stream, ray_session, monkeypatch):
     assert table.tail(seg_dir, pattern="segment-*.parquet", window_events=600) == []
 
     # force a salted (multi-file) partition, then compact back to one file
-    monkeypatch.setenv("WR_CDC_SPLIT_ROWS", "50")
+    monkeypatch.setattr(engine, "SPLIT_ROWS", 50)
     extra = stream["segments"]  # reapply is pruned; craft new lsns instead
     import numpy as np
     import pyarrow as pa
@@ -223,9 +224,10 @@ def test_compact_resumes_after_crash_before_commit(
     included — fold into one base file per partition, and the content is
     unchanged."""
     table = _fresh_table(tmp_path, stream, ray_session)
-    monkeypatch.setenv("WR_CDC_SPLIT_ROWS", "50")  # salted multi-file parts
+    split_rows = engine.SPLIT_ROWS
+    monkeypatch.setattr(engine, "SPLIT_ROWS", 50)  # salted multi-file parts
     table.apply_changes(stream["segments"][:2])
-    monkeypatch.delenv("WR_CDC_SPLIT_ROWS")
+    monkeypatch.setattr(engine, "SPLIT_ROWS", split_rows)
     m = table.apply_changes(stream["segments"][2:], mode="mor")
     assert any(len(v) > 1 for v in m["partitions"].values())
     deltas = [f for f in table.files() if f.endswith("-delta.parquet")]
@@ -248,10 +250,12 @@ def test_compact_resumes_after_crash_before_commit(
     monkeypatch.setattr(CdcTable, "_finalize", finalize)
     txn = f"txn-{m['version'] + 1:08d}-compact"
     staging = tmp_path / "lake" / "staging" / txn
-    staged = {p.name: p.stat().st_mtime_ns for p in staging.glob("p*.parquet")}
+    lake = tmp_path / "lake"
+    staged = {str(p.relative_to(lake)): p.stat().st_mtime_ns
+              for p in lake.glob(f"data/p*/{txn}-s*.parquet")}
     multi = [p for p, v in m["partitions"].items()
              if len(v) > 1 or m["deltas"].get(p)]
-    assert sorted(staged) == sorted(f"p{int(p):05d}.parquet" for p in multi)
+    assert sorted(staged) == sorted(f"data/p{int(p):05d}/{txn}-s00.parquet" for p in multi)
     assert table.latest_manifest()["version"] == m["version"]
 
     m2 = table.compact()
@@ -264,7 +268,7 @@ def test_compact_resumes_after_crash_before_commit(
     for part in multi:
         (rel,) = m2["partitions"][part]
         committed = tmp_path / "lake" / rel
-        assert committed.stat().st_mtime_ns == staged[f"p{int(part):05d}.parquet"]
+        assert committed.stat().st_mtime_ns == staged[rel]
         assert m2["lineage"][part]["changes_applied"] == 0
         assert m2["lineage"][part]["watermark_lsn"] is None
 
@@ -577,6 +581,55 @@ def test_manifest_directive_lineage(tmp_path, stream, ray_session):
     assert m2["directive_lineage"] == []
 
 
+def test_compact_commits_nothing_of_the_previous_apply(tmp_path, stream, ray_session):
+    """A transaction's state lives in its own call, not on the table
+    handle: a compaction right after a recipe apply on the same handle
+    commits no directive lineage and none of that apply's exchange
+    metrics."""
+    table = _fresh_table(tmp_path, stream, ray_session)
+    m = table.apply_changes(stream["segments"], recipe=["uppercase :role"], mode="mor")
+    exchange = {"exchange_write_s", "merge_s", "merge_tasks", "spill_files"}
+    assert m["directive_lineage"] and exchange <= set(m["metrics"])
+    m2 = table.compact()
+    assert m2["version"] == m["version"] + 1
+    assert m2["directive_lineage"] == []
+    assert not exchange & set(m2["metrics"])
+    assert m2["metrics"]["changes_applied"] == 0
+
+
+def test_manifest_without_file_rows_opens(tmp_path, stream, ray_session):
+    """A manifest written before manifests carried per-file row counts
+    (``file_rows``) opens with the counts read from the footers; the next
+    commit's ``total_rows`` is the footer sum of its live files, and
+    ``mode="auto"`` picks MOR exactly where the pending changes are under
+    20% of the partition's base rows."""
+    table = _fresh_table(tmp_path, stream, ray_session)
+    m = table.apply_changes(stream["segments"][:2])
+    lake = tmp_path / "lake"
+
+    def footer_rows(rel):
+        return pq.read_metadata(str(lake / rel)).num_rows
+
+    assert m["file_rows"] == {
+        f: footer_rows(f) for fs in m["partitions"].values() for f in fs
+    }
+    path = lake / "manifests" / f"manifest-{m['version']:08d}.json"
+    legacy = json.loads(path.read_text())
+    del legacy["file_rows"]
+    path.write_text(json.dumps(legacy))
+    assert table.latest_manifest()["file_rows"] == m["file_rows"]
+
+    m2 = table.apply_changes(stream["segments"][2:], mode="auto")
+    live = [f for fs in list(m2["partitions"].values()) + list(m2["deltas"].values())
+            for f in fs]
+    assert m2["file_rows"] == {f: footer_rows(f) for f in live}
+    assert m2["total_rows"] == sum(footer_rows(f) for f in live)
+    for p, rec in m2["lineage"].items():
+        base_rows = sum(footer_rows(f) for f in m["partitions"][p])
+        assert rec["delta"] == (rec["changes_applied"] < 0.2 * base_rows)
+    assert_tables_equal(table.read_arrow(), replay_oracle(stream["base"], stream["segments"]))
+
+
 def test_apply_rejects_segment_without_lsn(tmp_path, stream, ray_session):
     """A non-segment parquet (e.g. a snapshot) in the binlog list must fail
     loudly — null lsns would silently corrupt LWW ordering."""
@@ -831,11 +884,11 @@ def test_salted_apply_change_counts_match_unsalted(
     index, so salting a partition over sub-merges does not change them."""
     import ray.data as rd
 
-    monkeypatch.setenv("WR_CDC_BLOCK_ROWS", "500")  # several spills per partition
+    monkeypatch.setattr(engine, "BLOCK_ROWS", 500)  # several spills per partition
     lineage = {}
-    for name, split in (("plain", None), ("salted", "50")):
+    for name, split in (("plain", None), ("salted", 50)):
         if split:
-            monkeypatch.setenv("WR_CDC_SPLIT_ROWS", split)
+            monkeypatch.setattr(engine, "SPLIT_ROWS", split)
         table = CdcTable(str(tmp_path / name), num_partitions=8)
         table.init_from_snapshot(rd.read_parquet(stream["base"]))
         lineage[name] = table.apply_changes(stream["segments"])["lineage"]
@@ -884,7 +937,7 @@ def test_read_contract_on_salted_mor_table(tmp_path, stream, ray_session, monkey
     columns plus ``_lsn`` and ``op``."""
     import pyarrow.compute as pc
 
-    monkeypatch.setenv("WR_CDC_SPLIT_ROWS", "50")
+    monkeypatch.setattr(engine, "SPLIT_ROWS", 50)
     table = _fresh_table(tmp_path, stream, ray_session)
     m1 = table.apply_changes(stream["segments"][:2])
     m2 = table.apply_changes(stream["segments"][2:], mode="mor")

@@ -271,6 +271,101 @@ def test_cdc_crash_around_commit_converges(ray_session, tmp_path, monkeypatch):
     assert_tables_equal(again.read_arrow(), oracle)
 
 
+def _write_counting_fs(log: str) -> pafs.PyFileSystem:
+    """Local disk through a ``PyFileSystem`` that appends the path of every
+    parquet file opened for writing to ``log`` — in the driver and in every
+    Ray worker the filesystem is shipped to."""
+    from fsspec.implementations.local import LocalFileSystem
+
+    class Counting(pafs.FSSpecHandler):
+        def open_output_stream(self, path, metadata):
+            if ".parquet" in path:
+                with open(log, "a") as f:
+                    f.write(path + "\n")
+            return super().open_output_stream(path, metadata)
+
+    return pafs.PyFileSystem(Counting(LocalFileSystem()))
+
+
+def test_cdc_rerun_after_commit_crash_rewrites_no_output(ray_session, tmp_path, monkeypatch):
+    """Each merge output is written once, at its final name, before the
+    commit: the rerun of a transaction that crashed in its log commit
+    resumes on those files and writes no merge output again."""
+    import ray.data as rd
+
+    from wrangler_ray.cdc.engine import CdcTable
+    from wrangler_ray.cdc.generate import generate_change_stream
+    from wrangler_ray.cdc.oracle import assert_tables_equal, replay_oracle
+
+    info = generate_change_stream(str(tmp_path / "stream"), n_convs=20,
+                                  n_events=400, n_segments=4, seed=5)
+    log = tmp_path / "writes.log"
+    table = CdcTable(str(tmp_path / "lake"), num_partitions=4,
+                     filesystem=_write_counting_fs(str(log)))
+    table.init_from_snapshot(rd.read_parquet(info["base"]))
+    done = len(log.read_text().splitlines())
+
+    log_commit = fsio.log_commit
+    monkeypatch.setattr(fsio, "log_commit", _boom)
+    with pytest.raises(RuntimeError, match="simulated crash"):
+        table.apply_changes(info["segments"])
+    monkeypatch.setattr(fsio, "log_commit", log_commit)
+    crashed = log.read_text().splitlines()[done:]
+    assert len(crashed) == 4  # one output per partition
+
+    m = table.apply_changes(info["segments"])
+    assert m["version"] == 2 and len(m["lineage"]) == 4
+    assert log.read_text().splitlines()[done + len(crashed):] == []
+    assert_tables_equal(table.read_arrow(), replay_oracle(info["base"], info["segments"]))
+
+
+def test_cdc_vacuum_keeps_in_flight_outputs(ray_session, tmp_path, monkeypatch):
+    """``vacuum()`` run between a crashed transaction and its rerun keeps
+    the outputs of that in-flight transaction (its version is past the
+    latest), so the rerun reuses them; the outputs of a transaction that
+    never committed at a version another commit has taken are deleted."""
+    import ray.data as rd
+
+    from wrangler_ray.cdc.engine import CdcTable
+    from wrangler_ray.cdc.generate import generate_change_stream
+    from wrangler_ray.cdc.oracle import assert_tables_equal, replay_oracle
+
+    info = generate_change_stream(str(tmp_path / "stream"), n_convs=20,
+                                  n_events=400, n_segments=4, seed=5)
+    segs = info["segments"]
+    lake = tmp_path / "lake"
+    table = CdcTable(str(lake), num_partitions=4)
+    table.init_from_snapshot(rd.read_parquet(info["base"]))
+    table.apply_changes(segs[:1], mode="mor")  # v2: deltas to compact
+
+    log_commit = fsio.log_commit
+    monkeypatch.setattr(fsio, "log_commit", _boom)
+    with pytest.raises(RuntimeError, match="simulated crash"):
+        table.compact()  # would have been v3
+    monkeypatch.setattr(fsio, "log_commit", log_commit)
+    stale = list(lake.glob("data/p*/txn-00000003-compact-*.parquet"))
+    assert stale
+    assert table.apply_changes(segs[1:2])["version"] == 3  # takes v3
+
+    monkeypatch.setattr(fsio, "log_commit", _boom)
+    with pytest.raises(RuntimeError, match="simulated crash"):
+        table.apply_changes(segs[2:])  # v4, in flight
+    monkeypatch.setattr(fsio, "log_commit", log_commit)
+    in_flight = {str(p.relative_to(lake)): p.stat().st_mtime_ns
+                 for p in lake.glob("data/p*/txn-00000004-*.parquet")}
+    assert in_flight
+
+    table.vacuum()
+    assert not any(p.exists() for p in stale)
+    m = table.apply_changes(segs[2:])
+    assert m["version"] == 4
+    committed = [f for fs in m["partitions"].values() for f in fs
+                 if f.split("/")[-1].startswith("txn-00000004-")]
+    assert sorted(committed) == sorted(in_flight)
+    assert all((lake / f).stat().st_mtime_ns == t for f, t in in_flight.items())
+    assert_tables_equal(table.read_arrow(), replay_oracle(info["base"], segs))
+
+
 def test_dedup_index_crash_around_commit_converges(ray_session, tmp_path, monkeypatch):
     from wrangler_ray.ops.dedup import minhash_lsh_dedup
     from wrangler_ray.ops.dedup_index import MinHashDedupIndex

@@ -124,6 +124,21 @@ def test_vectorized_batch_path():
     assert list(out) == [3, 6, 9]
 
 
+def test_nested_pushdowns_match_row_path():
+    """A pushed-down call nested in another pushable call: the outer call
+    runs on the inner kernel's result (not on a column of that name), so
+    the batch path gives what the row path gives."""
+    t = pa.table({"body": ["  Hi X ", None, "abc", " xx"]})
+    for src, want in (
+        ("string:length(string:trim(body))", [4, None, 3, 2]),
+        ('string:contains(string:lower(body), "x")', [True, False, False, True]),
+        ("string:upper(string:trim(body))", ["HI X", None, "ABC", "XX"]),
+    ):
+        expr = compile_expression(src)
+        assert list(expr.evaluate_table(t)) == want, src
+        assert [expr.evaluate_row(r) for r in t.to_pylist()] == want, src
+
+
 # --- DateAndTime.java (DataStage family; parity cases ported from reference
 # wrangler-core/src/test/java/io/cdap/functions/DateAndTimeTest.java) --------
 

@@ -19,7 +19,8 @@ Pipeline shape (pure Ray Data; no raw tasks):
       → lineage rows (tiny)                           # touched partition;
                                                       # ranged reads of its
                                                       # batches from the spills
-    manifest commit: staged files + lineage → create the next log entry
+    manifest commit: lineage (final names, row counts) → create the next
+                     log entry; only that entry makes the outputs visible
 
     from_items(parts).map_batches(read_partition)     # reads: one task per
                                                       # partition, LWW inside
@@ -32,20 +33,23 @@ ACID Table Storage over Cloud Object Stores", VLDB 2020 — see PAPERS.md),
 re-expressed over Ray Data with a filesystem spill exchange.
 
 Exactly-once: each apply is a transaction keyed by (parent manifest version,
-target watermark). Partition merges write to ``staging/<txn>/``; a partition
-whose staged file already exists is skipped (resume); the commit creates
-manifest ``parent + 1`` in the table's log only if it is absent
-(``fsio.log_commit``), so of two racing writers one commits and the other
-gets ``ConcurrentCommitError``. Replaying any suffix of the binlog is
-idempotent because the merge is last-writer-wins on ``_lsn``.
+target watermark). Each partition merge writes its output ONCE, under its
+final txn-named path in ``data/`` (a tmp file in ``staging/<txn>/``, then one
+move, so a file torn by a crash never sits at the final name); a partition
+whose output already exists is skipped (resume). No manifest names the file
+until the commit creates manifest ``parent + 1`` in the table's log, and
+only if it is absent (``fsio.log_commit``), so of two racing writers one
+commits and the other gets ``ConcurrentCommitError``. The manifest records
+each live file's row count (``file_rows``), so a commit reads no footer.
+Replaying any suffix of the binlog is idempotent because the merge is
+last-writer-wins on ``_lsn``.
 
 Deployment shape: ONE storage path. The table's durable state (manifests,
-data files, staged outputs) AND its spill exchange go through the table's
-``pyarrow.fs`` (``filesystem=`` injectable; local disk by default), so the
-whole engine runs against plain S3-style storage. Map tasks stream their
-Arrow-IPC spills to ``staging/<txn>/spills/``; merge tasks issue ranged
-reads (IPC footer + exactly their record batch). The spills share the
-staged outputs' resume and cleanup lifecycle: they double as the resume
+data files) AND its spill exchange go through the table's ``pyarrow.fs``
+(``filesystem=`` injectable; local disk by default), so the whole engine
+runs against plain S3-style storage. Map tasks stream their Arrow-IPC
+spills to ``staging/<txn>/spills/``; merge tasks issue ranged reads (IPC
+footer + exactly their record batch). The spills double as the resume
 checkpoint and are deleted with the txn's staging dir at commit.
 
 Scale notes (100 TB design point):
@@ -63,7 +67,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
 import posixpath
 from typing import Optional, Union
 
@@ -82,6 +85,10 @@ logger = logging.getLogger(__name__)
 KEY_COLS = ["conv_id", "turn_idx"]
 LSN_COL = "_lsn"
 PART_COL = "_part"
+# rows per exchange map block (one spill file each)
+BLOCK_ROWS = 262144
+# pending rows above which a partition merges as salted parallel sub-tasks
+SPLIT_ROWS = 524288
 
 
 def _hash_partition(conv_ids: np.ndarray, num_partitions: int) -> np.ndarray:
@@ -97,6 +104,13 @@ def _turn_salt(turn_idx: np.ndarray, n_subs: int) -> np.ndarray:
     spreads over the subs, while every LWW group — keyed (conv_id, turn_idx)
     — still lands wholly in one sub."""
     return (turn_idx.astype(np.int64) % n_subs).astype(np.int32)
+
+
+def _txn_version(name: str) -> int:
+    """The log version a txn-named file or dir commits as: ``txn-<v>-…``,
+    with ``txn-init-…`` as v1; 0 for any other name (never in flight)."""
+    v = name.removeprefix("txn-").split("-")[0] if name.startswith("txn-") else ""
+    return int(v) if v.isdigit() else 1 if v == "init" else 0
 
 
 def _file_digest(path: str, fs) -> str:
@@ -281,10 +295,13 @@ class MergePartition:
     evolution null-backfills), keep this sub's rows, LWW on _lsn
     (``_lww_reduce`` for MOR, which keeps delete rows;
     ``apply_lww_semantics`` otherwise, which drops them), one (conv_id,
-    turn_idx) sort for the stable-turn-ordering invariant, one staged
-    write. **Compaction** is a copy-on-write merge with no spills: it folds
-    the partition's base and delta files into one file. A staged file that
-    already exists is reused before any spill is opened (resume).
+    turn_idx) sort for the stable-turn-ordering invariant, one write to
+    the output's final name ``data/p<part>/<txn>-sNN[-delta].parquet`` (via
+    a tmp file under ``staging/<txn>/`` and one move; only the manifest
+    commit makes it visible). **Compaction** is a copy-on-write merge with
+    no spills: it folds the partition's base and delta files into one file.
+    An output that already exists is reused before any spill is opened
+    (resume).
 
     **Hot-partition salting**: when the exchange index shows a partition's
     pending rows exceed the split threshold (one huge conversation, or an
@@ -333,14 +350,13 @@ class MergePartition:
             sub = int(row["sub"])
             n_subs = int(row["n_subs"])
             mor = bool(row.get("mor", False))
-            stem = f"p{part:05d}" if n_subs <= 1 else f"p{part:05d}-s{sub:02d}"
-            name = f"{stem}-delta.parquet" if mor else f"{stem}.parquet"
-            staged = posixpath.join(self.staging_dir, name)
-            if fsio.exists(self.fs, staged):
+            name = f"{self.txn_id}-s{sub:02d}{'-delta' if mor else ''}.parquet"
+            final = posixpath.join(self.table_dir, "data", f"p{part:05d}", name)
+            if fsio.exists(self.fs, final):
                 # resume: already merged in a previous (crashed) attempt of
                 # the same transaction — idempotent skip, no spill is opened
-                rows = pq.read_metadata(staged, filesystem=self.fs).num_rows
-                out.append(self._lineage(part, sub, staged, rows, mor))
+                rows = pq.read_metadata(final, filesystem=self.fs).num_rows
+                out.append(self._lineage(part, sub, final, rows, mor))
                 continue
             # merge-on-read writes ONLY the LWW'd changes as a delta file
             # (deletes stay as op='D' rows so readers can suppress base
@@ -360,15 +376,19 @@ class MergePartition:
                 merged, sort_keys=[("conv_id", "ascending"), ("turn_idx", "ascending")]
             )
             merged = merged.take(idx)
+            # the resume check trusts that the final name exists, so the
+            # file only gets there whole; <txn>-sNN repeats across
+            # partitions, so the tmp name carries the partition
             self.fs.create_dir(self.staging_dir, recursive=True)
-            tmp = staged + ".tmp"
+            tmp = posixpath.join(self.staging_dir, f"p{part:05d}-{name}.tmp")
             with self.fs.open_output_stream(tmp) as sink:
                 pq.write_table(merged, sink)
-            self.fs.move(tmp, staged)
-            out.append(self._lineage(part, sub, staged, merged.num_rows, mor))
+            self.fs.create_dir(posixpath.dirname(final), recursive=True)
+            self.fs.move(tmp, final)
+            out.append(self._lineage(part, sub, final, merged.num_rows, mor))
         return pa.concat_tables(out)
 
-    def _lineage(self, part: int, sub: int, staged: str, rows: int, mor: bool) -> pa.Table:
+    def _lineage(self, part: int, sub: int, path: str, rows: int, mor: bool) -> pa.Table:
         """What only this task knows; the driver adds the partition's change
         counts from the spill index."""
         return pa.table(
@@ -376,8 +396,8 @@ class MergePartition:
                 "part": pa.array([part], pa.int32()),
                 "sub": pa.array([sub], pa.int32()),
                 "rows": pa.array([rows], pa.int64()),
-                "file": pa.array([staged], pa.string()),
-                "sha256": pa.array([_file_digest(staged, self.fs)], pa.string()),
+                "file": pa.array([path], pa.string()),
+                "sha256": pa.array([_file_digest(path, self.fs)], pa.string()),
                 "delta": pa.array([mor], pa.bool_()),
             }
         )
@@ -392,15 +412,19 @@ class CdcTable:
                                                  version, latest = highest
                                                  listed (``fsio.log_*``)
         <dir>/data/p<part>/<txn>-sNN[-delta].parquet
-        <dir>/staging/<txn>/p<part>[-sNN][-delta].parquet
+                                                 written once, at this name;
+                                                 visible once a manifest
+                                                 names it
         <dir>/staging/<txn>/spill-index.json     written once every spill is;
                                                  its existence = resume point
         <dir>/staging/<txn>/spills/spill-<uuid>.arrow   (the exchange)
+        <dir>/staging/<txn>/p<part>-<txn>-sNN[-delta].parquet.tmp
+                                                 an output being written
 
     Everything, the spill exchange included, goes through ONE pyarrow.fs
     (``filesystem=``, a URI's filesystem, or local disk): merge tasks read
-    their record batches with ranged reads, and the spills share the staged
-    outputs' resume and cleanup lifecycle.
+    their record batches with ranged reads, and the txn's staging dir is
+    deleted at its commit.
     """
 
     def __init__(self, table_dir: str, num_partitions: int = 64,
@@ -416,14 +440,22 @@ class CdcTable:
     def _log_dir(self) -> str:
         return posixpath.join(self.table_dir, "manifests")
 
-    @staticmethod
-    def _normalize_manifest(m: Optional[dict]) -> Optional[dict]:
+    def _normalize_manifest(self, m: Optional[dict]) -> Optional[dict]:
         if m is not None:
             # legacy manifests stored a bare path string for a one-file
             # partition; every caller sees a list
             m["partitions"] = {
                 k: [v] if isinstance(v, str) else v for k, v in m["partitions"].items()
             }
+            if "file_rows" not in m:
+                # written before manifests carried per-file row counts
+                m["file_rows"] = {
+                    f: pq.read_metadata(
+                        posixpath.join(self.table_dir, f), filesystem=self.fs
+                    ).num_rows
+                    for files in self._live_files(m).values()
+                    for f in files
+                }
         return m
 
     def latest_manifest(self) -> Optional[dict]:
@@ -468,8 +500,8 @@ class CdcTable:
 
         txn_id = f"txn-init-{snapshot_lsn}"
         prepped = ds.map_batches(add_cols, batch_format="pyarrow", zero_copy_batch=True)
-        lineage, changes = self._exchange_and_merge(prepped, txn_id, current_files={})
-        return self._finalize(lineage, txn_id, snapshot_lsn, None, changes)
+        lineage, changes, metrics = self._exchange_and_merge(prepped, txn_id, None)
+        return self._finalize(lineage, txn_id, snapshot_lsn, None, changes, metrics)
 
     def apply_changes(
         self,
@@ -492,19 +524,8 @@ class CdcTable:
         import ray.data as rd
 
         assert mode in ("cow", "mor", "auto")
-        self._directive_lineage: list = []
         manifest = self.latest_manifest()
         watermark = manifest["watermark_lsn"] if manifest else 0
-        parent = manifest["version"] if manifest else None
-        base_files = (
-            {int(k): v for k, v in manifest["partitions"].items()} if manifest else {}
-        )
-        # a COW rewrite must absorb the partition's pending deltas too
-        current_files = (
-            {int(k): v for k, v in self._live_files(manifest).items()}
-            if manifest
-            else {}
-        )
 
         # additive schema unification across segment footers (metadata-only
         # reads — parallel threads: pq footer parsing is C++ and releases the
@@ -552,18 +573,18 @@ class CdcTable:
         if not pending:
             return manifest
 
-        txn_id = f"txn-{(parent or 0) + 1:08d}-{watermark}"
+        txn_id = f"txn-{(manifest['version'] if manifest else 0) + 1:08d}-{watermark}"
 
         # Coalesce small binlog segments into ~256k-row map blocks: one spill
         # file per block, so exchange file count tracks data volume, not
         # segment count. Data-derived (never CPU-derived) so runs at any
         # parallelism level do identical work.
-        block_rows = int(os.environ.get("WR_CDC_BLOCK_ROWS", "262144"))
-        n_blocks = max(1, min(len(pending), -(-pending_rows // block_rows)))
+        n_blocks = max(1, min(len(pending), -(-pending_rows // BLOCK_ROWS)))
         ds = rd.read_parquet(pending, schema=schema, override_num_blocks=n_blocks)
         if watermark > 0:
             ds = ds.filter(expr=f"lsn > {watermark}")
 
+        directive_lineage: list = []
         if recipe is not None:
             from wrangler_ray.pipeline import DirectiveChain, compile_recipe
 
@@ -571,7 +592,7 @@ class CdcTable:
             # field-level lineage: record which columns each in-flight
             # directive reads/writes in the committed manifest (reference
             # lineage/LineageOperations.java:38-80)
-            self._directive_lineage = chain.lineage()
+            directive_lineage = chain.lineage()
             # batch_size=None → whole blocks: avoids rebatching between the
             # fused read → chain → spill stages (directives are vectorized,
             # so bigger batches only help)
@@ -587,8 +608,8 @@ class CdcTable:
             return batch
 
         prepped = ds.map_batches(rename_lsn, batch_format="pyarrow", zero_copy_batch=True)
-        lineage, changes = self._exchange_and_merge(
-            prepped, txn_id, current_files, mode=mode, base_files=base_files
+        lineage, changes, metrics = self._exchange_and_merge(
+            prepped, txn_id, manifest, mode=mode
         )
         if not lineage:
             # every pending row was filtered by the watermark (footer stats
@@ -598,20 +619,23 @@ class CdcTable:
         if max_lsn == watermark:
             # no footer stats available: fall back to the exchange's max lsn
             max_lsn = max(wm for _, wm in changes.values())
-        return self._finalize(lineage, txn_id, max_lsn, parent, changes)
+        return self._finalize(
+            lineage, txn_id, max_lsn, manifest, changes, metrics, directive_lineage
+        )
 
     def _exchange_and_merge(
         self,
         prepped,
         txn_id: str,
-        current_files: dict,
+        parent: Optional[dict],
         mode: str = "cow",
-        base_files: Optional[dict] = None,
-    ) -> tuple[list[dict], dict[int, tuple]]:
+    ) -> tuple[list[dict], dict[int, tuple], dict]:
         """The exchange: map-side indexed IPC spill write (streaming, no
-        object-store shuffle) → one merge task per touched partition.
-        Returns the merge tasks' lineage rows and, per touched partition,
-        ``(changes, max_lsn)`` summed from the spill index.
+        object-store shuffle) → one merge task per touched partition, onto
+        the files of the ``parent`` manifest (None for a fresh table).
+        Returns the merge tasks' lineage rows, per touched partition
+        ``(changes, max_lsn)`` summed from the spill index, and the stage
+        metrics.
 
         The driver holds only the spill index (≤ blocks × partitions tiny
         rows) and writes it atomically once every spill is written, making
@@ -621,7 +645,6 @@ class CdcTable:
         import time as _time
 
         _t0 = _time.perf_counter()
-        self._last_metrics = {}
         txn_dir = posixpath.join(self.table_dir, "staging", txn_id)
         spill_dir = posixpath.join(txn_dir, "spills")
         index_path = posixpath.join(txn_dir, "spill-index.json")
@@ -658,27 +681,17 @@ class CdcTable:
                     [r["file"], int(r["batch_index"]), int(r["rows"]), int(r["max_lsn"])]
                 )
             fsio.write_json_atomic(self.fs, index_path, by_part)
-        self._last_metrics["exchange_write_s"] = round(_time.perf_counter() - _t0, 3)
+        metrics = {"exchange_write_s": round(_time.perf_counter() - _t0, 3)}
         _t0 = _time.perf_counter()
-        # hot-partition detection from the index (no data read): a partition
-        # whose pending rows exceed the split threshold is merged by several
-        # salted sub-tasks instead of one straggler
-        split_rows = int(os.environ.get("WR_CDC_SPLIT_ROWS", "524288"))
-        base_files = base_files or {}
+        parent = parent or {"partitions": {}, "file_rows": {}}
 
         def _use_mor(p: int, pending: int) -> bool:
-            bases = base_files.get(p)
+            bases = parent["partitions"].get(str(p))
             if not bases or mode == "cow":
                 return False  # nothing to defer against → plain write
             if mode == "mor":
                 return True
-            base_rows = sum(
-                pq.read_metadata(
-                    posixpath.join(self.table_dir, f), filesystem=self.fs
-                ).num_rows
-                for f in bases
-            )
-            return pending < 0.2 * base_rows
+            return pending < 0.2 * sum(parent["file_rows"][f] for f in bases)
 
         changes = {
             p: (sum(s[2] for s in spills), max(s[3] for s in spills))
@@ -687,7 +700,10 @@ class CdcTable:
         items = []
         for p, spills in sorted(by_part.items()):
             pending = changes[p][0]
-            n_subs = min(16, max(1, -(-pending // split_rows)))
+            # hot-partition detection from the index (no data read): a
+            # partition whose pending rows exceed the split threshold is
+            # merged by several salted sub-tasks instead of one straggler
+            n_subs = min(16, max(1, -(-pending // SPLIT_ROWS)))
             spills_json = json.dumps([[s[0], s[1]] for s in spills])
             mor = _use_mor(p, pending)
             for sub in range(n_subs):
@@ -696,18 +712,18 @@ class CdcTable:
                      "mor": mor}
                 )
         if not items:
-            return [], {}
+            return [], {}, metrics
+        # a COW rewrite must absorb the partition's pending deltas too
+        current_files = {int(k): v for k, v in self._live_files(parent).items()}
         merge = MergePartition(
             self.table_dir, txn_id, current_files=current_files,
             fs=self.fs, spill_dir=spill_dir,
         )
         lineage = self._run_merges(merge, items)
-        self._last_metrics["merge_s"] = round(_time.perf_counter() - _t0, 3)
-        self._last_metrics["merge_tasks"] = len(items)
-        self._last_metrics["spill_files"] = len(
-            {s[0] for spills in by_part.values() for s in spills}
-        )
-        return lineage, changes
+        metrics["merge_s"] = round(_time.perf_counter() - _t0, 3)
+        metrics["merge_tasks"] = len(items)
+        metrics["spill_files"] = len({s[0] for spills in by_part.values() for s in spills})
+        return lineage, changes, metrics
 
     @staticmethod
     def _run_merges(merge: MergePartition, items: list[dict]) -> list[dict]:
@@ -722,31 +738,28 @@ class CdcTable:
         )
 
     def _finalize(
-        self, lineage: list[dict], txn_id: str, watermark: int, parent,
-        changes: Optional[dict] = None,
+        self, lineage: list[dict], txn_id: str, watermark: int,
+        parent: Optional[dict], changes: Optional[dict] = None,
+        metrics: Optional[dict] = None, directive_lineage: Optional[list] = None,
     ) -> dict:
-        """Promote staged files into data/, commit the manifest atomically.
-        ``changes`` holds each touched partition's ``(changes, max_lsn)``
-        from the spill index (none for a compaction)."""
+        """Commit the manifest that makes this txn's outputs (already at
+        their final names) visible, built on the ``parent`` manifest the txn
+        started from (None for a fresh table; a newer entry in the log makes
+        the commit raise ``ConcurrentCommitError``). ``changes`` holds each
+        touched partition's ``(changes, max_lsn)`` from the spill index and
+        ``metrics`` the exchange's stage metrics (none for a compaction);
+        ``directive_lineage`` is the in-flight recipe's field lineage."""
         changes = changes or {}
-        manifest = self.latest_manifest()
-        partitions = dict(manifest["partitions"]) if manifest else {}
-        deltas = {
-            k: list(v) for k, v in (manifest.get("deltas", {}) if manifest else {}).items()
-        }
+        partitions = dict(parent["partitions"]) if parent else {}
+        deltas = {k: list(v) for k, v in (parent or {}).get("deltas", {}).items()}
+        file_rows = dict(parent["file_rows"]) if parent else {}
         lineage_rec: dict = {}
         touched: set = set()
         for r in lineage:
             part = int(r["part"])
-            sub = int(r["sub"])
             is_delta = bool(r.get("delta", False))
-            dst_dir = posixpath.join(self.table_dir, "data", f"p{part:05d}")
-            self.fs.create_dir(dst_dir, recursive=True)
-            suffix = "-delta" if is_delta else ""
-            dst = posixpath.join(dst_dir, f"{txn_id}-s{sub:02d}{suffix}.parquet")
-            rel = posixpath.relpath(dst, self.table_dir)
-            if not fsio.exists(self.fs, dst):
-                self.fs.move(r["file"], dst)
+            rel = posixpath.relpath(r["file"], self.table_dir)
+            file_rows[rel] = int(r["rows"])
             key = str(part)
             if is_delta:
                 deltas.setdefault(key, []).append(rel)
@@ -767,43 +780,41 @@ class CdcTable:
             entry["rows"] += int(r["rows"])
             entry["sha256"].append(r["sha256"])
             entry["n_subs"] += 1
-        metrics = dict(getattr(self, "_last_metrics", {}))
+        metrics = dict(metrics or {})
         metrics["changes_applied"] = sum(
             lr["changes_applied"] for lr in lineage_rec.values()
         )
         metrics["partitions_rewritten"] = len(lineage_rec)
+        deltas = {k: v for k, v in deltas.items() if v}
+        # each live file's row count: carried forward from the parent,
+        # updated from this txn's lineage
+        file_rows = {
+            f: file_rows[f]
+            for files in list(partitions.values()) + list(deltas.values())
+            for f in files
+        }
         new_manifest = {
-            "version": (parent or 0) + 1,
-            "parent": parent,
+            "version": (parent["version"] if parent else 0) + 1,
+            "parent": parent["version"] if parent else None,
             "txn_id": txn_id,
             # per-directive field lineage of the in-flight recipe (empty when
             # the txn had no recipe)
-            "directive_lineage": getattr(self, "_directive_lineage", []),
+            "directive_lineage": directive_lineage or [],
             "watermark_lsn": int(watermark),
             "num_partitions": self.num_partitions,
             "partitions": partitions,
-            "deltas": {k: v for k, v in deltas.items() if v},
+            "deltas": deltas,
+            "file_rows": file_rows,
             "metrics": metrics,
             "lineage": lineage_rec,
-            # PHYSICAL row count: every live base file plus every live delta
-            # file (rows written this txn come from lineage; the rest from
-            # parquet metadata). Under MOR this includes shadowed rows and
-            # op='D' tombstones — they are physical rows until compaction
-            # folds them in; under pure COW it equals the logical count.
-            "total_rows": sum(
-                lr["rows"] for lr in lineage_rec.values()
-            )
-            + sum(
-                pq.read_metadata(
-                    posixpath.join(self.table_dir, f), filesystem=self.fs
-                ).num_rows
-                for files in list(partitions.values()) + list(deltas.values())
-                for f in files
-                if txn_id not in posixpath.basename(f)
-            ),
+            # PHYSICAL row count of every live base and delta file. Under
+            # MOR this includes shadowed rows and op='D' tombstones — they
+            # are physical rows until compaction folds them in; under pure
+            # COW it equals the logical count.
+            "total_rows": sum(file_rows.values()),
         }
         self._commit_manifest(new_manifest)
-        # post-commit: the txn's staging (markers, index, spills) is garbage
+        # post-commit: the txn's staging (index, spills, tmp files) is garbage
         fsio.delete_dir(self.fs, posixpath.join(self.table_dir, "staging", txn_id))
         return new_manifest
 
@@ -865,13 +876,13 @@ class CdcTable:
     def compact(self) -> dict:
         """Merge each multi-file (salted) partition — and fold any
         merge-on-read delta files back into the base — into one file per
-        partition. Transactional like any apply: staged files → atomic
+        partition. Transactional like any apply: txn-named outputs → atomic
         manifest commit; the watermark is unchanged. Run it when read
         amplification from deltas/subs outweighs the write win.
 
         Each partition is a ``MergePartition`` task with NO spills: a
         copy-on-write merge of zero changes is exactly a compaction (same LWW
-        fold, key sort, staged name and resume-skip as an apply)."""
+        fold, key sort, output name and resume-skip as an apply)."""
         m = self.latest_manifest()
         if not m:
             raise FileNotFoundError(f"no committed manifest in {self.table_dir}")
@@ -885,16 +896,15 @@ class CdcTable:
             for p in sorted(multi)
         ]
         lineage = self._run_merges(merge, items)
-        return self._finalize(
-            lineage, txn_id, m["watermark_lsn"], parent=m["version"]
-        )
+        return self._finalize(lineage, txn_id, m["watermark_lsn"], m)
 
     def vacuum(self, keep_versions: int = 2) -> dict:
         """Garbage-collect data files not referenced by the newest
         ``keep_versions`` manifests (copy-on-write keeps every txn's files on
         disk for time travel; vacuum bounds that), the manifests older than
-        those, and the staging dirs of committed versions. Returns counts.
-        Never touches the staging area of an in-flight transaction."""
+        those, and the staging dirs. Returns counts. Never touches the
+        outputs or staging dir of an in-flight transaction: one whose txn
+        version is past the latest version (``_txn_version``)."""
         m = self.latest_manifest()
         if not m:
             return {"removed_files": 0, "removed_manifests": 0}
@@ -912,16 +922,15 @@ class CdcTable:
         data_dir = posixpath.join(self.table_dir, "data")
         for full in fsio.list_parquet(self.fs, data_dir, recursive=True):
             rel = posixpath.normpath(posixpath.relpath(full, self.table_dir))
-            if rel not in referenced:
+            if rel not in referenced and _txn_version(posixpath.basename(full)) <= latest:
                 self.fs.delete_file(full)
                 removed += 1
         removed_manifests = fsio.log_prune(self.fs, self._log_dir, "manifest-", min(keep))
         staging = posixpath.join(self.table_dir, "staging")
         for d in fsio.list_subdirs(self.fs, staging):
             # a crash between a commit and its cleanup leaves the committed
-            # txn's staging dir behind (txn-<version>-…; txn-init-… is v1)
-            v = d.removeprefix("txn-").split("-")[0]
-            if d.startswith("txn-") and (int(v) if v.isdigit() else 1) <= latest:
+            # txn's staging dir behind
+            if _txn_version(d) <= latest:
                 fsio.delete_dir(self.fs, posixpath.join(staging, d))
         return {"removed_files": removed, "removed_manifests": removed_manifests}
 

@@ -355,6 +355,9 @@ class _PushdownRewriter(ast.NodeTransformer):
             and node.func.id in self.kernels
             and node.args
             and isinstance(node.args[0], ast.Name)
+            # an inner call already pushed down is no column: the outer call
+            # runs on its kernel result instead
+            and not node.args[0].id.startswith("__wr_pd")
             and all(isinstance(a, ast.Constant) for a in node.args[1:])
             and not node.keywords
         ):

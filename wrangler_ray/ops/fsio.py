@@ -23,9 +23,9 @@ Concurrency contract — what the create-if-absent is on each store:
   but two writers racing between the list and the PUT can both succeed and
   the later PUT replaces the earlier entry. Run one writer per table or
   index there (or put an external lock around commits).
-The log guards the COMMIT only. The data a writer stages before committing
-(an index increment directory, a table's staging/<txn>) is named by the
-version it targets. A writer that is already stale fails ``log_check``
+The log guards the COMMIT only. The data a writer writes before committing
+(an index increment directory, a table's ``txn-<version>-…`` output files)
+is named by the version it targets. A writer that is already stale fails ``log_check``
 before it touches that data, but two index writers running at the same
 time both write into the one increment directory, so the winner's
 committed increment can also hold the loser's files. One writer per
