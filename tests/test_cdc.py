@@ -965,3 +965,25 @@ def test_read_contract_on_salted_mor_table(tmp_path, stream, ray_session, monkey
     ds = table.read(columns=["text"], drop_internal=False)
     assert set(ds.schema().names) == {"text", "_lsn", "op"}
     assert ds.count() == full.num_rows
+
+
+def test_apply_and_compact_start_no_ray_data_execution(tmp_path, stream, ray_session,
+                                                        monkeypatch):
+    """The exchange of an apply (COW and MOR) and of ``compact()`` runs as
+    plain Ray tasks: with Ray Data's read, fan-out and gather made to raise
+    in the driver, each still commits the oracle's table."""
+    import ray.data as rd
+
+    table = _fresh_table(tmp_path, stream, ray_session)
+
+    def no_ray_data(*a, **k):
+        raise AssertionError("Ray Data execution started")
+
+    monkeypatch.setattr(rd, "read_parquet", no_ray_data)
+    monkeypatch.setattr(rd, "from_items", no_ray_data)
+    monkeypatch.setattr(rd.Dataset, "take_all", no_ray_data)
+    segs = stream["segments"]
+    assert table.apply_changes(segs[:2])["version"] == 2
+    assert table.apply_changes(segs[2:], mode="mor")["deltas"]
+    assert table.compact()["deltas"] == {}
+    assert_tables_equal(table.read_arrow(), replay_oracle(stream["base"], segs))

@@ -319,6 +319,91 @@ def test_cdc_rerun_after_commit_crash_rewrites_no_output(ray_session, tmp_path, 
     assert_tables_equal(table.read_arrow(), replay_oracle(info["base"], info["segments"]))
 
 
+def test_cdc_rerun_over_more_segments_after_commit_crash(ray_session, tmp_path, monkeypatch):
+    """A transaction is named by its input: the rerun of a crashed apply
+    over MORE segments is a new transaction, not a resume of the crashed
+    one's spills, so it applies every event it commits a watermark for;
+    ``vacuum()`` then removes the crashed attempt's outputs."""
+    import ray.data as rd
+
+    from wrangler_ray.cdc.engine import CdcTable
+    from wrangler_ray.cdc.generate import generate_change_stream
+    from wrangler_ray.cdc.oracle import assert_tables_equal, replay_oracle
+
+    info = generate_change_stream(str(tmp_path / "stream"), n_convs=20,
+                                  n_events=400, n_segments=4, seed=5)
+    segs = info["segments"]
+    lake = tmp_path / "lake"
+    table = CdcTable(str(lake), num_partitions=4)
+    table.init_from_snapshot(rd.read_parquet(info["base"]))
+
+    log_commit = fsio.log_commit
+    monkeypatch.setattr(fsio, "log_commit", _boom)
+    with pytest.raises(RuntimeError, match="simulated crash"):
+        table.apply_changes(segs[:2])
+    monkeypatch.setattr(fsio, "log_commit", log_commit)
+    crashed = set(lake.glob("data/p*/txn-00000002-*.parquet"))
+    assert crashed
+
+    m = table.apply_changes(segs)
+    assert m["version"] == 2
+    oracle = replay_oracle(info["base"], segs)
+    assert_tables_equal(table.read_arrow(), oracle)
+    table.vacuum()
+    assert not any(p.exists() for p in crashed)
+    assert list((lake / "staging").iterdir()) == []
+    assert table.apply_changes(segs)["version"] == 2
+    assert_tables_equal(table.read_arrow(), oracle)
+
+
+def _kill_once_fs(marker: str, match) -> pafs.PyFileSystem:
+    """Local disk through a ``PyFileSystem`` whose process exits, without
+    cleanup, the first time it opens for writing a path that ``match``
+    accepts: a worker killed mid-write. ``marker`` records the kill, so the
+    retried task writes through."""
+    from fsspec.implementations.local import LocalFileSystem
+
+    class KillOnce(pafs.FSSpecHandler):
+        def open_output_stream(self, path, metadata):
+            if match(path) and not os.path.exists(marker):
+                open(marker, "w").close()
+                os._exit(1)
+            return super().open_output_stream(path, metadata)
+
+    return pafs.PyFileSystem(KillOnce(LocalFileSystem()))
+
+
+@pytest.mark.parametrize("target", ["merge_output", "spill"])
+def test_cdc_apply_survives_worker_killed_mid_write(ray_session, tmp_path, target):
+    """A worker that dies while writing a merge output's tmp file or a
+    spill file is replaced and its task retried: the apply commits, and the
+    table equals the replay."""
+    import ray.data as rd
+
+    from wrangler_ray.cdc.engine import CdcTable
+    from wrangler_ray.cdc.generate import generate_change_stream
+    from wrangler_ray.cdc.oracle import assert_tables_equal, replay_oracle
+
+    info = generate_change_stream(str(tmp_path / "stream"), n_convs=20,
+                                  n_events=400, n_segments=4, seed=5)
+    lake = str(tmp_path / "lake")
+    CdcTable(lake, num_partitions=4).init_from_snapshot(rd.read_parquet(info["base"]))
+    marker = tmp_path / "killed"
+    if target == "merge_output":
+        def match(path):
+            return path.endswith(".parquet.tmp")
+    else:
+        def match(path):
+            name = posixpath.basename(path)
+            return name.startswith("spill-") and name.endswith(".arrow")
+    table = CdcTable(lake, num_partitions=4, filesystem=_kill_once_fs(str(marker), match))
+    m = table.apply_changes(info["segments"])
+    assert marker.exists()
+    assert m["version"] == 2
+    assert_tables_equal(CdcTable(lake, num_partitions=4).read_arrow(),
+                        replay_oracle(info["base"], info["segments"]))
+
+
 def test_cdc_vacuum_keeps_in_flight_outputs(ray_session, tmp_path, monkeypatch):
     """``vacuum()`` run between a crashed transaction and its rerun keeps
     the outputs of that in-flight transaction (its version is past the

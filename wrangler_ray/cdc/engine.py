@@ -2,47 +2,53 @@
 table via key-partitioned copy-on-write upsert (the north-rule core; all new
 design — the reference has no CDC machinery, see SURVEY.md §7).
 
-Pipeline shape (pure Ray Data; no raw tasks):
+Pipeline shape (the public API takes and returns Ray Datasets; the
+exchange inside an apply runs as plain Ray tasks, at most ``TASK_WINDOW``
+in flight, so an apply starts no Ray Data execution):
 
-    read_parquet(segments, schema=unified)            # additive schema unify
-      .filter(lsn > watermark)                        # resume point
-      [ .map_batches(DirectiveChain) ]                # in-flight wrangling
-      .map_batches(SpillWriter)                       # the exchange, map side:
-                                                      #   per-block LWW combine
-                                                      #   + ONE indexed Arrow-
-                                                      #   IPC spill file per
-                                                      #   block (record batch
-                                                      #   per partition), like
-                                                      #   a sort-based shuffle
+    spill task per group of pending segments          # the exchange, map side:
+      read (lsn > watermark pushed into the parquet   #   per-block LWW combine
+        read, additive schema unify)                  #   + ONE indexed Arrow-
+      [ → DirectiveChain ]   (in-flight wrangling)    #   IPC spill file per
+      → lsn renamed _lsn → SpillWriter                #   block (record batch
+      → index table (tiny)                            #   per partition), like a
+                                                      #   sort-based shuffle
                                                       #   map output
-    from_items(parts).map_batches(merge_partition)    # one merge task per
-      → lineage rows (tiny)                           # touched partition;
-                                                      # ranged reads of its
-                                                      # batches from the spills
+    merge task per (partition, salted sub)            # ranged reads of its
+      → MergePartition → lineage row (tiny)           # batches from the spills
     manifest commit: lineage (final names, row counts) → create the next
                      log entry; only that entry makes the outputs visible
 
-    from_items(parts).map_batches(read_partition)     # reads: one task per
-                                                      # partition, LWW inside
-                                                      # it — no shuffle
+    from_items(parts).map_batches(read_partition)     # reads: a lazy Dataset,
+                                                      # one task per partition,
+                                                      # LWW inside it — no
+                                                      # shuffle
+
+``init_from_snapshot`` feeds the blocks of its Dataset to the same spill
+task; ``compact()`` runs the same merge task with no spills.
 
 The transactional-manifest design (a numbered manifest log, copy-on-write
 file sets, merge-on-read deltas, compaction, vacuum, time travel) follows the
 public Delta Lake architecture (Armbrust et al., "Delta Lake: High-Performance
 ACID Table Storage over Cloud Object Stores", VLDB 2020 — see PAPERS.md),
-re-expressed over Ray Data with a filesystem spill exchange.
+re-expressed over Ray with a filesystem spill exchange.
 
-Exactly-once: each apply is a transaction keyed by (parent manifest version,
-target watermark). Each partition merge writes its output ONCE, under its
-final txn-named path in ``data/`` (a tmp file in ``staging/<txn>/``, then one
-move, so a file torn by a crash never sits at the final name); a partition
+Exactly-once: each apply is a transaction named by its parent manifest
+version, its watermark and a digest of its pending input (each segment's
+path, row count and footer max lsn), so only a rerun over the same input
+resumes a crashed attempt. Each partition merge writes its output ONCE,
+under its final txn-named path in ``data/`` (a tmp file in
+``staging/<txn>/``, then one move, so a file torn by a crash never sits at
+the final name); a partition
 whose output already exists is skipped (resume). No manifest names the file
 until the commit creates manifest ``parent + 1`` in the table's log, and
 only if it is absent (``fsio.log_commit``), so of two racing writers one
 commits and the other gets ``ConcurrentCommitError``. The manifest records
 each live file's row count (``file_rows``), so a commit reads no footer.
 Replaying any suffix of the binlog is idempotent because the merge is
-last-writer-wins on ``_lsn``.
+last-writer-wins on ``_lsn``. A task whose worker dies is retried by Ray
+(its default retries): a retried spill task writes a fresh attempt-unique
+file, and a retried merge finds its output at the final name or rewrites it.
 
 Deployment shape: ONE storage path. The table's durable state (manifests,
 data files) AND its spill exchange go through the table's ``pyarrow.fs``
@@ -59,11 +65,13 @@ Scale notes (100 TB design point):
   update storm on a hot conversation collapses before it moves.
 - Only changed partitions are rewritten (copy-on-write); untouched partition
   files carry forward in the manifest.
-- The lineage dataset is P rows — the only thing the driver materializes.
+- The driver gathers only the spill index (≤ blocks × partitions rows)
+  and the lineage (one row per merge task).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -286,12 +294,12 @@ class MergePartition:
     spill directory doubles as the resume checkpoint — the exchange lives on
     the table's own storage, Spark-external-shuffle style.
 
-    Runs as ``map_batches(batch_size=1)`` over rows of
-    (part: int32, sub: int32, n_subs: int32, spills: json
-    [[file, batch_index], ...], mor: bool) and returns ONE lineage row per
-    merge task. COW, MOR and compaction run the same steps: gather the
-    tables (its record batches of each spill, read through ``fs``, plus the
-    partition's current files unless MOR; schemas reconciled — additive
+    Called on a table of items (part: int32, sub: int32, n_subs: int32,
+    spills: json [[file, batch_index], ...], mor: bool); returns one
+    lineage row per item. The engine runs one Ray task per item. COW, MOR
+    and compaction run the same steps: gather the tables (its record
+    batches of each spill, read through ``fs``, plus the partition's
+    current files unless MOR; schemas reconciled — additive
     evolution null-backfills), keep this sub's rows, LWW on _lsn
     (``_lww_reduce`` for MOR, which keeps delete rows;
     ``apply_lww_semantics`` otherwise, which drops them), one (conv_id,
@@ -403,6 +411,64 @@ class MergePartition:
         )
 
 
+# spill or merge tasks in flight at once: bounds the driver's pending refs
+# and, for a snapshot, the Dataset blocks that queued tasks pin
+TASK_WINDOW = 32
+
+
+def _read_segments(schema: pa.Schema, watermark: int, chain, paths: list) -> pa.Table:
+    """Map-task input of an apply: one group of binlog segments (paths or
+    URIs) on the unified ``schema`` (a column a segment lacks is
+    null-backfilled), with only the rows past ``watermark`` leaving the
+    parquet read, then the in-flight ``chain`` and the lsn → _lsn rename."""
+    filters = pc.field("lsn") > watermark if watermark > 0 else None
+    t = pa.concat_tables([
+        pq.read_table(path, filesystem=fs, schema=schema, filters=filters)
+        for fs, path in map(fsio.resolve_fs, paths)
+    ])
+    if chain is not None and t.num_rows:
+        t = chain(t)
+    return t.rename_columns([LSN_COL if n == "lsn" else n for n in t.column_names])
+
+
+def _snapshot_block(snapshot_lsn: int, block) -> pa.Table:
+    """Map-task input of ``init_from_snapshot``: one block of the snapshot
+    Dataset, every row at ``snapshot_lsn``."""
+    from ray.data.block import BlockAccessor
+
+    t = BlockAccessor.for_block(block).to_arrow()
+    return t.append_column(LSN_COL, pa.array(np.full(t.num_rows, snapshot_lsn), pa.int64()))
+
+
+def _run_merges(merge: MergePartition, items: list[dict]) -> list[dict]:
+    """One merge task per (part, sub) item; their lineage rows."""
+    out = _run_tasks(merge, (pa.Table.from_pylist([i]) for i in items))
+    return pa.concat_tables(out).to_pylist()
+
+
+@functools.cache
+def _remote_call():
+    import ray
+
+    return ray.remote(lambda fn, arg: fn(arg))
+
+
+def _run_tasks(fn, args) -> list[pa.Table]:
+    """``fn(arg)`` as one Ray task per item of ``args`` (consumed lazily),
+    at most ``TASK_WINDOW`` in flight; ``fn`` is put in the object store
+    once. Returns the results in ``args`` order. The tasks keep Ray's
+    default retries on worker death."""
+    import ray
+
+    task, fn = _remote_call(), ray.put(fn)
+    refs = []
+    for arg in args:
+        if len(refs) >= TASK_WINDOW:
+            ray.wait(refs, num_returns=len(refs) - TASK_WINDOW + 1)
+        refs.append(task.remote(fn, arg))
+    return ray.get(refs)
+
+
 class CdcTable:
     """A partitioned Parquet lake table with manifest-based transactional
     commits (exactly-once sink, SURVEY.md §7.1 step 4).
@@ -492,22 +558,19 @@ class CdcTable:
     # -- init / apply ------------------------------------------------------
 
     def init_from_snapshot(self, ds, snapshot_lsn: int = 0) -> dict:
-        """Bootstrap the table from a base snapshot Dataset (lsn 0)."""
-
-        def add_cols(batch: pa.Table) -> pa.Table:
-            n = batch.num_rows
-            return batch.append_column(LSN_COL, pa.array([snapshot_lsn] * n, pa.int64()))
-
+        """Bootstrap the table from a base snapshot Dataset (lsn 0). Its
+        blocks stream, as Ray Data produces them, into the spill tasks."""
         txn_id = f"txn-init-{snapshot_lsn}"
-        prepped = ds.map_batches(add_cols, batch_format="pyarrow", zero_copy_batch=True)
-        lineage, changes, metrics = self._exchange_and_merge(prepped, txn_id, None)
+        blocks = (ref for b in ds.iter_internal_ref_bundles() for ref, _ in b.blocks)
+        lineage, changes, metrics = self._exchange_and_merge(
+            functools.partial(_snapshot_block, snapshot_lsn), blocks, txn_id, None
+        )
         return self._finalize(lineage, txn_id, snapshot_lsn, None, changes, metrics)
 
     def apply_changes(
         self,
         segment_paths: list[str],
         recipe: Optional[Union[str, list[str]]] = None,
-        batch_size: Optional[int] = None,
         mode: str = "cow",
     ) -> dict:
         """Tail the binlog: apply all events with lsn > watermark from the
@@ -521,8 +584,6 @@ class CdcTable:
         partitions whose pending changes are <20% of the base rows. MOR is
         what makes frequent small tail windows affordable at 10^10-event
         scale: COW would rewrite nearly the whole table every window."""
-        import ray.data as rd
-
         assert mode in ("cow", "mor", "auto")
         manifest = self.latest_manifest()
         watermark = manifest["watermark_lsn"] if manifest else 0
@@ -538,9 +599,7 @@ class CdcTable:
         # every binlog segment must carry an lsn — a stray non-segment file
         # (e.g. a snapshot parquet in the same directory) would otherwise
         # enter the merge with null lsns and silently corrupt LWW ordering
-        missing = [
-            p for p, s in zip(segment_paths, schemas) if "lsn" not in s.names
-        ]
+        missing = [p for p, s in zip(segment_paths, schemas) if "lsn" not in s.names]
         if missing:
             raise ValueError(
                 "apply_changes: segment(s) without an 'lsn' column: "
@@ -551,9 +610,7 @@ class CdcTable:
         schema = unified_schema(schemas)
 
         # prune fully-applied segments via parquet footer statistics
-        pending = []
-        max_lsn = watermark
-        pending_rows = 0
+        pending = []  # (path, rows, footer max lsn)
         for p, md in zip(segment_paths, metas):
             # the parquet leaf index of the top-level lsn column (a nested
             # column before it shifts leaf indices off the arrow ones)
@@ -566,25 +623,25 @@ class CdcTable:
             )
             if seg_max is not None and seg_max <= watermark:
                 continue  # fully applied already
-            pending.append(p)
-            pending_rows += md.num_rows
-            if seg_max is not None:
-                max_lsn = max(max_lsn, seg_max)
+            pending.append((p, md.num_rows, seg_max))
         if not pending:
             return manifest
+        max_lsn = max([watermark] + [m for _, _, m in pending if m is not None])
 
-        txn_id = f"txn-{(manifest['version'] if manifest else 0) + 1:08d}-{watermark}"
+        # the txn is named by its input: a rerun over a different pending
+        # set is a different txn and never resumes this one's spills
+        digest = hashlib.sha256(json.dumps(pending).encode()).hexdigest()[:12]
+        txn_id = f"txn-{(manifest['version'] if manifest else 0) + 1:08d}-{watermark}-{digest}"
 
         # Coalesce small binlog segments into ~256k-row map blocks: one spill
         # file per block, so exchange file count tracks data volume, not
         # segment count. Data-derived (never CPU-derived) so runs at any
         # parallelism level do identical work.
-        n_blocks = max(1, min(len(pending), -(-pending_rows // BLOCK_ROWS)))
-        ds = rd.read_parquet(pending, schema=schema, override_num_blocks=n_blocks)
-        if watermark > 0:
-            ds = ds.filter(expr=f"lsn > {watermark}")
+        rows = sum(r for _, r, _ in pending)
+        n_blocks = max(1, min(len(pending), -(-rows // BLOCK_ROWS)))
+        groups = [g.tolist() for g in np.array_split([p for p, _, _ in pending], n_blocks)]
 
-        directive_lineage: list = []
+        chain, directive_lineage = None, []
         if recipe is not None:
             from wrangler_ray.pipeline import DirectiveChain, compile_recipe
 
@@ -593,23 +650,9 @@ class CdcTable:
             # directive reads/writes in the committed manifest (reference
             # lineage/LineageOperations.java:38-80)
             directive_lineage = chain.lineage()
-            # batch_size=None → whole blocks: avoids rebatching between the
-            # fused read → chain → spill stages (directives are vectorized,
-            # so bigger batches only help)
-            ds = ds.map_batches(
-                chain, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=batch_size,
-            )
-
-        def rename_lsn(batch: pa.Table) -> pa.Table:
-            if "lsn" in batch.column_names:
-                names = [LSN_COL if n == "lsn" else n for n in batch.column_names]
-                return batch.rename_columns(names)
-            return batch
-
-        prepped = ds.map_batches(rename_lsn, batch_format="pyarrow", zero_copy_batch=True)
+        prep = functools.partial(_read_segments, schema, watermark, chain)
         lineage, changes, metrics = self._exchange_and_merge(
-            prepped, txn_id, manifest, mode=mode
+            prep, groups, txn_id, manifest, mode=mode
         )
         if not lineage:
             # every pending row was filtered by the watermark (footer stats
@@ -625,14 +668,16 @@ class CdcTable:
 
     def _exchange_and_merge(
         self,
-        prepped,
+        prep,
+        srcs,
         txn_id: str,
         parent: Optional[dict],
         mode: str = "cow",
     ) -> tuple[list[dict], dict[int, tuple], dict]:
-        """The exchange: map-side indexed IPC spill write (streaming, no
-        object-store shuffle) → one merge task per touched partition, onto
-        the files of the ``parent`` manifest (None for a fresh table).
+        """The exchange: one spill task per item of ``srcs``, each an
+        indexed IPC spill write of ``prep(src)`` (no object-store shuffle)
+        → one merge task per touched partition, onto the files of the
+        ``parent`` manifest (None for a fresh table).
         Returns the merge tasks' lineage rows, per touched partition
         ``(changes, max_lsn)`` summed from the spill index, and the stage
         metrics.
@@ -672,13 +717,11 @@ class CdcTable:
             fsio.delete_dir(self.fs, spill_dir)  # partial write, crashed run
             self.fs.create_dir(spill_dir, recursive=True)
             writer = SpillWriter(self.num_partitions, spill_dir, fs=self.fs)
-            index_rows = prepped.map_batches(
-                writer, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-            ).take_all()
+            index = _run_tasks(lambda src: writer(prep(src)), srcs)
             by_part: dict[int, list] = {}
-            for r in index_rows:
-                by_part.setdefault(int(r["part"]), []).append(
-                    [r["file"], int(r["batch_index"]), int(r["rows"]), int(r["max_lsn"])]
+            for r in pa.concat_tables(index).to_pylist() if index else []:
+                by_part.setdefault(r["part"], []).append(
+                    [r["file"], r["batch_index"], r["rows"], r["max_lsn"]]
                 )
             fsio.write_json_atomic(self.fs, index_path, by_part)
         metrics = {"exchange_write_s": round(_time.perf_counter() - _t0, 3)}
@@ -699,18 +742,13 @@ class CdcTable:
         }
         items = []
         for p, spills in sorted(by_part.items()):
-            pending = changes[p][0]
             # hot-partition detection from the index (no data read): a
             # partition whose pending rows exceed the split threshold is
             # merged by several salted sub-tasks instead of one straggler
-            n_subs = min(16, max(1, -(-pending // SPLIT_ROWS)))
-            spills_json = json.dumps([[s[0], s[1]] for s in spills])
-            mor = _use_mor(p, pending)
-            for sub in range(n_subs):
-                items.append(
-                    {"part": p, "sub": sub, "n_subs": n_subs, "spills": spills_json,
-                     "mor": mor}
-                )
+            n_subs = min(16, max(1, -(-changes[p][0] // SPLIT_ROWS)))
+            item = {"part": p, "n_subs": n_subs, "mor": _use_mor(p, changes[p][0]),
+                    "spills": json.dumps([[s[0], s[1]] for s in spills])}
+            items += [dict(item, sub=sub) for sub in range(n_subs)]
         if not items:
             return [], {}, metrics
         # a COW rewrite must absorb the partition's pending deltas too
@@ -719,23 +757,11 @@ class CdcTable:
             self.table_dir, txn_id, current_files=current_files,
             fs=self.fs, spill_dir=spill_dir,
         )
-        lineage = self._run_merges(merge, items)
+        lineage = _run_merges(merge, items)
         metrics["merge_s"] = round(_time.perf_counter() - _t0, 3)
         metrics["merge_tasks"] = len(items)
         metrics["spill_files"] = len({s[0] for spills in by_part.values() for s in spills})
         return lineage, changes, metrics
-
-    @staticmethod
-    def _run_merges(merge: MergePartition, items: list[dict]) -> list[dict]:
-        import ray.data as rd
-
-        # one block per item → one merge TASK per (part, sub) (a single block
-        # would serialize all merges into one task)
-        return (
-            rd.from_items(items, override_num_blocks=len(items))
-            .map_batches(merge, batch_format="pyarrow", batch_size=1)
-            .take_all()
-        )
 
     def _finalize(
         self, lineage: list[dict], txn_id: str, watermark: int,
@@ -895,7 +921,7 @@ class CdcTable:
             {"part": p, "sub": 0, "n_subs": 1, "spills": "[]", "mor": False}
             for p in sorted(multi)
         ]
-        lineage = self._run_merges(merge, items)
+        lineage = _run_merges(merge, items)
         return self._finalize(lineage, txn_id, m["watermark_lsn"], m)
 
     def vacuum(self, keep_versions: int = 2) -> dict:
