@@ -472,7 +472,8 @@ def test_concurrent_commit_rejected(tmp_path, stream, ray_session):
 
 def test_readers_on_table_from_empty_snapshot(tmp_path, ray_session):
     """A table committed from an empty snapshot has a manifest with no live
-    files: every reader returns zero rows instead of raising."""
+    files: every reader returns zero rows instead of raising, on the
+    snapshot's columns (the manifest keeps the schema)."""
     import pyarrow as pa
     import ray.data as rd
 
@@ -488,6 +489,10 @@ def test_readers_on_table_from_empty_snapshot(tmp_path, ray_session):
     assert table.read(columns=["text"]).take_all() == []
     assert table.read_arrow().num_rows == 0
     assert table.lookup_conversation("c0").num_rows == 0
+    assert table.read().schema().base_schema == empty.schema
+    assert table.read(columns=["text"]).schema().names == ["text"]
+    assert table.read_arrow().schema == empty.schema
+    assert table.lookup_conversation("c0").schema == empty.schema
 
 
 def test_read_column_pruning_and_point_lookup(tmp_path, stream, ray_session):
@@ -613,11 +618,16 @@ def test_manifest_without_file_rows_opens(tmp_path, stream, ray_session):
     assert m["file_rows"] == {
         f: footer_rows(f) for fs in m["partitions"].values() for f in fs
     }
+    before = table.read_arrow()
     path = lake / "manifests" / f"manifest-{m['version']:08d}.json"
     legacy = json.loads(path.read_text())
-    del legacy["file_rows"]
+    del legacy["file_rows"], legacy["schema"]
     path.write_text(json.dumps(legacy))
     assert table.latest_manifest()["file_rows"] == m["file_rows"]
+    # the schema comes from the same footers: same columns, same types
+    after = table.read_arrow()
+    assert sorted(after.column_names) == sorted(before.column_names)
+    assert after.select(before.column_names).equals(before)
 
     m2 = table.apply_changes(stream["segments"][2:], mode="auto")
     live = [f for fs in list(m2["partitions"].values()) + list(m2["deltas"].values())
@@ -987,3 +997,69 @@ def test_apply_and_compact_start_no_ray_data_execution(tmp_path, stream, ray_ses
     assert table.apply_changes(segs[2:], mode="mor")["deltas"]
     assert table.compact()["deltas"] == {}
     assert_tables_equal(table.read_arrow(), replay_oracle(stream["base"], segs))
+
+
+def test_readers_read_no_footer_on_the_driver(tmp_path, stream, ray_session, monkeypatch):
+    """Every reader takes the schema from the manifest: with the driver's
+    parquet footer reads made to raise, ``read()`` (with and without
+    ``columns=``), ``read_arrow()`` and ``lookup_conversation()`` still
+    return the table, merge-on-read deltas included."""
+    table = _fresh_table(tmp_path, stream, ray_session)
+    table.apply_changes(stream["segments"][:2])
+    table.apply_changes(stream["segments"][2:], mode="mor")
+    full = table.read_arrow()
+    conv = full.column("conv_id")[0].as_py()
+    expected = table.lookup_conversation(conv)
+
+    def no_footer(*a, **k):
+        raise AssertionError("driver read a parquet footer")
+
+    monkeypatch.setattr(pq, "read_schema", no_footer)
+    monkeypatch.setattr(pq, "read_metadata", no_footer)
+    assert table.read_arrow().equals(full)
+    assert table.lookup_conversation(conv).equals(expected)
+    assert table.read().count() == full.num_rows
+    pruned = table.read(columns=["conv_id", "text"])
+    assert pruned.schema().names == ["conv_id", "text"]
+    assert pruned.count() == full.num_rows
+
+
+def test_op_column_only_while_deltas_live(tmp_path, stream, ray_session):
+    """``op`` is in the table schema exactly while merge-on-read deltas are
+    live: once ``compact()`` folds the last delta, ``read(drop_internal=
+    False)`` has ``_lsn`` and no ``op``."""
+    table = _fresh_table(tmp_path, stream, ray_session)
+    assert "op" not in table.read(drop_internal=False).schema().names
+    table.apply_changes(stream["segments"], mode="mor")
+    assert "op" in table.read(drop_internal=False).schema().names
+    table.compact()
+    names = table.read(drop_internal=False).schema().names
+    assert "_lsn" in names and "op" not in names
+    assert "op" not in table.read_arrow(drop_internal=False).column_names
+
+
+def test_tail_reads_each_segment_footer_once(tmp_path, ray_session, monkeypatch):
+    """``tail(window_events=...)`` reads each segment's footer once on the
+    driver: the windows are cut from the same footer pass that prunes and
+    unifies the segments."""
+    import collections
+
+    info = generate_change_stream(str(tmp_path / "stream"), n_convs=20,
+                                  n_events=400, n_segments=4, seed=5)
+    import ray.data as rd
+
+    table = CdcTable(str(tmp_path / "lake"), num_partitions=4)
+    table.init_from_snapshot(rd.read_parquet(info["base"]))
+    reads = collections.Counter()
+    read_metadata = pq.read_metadata
+
+    def counting(path, *a, **k):
+        reads[os.path.basename(str(path))] += 1
+        return read_metadata(path, *a, **k)
+
+    monkeypatch.setattr(pq, "read_metadata", counting)
+    out = table.tail(os.path.dirname(info["segments"][0]), pattern="segment-*.parquet",
+                     window_events=100)
+    assert len(out) == 4
+    assert reads == {os.path.basename(p): 1 for p in info["segments"]}
+    assert_tables_equal(table.read_arrow(), replay_oracle(info["base"], info["segments"]))

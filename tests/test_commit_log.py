@@ -583,3 +583,140 @@ def test_legacy_meta_json_index_opens_and_appends(ray_session, tmp_path):
     batch = minhash_lsh_dedup(_doc_ds(texts, 0, 40), jaccard_threshold=0.7)
     assert sorted(kept) == sorted(batch.to_pandas()["doc_id"])
     assert MinHashDedupIndex(d, jaccard_threshold=0.7).meta["incr"] == 2
+
+
+def _crash_at_fs(counter: str, k: int) -> pafs.PyFileSystem:
+    """Local disk through a ``PyFileSystem`` that appends every mutating
+    call (``open_output_stream``, ``move``, ``delete_file``, ``delete_dir``,
+    ``create_dir``) as a ``<method> <path>`` line to the file ``counter``,
+    shared under a lock by the driver and every Ray worker the filesystem
+    is shipped to, and raises at the ``k``-th call and every later one, as
+    if the writer had died there (``k=0``: count only)."""
+    import fcntl
+
+    from fsspec.implementations.local import LocalFileSystem
+
+    def step(method, path):
+        with open(counter, "a+") as f:
+            fcntl.flock(f, fcntl.LOCK_EX)
+            f.seek(0)
+            n = len(f.readlines()) + 1
+            f.write(f"{method} {path}\n")
+        if k and n >= k:
+            raise OSError(f"injected crash at mutating call {n}")
+
+    class CrashAt(pafs.FSSpecHandler):
+        def open_output_stream(self, path, metadata):
+            step("open_output_stream", path)
+            return super().open_output_stream(path, metadata)
+
+        def move(self, src, dest):
+            step("move", src)
+            return super().move(src, dest)
+
+        def delete_file(self, path):
+            step("delete_file", path)
+            return super().delete_file(path)
+
+        def delete_dir(self, path):
+            step("delete_dir", path)
+            return super().delete_dir(path)
+
+        def create_dir(self, path, recursive):
+            step("create_dir", path)
+            return super().create_dir(path, recursive)
+
+    return pafs.PyFileSystem(CrashAt(LocalFileSystem()))
+
+
+@pytest.fixture(scope="module")
+def sweep_lakes(tmp_path_factory, ray_session):
+    """A small evolving stream and the tables the crash sweeps start from:
+    ``base`` (the snapshot), ``deltas`` (plus a merge-on-read apply: every
+    partition has a delta) and ``history`` (base, a COW apply, a MOR apply
+    and a compaction: four versions and their superseded files)."""
+    import ray.data as rd
+
+    from wrangler_ray.cdc.engine import CdcTable
+    from wrangler_ray.cdc.generate import generate_change_stream
+
+    d = tmp_path_factory.mktemp("sweep")
+    info = generate_change_stream(str(d / "stream"), n_convs=12, n_events=120,
+                                  n_segments=2, seed=3, evolve_schema_at_segment=1)
+    segs = info["segments"]
+    lakes = {name: str(d / name) for name in ("base", "deltas", "history")}
+    for lake in lakes.values():
+        CdcTable(lake, num_partitions=2).init_from_snapshot(rd.read_parquet(info["base"]))
+    CdcTable(lakes["deltas"], num_partitions=2).apply_changes(segs, mode="mor")
+    history = CdcTable(lakes["history"], num_partitions=2)
+    history.apply_changes(segs[:1])
+    history.apply_changes(segs[1:], mode="mor")
+    history.compact()
+    return info, lakes
+
+
+def _lake_files(lake: str) -> set:
+    return {
+        os.path.relpath(os.path.join(d, f), lake)
+        for d, _, files in os.walk(lake) for f in files
+    }
+
+
+@pytest.mark.parametrize("op, start, calls", [
+    # per sweep, the mutating calls of one uncrashed run by method: the
+    # table's three dirs, the exchange (spill dir reset, one spill file,
+    # the spill index: tmp + move), per partition merge (staging dir, tmp
+    # output, data dir, move), the log commit, the staging cleanup
+    ("cow", "base", {"create_dir": 8, "open_output_stream": 5, "move": 3, "delete_dir": 1}),
+    ("mor", "base", {"create_dir": 8, "open_output_stream": 5, "move": 3, "delete_dir": 1}),
+    ("compact", "deltas", {"create_dir": 7, "open_output_stream": 3, "move": 2, "delete_dir": 1}),
+    # six superseded data files (the snapshot's, the COW apply's, the
+    # deltas), the three manifests below the kept window
+    ("vacuum", "history", {"create_dir": 3, "delete_file": 9}),
+])
+def test_cdc_crash_sweep(sweep_lakes, tmp_path, op, start, calls):
+    """Crash a COW apply, a MOR apply, ``compact()`` and ``vacuum()`` at
+    every mutating filesystem call in turn, in the driver or a Ray worker:
+    after each crash the table, reopened on plain local disk, converges on
+    a rerun to the replay of the stream, on the schema of an uncrashed
+    run. The call counts are pinned, so a new write site joins the sweep."""
+    import collections
+    import shutil
+
+    from wrangler_ray.cdc.engine import CdcTable
+    from wrangler_ray.cdc.oracle import assert_tables_equal, replay_oracle
+
+    info, lakes = sweep_lakes
+    run = {
+        "cow": lambda t: t.apply_changes(info["segments"]),
+        "mor": lambda t: t.apply_changes(info["segments"], mode="mor"),
+        "compact": lambda t: t.compact(),
+        "vacuum": lambda t: t.vacuum(keep_versions=1),
+    }[op]
+    oracle = replay_oracle(info["base"], info["segments"])
+
+    def crash_at(k: int) -> tuple[str, str]:
+        lake, counter = str(tmp_path / f"lake-{k}"), str(tmp_path / f"calls-{k}")
+        shutil.copytree(lakes[start], lake)
+        run(CdcTable(lake, num_partitions=2, filesystem=_crash_at_fs(counter, k)))
+        return lake, counter
+
+    lake, counter = crash_at(0)
+    with open(counter) as f:
+        seen = collections.Counter(line.split()[0] for line in f)
+    assert dict(seen) == calls
+    ref = CdcTable(lake, num_partitions=2)
+    assert_tables_equal(ref.read_arrow(), oracle)
+    schema, files = ref.read_arrow().schema, _lake_files(lake)
+
+    for k in range(1, sum(calls.values()) + 1):
+        with pytest.raises(Exception, match="injected crash"):
+            crash_at(k)
+        lake = str(tmp_path / f"lake-{k}")
+        table = CdcTable(lake, num_partitions=2)
+        run(table)
+        got = table.read_arrow()
+        assert_tables_equal(got, oracle)
+        assert got.schema == schema, f"crash at call {k}"
+        if op == "vacuum":
+            assert _lake_files(lake) == files, f"crash at call {k}"

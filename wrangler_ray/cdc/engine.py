@@ -16,8 +16,9 @@ in flight, so an apply starts no Ray Data execution):
                                                       #   map output
     merge task per (partition, salted sub)            # ranged reads of its
       → MergePartition → lineage row (tiny)           # batches from the spills
-    manifest commit: lineage (final names, row counts) → create the next
-                     log entry; only that entry makes the outputs visible
+    manifest commit: lineage (final names, row counts, footer schemas)
+                     → create the next log entry, with the table schema;
+                     only that entry makes the outputs visible
 
     from_items(parts).map_batches(read_partition)     # reads: a lazy Dataset,
                                                       # one task per partition,
@@ -44,7 +45,9 @@ whose output already exists is skipped (resume). No manifest names the file
 until the commit creates manifest ``parent + 1`` in the table's log, and
 only if it is absent (``fsio.log_commit``), so of two racing writers one
 commits and the other gets ``ConcurrentCommitError``. The manifest records
-each live file's row count (``file_rows``), so a commit reads no footer.
+each live file's row count (``file_rows``), so a commit reads no footer, and
+the table's Arrow schema (``schema``: the parent's unified with the
+outputs' footer schemas at commit), so no reader reads one either.
 Replaying any suffix of the binlog is idempotent because the merge is
 last-writer-wins on ``_lsn``. A task whose worker dies is retried by Ray
 (its default retries): a retried spill task writes a fresh attempt-unique
@@ -71,11 +74,13 @@ Scale notes (100 TB design point):
 
 from __future__ import annotations
 
+import base64
 import functools
 import hashlib
 import json
 import logging
 import posixpath
+import uuid
 from typing import Optional, Union
 
 import numpy as np
@@ -129,36 +134,52 @@ def _file_digest(path: str, fs) -> str:
     return h.hexdigest()
 
 
+def _schema_str(schema: pa.Schema) -> str:
+    """``schema`` as the manifest keeps it: JSON-safe and exact (nested and
+    timestamp types included) — base64 of its Arrow IPC form."""
+    return base64.b64encode(schema.remove_metadata().serialize().to_pybytes()).decode()
+
+
+def _schema_of(text: str) -> pa.Schema:
+    return pa.ipc.read_schema(pa.py_buffer(base64.b64decode(text)))
+
+
+def _lww_index(
+    table: pa.Table, drop_deletes: bool = False, by: Optional[pa.Table] = None
+) -> pa.Array:
+    """The indices, in (conv_id, turn_idx) order, of the rows that win
+    last-writer-wins: ONE sort by the columns of ``by`` (default
+    ``(conv_id, turn_idx, _lsn)``; any order that groups each (conv_id,
+    turn_idx) with ``_lsn`` ascending works), keep the last row of each
+    (conv_id, turn_idx) run, and with ``drop_deletes`` drop a winner whose
+    ``op`` is 'D'. The caller gathers the rows with one ``take``."""
+    by = table.select([*KEY_COLS, LSN_COL]) if by is None else by
+    idx = pc.sort_indices(by, sort_keys=[(c, "ascending") for c in by.column_names])
+    keep = np.ones(len(idx), dtype=bool)
+    if len(idx) > 1:
+        # a row is last of its run iff its key differs from the next row's
+        # (null keys compare equal to each other)
+        differs = [
+            pc.fill_null(pc.not_equal(c[:-1], c[1:]),
+                         pc.not_equal(pc.is_null(c[:-1]), pc.is_null(c[1:])))
+            for c in (table.column(k).take(idx) for k in KEY_COLS)
+        ]
+        keep[:-1] = pc.or_(*differs).to_numpy(zero_copy_only=False)
+    if drop_deletes and "op" in table.column_names:
+        deleted = pc.fill_null(pc.equal(table.column("op").take(idx), "D"), False)
+        keep &= ~deleted.to_numpy(zero_copy_only=False)
+    return idx.filter(pa.array(keep))
+
+
 def apply_lww_semantics(table: pa.Table) -> pa.Table:
     """Full merge semantics over any mix of base + change/delta rows:
     last-writer-wins on _lsn per (conv_id, turn_idx), then deletes drop out
-    ('op' is null for base rows) and the op column is removed."""
-    merged = _lww_reduce(table)
-    if "op" in merged.column_names:
-        op = merged.column("op")
-        keep = pc.or_kleene(pc.is_null(op), pc.not_equal(op, "D"))
-        merged = merged.filter(pc.fill_null(keep, True))
-        merged = merged.drop_columns(["op"])
-    return merged
-
-
-def _lww_reduce(table: pa.Table) -> pa.Table:
-    """Keep the max-_lsn row per (conv_id, turn_idx). Vectorized:
-    sort by (key, _lsn) then take the last row of each key run."""
-    if table.num_rows <= 1:
-        return table
-    idx = pc.sort_indices(
-        table,
-        sort_keys=[("conv_id", "ascending"), ("turn_idx", "ascending"), (LSN_COL, "ascending")],
-    )
-    t = table.take(idx)
-    conv = t.column("conv_id").to_numpy(zero_copy_only=False)
-    turn = t.column("turn_idx").to_numpy(zero_copy_only=False)
-    # last-of-run mask: row i kept iff key[i] != key[i+1]
-    same_as_next = (conv[:-1] == conv[1:]) & (turn[:-1] == turn[1:])
-    keep = np.ones(len(conv), dtype=bool)
-    keep[:-1] = ~same_as_next
-    return t.filter(pa.array(keep))
+    ('op' is null for base rows) and the op column is removed. The result
+    is sorted by (conv_id, turn_idx)."""
+    keep = _lww_index(table, drop_deletes=True)
+    if "op" in table.column_names:
+        table = table.drop_columns(["op"])
+    return table.take(keep)
 
 
 def read_partition(
@@ -175,18 +196,19 @@ def read_partition(
     opens one dataset instead of one per file. A partition's files (its
     base file or salted subs, then its merge-on-read deltas) hold every row
     of its keys, so a reader never needs an exchange: LWW within the
-    partition is the whole merge."""
+    partition is the whole merge. No files read as no rows on ``schema``."""
     paths = [posixpath.join(table_dir, f) for f in files]
-    t = pq.read_table(paths, filesystem=fs, schema=schema, filters=filters)
+    t = (pq.read_table(paths, filesystem=fs, schema=schema, filters=filters)
+         if paths else schema.empty_table())
     return apply_lww_semantics(t) if lww else t
 
 
 class SpillWriter:
     """Map side of the exchange — the sort-shuffle map-output writer.
 
-    For each input block: assign partition ids, ONE sort by
-    ``(_part, conv_id, turn_idx, _lsn)`` (subsumes the combiner's LWW sort),
-    keep the max-_lsn row per key (hot-key update storms collapse here, before
+    For each input block: assign partition ids, then ONE ``_lww_index``
+    sort by ``(_part, conv hash, turn_idx, _lsn)`` and one gather keep the
+    max-_lsn row per key (hot-key update storms collapse here, before
     anything crosses the wire), then write the whole block as a single
     Arrow-IPC file with **one record batch per partition** and return the tiny
     ``(part, file, batch_index, rows, max_lsn)`` index; the driver sums it into
@@ -212,8 +234,6 @@ class SpillWriter:
         self.fs = fs if fs is not None else pafs.LocalFileSystem()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import uuid
-
         if batch.num_rows == 0:
             return self._index([], [], "", [], [])
         conv = batch.column("conv_id").to_numpy(zero_copy_only=False)
@@ -226,26 +246,13 @@ class SpillWriter:
         # re-applies full LWW, so ordering by surrogate is semantics-free.
         h = pd.util.hash_array(conv.astype(object), categorize=True)
         parts = (h % np.uint64(self.num_partitions)).astype(np.int32)
-        batch = batch.append_column(PART_COL, pa.array(parts, pa.int32()))
-        batch = batch.append_column("_ch", pa.array(h.astype(np.int64)))
-        idx = pc.sort_indices(
-            batch,
-            sort_keys=[
-                (PART_COL, "ascending"),
-                ("_ch", "ascending"),
-                ("turn_idx", "ascending"),
-                (LSN_COL, "ascending"),
-            ],
-        )
-        t = batch.take(idx).drop_columns(["_ch"])
-        conv = t.column("conv_id").to_numpy(zero_copy_only=False)
-        turn = t.column("turn_idx").to_numpy(zero_copy_only=False)
-        same_as_next = (conv[:-1] == conv[1:]) & (turn[:-1] == turn[1:])
-        keep = np.ones(len(conv), dtype=bool)
-        keep[:-1] = ~same_as_next
-        t = t.filter(pa.array(keep))
-        pvals = t.column(PART_COL).to_numpy(zero_copy_only=False)
-        t = t.drop_columns([PART_COL]).combine_chunks()
+        by = pa.table({
+            PART_COL: parts, "_ch": h.astype(np.int64),
+            "turn_idx": batch.column("turn_idx"), LSN_COL: batch.column(LSN_COL),
+        })
+        keep = _lww_index(batch, by=by)
+        t = batch.take(keep).combine_chunks()
+        pvals = parts[keep.to_numpy()]
         bounds = np.flatnonzero(np.diff(pvals)) + 1
         starts = np.concatenate(([0], bounds))
         ends = np.concatenate((bounds, [len(pvals)]))
@@ -300,10 +307,9 @@ class MergePartition:
     and compaction run the same steps: gather the tables (its record
     batches of each spill, read through ``fs``, plus the partition's
     current files unless MOR; schemas reconciled — additive
-    evolution null-backfills), keep this sub's rows, LWW on _lsn
-    (``_lww_reduce`` for MOR, which keeps delete rows;
-    ``apply_lww_semantics`` otherwise, which drops them), one (conv_id,
-    turn_idx) sort for the stable-turn-ordering invariant, one write to
+    evolution null-backfills), keep this sub's rows, LWW on _lsn (which
+    keeps delete rows for MOR and drops them otherwise, and leaves the rows
+    in the stable (conv_id, turn_idx) order), one write to
     the output's final name ``data/p<part>/<txn>-sNN[-delta].parquet`` (via
     a tmp file under ``staging/<txn>/`` and one move; only the manifest
     commit makes it visible). **Compaction** is a copy-on-write merge with
@@ -363,8 +369,8 @@ class MergePartition:
             if fsio.exists(self.fs, final):
                 # resume: already merged in a previous (crashed) attempt of
                 # the same transaction — idempotent skip, no spill is opened
-                rows = pq.read_metadata(final, filesystem=self.fs).num_rows
-                out.append(self._lineage(part, sub, final, rows, mor))
+                md = pq.read_metadata(final, filesystem=self.fs)
+                out.append(self._lineage(part, sub, final, md, mor))
                 continue
             # merge-on-read writes ONLY the LWW'd changes as a delta file
             # (deletes stay as op='D' rows so readers can suppress base
@@ -379,34 +385,38 @@ class MergePartition:
             if n_subs > 1:
                 turn = merged.column("turn_idx").to_numpy(zero_copy_only=False)
                 merged = merged.filter(pa.array(_turn_salt(turn, n_subs) == sub))
-            merged = _lww_reduce(merged) if mor else apply_lww_semantics(merged)
-            idx = pc.sort_indices(
-                merged, sort_keys=[("conv_id", "ascending"), ("turn_idx", "ascending")]
-            )
-            merged = merged.take(idx)
+            # LWW output is in (conv_id, turn_idx) order: the stable turn
+            # ordering every file keeps
+            merged = merged.take(_lww_index(merged)) if mor else apply_lww_semantics(merged)
             # the resume check trusts that the final name exists, so the
-            # file only gets there whole; <txn>-sNN repeats across
-            # partitions, so the tmp name carries the partition
+            # file only gets there whole. The tmp name is private to this
+            # attempt: a task still running from a failed apply never
+            # writes into the tmp file of the apply's rerun
             self.fs.create_dir(self.staging_dir, recursive=True)
-            tmp = posixpath.join(self.staging_dir, f"p{part:05d}-{name}.tmp")
+            tmp = posixpath.join(
+                self.staging_dir, f"p{part:05d}-{uuid.uuid4().hex}-{name}.tmp"
+            )
+            footer = []
             with self.fs.open_output_stream(tmp) as sink:
-                pq.write_table(merged, sink)
+                pq.write_table(merged, sink, metadata_collector=footer)
             self.fs.create_dir(posixpath.dirname(final), recursive=True)
             self.fs.move(tmp, final)
-            out.append(self._lineage(part, sub, final, merged.num_rows, mor))
+            out.append(self._lineage(part, sub, final, footer[0], mor))
         return pa.concat_tables(out)
 
-    def _lineage(self, part: int, sub: int, path: str, rows: int, mor: bool) -> pa.Table:
-        """What only this task knows; the driver adds the partition's change
-        counts from the spill index."""
+    def _lineage(self, part: int, sub: int, path: str, md: pq.FileMetaData, mor: bool) -> pa.Table:
+        """What only this task knows, ``md`` being the output's parquet
+        footer (its row count, and its schema as a reader sees it); the
+        driver adds the partition's change counts from the spill index."""
         return pa.table(
             {
                 "part": pa.array([part], pa.int32()),
                 "sub": pa.array([sub], pa.int32()),
-                "rows": pa.array([rows], pa.int64()),
+                "rows": pa.array([md.num_rows], pa.int64()),
                 "file": pa.array([path], pa.string()),
                 "sha256": pa.array([_file_digest(path, self.fs)], pa.string()),
                 "delta": pa.array([mor], pa.bool_()),
+                "schema": pa.array([_schema_str(md.schema.to_arrow_schema())], pa.string()),
             }
         )
 
@@ -414,6 +424,46 @@ class MergePartition:
 # spill or merge tasks in flight at once: bounds the driver's pending refs
 # and, for a snapshot, the Dataset blocks that queued tasks pin
 TASK_WINDOW = 32
+
+
+def _scan_segments(paths: list, watermark: int) -> tuple[pa.Schema, list]:
+    """ONE footer read per binlog segment (paths or URIs): the unified
+    schema of all of them (additive evolution), and the ``(path, rows,
+    footer max lsn)`` entries of the segments not fully applied at
+    ``watermark``, in ``paths`` order. Raises ValueError for a segment
+    without an ``lsn`` column."""
+    # metadata-only reads in parallel threads: pq footer parsing is C++ and
+    # releases the GIL, and at 10^4+ segments a serial loop is driver-bound
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=16) as ex:
+        metas = list(ex.map(pq.read_metadata, paths))
+    schemas = [m.schema.to_arrow_schema() for m in metas]
+    # every binlog segment must carry an lsn — a stray non-segment file
+    # (e.g. a snapshot parquet in the same directory) would otherwise
+    # enter the merge with null lsns and silently corrupt LWW ordering
+    missing = [p for p, s in zip(paths, schemas) if "lsn" not in s.names]
+    if missing:
+        raise ValueError(
+            f"apply_changes: segment(s) without an 'lsn' column: {', '.join(missing[:5])}"
+            f"{' …' if len(missing) > 5 else ''} — snapshots load via init_from_snapshot,"
+            " not the binlog"
+        )
+    pending = []
+    for p, md in zip(paths, metas):
+        # prune fully-applied segments via the footer statistics of the
+        # parquet leaf of the top-level lsn column (a nested column before
+        # it shifts leaf indices off the arrow ones)
+        i = [md.schema.column(j).path for j in range(md.num_columns)].index("lsn")
+        stats = [md.row_group(g).column(i).statistics for g in range(md.num_row_groups)]
+        # a row group without statistics could hold any lsn: no pruning;
+        # one without min/max holds only null lsns, which never apply
+        seg_max = None if any(st is None for st in stats) else max(
+            (st.max for st in stats if st.has_min_max), default=None
+        )
+        if seg_max is None or seg_max > watermark:
+            pending.append((p, md.num_rows, seg_max))
+    return unified_schema(schemas), pending
 
 
 def _read_segments(schema: pa.Schema, watermark: int, chain, paths: list) -> pa.Table:
@@ -484,8 +534,13 @@ class CdcTable:
         <dir>/staging/<txn>/spill-index.json     written once every spill is;
                                                  its existence = resume point
         <dir>/staging/<txn>/spills/spill-<uuid>.arrow   (the exchange)
-        <dir>/staging/<txn>/p<part>-<txn>-sNN[-delta].parquet.tmp
+        <dir>/staging/<txn>/p<part>-<uuid>-<txn>-sNN[-delta].parquet.tmp
                                                  an output being written
+
+    Each manifest names the live files (``partitions``, ``deltas``), their
+    row counts (``file_rows``) and the table schema (``schema``, base64 of
+    its Arrow IPC form); every reader takes the schema from there, so a
+    table committed from an empty snapshot keeps its columns.
 
     Everything, the spill exchange included, goes through ONE pyarrow.fs
     (``filesystem=``, a URI's filesystem, or local disk): merge tasks read
@@ -513,15 +568,18 @@ class CdcTable:
             m["partitions"] = {
                 k: [v] if isinstance(v, str) else v for k, v in m["partitions"].items()
             }
-            if "file_rows" not in m:
-                # written before manifests carried per-file row counts
-                m["file_rows"] = {
-                    f: pq.read_metadata(
-                        posixpath.join(self.table_dir, f), filesystem=self.fs
-                    ).num_rows
+            if "file_rows" not in m or "schema" not in m:
+                # written before manifests carried per-file row counts and
+                # the table schema: one footer read per live file fills both
+                footers = {
+                    f: pq.read_metadata(posixpath.join(self.table_dir, f), filesystem=self.fs)
                     for files in self._live_files(m).values()
                     for f in files
                 }
+                m.setdefault("file_rows", {f: md.num_rows for f, md in footers.items()})
+                m.setdefault("schema", _schema_str(unified_schema(
+                    [md.schema.to_arrow_schema() for md in footers.values()] or [pa.schema([])]
+                )))
         return m
 
     def latest_manifest(self) -> Optional[dict]:
@@ -559,13 +617,23 @@ class CdcTable:
 
     def init_from_snapshot(self, ds, snapshot_lsn: int = 0) -> dict:
         """Bootstrap the table from a base snapshot Dataset (lsn 0). Its
-        blocks stream, as Ray Data produces them, into the spill tasks."""
+        blocks stream, as Ray Data produces them, into the spill tasks. An
+        empty snapshot writes no file; its table keeps the Dataset's
+        columns."""
         txn_id = f"txn-init-{snapshot_lsn}"
         blocks = (ref for b in ds.iter_internal_ref_bundles() for ref, _ in b.blocks)
         lineage, changes, metrics = self._exchange_and_merge(
             functools.partial(_snapshot_block, snapshot_lsn), blocks, txn_id, None
         )
-        return self._finalize(lineage, txn_id, snapshot_lsn, None, changes, metrics)
+        schema = None
+        if not lineage:
+            s = ds.schema()
+            schema = pa.schema(
+                [(n, t if isinstance(t, pa.DataType) else pa.null())
+                 for n, t in zip(s.names, s.types)] if s is not None else []
+            ).append(pa.field(LSN_COL, pa.int64()))
+        return self._finalize(lineage, txn_id, snapshot_lsn, None, changes, metrics,
+                              schema=schema)
 
     def apply_changes(
         self,
@@ -584,46 +652,19 @@ class CdcTable:
         partitions whose pending changes are <20% of the base rows. MOR is
         what makes frequent small tail windows affordable at 10^10-event
         scale: COW would rewrite nearly the whole table every window."""
-        assert mode in ("cow", "mor", "auto")
         manifest = self.latest_manifest()
+        schema, pending = _scan_segments(
+            segment_paths, manifest["watermark_lsn"] if manifest else 0
+        )
+        return self._apply(manifest, schema, pending, recipe, mode)
+
+    def _apply(self, manifest: Optional[dict], schema: pa.Schema, pending: list,
+               recipe, mode: str) -> dict:
+        """Apply the ``pending`` segment entries of ``_scan_segments`` (read
+        on the unified ``schema``) onto ``manifest``: one transaction, or
+        none when nothing is past the watermark."""
+        assert mode in ("cow", "mor", "auto")
         watermark = manifest["watermark_lsn"] if manifest else 0
-
-        # additive schema unification across segment footers (metadata-only
-        # reads — parallel threads: pq footer parsing is C++ and releases the
-        # GIL, and at 10^4+ segments a serial loop would be driver-bound)
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=16) as ex:
-            metas = list(ex.map(pq.read_metadata, segment_paths))
-        schemas = [m.schema.to_arrow_schema() for m in metas]
-        # every binlog segment must carry an lsn — a stray non-segment file
-        # (e.g. a snapshot parquet in the same directory) would otherwise
-        # enter the merge with null lsns and silently corrupt LWW ordering
-        missing = [p for p, s in zip(segment_paths, schemas) if "lsn" not in s.names]
-        if missing:
-            raise ValueError(
-                "apply_changes: segment(s) without an 'lsn' column: "
-                + ", ".join(missing[:5])
-                + (" …" if len(missing) > 5 else "")
-                + " — snapshots load via init_from_snapshot, not the binlog"
-            )
-        schema = unified_schema(schemas)
-
-        # prune fully-applied segments via parquet footer statistics
-        pending = []  # (path, rows, footer max lsn)
-        for p, md in zip(segment_paths, metas):
-            # the parquet leaf index of the top-level lsn column (a nested
-            # column before it shifts leaf indices off the arrow ones)
-            i = [md.schema.column(j).path for j in range(md.num_columns)].index("lsn")
-            stats = [md.row_group(g).column(i).statistics for g in range(md.num_row_groups)]
-            # a row group without statistics could hold any lsn: no pruning;
-            # one without min/max holds only null lsns, which never apply
-            seg_max = None if any(st is None for st in stats) else max(
-                (st.max for st in stats if st.has_min_max), default=None
-            )
-            if seg_max is not None and seg_max <= watermark:
-                continue  # fully applied already
-            pending.append((p, md.num_rows, seg_max))
         if not pending:
             return manifest
         max_lsn = max([watermark] + [m for _, _, m in pending if m is not None])
@@ -767,6 +808,7 @@ class CdcTable:
         self, lineage: list[dict], txn_id: str, watermark: int,
         parent: Optional[dict], changes: Optional[dict] = None,
         metrics: Optional[dict] = None, directive_lineage: Optional[list] = None,
+        schema: Optional[pa.Schema] = None,
     ) -> dict:
         """Commit the manifest that makes this txn's outputs (already at
         their final names) visible, built on the ``parent`` manifest the txn
@@ -774,7 +816,12 @@ class CdcTable:
         the commit raise ``ConcurrentCommitError``). ``changes`` holds each
         touched partition's ``(changes, max_lsn)`` from the spill index and
         ``metrics`` the exchange's stage metrics (none for a compaction);
-        ``directive_lineage`` is the in-flight recipe's field lineage."""
+        ``directive_lineage`` is the in-flight recipe's field lineage.
+
+        The table schema is decided here, once: the parent's (or, for a
+        snapshot that wrote no file, ``schema``) unified with each output's
+        footer schema from the lineage, with ``op`` only while the table
+        has merge-on-read deltas (base files never hold it)."""
         changes = changes or {}
         partitions = dict(parent["partitions"]) if parent else {}
         deltas = {k: list(v) for k, v in (parent or {}).get("deltas", {}).items()}
@@ -812,6 +859,10 @@ class CdcTable:
         )
         metrics["partitions_rewritten"] = len(lineage_rec)
         deltas = {k: v for k, v in deltas.items() if v}
+        base = [_schema_of(parent["schema"])] if parent else [schema or pa.schema([])]
+        schema = unified_schema(base + [_schema_of(r["schema"]) for r in lineage])
+        if not deltas and "op" in schema.names:
+            schema = schema.remove(schema.get_field_index("op"))
         # each live file's row count: carried forward from the parent,
         # updated from this txn's lineage
         file_rows = {
@@ -831,6 +882,7 @@ class CdcTable:
             "partitions": partitions,
             "deltas": deltas,
             "file_rows": file_rows,
+            "schema": _schema_str(schema),
             "metrics": metrics,
             "lineage": lineage_rec,
             # PHYSICAL row count of every live base and delta file. Under
@@ -858,7 +910,9 @@ class CdcTable:
         pending events, in bounded LSN windows of ~``window_events`` rows per
         transaction (None = one transaction). Bounded windows are the
         resumable unit at 10^10-event scale: each window commits its own
-        manifest, so a crash re-tails from the last watermark. Returns the
+        manifest, so a crash re-tails from the last watermark. One footer
+        pass serves every window: windows are cut over the pending segments,
+        and each reads on the schema unified over all of them. Returns the
         manifests committed (empty list if nothing new). ``segment_dir``
         may be a local path or a filesystem URI (``s3://...``) — segments
         are listed through its pyarrow.fs, and URI segments keep their
@@ -877,26 +931,21 @@ class CdcTable:
         )
         if not segs:
             return []
-        windows = [segs]
-        if window_events:
-            windows, acc = [[]], 0
-            for p in segs:
-                rows = pq.read_metadata(p).num_rows
-                if windows[-1] and acc + rows > window_events:
-                    windows.append([])
-                    acc = 0
-                windows[-1].append(p)
-                acc += rows
+        manifest = self.latest_manifest()
+        schema, pending = _scan_segments(segs, manifest["watermark_lsn"] if manifest else 0)
+        windows, acc = [[]], 0
+        for e in pending:
+            if window_events and windows[-1] and acc + e[1] > window_events:
+                windows.append([])
+                acc = 0
+            windows[-1].append(e)
+            acc += e[1]
         out = []
-        before = self.latest_manifest()
-        version = before["version"] if before else None
         for w in windows:
-            m = self.apply_changes(w, recipe=recipe, mode=mode)
-            # compare versions, not identity: a no-op apply returns an
-            # equal-but-distinct manifest dict
-            if m and m["version"] != version:
+            m = self._apply(manifest, schema, w, recipe, mode)
+            if m is not manifest:  # a no-op apply returns its parent
                 out.append(m)
-                version = m["version"]
+            manifest = m
         return out
 
     def compact(self) -> dict:
@@ -978,12 +1027,6 @@ class CdcTable:
             raise FileNotFoundError(f"no committed manifest in {self.table_dir}")
         return m
 
-    def _footer_schema(self, files: list) -> pa.Schema:
-        return unified_schema([
-            pq.read_schema(posixpath.join(self.table_dir, f), filesystem=self.fs)
-            for f in files
-        ])
-
     def files(self, version: Optional[int] = None) -> list[str]:
         """All data files of the (versioned) manifest — base files plus any
         merge-on-read delta files."""
@@ -1008,10 +1051,10 @@ class CdcTable:
         shuffle is needed; a partition without deltas is read as stored
         (each file sorted by (conv_id, turn_idx); no order across files).
 
-        The schema is the union of the files' footers. ``columns`` prunes at
-        the parquet read (only the named columns leave storage); when deltas
-        exist the key and LWW columns are read too and dropped afterwards.
-        ``drop_internal`` drops ``_lsn`` and ``op``."""
+        The schema is the manifest's (no footer is read on the driver).
+        ``columns`` prunes at the parquet read (only the named columns leave
+        storage); when deltas exist the key and LWW columns are read too and
+        dropped afterwards. ``drop_internal`` drops ``_lsn`` and ``op``."""
         import ray.data as rd
 
         m = self._manifest(version)
@@ -1020,7 +1063,7 @@ class CdcTable:
             {"files": files, "lww": bool(deltas.get(p))}
             for p, files in self._live_files(m).items()
         ]
-        schema = self._footer_schema([f for i in items for f in i["files"]])
+        schema = _schema_of(m["schema"])
         drop = {LSN_COL, "op"} if drop_internal else set()
         if columns is not None:
             merged = any(i["lww"] for i in items)
@@ -1048,31 +1091,24 @@ class CdcTable:
         """Point lookup: hash the key to its partition and ``read_partition``
         ONLY that partition's files (plus its deltas), skipping the row
         groups whose conv_id statistics exclude the key — O(partition), not
-        O(table). Returns the conversation's turns in turn order, without
-        ``_lsn``."""
+        O(table). Returns the conversation's turns in turn order (LWW's
+        order, also over the salted subs of a partition without deltas),
+        without ``_lsn``."""
         m = self._manifest(version)
         part = str(int(_hash_partition(np.array([conv_id], dtype=object), m["num_partitions"])[0]))
-        deltas = m.get("deltas", {}).get(part, [])
-        files = m["partitions"].get(part, []) + deltas
-        if not files:
-            return pa.table({})
+        files = m["partitions"].get(part, []) + m.get("deltas", {}).get(part, [])
         out = read_partition(
-            self.fs, self.table_dir, files, self._footer_schema(files), bool(deltas),
+            self.fs, self.table_dir, files, _schema_of(m["schema"]), True,
             filters=pc.field("conv_id") == conv_id,
         )
-        out = out.take(pc.sort_indices(out, sort_keys=[("turn_idx", "ascending")]))
-        return out.drop_columns([c for c in (LSN_COL, "op") if c in out.column_names])
+        return out.drop_columns([LSN_COL])
 
     def read_arrow(self, drop_internal: bool = True, version: Optional[int] = None) -> pa.Table:
         """Driver-side read for tests/small tables: ``read_partition`` over
-        every live file, sorted by (conv_id, turn_idx)."""
-        files = [f for fl in self._live_files(self._manifest(version)).values() for f in fl]
-        if not files:  # a table committed from an empty snapshot
-            return pa.table({})
-        out = read_partition(self.fs, self.table_dir, files, self._footer_schema(files), True)
-        out = out.take(pc.sort_indices(
-            out, sort_keys=[("conv_id", "ascending"), ("turn_idx", "ascending")]
-        ))
+        every live file, sorted by (conv_id, turn_idx) (the LWW order)."""
+        m = self._manifest(version)
+        files = [f for fl in self._live_files(m).values() for f in fl]
+        out = read_partition(self.fs, self.table_dir, files, _schema_of(m["schema"]), True)
         if drop_internal:
             out = out.drop_columns([LSN_COL])
         return out
