@@ -1044,10 +1044,10 @@ def test_tail_reads_each_segment_footer_once(tmp_path, ray_session, monkeypatch)
     unifies the segments."""
     import collections
 
-    info = generate_change_stream(str(tmp_path / "stream"), n_convs=20,
-                                  n_events=400, n_segments=4, seed=5)
     import ray.data as rd
 
+    info = generate_change_stream(str(tmp_path / "stream"), n_convs=20,
+                                  n_events=400, n_segments=4, seed=5)
     table = CdcTable(str(tmp_path / "lake"), num_partitions=4)
     table.init_from_snapshot(rd.read_parquet(info["base"]))
     reads = collections.Counter()
