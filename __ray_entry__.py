@@ -482,14 +482,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         return exact_dedup(_read(sf_dir, "documents"))
 
-    def dedup_exact_hash_ids_docs(sf_dir):
-        # the exchange-light path: only (hash128, id) rows shuffle, survivors
-        # kept by a broadcast map-side filter — must equal the full-row
-        # exchange (same SQL oracle as dedup_exact_docs)
-        from wrangler_ray.ops.dedup import exact_dedup
-
-        return exact_dedup(_read(sf_dir, "documents"), method="hash_ids")
-
     # oracled since r5 (VERDICT r4 #7): minhash/ngram dedup DECIDE by exact
     # shingle-set Jaccard on LSH candidates, so a SQL oracle computing the
     # FULL exact-Jaccard graph (char-5-grams → pairwise Jaccard ≥ t →
@@ -1794,7 +1786,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # -- new in round 4
         "dedup_index_pruned_invariant": dedup_index_pruned_invariant,
         "source_avro_roundtrip": source_avro_roundtrip,
-        "dedup_exact_hash_ids_docs": dedup_exact_hash_ids_docs,
         "similarity_multiquery_topk": similarity_multiquery_topk,
         "training_prep_pipeline": training_prep_pipeline,
         "dedup_index_compacted_invariant": dedup_index_compacted_invariant,
@@ -1980,12 +1971,6 @@ def oracle_sql() -> dict[str, str]:
             FROM documents
         """,
         "dedup_exact_docs": """
-            SELECT d.doc_id, d.text, d.lang, d.source, d.n_chars
-            FROM documents d
-            JOIN (SELECT min(doc_id) AS doc_id FROM documents GROUP BY text) k
-              ON d.doc_id = k.doc_id
-        """,
-        "dedup_exact_hash_ids_docs": """
             SELECT d.doc_id, d.text, d.lang, d.source, d.n_chars
             FROM documents d
             JOIN (SELECT min(doc_id) AS doc_id FROM documents GROUP BY text) k

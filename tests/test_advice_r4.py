@@ -38,9 +38,10 @@ def test_exact_dedup_keeps_null_text_rows(ray_session):
 
 
 def test_exact_dedup_hash_ids_matches_full(ray_session):
-    """method='hash_ids' (shuffle (hash128, id) only + broadcast filter)
-    keeps exactly the same survivors as the full-row exchange — nulls and
-    multi-block layouts included."""
+    """The one exact-dedup exchange (full rows, compared by value) keeps the
+    min id per distinct text — nulls and multi-block layouts included. The
+    exchange-light ``method="hash_ids"`` that once had to match it is gone,
+    and so is the ``method=`` option."""
     import ray.data as rd
 
     from wrangler_ray.ops.dedup import exact_dedup
@@ -52,43 +53,10 @@ def test_exact_dedup_hash_ids_matches_full(ray_session):
         "text": pa.array(texts, pa.string()),
     })).repartition(5)
     full = sorted(exact_dedup(ds).to_pandas()["doc_id"])
-    light = sorted(exact_dedup(ds, method="hash_ids").to_pandas()["doc_id"])
-    assert light == full == [0, 1, 2, 3, 4, 5, 6, 40, 42]
+    assert full == [0, 1, 2, 3, 4, 5, 6, 40, 42]
 
-    with pytest.raises(ValueError, match="method"):
-        exact_dedup(ds, method="bogus")
-
-
-def test_minhash_pre_exact_hash_ids_matches_default(ray_session):
-    """pre_exact='hash_ids' (exchange-light pre-pass) keeps exactly the
-    default pre-pass survivors through the full LSH pipeline."""
-    import ray.data as rd
-
-    from wrangler_ray.ops.dedup import minhash_lsh_dedup
-
-    base = [
-        "the quick brown fox jumps over the lazy dog and runs far away",
-        "a completely different document about streaming dataflow engines",
-    ]
-    texts, ids = [], []
-    i = 0
-    for t in base:
-        for sfx in ("", "", "!", " indeed"):
-            texts.append(t + sfx)
-            ids.append(i)
-            i += 1
-    ds = rd.from_arrow(pa.table({
-        "doc_id": pa.array(ids, pa.int64()),
-        "text": pa.array(texts, pa.string()),
-    })).repartition(3)
-    default = sorted(
-        minhash_lsh_dedup(ds, jaccard_threshold=0.7).to_pandas()["doc_id"]
-    )
-    light = sorted(
-        minhash_lsh_dedup(ds, jaccard_threshold=0.7, pre_exact="hash_ids")
-        .to_pandas()["doc_id"]
-    )
-    assert light == default
+    with pytest.raises(TypeError, match="method"):
+        exact_dedup(ds, method="full")
 
 
 def test_minhash_pre_exact_keeps_null_text_rows(ray_session):
@@ -317,7 +285,6 @@ def test_ops_total_on_empty_input(ray_session):
         "embedding": pa.array([], pa.list_(pa.float32())),
     }))
     assert exact_dedup(docs).count() == 0
-    assert exact_dedup(docs, method="hash_ids").count() == 0
     assert minhash_lsh_dedup(docs).count() == 0
     assert simhash_dedup(docs).count() == 0
     assert embedding_dedup(vecs).count() == 0

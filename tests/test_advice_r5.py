@@ -10,11 +10,12 @@ from wrangler_ray.ops.dedup import exact_dedup
 
 
 def test_hash_ids_null_text_never_collides_with_none_string(ray_session):
-    """ADVICE r4 (medium): pd.util.hash_array stringifies None, so a null
-    text used to collide with the literal string "None" under
-    method='hash_ids' and one row was wrongly dropped. Nulls now carry an
-    h2 sentinel: all nulls dedup to ONE representative (matching
-    method='full' dropna=False), and 'None' strings survive separately."""
+    """ADVICE r4 (medium): a null text must not collide with the literal
+    string "None" (``pd.util.hash_array`` stringifies None, so the two hash
+    alike). The exchange compares texts by value: all nulls dedup to ONE
+    representative (``dropna=False``) and 'None' strings survive
+    separately. (The name is kept from the removed ``method="hash_ids"``
+    exchange this once compared against.)"""
     df = pd.DataFrame(
         {
             "doc_id": [1, 2, 3, 4, 5, 6, 7],
@@ -23,31 +24,28 @@ def test_hash_ids_null_text_never_collides_with_none_string(ray_session):
     )
     ds = rd.from_pandas(df)
     full = sorted(exact_dedup(ds).to_pandas()["doc_id"])
-    light = sorted(exact_dedup(ds, method="hash_ids").to_pandas()["doc_id"])
-    assert full == light == [1, 2, 4, 5]
+    assert full == [1, 2, 4, 5]
 
 
 def test_hash_ids_dropped_ids_stay_distributed(ray_session):
-    """VERDICT r4 weak #1: the dropped-id set must never be concatenated on
-    the driver. The filter stage now reads id-sorted object-store blocks
-    with range pruning; survivors must still exactly match method='full'
-    on a corpus large enough to produce several dropped-id blocks."""
+    """Survivors on a corpus spread over several blocks, with duplicates
+    across blocks: one per distinct text, the min id. (The name is kept
+    from the removed ``method="hash_ids"`` exchange, whose dropped-id set
+    this once checked.)"""
     rng = np.random.RandomState(7)
     n = 4000
     texts = [f"doc body {i % 900}" for i in range(n)]  # ~3.1k dups
     df = pd.DataFrame({"doc_id": rng.permutation(n), "text": texts})
     ds = rd.from_pandas(df).repartition(8)
     full = sorted(exact_dedup(ds).to_pandas()["doc_id"])
-    light = sorted(exact_dedup(ds, method="hash_ids").to_pandas()["doc_id"])
-    assert full == light
+    assert full == sorted(df.groupby("text")["doc_id"].min())
     assert len(full) == 900
 
 
 def test_hash_ids_no_duplicates_is_identity(ray_session):
-    """No-dup corpus → the dropped set is empty (possibly an empty sort
-    block with a degenerate schema); the input must pass through intact."""
+    """No-dup corpus: the input must pass through intact."""
     df = pd.DataFrame({"doc_id": [3, 1, 2], "text": ["x", "y", "z"]})
-    out = exact_dedup(rd.from_pandas(df), method="hash_ids").to_pandas()
+    out = exact_dedup(rd.from_pandas(df)).to_pandas()
     assert sorted(out["doc_id"]) == [1, 2, 3]
 
 
@@ -186,10 +184,14 @@ def test_cdc_resume_survives_lost_spill_scratch(
     assert_tables_equal(table2.read_arrow(), oracle)
 
 
-def test_avro_union_bool_promotes_when_no_boolean_branch():
+def test_avro_union_bool_promotes_when_no_boolean_branch(caplog):
     """ADVICE r5: True under ["null","long"] must encode (bool is an int in
     Python and pre-typed-matching writers accepted it) — via int promotion,
-    while a union WITH a boolean branch still picks boolean."""
+    while a union WITH a boolean branch still picks boolean. The promotion
+    is logged: one warning per call, naming the union; a call that
+    promotes nothing logs nothing."""
+    import logging
+
     from wrangler_ray.directives.avro_reader import read_container
     from wrangler_ray.ops.avro_writer import write_container
 
@@ -212,6 +214,13 @@ def test_avro_union_bool_promotes_when_no_boolean_branch():
     assert got[0]["flag_long"] == 1 and got[0]["flag_bool"] is True
     assert got[1]["flag_long"] == 0 and got[1]["flag_bool"] == 7
     assert got[2]["flag_long"] is None and got[2]["flag_bool"] is None
+    warned = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warned) == 1
+    assert warned[0].getMessage().endswith('boolean branch: ["null", "long"]')
+
+    caplog.clear()
+    write_container(schema, [{"flag_long": 5, "flag_bool": False}])
+    assert not [r for r in caplog.records if r.levelno == logging.WARNING]
 
 
 def test_sign_texts_byte_identical_to_per_doc_path():
@@ -493,43 +502,24 @@ def test_exact_dedup_keeps_large_string_schema(ray_session):
         "doc_id": pa.array([5, 6, 7], pa.int64()),
         "text": pa.array(["a", "c", "d"], pa.large_string()),
     })
-    for method in ("full", "hash_ids"):
-        out = exact_dedup(rd.from_arrow([dups, uniq]), method=method)
-        blocks = [ray.get(r) for r in out.to_arrow_refs()]
-        assert {b.schema.field("text").type for b in blocks if b.num_rows} == {
-            pa.large_string()
-        }, method
-        got = pa.concat_tables([b for b in blocks if b.num_rows])
-        assert sorted(got.column("doc_id").to_pylist()) == [1, 2, 6, 7], method
+    out = exact_dedup(rd.from_arrow([dups, uniq]))
+    blocks = [ray.get(r) for r in out.to_arrow_refs()]
+    assert {b.schema.field("text").type for b in blocks if b.num_rows} == {
+        pa.large_string()
+    }
+    got = pa.concat_tables([b for b in blocks if b.num_rows])
+    assert sorted(got.column("doc_id").to_pylist()) == [1, 2, 6, 7]
 
 
 def test_exact_dedup_keeps_null_id_rows(ray_session):
-    """ADVICE r5: null ids cannot be ranked, so no method drops a null-id
-    row (as the broadcast filter before range pruning did); the hash_ids
-    filter takes its range bounds over non-null ids only — string ids with
-    nulls used to raise comparing None with str."""
+    """ADVICE r5: null ids cannot be ranked, so a null-id row is never
+    dropped — string ids with nulls included."""
     t = pa.table({
         "doc_id": pa.array(["d1", None, "d3", None, "d5", "d6", None],
                            pa.string()),
         "text": pa.array(["a", "a", "b", "c", "a", "b", "c"], pa.string()),
     })
-    for method in ("full", "hash_ids"):
-        out = exact_dedup(rd.from_arrow(t).repartition(3), method=method)
-        ids = out.to_pandas()["doc_id"].tolist()
-        assert sorted(i for i in ids if i is not None) == ["d1", "d3"], method
-        assert sum(i is None for i in ids) == 3, method
-
-
-def test_drop_block_cache_skips_oversized_block(monkeypatch):
-    """ADVICE r5: a dropped-id block larger than the cache cap alone is not
-    cached — it used to clear the whole working set and be inserted
-    anyway, breaking the bound."""
-    from wrangler_ray.ops import dedup
-
-    monkeypatch.setattr(dedup, "_DROP_BLOCK_CACHE", {})
-    monkeypatch.setattr(dedup, "_DROP_CACHE_MAX_ELEMS", 10)
-    dedup._cache_drop_block("a", np.arange(6))
-    dedup._cache_drop_block("big", np.arange(11))
-    assert set(dedup._DROP_BLOCK_CACHE) == {"a"}
-    dedup._cache_drop_block("b", np.arange(6))  # full: evict, then insert
-    assert set(dedup._DROP_BLOCK_CACHE) == {"b"}
+    out = exact_dedup(rd.from_arrow(t).repartition(3))
+    ids = out.to_pandas()["doc_id"].tolist()
+    assert sorted(i for i in ids if i is not None) == ["d1", "d3"]
+    assert sum(i is None for i in ids) == 3

@@ -404,6 +404,33 @@ def test_cdc_apply_survives_worker_killed_mid_write(ray_session, tmp_path, targe
                         replay_oracle(info["base"], info["segments"]))
 
 
+@pytest.mark.parametrize("window, n", [(32, 4), (2, 6)])
+def test_run_tasks_failure_stops_sibling_tasks(ray_session, tmp_path, monkeypatch,
+                                               window, n):
+    """When one task of an apply fails, the others stop: none that was
+    still sleeping writes its marker after the error reaches the caller,
+    and past a full window no new task starts."""
+    import time
+
+    from wrangler_ray.cdc import engine
+
+    monkeypatch.setattr(engine, "TASK_WINDOW", window)
+    marks = str(tmp_path / "marks")
+    os.mkdir(marks)
+
+    def work(i):
+        if i == 0:
+            raise ValueError("task 0 failed")
+        time.sleep(1.0)
+        open(os.path.join(marks, str(i)), "w").close()
+        return pa.table({"i": [i]})
+
+    with pytest.raises(ValueError, match="task 0 failed"):
+        engine._run_tasks(work, range(n))
+    time.sleep(2.0)
+    assert os.listdir(marks) == []
+
+
 def test_cdc_vacuum_keeps_in_flight_outputs(ray_session, tmp_path, monkeypatch):
     """``vacuum()`` run between a crashed transaction and its rerun keeps
     the outputs of that in-flight transaction (its version is past the
@@ -720,3 +747,111 @@ def test_cdc_crash_sweep(sweep_lakes, tmp_path, op, start, calls):
         assert got.schema == schema, f"crash at call {k}"
         if op == "vacuum":
             assert _lake_files(lake) == files, f"crash at call {k}"
+
+
+@pytest.fixture(scope="module")
+def sweep_indexes(tmp_path_factory, ray_session):
+    """The indexes the index crash sweeps start from, on plain disk: a v2
+    dedup index with ``sig_parts=2`` after one increment (``dedup_one``,
+    docs 0–20) and after two (``dedup_two``, docs 0–10 and 10–20); an IVF
+    index built over vectors 0–30 (``ivf_one``) and then appended 30–45
+    (``ivf_two``)."""
+    from wrangler_ray.ops.ann_index import IvfIndex
+    from wrangler_ray.ops.dedup_index import MinHashDedupIndex
+
+    d = tmp_path_factory.mktemp("index_sweep")
+    texts = _docs()
+    vecs = np.random.RandomState(9).randn(60, 8).astype(np.float32)
+    dirs = {name: str(d / name) for name in ("dedup_one", "dedup_two", "ivf_one", "ivf_two")}
+    MinHashDedupIndex(dirs["dedup_one"], jaccard_threshold=0.7, sig_parts=2).dedup_increment(
+        _doc_ds(texts, 0, 20))
+    two = MinHashDedupIndex(dirs["dedup_two"], jaccard_threshold=0.7, sig_parts=2)
+    two.dedup_increment(_doc_ds(texts, 0, 10))
+    two.dedup_increment(_doc_ds(texts, 10, 20))
+    for name in ("ivf_one", "ivf_two"):
+        IvfIndex(dirs[name]).build(_vec_ds(vecs, 0, 30), num_clusters=4, seed=3)
+    IvfIndex(dirs["ivf_two"]).append(_vec_ds(vecs, 30, 45))
+    return texts, vecs, dirs
+
+
+def _dedup_index_state(idx) -> tuple:
+    """The survivor ids an index holds, as its texts, its signatures and its
+    band rows (one per band per survivor) each list them."""
+    texts = idx.texts_for(np.arange(1000)).to_pandas()[idx.meta["id_col"]]
+    sigs = idx.sigs_for(None).to_pandas()[idx.meta["id_col"]]
+    bands = idx.banded_for(np.arange(idx.sig_parts)).to_pandas()[idx.meta["id_col"]]
+    return sorted(texts), sorted(sigs), sorted(bands)
+
+
+@pytest.mark.parametrize("op, start, calls", [
+    # per sweep, the mutating calls of one uncrashed run by method. An
+    # increment: per kind (texts, signatures, bands) the increment dir and
+    # one file per written block (bands: per pb=J partition dir too), then
+    # the log entry. A compaction: the same for every re-sorted block, the
+    # log entry, then the superseded increment dirs and log entries
+    ("dedup_increment", "dedup_one", {"create_dir": 7, "open_output_stream": 5}),
+    ("dedup_compact", "dedup_two",
+     {"create_dir": 35, "open_output_stream": 33, "delete_dir": 6, "delete_file": 2}),
+    ("ivf_append", "ivf_one", {"create_dir": 5, "open_output_stream": 5}),
+    ("ivf_compact", "ivf_two",
+     {"create_dir": 9, "open_output_stream": 9, "delete_dir": 2, "delete_file": 2}),
+])
+def test_index_crash_sweep(sweep_indexes, tmp_path, op, start, calls):
+    """Crash an increment and a compaction of each index at every mutating
+    filesystem call in turn, in the driver or a Ray worker: after each
+    crash the index, reopened on plain local disk, converges on a rerun.
+    The dedup index then holds exactly the survivors of a batch
+    ``minhash_lsh_dedup`` over the whole input, in its texts, signatures
+    and band rows; the IVF index answers as an uncrashed run does. The
+    call counts are pinned, so a new write site joins the sweep."""
+    import collections
+    import shutil
+
+    from wrangler_ray.ops.ann_index import IvfIndex
+    from wrangler_ray.ops.dedup import minhash_lsh_dedup
+    from wrangler_ray.ops.dedup_index import MinHashDedupIndex
+
+    texts, vecs, dirs = sweep_indexes
+    if op.startswith("dedup"):
+        def open_index(d, fs=None):
+            return MinHashDedupIndex(d, jaccard_threshold=0.7, sig_parts=2, filesystem=fs)
+    else:
+        def open_index(d, fs=None):
+            return IvfIndex(d, filesystem=fs)
+    run = {
+        "dedup_increment": lambda i: i.dedup_increment(_doc_ds(texts, 20, 30)),
+        "dedup_compact": lambda i: i.compact(),
+        "ivf_append": lambda i: i.append(_vec_ds(vecs, 30, 45)),
+        "ivf_compact": lambda i: i.compact(),
+    }[op]
+
+    def crash_at(k: int) -> tuple[str, str]:
+        d, counter = str(tmp_path / f"index-{k}"), str(tmp_path / f"calls-{k}")
+        shutil.copytree(dirs[start], d)
+        run(open_index(d, _crash_at_fs(counter, k)))
+        return d, counter
+
+    def state(d: str):
+        idx = open_index(d)
+        if op.startswith("dedup"):
+            return idx.count, _dedup_index_state(idx)
+        return idx.meta["count"], _ivf_hits(idx, vecs)
+
+    d, counter = crash_at(0)
+    with open(counter) as f:
+        seen = collections.Counter(line.split()[0] for line in f)
+    assert dict(seen) == calls
+    expected = state(d)
+    if op.startswith("dedup"):
+        hi = 30 if op == "dedup_increment" else 20
+        batch = sorted(minhash_lsh_dedup(_doc_ds(texts, 0, hi), jaccard_threshold=0.7)
+                       .to_pandas()["doc_id"])
+        n_bands = open_index(d).meta["bands"]
+        assert expected == (len(batch), (batch, batch, sorted(batch * n_bands)))
+
+    for k in range(1, sum(calls.values()) + 1):
+        with pytest.raises(Exception, match="injected crash"):
+            crash_at(k)
+        d = str(tmp_path / f"index-{k}")
+        run(open_index(d))
+        assert state(d) == expected, f"crash at call {k}"

@@ -111,41 +111,38 @@ def test_v2_increment_reads_only_matching_partitions(
     assert 0 < len(calls["keys"]) <= 160
 
 
-def test_v2_partition_only_pruning_when_keys_overflow(ray_session, tmp_path):
-    """When the increment's distinct-key set exceeds max_broadcast_keys the
+def test_v2_partition_only_pruning_when_keys_overflow(ray_session, tmp_path,
+                                                     monkeypatch):
+    """When the increment's distinct-key set exceeds MAX_BROADCAST_KEYS the
     pruned read falls back to partition-level pruning only (keys=None) —
     survivors must be identical either way."""
     from wrangler_ray.ops import dedup as dd
     from wrangler_ray.ops.dedup_index import MinHashDedupIndex
 
     ids, texts = _corpus()
+    pushed = []
+    orig = MinHashDedupIndex.banded_for
+
+    def spy(self, pbs, keys=None):
+        pushed.append(keys is not None)
+        return orig(self, pbs, keys)
+
+    monkeypatch.setattr(MinHashDedupIndex, "banded_for", spy)
 
     def run(max_keys):
-        import functools
-
-        work = str(tmp_path / f"idx_{max_keys}")
-        idx = MinHashDedupIndex(work, jaccard_threshold=0.7, sig_parts=8)
-        orig = dd.minhash_lsh_dedup
+        monkeypatch.setattr(dd, "MAX_BROADCAST_KEYS", max_keys)
+        idx = MinHashDedupIndex(str(tmp_path / f"idx_{max_keys}"),
+                                jaccard_threshold=0.7, sig_parts=8)
         kept = []
-        try:
-            dd_kw = {"max_broadcast_keys": max_keys}
-            # route the index's internal dedup calls through the cap
-            def capped(*a, **kw):
-                kw.update(dd_kw)
-                return orig(*a, **kw)
-            import wrangler_ray.ops.dedup_index as di
-            di.minhash_lsh_dedup = capped
-            for lo, hi in ((0, 10), (10, 20)):
-                out = idx.dedup_increment(_mk(ids, texts, lo, hi))
-                kept.extend(out.to_pandas()["doc_id"].tolist())
-        finally:
-            import wrangler_ray.ops.dedup_index as di
-            di.minhash_lsh_dedup = orig
+        for lo, hi in ((0, 10), (10, 20)):
+            out = idx.dedup_increment(_mk(ids, texts, lo, hi))
+            kept.extend(out.to_pandas()["doc_id"].tolist())
         return sorted(kept)
 
     broadcast = run(4_000_000)   # exact-key pushdown path
     partition_only = run(1)      # keys overflow → keys=None fallback
     assert broadcast == partition_only
+    assert pushed == [True, False]
 
 
 def test_v2_index_on_injected_filesystem(ray_session, tmp_path):

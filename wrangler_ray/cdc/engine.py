@@ -424,6 +424,8 @@ class MergePartition:
 # spill or merge tasks in flight at once: bounds the driver's pending refs
 # and, for a snapshot, the Dataset blocks that queued tasks pin
 TASK_WINDOW = 32
+# how long a failed apply waits for its cancelled tasks to stop
+CANCEL_WAIT_S = 30
 
 
 def _scan_segments(paths: list, watermark: int) -> tuple[pa.Schema, list]:
@@ -507,16 +509,33 @@ def _run_tasks(fn, args) -> list[pa.Table]:
     """``fn(arg)`` as one Ray task per item of ``args`` (consumed lazily),
     at most ``TASK_WINDOW`` in flight; ``fn`` is put in the object store
     once. Returns the results in ``args`` order. The tasks keep Ray's
-    default retries on worker death."""
+    default retries on worker death.
+
+    Once a task has failed no further task is submitted; the others are
+    cancelled (without force: a running task stops at its next Python
+    bytecode), waited for up to ``CANCEL_WAIT_S``, and the first error is
+    raised — so no sibling goes on writing into the txn's staging dir
+    after the caller has the error."""
     import ray
 
     task, fn = _remote_call(), ray.put(fn)
-    refs = []
-    for arg in args:
-        if len(refs) >= TASK_WINDOW:
-            ray.wait(refs, num_returns=len(refs) - TASK_WINDOW + 1)
-        refs.append(task.remote(fn, arg))
-    return ray.get(refs)
+    refs, pending = [], []
+    try:
+        for arg in args:
+            if len(pending) >= TASK_WINDOW:
+                done, pending = ray.wait(
+                    pending, num_returns=len(pending) - TASK_WINDOW + 1
+                )
+                ray.get(done)  # a failed task raises here
+            refs.append(task.remote(fn, arg))
+            pending.append(refs[-1])
+        return ray.get(refs)
+    except Exception:
+        for ref in refs:
+            ray.cancel(ref)
+        if refs:
+            ray.wait(refs, num_returns=len(refs), timeout=CANCEL_WAIT_S)
+        raise
 
 
 class CdcTable:

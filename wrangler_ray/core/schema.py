@@ -14,6 +14,14 @@ from __future__ import annotations
 import pyarrow as pa
 
 
+def set_column(table: pa.Table, name: str, arr) -> pa.Table:
+    """``table`` with column ``name`` replaced by ``arr`` in place, or
+    appended when the table has no such column."""
+    if name in table.column_names:
+        return table.set_column(table.column_names.index(name), name, arr)
+    return table.append_column(name, arr)
+
+
 def unified_schema(schemas: list[pa.Schema]) -> pa.Schema:
     """Unify schemas additively: union of fields in first-seen order; a field
     appearing with different types is promoted via pyarrow's unify (permissive)

@@ -8,13 +8,8 @@ import pyarrow.compute as pc
 
 from wrangler_ray.core.naming import resolve_column
 from wrangler_ray.core.registry import Directive, directive
+from wrangler_ray.core.schema import set_column
 from wrangler_ray.directives.javafmt import java_datefmt_to_py
-
-
-def _set(table: pa.Table, name: str, arr) -> pa.Table:
-    if name in table.column_names:
-        return table.set_column(table.column_names.index(name), name, arr)
-    return table.append_column(name, arr)
 
 
 def _strftime(arr, fmt: str):
@@ -48,7 +43,7 @@ class DiffDate(Directive):
         b = pc.cast(table.column(c2), pa.timestamp("us"))
         diff_us = pc.cast(pc.subtract(a, b), pa.int64())
         ms = pc.divide(diff_us, 1000)
-        return self.ok(_set(table, self.dst, ms))
+        return self.ok(set_column(table, self.dst, ms))
 
 
 @directive("format-date")
@@ -72,7 +67,7 @@ class FormatDate(Directive):
         if pa.types.is_date(arr.type):
             arr = pc.cast(arr, pa.timestamp("us"))
         out = _strftime(arr, self.fmt)
-        return self.ok(_set(table, col, out))
+        return self.ok(set_column(table, col, out))
 
 
 @directive("format-unix-timestamp")
@@ -92,7 +87,7 @@ class FormatUnixTimestamp(Directive):
             return self.ok(table)
         arr = pc.cast(table.column(col), pa.int64(), safe=False)
         ts = pc.cast(pc.multiply(arr, 1_000_000), pa.timestamp("us"))
-        return self.ok(_set(table, col, _strftime(ts, self.fmt)))
+        return self.ok(set_column(table, col, _strftime(ts, self.fmt)))
 
 
 @directive("current-datetime")
@@ -115,7 +110,7 @@ class CurrentDatetime(Directive):
             now = dt.datetime.utcnow()
         n = table.num_rows
         arr = pa.array([now] * n, pa.timestamp("us"))
-        return self.ok(_set(table, self.column, arr))
+        return self.ok(set_column(table, self.column, arr))
 
 
 @directive("datetime-to-timestamp")
@@ -143,7 +138,7 @@ class DatetimeToTimestamp(Directive):
                 ambiguous="earliest", nonexistent="earliest",
             )
             arr = pc.cast(arr, pa.timestamp("us"))  # normalize back to naive UTC
-        return self.ok(_set(table, col, pc.cast(arr, pa.timestamp("us"))))
+        return self.ok(set_column(table, col, pc.cast(arr, pa.timestamp("us"))))
 
 
 @directive("timestamp-to-datetime")
@@ -166,8 +161,8 @@ class TimestampToDatetime(Directive):
         if self.zone and self.zone.upper() != "UTC":
             zoned = pc.cast(arr, pa.timestamp("us", tz="UTC"))
             local = pc.local_timestamp(pc.cast(zoned, pa.timestamp("us", tz=self.zone)))
-            return self.ok(_set(table, col, local))
-        return self.ok(_set(table, col, arr))
+            return self.ok(set_column(table, col, local))
+        return self.ok(set_column(table, col, arr))
 
 
 @directive("format-datetime")
@@ -186,4 +181,4 @@ class FormatDatetime(Directive):
         if col is None:
             return self.ok(table)
         arr = pc.cast(table.column(col), pa.timestamp("us"))
-        return self.ok(_set(table, col, _strftime(arr, self.fmt)))
+        return self.ok(set_column(table, col, _strftime(arr, self.fmt)))

@@ -16,13 +16,8 @@ import pyarrow.compute as pc
 from wrangler_ray.core.errors import DirectiveError, make_error_table
 from wrangler_ray.core.naming import resolve_column
 from wrangler_ray.core.registry import Directive, directive
+from wrangler_ray.core.schema import set_column
 from wrangler_ray.directives.javafmt import java_datefmt_to_py
-
-
-def _set(table: pa.Table, name: str, arr) -> pa.Table:
-    if name in table.column_names:
-        return table.set_column(table.column_names.index(name), name, arr)
-    return table.append_column(name, arr)
 
 
 def _looks_like_header(fields: list[str]) -> bool:
@@ -90,7 +85,7 @@ class ParseAsCsv(Directive):
             arr = pa.array(
                 [r[i] if i < len(r) else None for r in body], pa.string()
             )
-            base = _set(base, names[i], arr)
+            base = set_column(base, names[i], arr)
         return self.ok(base)
 
 
@@ -249,7 +244,7 @@ class JsonPath(Directive):
                 out.append(_json_cell_to_value(self._extract(obj)))
             except (ValueError, TypeError):
                 out.append(None)
-        return self.ok(_set(table, self.dst, pa.array(out)))
+        return self.ok(set_column(table, self.dst, pa.array(out)))
 
 
 @directive("parse-as-fixed-length")
@@ -277,7 +272,7 @@ class ParseFixedLength(Directive):
             piece = pc.utf8_slice_codeunits(s, start, start + w)
             if self.padding:
                 piece = pc.utf8_trim(piece, self.padding)
-            table = _set(table, f"{col}_{i+1}", piece)
+            table = set_column(table, f"{col}_{i+1}", piece)
             start += w
         return self.ok(table)
 
@@ -387,7 +382,7 @@ class ParseAsLog(Directive):
                     g = m.group(f) if m else None
                     cols[f].append(None if g in ("-", None) else g)
             for f in fields:
-                table = _set(table, f"{col}_{f}", pa.array(cols[f], pa.string()))
+                table = set_column(table, f"{col}_{f}", pa.array(cols[f], pa.string()))
             return self.ok(table)
         fields = ["ip", "user", "datetime", "method", "uri", "protocol", "status",
                   "size", "referrer", "agent"]
@@ -407,7 +402,7 @@ class ParseAsLog(Directive):
                 )
             else:
                 arr = pa.array(cols[f], pa.string())
-            table = _set(table, f"log_{f}", arr)
+            table = set_column(table, f"log_{f}", arr)
         return self.ok(table)
 
 
@@ -430,7 +425,7 @@ class ParseSimpleDate(Directive):
         if not (pa.types.is_string(s.type) or pa.types.is_large_string(s.type)):
             return self.ok(table)
         parsed = pc.strptime(s, format=self.fmt, unit="us", error_is_null=True)
-        return self.ok(_set(table, col, parsed))
+        return self.ok(set_column(table, col, parsed))
 
 
 @directive("parse-as-datetime")
@@ -484,7 +479,7 @@ class ParseAsDate(Directive):
                     except ValueError:
                         continue
             out.append(parsed)
-        return self.ok(_set(table, f"{col}_1", pa.array(out, pa.timestamp("us"))))
+        return self.ok(set_column(table, f"{col}_1", pa.array(out, pa.timestamp("us"))))
 
 
 @directive("parse-timestamp")
@@ -513,7 +508,7 @@ class ParseTimestamp(Directive):
         ]
         us = pc.multiply(pc.cast(arr, pa.int64()), mult)
         ts = pc.cast(us, pa.timestamp("us"))
-        return self.ok(_set(table, col, ts))
+        return self.ok(set_column(table, col, ts))
 
 
 @directive("parse-as-currency")
@@ -554,7 +549,7 @@ class ParseAsCurrency(Directive):
                 out.append(-x if neg else x)
             except ValueError:
                 out.append(None)
-        return self.ok(_set(table, self.dst, pa.array(out, pa.float64())))
+        return self.ok(set_column(table, self.dst, pa.array(out, pa.float64())))
 
 
 @directive("set-charset")
@@ -585,7 +580,7 @@ class SetCharset(Directive):
                     out.append(bytes(v).decode(self.charset, errors="replace"))
                 except LookupError as e:
                     raise DirectiveError(f"set-charset: unknown charset {self.charset}") from e
-        return self.ok(_set(table, col, pa.array(out, pa.string())))
+        return self.ok(set_column(table, col, pa.array(out, pa.string())))
 
 
 @directive("parse-xml-to-json")
@@ -642,7 +637,7 @@ class ParseXmlToJson(Directive):
             except ET.ParseError:
                 out.append(None)
                 bad_idx.append(i)
-        table = _set(table, col, pa.array(out, pa.string()))
+        table = set_column(table, col, pa.array(out, pa.string()))
         err = make_error_table(
             table.take(pa.array(bad_idx, pa.int64())), 4, "invalid XML", self.name
         ) if bad_idx else None
@@ -734,7 +729,7 @@ class ParseAsAvro(Directive):
             types = {type(x) for x in colvals if x is not None}
             if len(types) > 1:
                 colvals = [None if x is None else str(x) for x in colvals]
-            ok = _set(ok, f"{col}_{f}", pa.array(colvals))
+            ok = set_column(ok, f"{col}_{f}", pa.array(colvals))
         failed = table.filter(pa.array(err_mask))
         if failed.num_rows:
             return ok, make_error_table(failed, 2, f"parse-as-avro: {err_msg}", self.name)
@@ -906,7 +901,7 @@ class ParseAsProtobuf(Directive):
             types = {type(x) for x in colvals if x is not None}
             if len(types) > 1:
                 colvals = [None if x is None else str(x) for x in colvals]
-            ok = _set(ok, f"{col}_{f}", pa.array(colvals))
+            ok = set_column(ok, f"{col}_{f}", pa.array(colvals))
         failed = table.filter(pa.array(err_mask))
         if failed.num_rows:
             return ok, make_error_table(
@@ -1090,4 +1085,4 @@ class ParseAsHL7(Directive):
                 fields = seg.split("|")
                 segments.setdefault(fields[0], []).append(fields[1:])
             out.append(_json.dumps(segments, ensure_ascii=False))
-        return self.ok(_set(table, f"{col}_hl7", pa.array(out, pa.string())))
+        return self.ok(set_column(table, f"{col}_hl7", pa.array(out, pa.string())))

@@ -21,6 +21,7 @@ import pyarrow.compute as pc
 from wrangler_ray.core.errors import DirectiveError
 from wrangler_ray.core.naming import resolve_column
 from wrangler_ray.core.registry import Directive, directive
+from wrangler_ray.core.schema import set_column
 
 
 def _str_col(table: pa.Table, name: str) -> pa.ChunkedArray:
@@ -28,12 +29,6 @@ def _str_col(table: pa.Table, name: str) -> pa.ChunkedArray:
     if not (pa.types.is_string(col.type) or pa.types.is_large_string(col.type)):
         col = pc.cast(col, pa.string())
     return col
-
-
-def _set(table: pa.Table, name: str, arr) -> pa.Table:
-    if name in table.column_names:
-        return table.set_column(table.column_names.index(name), name, arr)
-    return table.append_column(name, arr)
 
 
 class _SingleColumn(Directive):
@@ -47,7 +42,7 @@ class _SingleColumn(Directive):
         col = resolve_column(table, self.column)
         if col is None:
             return self.ok(table)
-        return self.ok(_set(table, col, self.kernel(_str_col(table, col))))
+        return self.ok(set_column(table, col, self.kernel(_str_col(table, col))))
 
 
 @directive("uppercase")
@@ -151,7 +146,7 @@ class CutCharacter(Directive):
         out = pieces[0]
         for p in pieces[1:]:
             out = pc.binary_join_element_wise(out, p, "")
-        return self.ok(_set(table, self.dst, out))
+        return self.ok(set_column(table, self.dst, out))
 
 
 @directive("split")
@@ -180,8 +175,8 @@ class Split(Directive):
         first = pa.array(
             [v[0] if v is not None and len(v) > 0 else None for v in vals], pa.string()
         )
-        table = _set(table, self.c1, first)
-        table = _set(table, self.c2, second)
+        table = set_column(table, self.c1, first)
+        table = set_column(table, self.c2, second)
         return self.ok(table)
 
 
@@ -208,7 +203,7 @@ class SplitToColumns(Directive):
                 [s[i] if s is not None and i < len(s) else None for s in split],
                 pa.string(),
             )
-            table = _set(table, f"{col}_{i + 1}", arr)
+            table = set_column(table, f"{col}_{i + 1}", arr)
         return self.ok(table)
 
 
@@ -245,8 +240,8 @@ class SplitEmail(Directive):
                 a, _, d = v.rpartition("@")
                 acct.append(a)
                 dom.append(d)
-        table = _set(table, f"{col}_account", pa.array(acct, pa.string()))
-        table = _set(table, f"{col}_domain", pa.array(dom, pa.string()))
+        table = set_column(table, f"{col}_account", pa.array(acct, pa.string()))
+        table = set_column(table, f"{col}_domain", pa.array(dom, pa.string()))
         return self.ok(table)
 
 
@@ -283,13 +278,13 @@ class SplitURL(Directive):
             except ValueError:
                 for lst in (proto, auth, host, port, path, query, filename):
                     lst.append(None)
-        table = _set(table, f"{col}_protocol", pa.array(proto, pa.string()))
-        table = _set(table, f"{col}_authority", pa.array(auth, pa.string()))
-        table = _set(table, f"{col}_host", pa.array(host, pa.string()))
-        table = _set(table, f"{col}_port", pa.array(port, pa.int32()))
-        table = _set(table, f"{col}_path", pa.array(path, pa.string()))
-        table = _set(table, f"{col}_filename", pa.array(filename, pa.string()))
-        table = _set(table, f"{col}_query", pa.array(query, pa.string()))
+        table = set_column(table, f"{col}_protocol", pa.array(proto, pa.string()))
+        table = set_column(table, f"{col}_authority", pa.array(auth, pa.string()))
+        table = set_column(table, f"{col}_host", pa.array(host, pa.string()))
+        table = set_column(table, f"{col}_port", pa.array(port, pa.int32()))
+        table = set_column(table, f"{col}_path", pa.array(path, pa.string()))
+        table = set_column(table, f"{col}_filename", pa.array(filename, pa.string()))
+        table = set_column(table, f"{col}_query", pa.array(query, pa.string()))
         return self.ok(table)
 
 
@@ -353,7 +348,7 @@ class Encode(Directive):
             else:
                 b = v if isinstance(v, (bytes, bytearray)) else str(v).encode("utf-8")
                 out.append(enc(b).decode("ascii"))
-        return self.ok(_set(table, f"{col}_encode_{self.method}", pa.array(out, pa.string())))
+        return self.ok(set_column(table, f"{col}_encode_{self.method}", pa.array(out, pa.string())))
 
 
 @directive("decode")
@@ -384,7 +379,7 @@ class Decode(Directive):
                     out.append(dec(b).decode("utf-8", errors="replace"))
                 except (binascii.Error, ValueError):
                     out.append(None)
-        return self.ok(_set(table, f"{col}_decode_{self.method}", pa.array(out, pa.string())))
+        return self.ok(set_column(table, f"{col}_decode_{self.method}", pa.array(out, pa.string())))
 
 
 @directive("find-and-replace")
@@ -422,7 +417,7 @@ class FindAndReplace(Directive):
             out = pc.replace_substring_regex(
                 s, self.pattern, self.repl, max_replacements=None if self.global_ else 1
             )
-        return self.ok(_set(table, col, out))
+        return self.ok(set_column(table, col, out))
 
 
 @directive("extract-regex-groups")
@@ -448,7 +443,7 @@ class ExtractRegexGroups(Directive):
             for g in range(groups):
                 cols[g].append(m.group(g + 1) if m else None)
         for g in range(groups):
-            table = _set(table, f"{col}_{g + 1}", pa.array(cols[g], pa.string()))
+            table = set_column(table, f"{col}_{g + 1}", pa.array(cols[g], pa.string()))
         return self.ok(table)
 
 
@@ -470,7 +465,7 @@ class IndexSplit(Directive):
         if src is None:
             return self.ok(table)
         out = pc.utf8_slice_codeunits(_str_col(table, src), max(self.start, 0), self.end)
-        return self.ok(_set(table, self.dst, out))
+        return self.ok(set_column(table, self.dst, out))
 
 
 @directive("fill-null-or-empty")
@@ -493,7 +488,7 @@ class FillNullOrEmpty(Directive):
             filled = pc.if_else(pc.equal(filled, ""), pa.scalar(self.value), filled)
         else:
             filled = pc.fill_null(pc.cast(arr, pa.string()), self.value)
-        return self.ok(_set(table, col, filled))
+        return self.ok(set_column(table, col, filled))
 
 
 @directive("generate-uuid")
@@ -514,7 +509,7 @@ class GenerateUUID(Directive):
             vals = [str(uuid.UUID(int=rng.getrandbits(128), version=4)) for _ in range(n)]
         else:
             vals = [str(uuid.uuid4()) for _ in range(n)]
-        return self.ok(_set(table, self.column, pa.array(vals, pa.string())))
+        return self.ok(set_column(table, self.column, pa.array(vals, pa.string())))
 
 
 @directive("hash")
@@ -546,7 +541,7 @@ class MessageHash(Directive):
             h.update(v if isinstance(v, (bytes, bytearray)) else str(v).encode("utf-8"))
             out.append(h.hexdigest() if self.encode else h.digest())
         typ = pa.string() if self.encode else pa.binary()
-        return self.ok(_set(table, col, pa.array(out, typ)))
+        return self.ok(set_column(table, col, pa.array(out, typ)))
 
 
 def mask_number_value(value, pattern: str) -> str:
@@ -592,7 +587,7 @@ class MaskNumber(Directive):
             return self.ok(table)
         vals = _str_col(table, col).to_pylist()
         out = pa.array([mask_number_value(v, self.pattern) for v in vals], pa.string())
-        return self.ok(_set(table, col, out))
+        return self.ok(set_column(table, col, out))
 
 
 @directive("mask-shuffle")
@@ -631,7 +626,7 @@ class MaskShuffle(Directive):
                 else:
                     chars.append(c)
             out.append("".join(chars))
-        return self.ok(_set(table, col, pa.array(out, pa.string())))
+        return self.ok(set_column(table, col, pa.array(out, pa.string())))
 
 
 @directive("quantize")
@@ -664,7 +659,7 @@ class Quantize(Directive):
         for lo, hi, label in self.ranges:
             mask = (x >= lo) & (x <= hi) & ~np.isnan(x)
             out[mask] = label
-        return self.ok(_set(table, self.dst, pa.array(out.tolist(), pa.string())))
+        return self.ok(set_column(table, self.dst, pa.array(out.tolist(), pa.string())))
 
 
 def _levenshtein(a: str, b: str) -> int:
@@ -792,7 +787,7 @@ class _TextPair(Directive):
             self.score(a or "", b or "") if (a is not None or b is not None) else None
             for a, b in zip(va, vb)
         ]
-        return self.ok(_set(table, self.dst, pa.array(out, pa.float32())))
+        return self.ok(set_column(table, self.dst, pa.array(out, pa.float32())))
 
 
 @directive("text-distance")
@@ -968,4 +963,4 @@ class Stemming(Directive):
         out = [
             [porter_stem(t) for t in v.split()] if v is not None else None for v in vals
         ]
-        return self.ok(_set(table, f"{col}_porter", pa.array(out, pa.list_(pa.string()))))
+        return self.ok(set_column(table, f"{col}_porter", pa.array(out, pa.list_(pa.string()))))

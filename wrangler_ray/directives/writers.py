@@ -12,12 +12,7 @@ import pyarrow as pa
 
 from wrangler_ray.core.naming import resolve_column
 from wrangler_ray.core.registry import Directive, directive
-
-
-def _set(table: pa.Table, name: str, arr) -> pa.Table:
-    if name in table.column_names:
-        return table.set_column(table.column_names.index(name), name, arr)
-    return table.append_column(name, arr)
+from wrangler_ray.core.schema import set_column
 
 
 def _json_safe(v):
@@ -47,7 +42,7 @@ class WriteAsCsv(Directive):
                 ["" if v is None else v for v in r.values()]
             )
             out.append(buf.getvalue())
-        return self.ok(_set(table, self.column, pa.array(out, pa.string())))
+        return self.ok(set_column(table, self.column, pa.array(out, pa.string())))
 
 
 @directive("write-as-json-map")
@@ -66,7 +61,7 @@ class WriteAsJsonMap(Directive):
             _json.dumps({k: _json_safe(v) for k, v in r.items()}, ensure_ascii=False)
             for r in rows
         ]
-        return self.ok(_set(table, self.column, pa.array(out, pa.string())))
+        return self.ok(set_column(table, self.column, pa.array(out, pa.string())))
 
 
 @directive("write-as-json-object")
@@ -88,7 +83,7 @@ class WriteAsJsonObject(Directive):
             _json.dumps({c: _json_safe(data[c][i]) for c in cols}, ensure_ascii=False)
             for i in range(n)
         ]
-        return self.ok(_set(table, self.dst, pa.array(out, pa.string())))
+        return self.ok(set_column(table, self.dst, pa.array(out, pa.string())))
 
 
 @directive("format-as-currency")
@@ -124,4 +119,4 @@ class FormatAsCurrency(Directive):
                 out.append(f"{s} {symbol}")
             else:
                 out.append(f"{symbol}{x:,.2f}")
-        return self.ok(_set(table, self.dst, pa.array(out, pa.string())))
+        return self.ok(set_column(table, self.dst, pa.array(out, pa.string())))

@@ -12,7 +12,10 @@ record/array/map/union/enum/fixed subset the reader decodes.
 from __future__ import annotations
 
 import json
+import logging
 import struct
+
+logger = logging.getLogger(__name__)
 
 
 def _zigzag_long(v: int) -> bytes:
@@ -28,7 +31,10 @@ def _zigzag_long(v: int) -> bytes:
             return bytes(out)
 
 
-def _encode(value, schema, out: bytearray) -> None:
+def _encode(value, schema, out: bytearray, promoted: set | None = None) -> None:
+    """Append the Avro binary encoding of ``value`` under ``schema`` to
+    ``out``; a union under which a bool was written as a number is added
+    to ``promoted`` (as its JSON) when one is given."""
     if isinstance(schema, str):
         t = schema
         if t == "null":
@@ -81,7 +87,7 @@ def _encode(value, schema, out: bytearray) -> None:
             if _matches(value, branch):
                 out += _zigzag_long(i)
                 if not (isinstance(branch, str) and branch == "null"):
-                    _encode(value, branch, out)
+                    _encode(value, branch, out, promoted)
                 return
         # promotion pass: a bool with no boolean branch promotes to a
         # numeric branch (bool IS an int in Python, and pre-r4 writers
@@ -91,7 +97,9 @@ def _encode(value, schema, out: bytearray) -> None:
                 bt = branch if isinstance(branch, str) else branch.get("type")
                 if bt in ("int", "long", "float", "double"):
                     out += _zigzag_long(i)
-                    _encode(int(value), branch, out)
+                    _encode(int(value), branch, out, promoted)
+                    if promoted is not None:
+                        promoted.add(json.dumps(schema))
                     return
         raise ValueError(
             f"no union branch in {schema!r} matches value of type "
@@ -100,14 +108,14 @@ def _encode(value, schema, out: bytearray) -> None:
     t = schema["type"]
     if t in ("record", "error"):
         for f in schema["fields"]:
-            _encode(value[f["name"]], f["type"], out)
+            _encode(value[f["name"]], f["type"], out, promoted)
     elif t == "enum":
         out += _zigzag_long(schema["symbols"].index(value))
     elif t == "array":
         if value:
             out += _zigzag_long(len(value))
             for v in value:
-                _encode(v, schema["items"], out)
+                _encode(v, schema["items"], out, promoted)
         out += _zigzag_long(0)
     elif t == "map":
         if value:
@@ -115,7 +123,7 @@ def _encode(value, schema, out: bytearray) -> None:
             for k, v in value.items():
                 kb = str(k).encode()
                 out += _zigzag_long(len(kb)) + kb
-                _encode(v, schema["values"], out)
+                _encode(v, schema["values"], out, promoted)
         out += _zigzag_long(0)
     elif t == "fixed":
         b = bytes(value)
@@ -123,13 +131,15 @@ def _encode(value, schema, out: bytearray) -> None:
             raise ValueError("fixed value has wrong size")
         out += b
     else:
-        _encode(value, t, out)  # {"type": "long"} wrapper form
+        _encode(value, t, out, promoted)  # {"type": "long"} wrapper form
 
 
 def write_container(schema: dict, records: list[dict],
                     sync: bytes = b"wrangler-ray-syn", codec: str = "null",
                     records_per_block: int = 1000) -> bytes:
-    """Encode records as an Avro object-container file (codec null|deflate)."""
+    """Encode records as an Avro object-container file (codec null|deflate).
+    A bool under a union without a boolean branch is written as 1/0 under
+    its first numeric branch; one warning per call names those unions."""
     if len(sync) != 16:
         raise ValueError("sync marker must be 16 bytes")
     out = bytearray(b"Obj\x01")
@@ -144,11 +154,12 @@ def write_container(schema: dict, records: list[dict],
         out += _zigzag_long(len(v)) + v
     out += _zigzag_long(0)
     out += sync
+    promoted: set = set()
     for i in range(0, len(records), records_per_block):
         block = records[i : i + records_per_block]
         body = bytearray()
         for rec in block:
-            _encode(rec, schema, body)
+            _encode(rec, schema, body, promoted)
         payload = bytes(body)
         if codec == "deflate":
             import zlib
@@ -160,4 +171,9 @@ def write_container(schema: dict, records: list[dict],
         out += _zigzag_long(len(payload))
         out += payload
         out += sync
+    if promoted:
+        logger.warning(
+            "avro: bool value(s) written as 1/0 under union(s) with no "
+            "boolean branch: %s", ", ".join(sorted(promoted)),
+        )
     return bytes(out)

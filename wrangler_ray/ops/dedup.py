@@ -22,7 +22,6 @@ import functools
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from wrangler_ray.ops.cc import connected_components, drop_non_representatives
 
@@ -53,38 +52,23 @@ def _min_id_rows(t: pa.Table, keys: list[str], id_col: str) -> np.ndarray:
     return np.union1d(keep.to_numpy(np.int64), nulls)
 
 
-def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
-                num_buckets: int = 128, method: str = "full"):
+# coarse exchange buckets of the exact (min-id) exchange: one map_groups
+# task per bucket, ≈ 4× cluster cores
+EXACT_BUCKETS = 128
+
+
+def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id"):
     """Keep exactly one row (min id) per distinct text value.
 
-    hash-partition + per-group first — SURVEY §2.9. The shuffle key is a
-    COARSE bucket of the 64-bit content hash (``num_buckets`` groups, uniform
-    → skew-free) rather than the hash itself: one map_groups task per bucket
-    with a vectorized pandas groupby inside, instead of one Python call per
-    distinct value. num_buckets ≈ 4× cluster cores.
-
-    ``method`` picks the exchange shape:
-    - ``"full"`` (default): the rows themselves shuffle — collision-safe
-      (texts compared by VALUE within a bucket) and one-pass, but the
-      exchange moves the whole corpus once.
-    - ``"hash_ids"``: only ``(hash128, id)`` rows shuffle (~24 B/doc —
-      ~100× less exchange volume for long documents); the duplicate ids
-      stay DISTRIBUTED as id-sorted object-store blocks (never concatenated
-      on the driver — the driver holds only per-block [min,max] bounds),
-      and survivors are kept by a map-side range-pruned sorted-run filter
-      over the UNSHUFFLED input: each filter task fetches only the dropped-id
-      blocks whose id range overlaps its batch. Texts are equated by a
-      128-bit content hash (two independent 64-bit siphashes; null texts
-      carry a sentinel fold so they can never collide with a real string),
-      colliding with probability ~2⁻¹²⁸ — vanishing, but not value-compared.
-      Pick this for long-document corpora where full-row exchange
-      dominates."""
-    if method == "hash_ids":
-        return _exact_dedup_hash_ids(ds, text_col, id_col, num_buckets)
-    if method != "full":
-        raise ValueError(f"unknown exact_dedup method {method!r}")
+    hash-partition + per-group first — SURVEY §2.9. The rows themselves
+    shuffle once, on a COARSE bucket of the 64-bit content hash
+    (``EXACT_BUCKETS`` groups, uniform → skew-free) rather than the hash
+    itself: one map_groups task per bucket with a vectorized pandas groupby
+    inside, instead of one Python call per distinct value. Texts are
+    compared by VALUE within a bucket, so a hash collision never drops a
+    row; null texts form one group, and null-id rows are always kept."""
     return _min_id_exchange(
-        ds, [text_col], id_col, num_buckets,
+        ds, [text_col], id_col, EXACT_BUCKETS,
         lambda t: _content_hash(t.column(text_col).to_numpy(zero_copy_only=False)),
     )
 
@@ -127,128 +111,6 @@ def _min_id_exchange(ds, keys: list[str], id_col: str, num_buckets: int,
         .map_groups(keep_first, batch_format="pyarrow")
         .drop_columns(["_b", *drop])
     )
-
-
-# sentinel folded into h2 for NULL texts: pd.util.hash_array stringifies
-# None, so without it a null-text row collides with a row whose text is the
-# literal string "None" and one of the two is wrongly dropped (ADVICE r4).
-# All nulls share the sentinel → they group together (one representative),
-# matching method="full"'s dropna=False semantics.
-_NULL_H2_SENTINEL = np.uint64(0xA5A5_5A5A_DEAD_BEEF)
-
-# per-process cache of fetched dropped-id blocks (ref hex → sorted ndarray),
-# bounded by total cached elements so a long-lived filter actor can't hoard
-# every dropped-id block of a 10^10-row corpus
-_DROP_BLOCK_CACHE: dict = {}
-_DROP_CACHE_MAX_ELEMS = 50_000_000
-
-
-def _cache_drop_block(key: str, arr: np.ndarray) -> None:
-    """Cache one fetched dropped-id block. A block that alone exceeds the cap
-    is not cached (it would evict the whole working set and still break the
-    bound); otherwise a full cache is cleared before the insert."""
-    if len(arr) > _DROP_CACHE_MAX_ELEMS:
-        return
-    cached = sum(len(v) for v in _DROP_BLOCK_CACHE.values())
-    if cached + len(arr) > _DROP_CACHE_MAX_ELEMS:
-        _DROP_BLOCK_CACHE.clear()
-    _DROP_BLOCK_CACHE[key] = arr
-
-
-def _exact_dedup_hash_ids(ds, text_col: str, id_col: str, num_buckets: int):
-    """Exchange-light exact dedup (see exact_dedup method="hash_ids"):
-    shuffle (h1, h2, id) only, reduce each bucket to its DROPPED ids (all but
-    the min id per distinct 128-bit hash), then filter the original dataset
-    map-side through a DISTRIBUTED sorted-run filter: the dropped ids are
-    sorted into range-partitioned object-store blocks, the driver keeps only
-    per-block [min,max] bounds (16 B/block), and each filter task fetches
-    just the blocks overlapping its batch's id range (per-process LRU-ish
-    cache). The text bytes never enter an exchange and the dropped-id set is
-    never concatenated on the driver."""
-    import ray
-
-    def hash_rows(t: pa.Table) -> pa.Table:
-        col = t.column(text_col)
-        texts = col.to_numpy(zero_copy_only=False).astype(object)
-        h1 = pd.util.hash_array(texts, categorize=False).astype(np.uint64)
-        h2 = pd.util.hash_array(
-            texts, categorize=False, hash_key="wrangler_ray_2nd"
-        ).astype(np.uint64)
-        nulls = pc.is_null(col).to_numpy(zero_copy_only=False)
-        if nulls.any():
-            h2 = h2.copy()
-            h2[nulls] ^= _NULL_H2_SENTINEL
-        return pa.table(
-            {
-                "_b": pa.array((h1 % np.uint64(num_buckets)).astype(np.int32)),
-                "h1": pa.array(h1.astype(np.int64)),
-                "h2": pa.array(h2.astype(np.int64)),
-                id_col: t.column(id_col),
-            }
-        )
-
-    def dropped_ids(g: pa.Table) -> pa.Table:
-        drop = np.setdiff1d(
-            np.arange(g.num_rows), _min_id_rows(g, ["h1", "h2"], id_col)
-        )
-        return pa.table({id_col: g.column(id_col).take(pa.array(drop))})
-
-    # dropped ids, id-sorted → range-partitioned blocks in the OBJECT STORE;
-    # the block refs (driver-held in `live` below, captured by the filter
-    # closure) keep them alive for the pipeline's life
-    dropped = (
-        ds.select_columns([id_col, text_col])
-        .map_batches(hash_rows, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_b")
-        .map_groups(dropped_ids, batch_format="pyarrow")
-        .sort(id_col)
-        .materialize()
-    )
-    block_refs = list(dropped.to_arrow_refs())
-
-    @ray.remote(num_cpus=0.25)
-    def _bounds(t: pa.Table):
-        # an all-empty sort can emit a block with a degenerate schema
-        if t.num_rows == 0 or id_col not in t.column_names:
-            return None
-        ids = t.column(id_col).to_numpy(zero_copy_only=False)
-        return (ids[0], ids[-1])  # sorted blocks → first/last are min/max
-
-    bounds = ray.get([_bounds.remote(r) for r in block_refs])
-    live = [(b[0], b[1], r) for b, r in zip(bounds, block_refs) if b is not None]
-    if not live:
-        return ds  # nothing dropped — corpus already exact-unique
-
-    def _fetch_block(ref) -> np.ndarray:
-        key = ref.hex()
-        arr = _DROP_BLOCK_CACHE.get(key)
-        if arr is None:
-            arr = ray.get(ref).column(id_col).to_numpy(zero_copy_only=False)
-            _cache_drop_block(key, arr)
-        return arr
-
-    # `live` (driver-held ObjectRef list, captured in this closure) keeps the
-    # dropped-id blocks alive via the driver's reference counting for the
-    # returned pipeline's lifetime — no need to pin the dataset handle
-    def remove(t: pa.Table) -> pa.Table:
-        # null-id rows are never dropped (a null id cannot be ranked, see
-        # _min_id_rows): range bounds and matching use non-null ids only
-        col = t.column(id_col)
-        valid = pc.is_valid(col).to_numpy(zero_copy_only=False)
-        ids = col.drop_null().to_numpy(zero_copy_only=False)
-        if len(ids) == 0:
-            return t
-        lo, hi = ids.min(), ids.max()
-        hit = np.zeros(len(ids), bool)
-        for blo, bhi, ref in live:
-            if bhi < lo or blo > hi:  # range-pruned: block can't match
-                continue
-            hit |= np.isin(ids, _fetch_block(ref))
-        mask = np.zeros(len(valid), bool)
-        mask[valid] = hit
-        return t.filter(pa.array(~mask))
-
-    return ds.map_batches(remove, batch_format="pyarrow", zero_copy_batch=True)
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +341,18 @@ def _group_all_pairs(df: pd.DataFrame, key_cols: list, id_col: str,
 FALLBACK_METRICS = {"oversized_groups": 0, "max_group_size": 0}
 
 # coarse shuffle-bucket count shared by the LSH banding shuffle and the
-# persisted-index read path (both must derive the SAME _bkt from a band row)
+# persisted-index read path (both must derive the SAME _bkt from a band row):
+# few enough groups that one group task clears the ~15-45ms/task executor
+# overhead (see BASELINE.md task-sizing)
 NUM_COARSE_BUCKETS = 64
+
+# MinHash verification: an edge whose signature estimate lies within
+# ±EXACT_MARGIN of the threshold is re-checked with true shingle-set Jaccard
+EXACT_MARGIN = 0.12
+
+# an increment's distinct band keys are pushed into the index read as an
+# exact filter up to this many; past it only partition pruning applies
+MAX_BROADCAST_KEYS = 4_000_000
 
 
 def _coarse_bucket(keys_i64: np.ndarray, bands_i32: np.ndarray) -> np.ndarray:
@@ -491,6 +363,54 @@ def _coarse_bucket(keys_i64: np.ndarray, bands_i32: np.ndarray) -> np.ndarray:
         (keys_i64.astype(np.uint64) ^ (bands_i32.astype(np.uint64) << np.uint64(56)))
         % np.uint64(NUM_COARSE_BUCKETS)
     ).astype(np.int32)
+
+
+def _band_rows(t: pa.Table, num_perm: int, bands: int, id_col: str) -> pa.Table:
+    """LSH band rows (_bkt, band, key, id, dig) of signed rows (id, sig, dig):
+    one row per (doc, band). The same kernel bands an increment in flight
+    and a v1 index's stored signatures, so both land in the same buckets."""
+    n = t.num_rows
+    if n == 0:
+        return pa.table(
+            {"_bkt": pa.array([], pa.int32()), "band": pa.array([], pa.int32()),
+             "key": pa.array([], pa.int64()),
+             id_col: pa.array([], t.column(id_col).type),
+             "dig": pa.array([], pa.int64())}
+        )
+    rows_per_band = num_perm // bands
+    sigs = (
+        t.column("sig").combine_chunks().flatten().to_numpy(zero_copy_only=False)
+        .astype(np.uint64).reshape(n, num_perm)
+    )
+    ids = t.column(id_col)
+    # shingle-SET digest (computed by the signer): members of a bucket with
+    # the same digest have true Jaccard 1.0; bucket_edges emits star edges
+    # within a digest group and all-pairs only ACROSS digests
+    digs = t.column("dig")
+    # band keys fully vectorized: fold the band's minhash components with
+    # a murmur-mixed multiply-accumulate (no per-row hashlib calls —
+    # bands × n blake2b invocations dominated this stage)
+    K = np.uint64(0x9E3779B97F4A7C15)
+    out_band = np.repeat(np.arange(bands, dtype=np.int32), n)
+    keys = np.empty(bands * n, np.uint64)
+    with np.errstate(over="ignore"):
+        for b in range(bands):
+            chunk = sigs[:, b * rows_per_band : (b + 1) * rows_per_band]
+            acc = np.full(n, np.uint64(b + 1), np.uint64)
+            for c in range(chunk.shape[1]):
+                acc = _mix64(acc * K ^ chunk[:, c])
+            keys[b * n : (b + 1) * n] = acc >> np.uint64(1)
+    bkt = _coarse_bucket(keys.astype(np.int64), out_band)
+    idx = pa.array(np.tile(np.arange(n, dtype=np.int64), bands))
+    return pa.table(
+        {
+            "_bkt": pa.array(bkt),
+            "band": pa.array(out_band),
+            "key": pa.array(keys.astype(np.int64), pa.int64()),
+            id_col: ids.take(idx),
+            "dig": digs.take(idx),
+        }
+    )
 
 
 def _collect_band_keys(banded, parts: int, max_keys: int):
@@ -717,58 +637,43 @@ def minhash_lsh_dedup(
     bands: int = 16,
     jaccard_threshold: float = 0.8,
     shingle_k: int = 5,
-    exact_margin: float = 0.12,
     max_driver_edges: int = 4_000_000,
     pair_cap: int = 256,
-    pre_exact=True,  # True | False | "hash_ids"
+    pre_exact: bool = True,
     indexed=None,
     return_artifacts: bool = False,
-    max_broadcast_keys: int = 4_000_000,
 ):
     """MinHash+LSH near-dup removal: shingle→minhash→band→bucket groupby→
     candidate pairs→verify Jaccard→connected components→keep min-id per
     cluster. Returns the deduplicated Dataset.
 
-    ``pre_exact`` first collapses byte-identical texts with the cheap
-    exact_dedup pass (keep min id per distinct text); pass the string
-    ``"hash_ids"`` to run that pre-pass through the exchange-light method
-    (only (hash128, id) rows shuffle — see exact_dedup) for long-document
-    corpora where the pre-pass full-row exchange would dominate. This is
-    semantics-preserving — identical texts have identical shingle sets, so
-    Jaccard
-    1.0 ≥ any threshold and every copy always lands in its original's
-    cluster with the group minimum id — but on dup-heavy corpora (crawl
-    data) it shrinks signature work linearly and candidate-edge volume
-    quadratically before the expensive stages run.
+    ``pre_exact`` first collapses byte-identical texts with ``exact_dedup``
+    (keep min id per distinct text). This is semantics-preserving —
+    identical texts have identical shingle sets, so Jaccard 1.0 ≥ any
+    threshold and every copy always lands in its original's cluster with
+    the group minimum id — but on dup-heavy corpora (crawl data) it shrinks
+    signature work linearly and candidate-edge volume quadratically before
+    the expensive stages run.
 
     Verification is two-tier so dup-heavy corpora (crawl data) stay cheap:
     every candidate edge is scored with the vectorized MinHash Jaccard
     ESTIMATE (mean of matching signature components — one numpy comparison
     over all edges at once, signatures only, ~num_perm·8 bytes per doc on the
-    driver); only edges within ``±exact_margin`` of the threshold fall back
+    driver); only edges within ``±EXACT_MARGIN`` of the threshold fall back
     to TRUE shingle-set Jaccard, for which only those few texts are fetched.
 
     ``indexed`` unions an already-deduped historical corpus into the
-    candidate space without re-signing it. Two protocols:
-
-    - legacy tuple ``(texts_ds, signed_ds)``: ``signed_ds`` rows are
-      (id, sig, dig) produced by a previous run with the same (num_perm,
-      bands, shingle_k); ``texts_ds`` provides (id, text) for borderline
-      exact verification only — either a Dataset, or a
-      callable(candidate_ids) -> Dataset so the caller can push the id
-      filter into the parquet read (row-group pruning). The FULL historical
-      signature table is read and re-banded — O(index) per call.
-    - banded-index object (duck-typed on ``banded_for``): exposes
-      ``sig_parts`` (int), ``watermark`` (max indexed id),
-      ``banded_for(pbs, keys)`` → Dataset of PRE-BANDED historical rows
-      (_bkt, band, key, id, dig) pruned to the partitions/keys the increment
-      actually hashes to, ``sigs_for(ids | None)`` → (id, sig, dig) rows
-      for exactly those ids (None = all), and ``texts_for(ids)``. Historical
-      signatures are then read only for candidate-edge endpoints and
-      historical band rows only from matching partitions — O(increment)
-      work per call, not O(index). Candidate pairs whose BOTH endpoints are
-      historical (b ≤ watermark) are dropped: they were resolved when those
-      docs were indexed.
+    candidate space without re-signing it, through one protocol (a
+    ``MinHashDedupIndex``): ``sig_parts`` (int), ``watermark`` (max indexed
+    id), ``banded_for(pbs, keys)`` → Dataset of historical band rows
+    (_bkt, band, key, id, dig) pruned to the partitions/keys the increment
+    actually hashes to, ``sigs_for(ids | None)`` → (id, sig, dig) rows for
+    exactly those ids (None = all), and ``texts_for(ids)`` → (id, text).
+    Historical signatures are read only for candidate-edge endpoints and
+    historical band rows only from matching partitions — O(increment) work
+    per call, not O(index). Candidate pairs whose BOTH endpoints are
+    historical (b ≤ watermark) are dropped: they were resolved when those
+    docs were indexed.
 
     Incoming ids must exceed every indexed id so cluster minima always land
     on the indexed side ("old doc wins") — enforced by MinHashDedupIndex,
@@ -791,21 +696,9 @@ def minhash_lsh_dedup(
     if pre_exact:
         # materialized: the deduped result is consumed up to three times
         # (signing, borderline text fetch, final survivor filter) — left
-        # lazy, each consumption re-executes the full exact-dedup exchange.
-        # pre_exact="hash_ids" routes the pre-pass through the exchange-light
-        # exact_dedup (only (hash128, id) rows shuffle — the full-row
-        # exchange IS the corpus-size exchange at 100 TB)
-        method = pre_exact if isinstance(pre_exact, str) else "full"
-        ds = exact_dedup(
-            ds, text_col=text_col, id_col=id_col, method=method
-        ).materialize()
-    rows_per_band = num_perm // bands
+        # lazy, each consumption re-executes the full exact-dedup exchange
+        ds = exact_dedup(ds, text_col=text_col, id_col=id_col).materialize()
     hasher = MinHasher(num_perm=num_perm, shingle_k=shingle_k)
-
-    num_buckets = NUM_COARSE_BUCKETS  # coarse shuffle groups: few enough that
-    # one group task clears the ~15-45ms/task executor overhead (see
-    # BASELINE.md task-sizing); shared constant so persisted band rows land in
-    # the same buckets when read back
 
     def sign(t: pa.Table) -> pa.Table:
         # batched signer (one flattened pass; see _sign_texts). The SET
@@ -827,77 +720,16 @@ def minhash_lsh_dedup(
             }
         )
 
-    banded_index = indexed is not None and hasattr(indexed, "banded_for")
     # signatures computed ONCE, kept distributed; band keys derive from them
     signed = ds.map_batches(sign, batch_format="pyarrow", zero_copy_batch=True).materialize()
-    # text_source is only consumed for BORDERLINE exact verification; it is a
-    # zero-arg Dataset or a callable(ids)->Dataset — a callable lets the
-    # caller push the candidate-id filter into the parquet read (row-group
-    # stats pruning) instead of scanning every historical text block
+    # text_source(ids) is only consumed for BORDERLINE exact verification;
+    # the index pushes the candidate-id filter into its parquet read
+    # (row-group stats pruning) instead of scanning every historical text
     text_source = lambda _ids: ds  # noqa: E731
-    hist_sigs_for = None  # banded-index protocol: (ids|None) -> (id,sig,dig)
-    watermark = None
-    if banded_index:
-        watermark = indexed.watermark
-        hist_sigs_for = indexed.sigs_for
+    if indexed is not None:
         text_source = lambda ids: ds.select_columns(  # noqa: E731
             [id_col, text_col]
         ).union(indexed.texts_for(ids))
-    elif indexed is not None:
-        idx_texts, idx_signed = indexed
-        signed = signed.union(idx_signed)
-        if callable(idx_texts):
-            text_source = lambda ids: ds.select_columns(  # noqa: E731
-                [id_col, text_col]
-            ).union(idx_texts(ids))
-        else:
-            _union = ds.select_columns([id_col, text_col]).union(
-                idx_texts.select_columns([id_col, text_col])
-            )
-            text_source = lambda _ids: _union  # noqa: E731
-
-    def band_rows(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        if n == 0:
-            return pa.table(
-                {"_bkt": pa.array([], pa.int32()), "band": pa.array([], pa.int32()),
-                 "key": pa.array([], pa.int64()),
-                 id_col: pa.array([], t.column(id_col).type),
-                 "dig": pa.array([], pa.int64())}
-            )
-        sigs = (
-            t.column("sig").combine_chunks().flatten().to_numpy(zero_copy_only=False)
-            .astype(np.uint64).reshape(n, num_perm)
-        )
-        ids = t.column(id_col)
-        # shingle-SET digest (computed in sign): members of a bucket with the
-        # same digest have true Jaccard 1.0; bucket_edges emits star edges
-        # within a digest group and all-pairs only ACROSS digests
-        digs = t.column("dig")
-        # band keys fully vectorized: fold the band's minhash components with
-        # a murmur-mixed multiply-accumulate (no per-row hashlib calls —
-        # bands × n blake2b invocations dominated this stage)
-        K = np.uint64(0x9E3779B97F4A7C15)
-        out_band = np.repeat(np.arange(bands, dtype=np.int32), n)
-        keys = np.empty(bands * n, np.uint64)
-        with np.errstate(over="ignore"):
-            for b in range(bands):
-                chunk = sigs[:, b * rows_per_band : (b + 1) * rows_per_band]
-                acc = np.full(n, np.uint64(b + 1), np.uint64)
-                for c in range(chunk.shape[1]):
-                    acc = _mix64(acc * K ^ chunk[:, c])
-                keys[b * n : (b + 1) * n] = acc >> np.uint64(1)
-        bkt = _coarse_bucket(keys.astype(np.int64), out_band)
-        idx = pa.array(np.tile(np.arange(n, dtype=np.int64), bands))
-        return pa.table(
-            {
-                "_bkt": pa.array(bkt),
-                "band": pa.array(out_band),
-                "key": pa.array(keys.astype(np.int64), pa.int64()),
-                id_col: ids.take(idx),
-                "dig": digs.take(idx),
-            }
-        )
 
     def _digest_pairs(df: pd.DataFrame):  # noqa: D401 — closes over pair_cap
         """Candidate pairs for one coarse bucket with shingle-set-digest
@@ -962,21 +794,24 @@ def minhash_lsh_dedup(
                          "ch": pa.array(out["ch"].astype(np.int8)),
                          "fb": pa.array(out["fb"].astype(np.int8))})
 
-    banded = signed.map_batches(band_rows, batch_format="pyarrow", zero_copy_batch=True)
-    if banded_index or return_artifacts:
+    banded = signed.map_batches(
+        functools.partial(_band_rows, num_perm=num_perm, bands=bands, id_col=id_col),
+        batch_format="pyarrow", zero_copy_batch=True,
+    )
+    if indexed is not None or return_artifacts:
         banded = banded.materialize()
     banded_own = banded  # THIS call's band rows only (the persistable artifact)
-    if banded_index:
+    if indexed is not None:
         # prune the historical read to the band partitions (and, when small
         # enough to broadcast, the exact keys) this increment hashes to —
         # O(increment) historical I/O instead of re-reading the whole index
         pbs, keys = _collect_band_keys(
-            banded_own, indexed.sig_parts, max_broadcast_keys
+            banded_own, indexed.sig_parts, MAX_BROADCAST_KEYS
         )
         banded = banded_own.union(indexed.banded_for(pbs, keys))
     pairs = banded.groupby("_bkt").map_groups(bucket_edges, batch_format="pyarrow")
-    if banded_index:
-        w = watermark
+    if indexed is not None:
+        w = indexed.watermark
 
         def drop_hist_hist(t: pa.Table) -> pa.Table:
             # a<b on every emitted pair, so b ≤ watermark ⇔ both endpoints
@@ -995,9 +830,8 @@ def minhash_lsh_dedup(
 
     def distributed_finish(mat):
         # the distributed tail attaches signatures by id with no driver-side
-        # candidate set to prune on — union the persisted table (banded-index
-        # protocol only; the legacy tuple already unioned it into `signed`)
-        full = signed.union(hist_sigs_for(None)) if banded_index else signed
+        # candidate set to prune on — union the persisted table
+        full = signed if indexed is None else signed.union(indexed.sigs_for(None))
         return _distributed_dedup_finish(
             ds, full, mat, id_col, num_perm, jaccard_threshold, pair_cap
         )
@@ -1020,12 +854,12 @@ def minhash_lsh_dedup(
             return t.filter(pa.array(np.isin(ids, cand)))
 
         sig_scan = signed
-        if banded_index:
+        if indexed is not None:
             # historical endpoints' signatures: an id-filtered read of the
             # persisted table (row-group pruning), not a full-index scan
-            old = cand[cand <= watermark]
+            old = cand[cand <= indexed.watermark]
             if len(old):
-                sig_scan = signed.union(hist_sigs_for(old))
+                sig_scan = signed.union(indexed.sigs_for(old))
         sig_tabs = list(
             sig_scan.map_batches(
                 collect_sigs, batch_format="pyarrow", zero_copy_batch=True
@@ -1058,9 +892,9 @@ def minhash_lsh_dedup(
                 sl = slice(s, min(s + _CH, len(ia)))
                 est[sl] = (mat[ia[sl]] == mat[ib[sl]]).mean(axis=1)
 
-            accept = est >= jaccard_threshold + exact_margin
+            accept = est >= jaccard_threshold + EXACT_MARGIN
             accept |= chm  # same shingle set ⇒ true Jaccard 1.0
-            borderline = (~accept) & (est >= jaccard_threshold - exact_margin)
+            borderline = (~accept) & (est >= jaccard_threshold - EXACT_MARGIN)
 
             if not borderline.any():
                 return accept
@@ -1250,7 +1084,7 @@ def simhash64_batch(texts) -> np.ndarray:
 
 def simhash_dedup(ds, text_col: str = "text", id_col: str = "doc_id", max_hamming: int = 3,
                   max_driver_edges: int = 4_000_000,
-                  pair_cap: int = 256, pre_exact=True):
+                  pair_cap: int = 256, pre_exact: bool = True):
     """SimHash near-dup: 64-bit signature, 4×16-bit band blocking (any pair
     within hamming ≤3 shares at least one exact 16-bit band), verify hamming
     within buckets, drop non-representatives. Edges are already
@@ -1261,12 +1095,8 @@ def simhash_dedup(ds, text_col: str = "text", id_col: str = "doc_id", max_hammin
     minhash_lsh_dedup)."""
 
     if pre_exact:
-        # materialized — consumed twice (signing + survivor filter);
-        # pre_exact="hash_ids" → exchange-light pre-pass (see minhash)
-        method = pre_exact if isinstance(pre_exact, str) else "full"
-        ds = exact_dedup(
-            ds, text_col=text_col, id_col=id_col, method=method
-        ).materialize()
+        # materialized — consumed twice (signing + survivor filter)
+        ds = exact_dedup(ds, text_col=text_col, id_col=id_col).materialize()
     num_buckets = 64
 
     def sign(t: pa.Table) -> pa.Table:
@@ -1374,7 +1204,7 @@ def embedding_dedup(
 
         ds = _min_id_exchange(
             ds.map_batches(add_vec_key, batch_format="pyarrow", zero_copy_batch=True),
-            ["_vh1", "_vh2"], id_col, 128,
+            ["_vh1", "_vh2"], id_col, EXACT_BUCKETS,
             lambda t: t.column("_vh1").to_numpy().astype(np.uint64),
             drop=("_vh1", "_vh2"),
         ).materialize()  # consumed by dim probe + signing + survivor filter

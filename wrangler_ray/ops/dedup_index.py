@@ -51,9 +51,10 @@ entries it supersedes. All storage goes through ``pyarrow.fs``
 Legacy layouts keep working: an index with one mutable ``meta.json`` and no
 log opens from it (no ``live_incrs`` means increments ``0..incr-1``) and
 its next commit starts the log. v1 indexes (built before the band layout
-existed, meta without ``layout``) fall back to the legacy full-signature-
-table read and never gain band partitions — rebuild to get pruned
-increments.
+existed, meta without ``layout``) have no ``bands/`` tree: ``banded_for``
+bands their stored signatures in flight with the same kernel as the
+increment (one partition, so every read is a full signature read), and
+they never gain band partitions — rebuild to get pruned increments.
 """
 from __future__ import annotations
 
@@ -64,6 +65,7 @@ import pyarrow as pa
 
 from wrangler_ray.ops import fsio
 from wrangler_ray.ops.dedup import (
+    _band_rows,
     _coarse_bucket,
     exact_dedup,
     minhash_lsh_dedup,
@@ -130,7 +132,7 @@ class MinHashDedupIndex:
 
     @property
     def sig_parts(self) -> int:
-        return self.meta["sig_parts"]
+        return self.meta.get("sig_parts", 1)
 
     @property
     def _roots(self) -> list[str]:
@@ -247,14 +249,20 @@ class MinHashDedupIndex:
     def banded_for(self, pbs, keys=None):
         """Historical band rows from ONLY the ``pb`` partitions in ``pbs``,
         further filtered to the exact ``keys`` when provided — the pruned
-        read that makes per-increment I/O O(increment), not O(index)."""
+        read that makes per-increment I/O O(increment), not O(index). A v1
+        index (one partition, no ``bands/`` tree) bands every stored
+        signature in flight instead."""
+        import pyarrow.compute as pc
         import pyarrow.dataset as pads
         import ray.data as rd
 
         id_col = self.meta["id_col"]
-        files: list = []
-        for j in np.asarray(pbs).tolist():
-            files.extend(self._incr_files("bands", sub=f"pb={int(j)}"))
+        v1 = self.meta.get("layout", 1) < 2
+        if v1:
+            files = self._incr_files("signatures")
+        else:
+            files = [f for j in np.asarray(pbs).tolist()
+                     for f in self._incr_files("bands", sub=f"pb={int(j)}")]
 
         def empty() -> pa.Table:
             return pa.table(
@@ -267,9 +275,20 @@ class MinHashDedupIndex:
 
         if not files:
             return rd.from_arrow(empty())
-        flt = None
-        if keys is not None:
-            flt = pads.field("key").isin(pa.array(np.asarray(keys, np.int64)))
+        key_set = None if keys is None else pa.array(np.asarray(keys, np.int64))
+        if v1:
+            num_perm, bands = self.meta["num_perm"], self.meta["bands"]
+
+            def band_sigs(t: pa.Table) -> pa.Table:
+                t = _band_rows(t, num_perm, bands, id_col)
+                if key_set is None:
+                    return t
+                return t.filter(pc.is_in(t.column("key"), value_set=key_set))
+
+            return rd.read_parquet(files, filesystem=self.fs).map_batches(
+                band_sigs, batch_format="pyarrow", zero_copy_batch=True
+            )
+        flt = None if key_set is None else pads.field("key").isin(key_set)
 
         def add_bkt(t: pa.Table) -> pa.Table:
             # recompute the coarse shuffle bucket from (key, band) — the same
@@ -290,16 +309,6 @@ class MinHashDedupIndex:
         return rd.read_parquet(files, filter=flt, filesystem=self.fs).map_batches(
             add_bkt, batch_format="pyarrow", zero_copy_batch=True
         )
-
-    def _legacy_indexed(self, id_col: str):
-        """v1 indexes have no band partitions: fall back to the legacy tuple
-        protocol (full signature-table read, re-banded in flight)."""
-        import ray.data as rd
-
-        sig_files = self._incr_files("signatures")
-        if not sig_files:
-            return None
-        return (self.texts_for, rd.read_parquet(sig_files, filesystem=self.fs))
 
     # -- ingest -------------------------------------------------------------
 
@@ -332,9 +341,6 @@ class MinHashDedupIndex:
         # text write) — lazy, each consumption re-runs the exchange
         ds = exact_dedup(ds, text_col=text_col, id_col=id_col).materialize()
 
-        indexed = None
-        if self.meta["incr"] > 0:
-            indexed = self._legacy_indexed(id_col) if legacy else self
         out, signed, banded = minhash_lsh_dedup(
             ds,
             text_col=text_col,
@@ -344,7 +350,7 @@ class MinHashDedupIndex:
             jaccard_threshold=self.meta["jaccard_threshold"],
             shingle_k=self.meta["shingle_k"],
             pre_exact=False,  # done above, against raw text
-            indexed=indexed,
+            indexed=self if self.meta["incr"] > 0 else None,
             return_artifacts=True,
         )
         out = out.materialize()

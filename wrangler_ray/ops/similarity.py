@@ -145,7 +145,6 @@ def brute_force_topk(
     k: int = 10,
     vec_col: str = "embedding",
     id_col: str = "vec_id",
-    concurrency: int | None = None,
 ):
     """Exact cosine top-k of each query against the whole dataset.
     Returns a pyarrow Table (query_idx, id, score) of k rows per query,
@@ -154,26 +153,13 @@ def brute_force_topk(
 
     queries = np.asarray(queries, np.float32)
     qref = ray.put(queries)
-    if concurrency:
-        # explicit pool when the caller wants bounded concurrency
-        partials = ds.map_batches(
-            _BatchTopK,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            fn_constructor_kwargs=dict(queries_ref=qref, k=k, vec_col=vec_col,
-                                       id_col=id_col),
-            concurrency=concurrency,
-        )
-    else:
-        # task-based default: scales with the cluster; the query matrix is
-        # fetched once per worker process via the broadcast-ref cache
-        def topk_batch(t: pa.Table) -> pa.Table:
-            return _BatchTopK(qref, k, vec_col, id_col)(t)
 
-        partials = ds.map_batches(
-            topk_batch, batch_format="pyarrow", zero_copy_batch=True
-        )
+    # tasks scale with the cluster; the query matrix is fetched once per
+    # worker process via the broadcast-ref cache
+    def topk_batch(t: pa.Table) -> pa.Table:
+        return _BatchTopK(qref, k, vec_col, id_col)(t)
 
+    partials = ds.map_batches(topk_batch, batch_format="pyarrow", zero_copy_batch=True)
     return _merge_topk(partials, k, id_col)
 
 

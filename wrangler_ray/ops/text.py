@@ -1,6 +1,6 @@
 """Text analysis stages for training-data pipelines: language-ID, quality
 scoring, token counting, document fingerprinting. All stateful setup (regex
-compile, profile tables) happens once per actor (``__init__``); work per
+compile, profile tables) happens once per worker process; work per
 batch is Arrow-native — ``pyarrow.compute`` RE2/string kernels over
 zero-copy ``pa.Table`` batches (the previous pandas ``.str`` path looped
 Python ``re`` per row inside pandas AND paid an Arrow→pandas copy per
@@ -294,12 +294,9 @@ class Fingerprint:
 
 class TextAnalyzer:
     """FUSED analysis stage: language-ID + quality + token counts +
-    fingerprint in ONE actor pool / one pandas pass per batch.
-
-    Why fused: four chained actor pools each reserving a CPU can starve the
-    upstream read stage on a small node (pool CPUs ≥ session CPUs ⇒ the
-    pipeline stalls). One pool also avoids three extra Arrow↔pandas
-    conversions and three object-store hops per batch."""
+    fingerprint in ONE map stage / one pass per batch, which avoids three
+    extra stages, Arrow↔pandas conversions and object-store hops per
+    batch."""
 
     def __init__(self, text_col: str = "text"):
         self.lang = LanguageId(text_col)
@@ -323,49 +320,12 @@ class TextAnalyzer:
         )
 
 
-# per-worker-process singleton: TextAnalyzer's setup (regex compile, profile
-# tables) is microseconds, so spawning a dedicated actor pool per analyze()
-# call would cost far more (new processes + imports) than it saves. Tasks on
-# warm workers + a cached instance get actor-style init-once for free.
-_ANALYZERS: dict[str, TextAnalyzer] = {}
-
-
-def _analyze_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
-    an = _ANALYZERS.get(text_col)
-    if an is None:
-        an = _ANALYZERS[text_col] = TextAnalyzer(text_col)
-    return an(batch)
-
-
-def analyze(ds, text_col: str = "text", concurrency: int | None = None):
-    """Language-ID → quality → token counts → fingerprint as ONE fused stage
-    (see TextAnalyzer for why). Default: task-based ``map_batches`` on warm
-    workers with a per-process analyzer singleton. Pass ``concurrency`` to
-    force a dedicated actor pool — the right shape once the stage holds
-    genuinely heavy state (a model, a big lexicon)."""
-    if concurrency:
-        return ds.map_batches(
-            TextAnalyzer,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            fn_constructor_kwargs={"text_col": text_col},
-            concurrency=concurrency,
-            num_cpus=1,
-        )
-    import functools
-
-    return ds.map_batches(
-        functools.partial(_analyze_batch, text_col=text_col),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=None,
-    )
-
-
-# same warm-worker singleton shape for the single-metric stages: their state
-# (a few compiled regexes) is microseconds to build, so a dedicated actor pool
-# would only cap parallelism (an N-actor pool caps the stage at N workers
-# while read tasks starve) — tasks scale with the cluster instead
+# per-worker-process singletons: a stage's state (a few compiled regexes,
+# profile tables) is microseconds to build, so a dedicated actor pool would
+# cost far more (new processes + imports) than it saves and would cap
+# parallelism (an N-actor pool caps the stage at N workers while read tasks
+# starve) — tasks on warm workers with a cached instance get actor-style
+# init-once for free and scale with the cluster
 _STAGES: dict[tuple[str, str], object] = {}
 
 
@@ -375,6 +335,19 @@ def _stage_batch(batch: pa.Table, cls=None, text_col: str = "text") -> pa.Table:
     if st is None:
         st = _STAGES[key] = cls(text_col)
     return st(batch)
+
+
+def analyze(ds, text_col: str = "text"):
+    """Language-ID → quality → token counts → fingerprint as ONE fused stage
+    (see TextAnalyzer for why): task-based ``map_batches`` on warm workers
+    with a per-process ``TextAnalyzer`` singleton, like the single-metric
+    stages."""
+    import functools
+
+    return ds.map_batches(
+        functools.partial(_stage_batch, cls=TextAnalyzer, text_col=text_col),
+        batch_format="pyarrow", zero_copy_batch=True, batch_size=None,
+    )
 
 
 def token_counts(ds, text_col: str = "text"):
