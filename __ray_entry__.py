@@ -1590,8 +1590,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def training_prep_pipeline(sf_dir):
         # COMPOSED LLM-data-prep pipeline, one exact SQL oracle end to end:
         # Gopher-style quality gate → exact dedup (min id per distinct text
-        # among the survivors) → whitespace token counts — three streaming
-        # stages whose composition, not just each stage alone, is certified
+        # among the survivors, an eager exchange) → whitespace token counts
+        # — three stages whose composition, not just each alone, is certified
         from wrangler_ray.ops.dedup import exact_dedup
         from wrangler_ray.ops.text import quality_filter, token_counts
 

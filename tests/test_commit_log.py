@@ -412,9 +412,9 @@ def test_run_tasks_failure_stops_sibling_tasks(ray_session, tmp_path, monkeypatc
     and past a full window no new task starts."""
     import time
 
-    from wrangler_ray.cdc import engine
+    from wrangler_ray import tasks
 
-    monkeypatch.setattr(engine, "TASK_WINDOW", window)
+    monkeypatch.setattr(tasks, "TASK_WINDOW", window)
     marks = str(tmp_path / "marks")
     os.mkdir(marks)
 
@@ -426,7 +426,7 @@ def test_run_tasks_failure_stops_sibling_tasks(ray_session, tmp_path, monkeypatc
         return pa.table({"i": [i]})
 
     with pytest.raises(ValueError, match="task 0 failed"):
-        engine._run_tasks(work, range(n))
+        tasks._run_tasks(work, range(n))
     time.sleep(2.0)
     assert os.listdir(marks) == []
 
@@ -774,6 +774,24 @@ def sweep_indexes(tmp_path_factory, ray_session):
     return texts, vecs, dirs
 
 
+def test_dedup_index_compact_file_counts(sweep_indexes, tmp_path):
+    """Compacting the two-increment dedup index writes one text file, one
+    signature file and at most one band file per ``pb`` partition: the file
+    count follows the data, not the blocks the re-sort emits."""
+    import shutil
+
+    from wrangler_ray.ops.dedup_index import MinHashDedupIndex
+
+    _, _, dirs = sweep_indexes
+    d = str(tmp_path / "index")
+    shutil.copytree(dirs["dedup_two"], d)
+    idx = MinHashDedupIndex(d, jaccard_threshold=0.7, sig_parts=2)
+    assert idx.compact() > 0
+    counts = {kind: len(idx._incr_files(kind)) for kind in ("texts", "signatures", "bands")}
+    assert counts["texts"] == 1 and counts["signatures"] == 1
+    assert 1 <= counts["bands"] <= idx.sig_parts
+
+
 def _dedup_index_state(idx) -> tuple:
     """The survivor ids an index holds, as its texts, its signatures and its
     band rows (one per band per survivor) each list them."""
@@ -786,12 +804,12 @@ def _dedup_index_state(idx) -> tuple:
 @pytest.mark.parametrize("op, start, calls", [
     # per sweep, the mutating calls of one uncrashed run by method. An
     # increment: per kind (texts, signatures, bands) the increment dir and
-    # one file per written block (bands: per pb=J partition dir too), then
-    # the log entry. A compaction: the same for every re-sorted block, the
-    # log entry, then the superseded increment dirs and log entries
+    # one file (bands: one per pb=J partition, in its own dir), then the
+    # log entry. A compaction: the same, then the superseded increment
+    # dirs and log entries
     ("dedup_increment", "dedup_one", {"create_dir": 7, "open_output_stream": 5}),
     ("dedup_compact", "dedup_two",
-     {"create_dir": 35, "open_output_stream": 33, "delete_dir": 6, "delete_file": 2}),
+     {"create_dir": 7, "open_output_stream": 5, "delete_dir": 6, "delete_file": 2}),
     ("ivf_append", "ivf_one", {"create_dir": 5, "open_output_stream": 5}),
     ("ivf_compact", "ivf_two",
      {"create_dir": 9, "open_output_stream": 9, "delete_dir": 2, "delete_file": 2}),

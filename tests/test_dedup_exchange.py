@@ -1,0 +1,106 @@
+"""The dedup task exchange (``wrangler_ray.tasks``): survivors do not depend
+on the partition count, the driver-clustered path starts no Ray Data
+shuffle, and a failing task stops the op."""
+
+import numpy as np
+import pyarrow as pa
+import pytest
+
+from test_dedup_repair import _dup_corpus
+
+
+def _edited_corpus(n_base: int = 200, seed: int = 7) -> pa.Table:
+    """Random-word documents with edited copies, survivors known by
+    construction: ids ``0..n_base-1`` are the base docs; each has a lightly
+    edited copy (one word replaced: true Jaccard ≈ 0.95, dropped); the
+    first 60 have a heavily edited copy (half the words replaced: kept);
+    the first 50 have a byte-identical copy (dropped by the exact pass)."""
+    rng = np.random.default_rng(seed)
+    letters = np.array(list("abcdefghijklmnopqrstuvwxyz"))
+    vocab = ["".join(rng.choice(letters, rng.integers(3, 9))) for _ in range(3000)]
+    base = [list(rng.choice(vocab, 60)) for _ in range(n_base)]
+
+    def edited(words, k):
+        words = list(words)
+        for j in rng.choice(len(words), k, replace=False):
+            words[j] = str(rng.choice(vocab))
+        return words
+
+    docs = [base, [edited(w, 1) for w in base], [edited(w, 30) for w in base[:60]],
+            base[:50]]
+    texts = [" ".join(w) for group in docs for w in group]
+    return pa.table({"doc_id": pa.array(np.arange(len(texts)), pa.int64()),
+                     "text": texts})
+
+
+def _ids(ds) -> list:
+    return sorted(ds.to_pandas()["doc_id"].tolist())
+
+
+# exact and MinHash (jaccard 0.8) survivors per corpus, as Ray Data's
+# groupby exchange found them before the dedup exchange ran as plain tasks
+_DUP_EXACT = [0, 1, 2, 4, 5, 7, 8, 9, 10, 11, 13, 14, 16, 17, 18, 20, 21, 22, 23,
+              24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40]
+_DUP_NEAR = [0, 9, 16] + list(range(21, 41))
+_EDITED_EXACT = list(range(460))
+_EDITED_NEAR = list(range(200)) + list(range(400, 460))
+
+
+@pytest.mark.parametrize("target", [1, 3, 64])
+@pytest.mark.parametrize("corpus, exact_ids, near_ids", [
+    (_dup_corpus, _DUP_EXACT, _DUP_NEAR),
+    (_edited_corpus, _EDITED_EXACT, _EDITED_NEAR),
+])
+def test_survivors_do_not_depend_on_partition_count(ray_session, monkeypatch, target,
+                                                     corpus, exact_ids, near_ids):
+    """``ROWS_PER_PART`` sized for 1, 3 and 64 partitions (the 41-doc
+    corpus reaches 41, one row each): the same survivors as ever, for both
+    all-pairs caps."""
+    import ray.data as rd
+
+    from wrangler_ray import tasks
+    from wrangler_ray.ops.dedup import exact_dedup, minhash_lsh_dedup
+
+    tab = corpus()
+    monkeypatch.setattr(tasks, "ROWS_PER_PART", max(1, -(-tab.num_rows // target)))
+    assert tasks.num_parts(tab.num_rows) == min(target, tab.num_rows)
+    ds = rd.from_arrow(tab).repartition(4).materialize()
+    assert _ids(exact_dedup(ds)) == exact_ids
+    for cap in (2, 10_000):
+        got = minhash_lsh_dedup(ds, jaccard_threshold=0.8, pair_cap=cap)
+        assert _ids(got) == near_ids, f"pair_cap={cap}"
+
+
+def test_driver_clustered_path_starts_no_ray_data_shuffle(ray_session, monkeypatch):
+    """With ``groupby``, ``repartition`` and ``map_batches`` of every
+    Dataset raising, exact and MinHash dedup still return their survivors:
+    the driver-clustered path runs as plain tasks only."""
+    import ray.data as rd
+
+    from wrangler_ray.ops.dedup import exact_dedup, minhash_lsh_dedup
+
+    ds = rd.from_arrow(_edited_corpus()).repartition(3).materialize()
+
+    def banned(*a, **k):
+        raise AssertionError("a Ray Data shuffle or map ran")
+
+    with monkeypatch.context() as m:
+        for name in ("groupby", "repartition", "map_batches"):
+            m.setattr(rd.Dataset, name, banned)
+        exact = exact_dedup(ds)
+        near = minhash_lsh_dedup(ds, jaccard_threshold=0.8)
+    assert _ids(exact) == _EDITED_EXACT
+    assert _ids(near) == _EDITED_NEAR
+
+
+def test_failing_sign_task_stops_the_op(ray_session):
+    """A block whose text column holds ints fails its sign task: the op
+    raises that error instead of returning or hanging."""
+    import ray.data as rd
+
+    from wrangler_ray.ops.dedup import minhash_lsh_dedup
+
+    good = pa.table({"doc_id": pa.array([0, 1], pa.int64()), "text": ["a b c d e f", "g h"]})
+    bad = pa.table({"doc_id": pa.array([2, 3], pa.int64()), "text": pa.array([7, 8], pa.int64())})
+    with pytest.raises(AttributeError, match="split"):
+        minhash_lsh_dedup(rd.from_arrow([good, bad]), pre_exact=False)

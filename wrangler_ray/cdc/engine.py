@@ -3,8 +3,8 @@ table via key-partitioned copy-on-write upsert (the north-rule core; all new
 design — the reference has no CDC machinery, see SURVEY.md §7).
 
 Pipeline shape (the public API takes and returns Ray Datasets; the
-exchange inside an apply runs as plain Ray tasks, at most ``TASK_WINDOW``
-in flight, so an apply starts no Ray Data execution):
+exchange inside an apply runs as plain Ray tasks (``wrangler_ray.tasks``),
+at most ``TASK_WINDOW`` in flight, so an apply starts no Ray Data execution):
 
     spill task per group of pending segments          # the exchange, map side:
       read (lsn > watermark pushed into the parquet   #   per-block LWW combine
@@ -92,6 +92,7 @@ import pyarrow.parquet as pq
 from wrangler_ray.core.schema import concat_reconciled, unified_schema, unify_to_schema
 from wrangler_ray.ops import fsio
 from wrangler_ray.ops.fsio import ConcurrentCommitError  # noqa: F401  (public here)
+from wrangler_ray.tasks import _run_tasks, to_arrow
 
 logger = logging.getLogger(__name__)
 
@@ -421,13 +422,6 @@ class MergePartition:
         )
 
 
-# spill or merge tasks in flight at once: bounds the driver's pending refs
-# and, for a snapshot, the Dataset blocks that queued tasks pin
-TASK_WINDOW = 32
-# how long a failed apply waits for its cancelled tasks to stop
-CANCEL_WAIT_S = 30
-
-
 def _scan_segments(paths: list, watermark: int) -> tuple[pa.Schema, list]:
     """ONE footer read per binlog segment (paths or URIs): the unified
     schema of all of them (additive evolution), and the ``(path, rows,
@@ -486,9 +480,7 @@ def _read_segments(schema: pa.Schema, watermark: int, chain, paths: list) -> pa.
 def _snapshot_block(snapshot_lsn: int, block) -> pa.Table:
     """Map-task input of ``init_from_snapshot``: one block of the snapshot
     Dataset, every row at ``snapshot_lsn``."""
-    from ray.data.block import BlockAccessor
-
-    t = BlockAccessor.for_block(block).to_arrow()
+    t = to_arrow(block)
     return t.append_column(LSN_COL, pa.array(np.full(t.num_rows, snapshot_lsn), pa.int64()))
 
 
@@ -496,46 +488,6 @@ def _run_merges(merge: MergePartition, items: list[dict]) -> list[dict]:
     """One merge task per (part, sub) item; their lineage rows."""
     out = _run_tasks(merge, (pa.Table.from_pylist([i]) for i in items))
     return pa.concat_tables(out).to_pylist()
-
-
-@functools.cache
-def _remote_call():
-    import ray
-
-    return ray.remote(lambda fn, arg: fn(arg))
-
-
-def _run_tasks(fn, args) -> list[pa.Table]:
-    """``fn(arg)`` as one Ray task per item of ``args`` (consumed lazily),
-    at most ``TASK_WINDOW`` in flight; ``fn`` is put in the object store
-    once. Returns the results in ``args`` order. The tasks keep Ray's
-    default retries on worker death.
-
-    Once a task has failed no further task is submitted; the others are
-    cancelled (without force: a running task stops at its next Python
-    bytecode), waited for up to ``CANCEL_WAIT_S``, and the first error is
-    raised — so no sibling goes on writing into the txn's staging dir
-    after the caller has the error."""
-    import ray
-
-    task, fn = _remote_call(), ray.put(fn)
-    refs, pending = [], []
-    try:
-        for arg in args:
-            if len(pending) >= TASK_WINDOW:
-                done, pending = ray.wait(
-                    pending, num_returns=len(pending) - TASK_WINDOW + 1
-                )
-                ray.get(done)  # a failed task raises here
-            refs.append(task.remote(fn, arg))
-            pending.append(refs[-1])
-        return ray.get(refs)
-    except Exception:
-        for ref in refs:
-            ray.cancel(ref)
-        if refs:
-            ray.wait(refs, num_returns=len(refs), timeout=CANCEL_WAIT_S)
-        raise
 
 
 class CdcTable:

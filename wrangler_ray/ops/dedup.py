@@ -1,18 +1,25 @@
 """Deduplication: exact, MinHash+LSH, SimHash, n-gram Jaccard, embedding-cosine.
 
 Shuffle shape (the part that matters at 100 TB):
-- exact: content-hash inside ``map_batches`` (vectorized) → ONE groupby on the
-  64-bit hash → keep min-id row per group. Shuffle volume = full data once,
-  but grouped on a uniform hash → no skew.
-- near-dup (MinHash/SimHash/embedding-LSH): signatures per batch (numpy) →
-  explode to (bucket_key, doc_id) pairs — a FRACTION of the input bytes —
-  → groupby(bucket) emits candidate edges → connected components → one
-  survivor filter (``_drop_clustered``). Candidate edges are
-  ~O(#duplicates); while the distinct edge set fits ``max_driver_edges``
-  they are clustered on the driver by a vectorized min-label kernel
-  (``_non_min_ids``), and past that cap the pipeline auto-routes to
-  distributed min-label propagation (``wrangler_ray.ops.cc``) — it never
-  raises on a large edge set.
+- exact: one task exchange (``wrangler_ray.tasks``) on the 64-bit content
+  hash: a map task per input block combines within the block and splits
+  its rows by hash partition, a reduce task per partition keeps the min-id
+  row per text. Shuffle volume = full data once, on a uniform hash → no
+  skew. The partition count is ``num_parts`` of the input's row count, so
+  it follows the data, never the CPU count.
+- MinHash: a sign-and-band task per (exact-deduped) block emits
+  (bucket_key, doc_id) band rows — a FRACTION of the input bytes — split
+  by band partition; an edge task per partition emits candidate edges.
+  SimHash and embedding-LSH group their bucket rows with Ray Data's
+  ``groupby``.
+- every variant then shares one tail (``_drop_clustered``): connected
+  components over the candidate edges and one survivor filter. Candidate
+  edges are ~O(#duplicates); while the distinct edge set fits
+  ``max_driver_edges`` they are clustered on the driver by a vectorized
+  min-label kernel (``_non_min_ids``) and the verify and filter steps run
+  as plain tasks over object refs; past that cap the pipeline auto-routes
+  to distributed min-label propagation (``wrangler_ray.ops.cc``) — it
+  never raises on a large edge set.
 """
 
 from __future__ import annotations
@@ -23,14 +30,27 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from wrangler_ray.core.schema import concat_reconciled
 from wrangler_ray.ops.cc import connected_components, drop_non_representatives
-
-_HASH_SEED = 0x9E3779B97F4A7C15
-
+from wrangler_ray.tasks import (
+    _run_tasks,
+    block_refs,
+    num_parts,
+    reduce_parts,
+    split,
+    to_arrow,
+)
 
 def _content_hash(texts: np.ndarray) -> np.ndarray:
     """Stable 64-bit content hash per value (vectorized via pandas siphash)."""
     return pd.util.hash_array(texts.astype(object), categorize=False).astype(np.uint64)
+
+
+def _from_blocks(blocks: list):
+    """A materialized Dataset over ``(ref, rows)`` blocks of Arrow tables."""
+    import ray.data as rd
+
+    return rd.from_arrow_refs([ref for ref, _ in blocks])
 
 
 # ---------------------------------------------------------------------------
@@ -52,65 +72,65 @@ def _min_id_rows(t: pa.Table, keys: list[str], id_col: str) -> np.ndarray:
     return np.union1d(keep.to_numpy(np.int64), nulls)
 
 
-# coarse exchange buckets of the exact (min-id) exchange: one map_groups
-# task per bucket, ≈ 4× cluster cores
-EXACT_BUCKETS = 128
+def _text_hash(text_col: str):
+    return lambda t: _content_hash(t.column(text_col).to_numpy(zero_copy_only=False))
 
 
 def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id"):
-    """Keep exactly one row (min id) per distinct text value.
+    """Keep exactly one row (min id) per distinct text value. Eager: runs
+    the exchange and returns a materialized Dataset.
 
-    hash-partition + per-group first — SURVEY §2.9. The rows themselves
-    shuffle once, on a COARSE bucket of the 64-bit content hash
-    (``EXACT_BUCKETS`` groups, uniform → skew-free) rather than the hash
-    itself: one map_groups task per bucket with a vectorized pandas groupby
-    inside, instead of one Python call per distinct value. Texts are
-    compared by VALUE within a bucket, so a hash collision never drops a
-    row; null texts form one group, and null-id rows are always kept."""
-    return _min_id_exchange(
-        ds, [text_col], id_col, EXACT_BUCKETS,
-        lambda t: _content_hash(t.column(text_col).to_numpy(zero_copy_only=False)),
+    hash-partition + per-group first — SURVEY §2.9. The rows shuffle once,
+    on the 64-bit content hash modulo the partition count (uniform →
+    skew-free), as plain Ray tasks (see _min_id_blocks). Texts are compared
+    by VALUE within a partition, so a hash collision never drops a row;
+    null texts form one group, and null-id rows are always kept."""
+    return _from_blocks(_min_id_blocks(ds, [text_col], id_col, _text_hash(text_col)))
+
+
+def _min_id_blocks(ds, keys: list[str], id_col: str, key_hash,
+                   drop: tuple = ()) -> list:
+    """``(ref, rows)`` blocks holding the min-id row per distinct ``keys``
+    value of ``ds`` (see _min_id_rows), through one task exchange on
+    ``key_hash(t)`` (a uint64 hash of the key columns — equal keys must
+    hash equal): a map task per block of ``ds``, a reduce task per
+    partition with a vectorized groupby inside, instead of one Python call
+    per distinct value. ``drop`` names key columns to remove after. An
+    empty ``ds`` comes back as its own blocks."""
+    blocks = block_refs(ds)
+    rows = sum(n for _, n in blocks)
+    if not rows:
+        return blocks
+    parts = num_parts(rows)
+    maps = _run_tasks(
+        functools.partial(_min_id_map, keys, id_col, key_hash, parts),
+        [ref for ref, n in blocks if n], num_returns=parts + 1,
     )
+    out = reduce_parts(maps, functools.partial(_min_id_reduce, keys, id_col, drop))
+    return [(refs[0], n) for n, refs in out]
 
 
-def _min_id_exchange(ds, keys: list[str], id_col: str, num_buckets: int,
-                     key_hash, drop: tuple = ()):
-    """Keep the min-id row per distinct ``keys`` value (see _min_id_rows)
-    through one exchange on a coarse bucket of ``key_hash(t)`` (a uint64
-    hash of the key columns — equal keys must hash equal): one map_groups
-    task per bucket with a vectorized groupby inside, instead of one Python
-    call per distinct value. ``drop`` names key columns to remove after."""
+def _min_id_map(keys: list[str], id_col: str, key_hash, parts: int, block) -> tuple:
+    # WITHIN-BLOCK COMBINER before the exchange: keep the min-id row per
+    # distinct key inside this block (min is associative, keys compared by
+    # VALUE — collision-safe like the reduce), so the exchange ships only
+    # each block's distinct keys. On a crawl-like corpus the exchange
+    # volume drops by the block's internal dup fraction for free; on an
+    # all-unique block this is one vectorized groupby pass. Metadata
+    # stripped: parquet files written by pandas carry a dict that makes
+    # the schema unhashable.
+    t = to_arrow(block).replace_schema_metadata(None)
+    keep = _min_id_rows(t, keys, id_col)
+    if len(keep) < t.num_rows:
+        t = t.take(pa.array(keep))
+    return split(t, (key_hash(t) % np.uint64(parts)).astype(np.int64), parts)
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        # WITHIN-BLOCK COMBINER before the exchange: keep the min-id row per
-        # distinct key inside this block (min is associative, keys compared
-        # by VALUE — collision-safe like keep_first), so the shuffle ships
-        # only each block's distinct keys. On a crawl-like corpus the
-        # exchange volume drops by the block's internal dup fraction for
-        # free; on an all-unique block this is one vectorized groupby pass.
-        if t.num_rows:
-            keep = _min_id_rows(t, keys, id_col)
-            if len(keep) < t.num_rows:
-                t = t.take(pa.array(keep))
-        h = key_hash(t)
-        # metadata stripped: parquet files written by pandas carry a dict
-        # that makes the schema unhashable — every shuffle reduce over such
-        # blocks trips Ray's "Failed to hash the schemas" warning
-        return t.replace_schema_metadata(None).append_column(
-            "_b", pa.array((h % np.uint64(num_buckets)).astype(np.int32))
-        )
 
-    def keep_first(g: pa.Table) -> pa.Table:
-        # within one coarse bucket: min id per distinct key (collision-safe);
-        # pyarrow in/out (pandas map_groups output path is slow in Ray 2.49)
-        return g.take(pa.array(_min_id_rows(g, keys, id_col)))
-
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_b")
-        .map_groups(keep_first, batch_format="pyarrow")
-        .drop_columns(["_b", *drop])
-    )
+def _min_id_reduce(keys: list[str], id_col: str, drop: tuple, *tables) -> tuple:
+    # within one partition: min id per distinct key (collision-safe)
+    t = concat_reconciled(list(tables))
+    t = t.take(pa.array(_min_id_rows(t, keys, id_col))).drop_columns(list(drop))
+    return t.num_rows, t
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +360,9 @@ def _group_all_pairs(df: pd.DataFrame, key_cols: list, id_col: str,
 # logs surface activations; tests read them directly)
 FALLBACK_METRICS = {"oversized_groups": 0, "max_group_size": 0}
 
-# coarse shuffle-bucket count shared by the LSH banding shuffle and the
-# persisted-index read path (both must derive the SAME _bkt from a band row):
-# few enough groups that one group task clears the ~15-45ms/task executor
-# overhead (see BASELINE.md task-sizing)
+# coarse bucket count of a band row's ``_bkt``, shared by the in-flight
+# banding and the persisted-index read path (both must derive the SAME _bkt
+# from a band row); the band exchange partitions on ``_bkt % parts``
 NUM_COARSE_BUCKETS = 64
 
 # MinHash verification: an edge whose signature estimate lies within
@@ -413,20 +432,20 @@ def _band_rows(t: pa.Table, num_perm: int, bands: int, id_col: str) -> pa.Table:
     )
 
 
-def _collect_band_keys(banded, parts: int, max_keys: int):
-    """Driver-side collection of the increment's distinct band keys: returns
+def _collect_band_keys(band_refs: list, parts: int, max_keys: int):
+    """Driver-side collection of the increment's distinct band keys from
+    its band-row tables ``band_refs`` (fetched one at a time): returns
     ``(pbs, keys)`` where ``pbs`` is the distinct persisted-partition set
-    (``key % parts`` — at most ``parts`` values, always tiny) and ``keys`` is
-    the exact distinct-key array for filter pushdown, or None when it exceeds
-    ``max_keys`` (partition-level pruning only). Streams the key column —
-    never the full band table."""
+    (``key % parts`` — at most ``parts`` values, always tiny) and ``keys``
+    is the exact distinct-key array for filter pushdown, or None when it
+    exceeds ``max_keys`` (partition-level pruning only)."""
+    import ray
+
     chunks: list = []
     pbs = np.empty(0, np.int64)
     too_many = False
-    for t in banded.select_columns(["key"]).iter_batches(
-        batch_size=None, batch_format="pyarrow"
-    ):
-        k = np.unique(t.column("key").to_numpy(zero_copy_only=False))
+    for ref in band_refs:
+        k = np.unique(ray.get(ref).column("key").to_numpy(zero_copy_only=False))
         pbs = np.union1d(pbs, k % parts)
         if not too_many:
             chunks.append(k)
@@ -569,45 +588,58 @@ def _non_min_ids(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             parent = grand
 
 
-def _drop_clustered(ds, pairs, id_col: str, max_driver_edges: int,
+def _drop_clustered(blocks: list, edges: list, id_col: str, max_driver_edges: int,
                     verify=None, distributed_finish=None):
     """The near-dup tail every variant shares: cluster the candidate edges
-    ``pairs`` (a, b[, ch, fb]) and keep the min-id row of each cluster.
+    and keep the min-id row of each cluster. ``blocks`` are the ``(ref,
+    rows)`` blocks of the rows to filter and ``edges`` those of the
+    candidate-edge tables (a, b[, ch, fb]), so the edge count is free
+    metadata. Returns a materialized Dataset.
 
-    The edge count is free metadata after materialize(). A raw count over
-    ``max_driver_edges`` is first re-counted after a global pair-DISTINCT
-    (the same pair arrives from up to `bands` buckets); a DISTINCT edge set
-    still over the cap goes to ``distributed_finish(pairs)`` — by default
-    min-label-propagation components + representative join (ops.cc), for
-    edges that are already fully verified. A 100 TB crawl corpus blows past
-    any driver cap on the first run, so this never raises. Under the cap the
-    edges are collected, ``verify(edges) -> (a, b)`` keeps the accepted
-    ones, the driver kernel clusters them and ``ds`` is filtered once."""
-    pairs = pairs.materialize()
-    if pairs.count() > max_driver_edges:
-        pairs = _distinct_pairs(pairs).materialize()
+    A raw count over ``max_driver_edges`` is first re-counted after a
+    global pair-DISTINCT (the same pair arrives from up to `bands`
+    buckets); a DISTINCT edge set still over the cap goes to
+    ``distributed_finish(ds, pairs)`` — by default min-label-propagation
+    components + representative join (ops.cc), for edges that are already
+    fully verified — over ``rd.from_arrow_refs`` Datasets. A 100 TB crawl
+    corpus blows past any driver cap on the first run, so this never
+    raises. Under the cap the edges are fetched, ``verify(edges) -> (a,
+    b)`` keeps the accepted ones, the driver kernel clusters them and one
+    filter task per block drops every non-minimum id."""
+    import ray
+
+    if sum(n for _, n in edges) > max_driver_edges:
+        pairs = _distinct_pairs(_from_blocks(edges)).materialize()
         if pairs.count() > max_driver_edges:
+            ds = _from_blocks(blocks)
             if distributed_finish is not None:
-                return distributed_finish(pairs)
+                return distributed_finish(ds, pairs)
             labels = connected_components(pairs)
             return drop_non_representatives(ds, labels, id_col=id_col)
+        edges = block_refs(pairs)
     # under the cap: collect as a deduplicated (a, b[, ch, fb]) frame —
-    # Arrow-batch collection + vectorized dedupe, never per-row iteration
-    tabs = [t for t in pairs.iter_batches(batch_size=None, batch_format="pyarrow")
-            if t.num_rows]
-    if not tabs:
-        return ds
-    edges = _dedupe_pairs_df(pa.concat_tables(tabs).to_pandas())
-    a, b = edges["a"].to_numpy(), edges["b"].to_numpy()
-    if verify is not None:
-        a, b = verify(edges)
-    drop_arr = _non_min_ids(a, b)
+    # Arrow-table collection + vectorized dedupe, never per-row iteration
+    tabs = ray.get([ref for ref, n in edges if n])
+    drop_arr = np.empty(0, np.int64)
+    if tabs:
+        frame = _dedupe_pairs_df(pa.concat_tables(tabs).to_pandas())
+        a, b = frame["a"].to_numpy(), frame["b"].to_numpy()
+        if verify is not None:
+            a, b = verify(frame)
+        drop_arr = _non_min_ids(a, b)
+    out = _run_tasks(functools.partial(_drop_ids, id_col, drop_arr),
+                     [ref for ref, _ in blocks], num_returns=2)
+    return _from_blocks([(refs[0], n) for n, refs in out])
 
-    def remove_dups(t: pa.Table) -> pa.Table:
+
+def _drop_ids(id_col: str, drop_arr: np.ndarray, block) -> tuple:
+    """Survivor-filter task: the rows of ``block`` whose id is not in
+    ``drop_arr``."""
+    t = to_arrow(block)
+    if len(drop_arr) and t.num_rows:
         ids = t.column(id_col).to_numpy(zero_copy_only=False)
-        return t.filter(pa.array(~np.isin(ids, drop_arr)))
-
-    return ds.map_batches(remove_dups, batch_format="pyarrow", zero_copy_batch=True)
+        t = t.filter(pa.array(~np.isin(ids, drop_arr)))
+    return t.num_rows, t
 
 
 def _verified_bucket_pairs(df: pd.DataFrame, key_cols: list, id_col: str,
@@ -629,6 +661,146 @@ def _verified_bucket_pairs(df: pd.DataFrame, key_cols: list, id_col: str,
     return pa.table({"a": pa.array(a, pa.int64()), "b": pa.array(b, pa.int64())})
 
 
+def _sign_band(text_col: str, id_col: str, hasher: MinHasher, bands: int,
+               parts: int, block) -> tuple:
+    """Sign-and-band map task of ``minhash_lsh_dedup``: ``(band rows per
+    partition, signed rows (id, sig, dig), band part 0, …, band part
+    parts-1)`` of one block."""
+    t = to_arrow(block)
+    # batched signer (one flattened pass; see _sign_texts). The SET digest
+    # (XOR of distinct shingle hashes, re-mixed) satisfies: identical
+    # digest ⇔ identical shingle SET (up to a 2^-64 collision) ⇒ true
+    # Jaccard 1.0 — the property the digest reduction in _digest_pairs
+    # relies on for BOTH verification tiers
+    sigs, digs = _sign_texts(t.column(text_col).to_pylist(), hasher.a, hasher.b,
+                             hasher.shingle_k, hasher.num_perm)
+    signed = pa.table(
+        {
+            id_col: t.column(id_col),
+            "sig": pa.FixedSizeListArray.from_arrays(
+                pa.array(sigs.astype(np.int64).ravel(), pa.int64()), hasher.num_perm
+            ),
+            "dig": pa.array(digs.astype(np.int64), pa.int64()),
+        }
+    )
+    counts, *band_parts = _split_bands(
+        parts, _band_rows(signed, hasher.num_perm, bands, id_col))
+    return (counts, signed, *band_parts)
+
+
+def _split_bands(parts: int, block) -> tuple:
+    """Band rows split by exchange partition, ``_bkt % parts``: all rows of
+    one (band, key) LSH bucket meet in one edge task."""
+    t = to_arrow(block)
+    bkt = t.column("_bkt").to_numpy(zero_copy_only=False).astype(np.int64)
+    return split(t, bkt % parts, parts)
+
+
+def _digest_pairs(df: pd.DataFrame, id_col: str, pair_cap: int) -> tuple:
+    """Candidate pairs of band rows with shingle-set-digest reduction.
+    Within a (band,key) LSH bucket:
+    - identical-digest members (identical shingle SETS → true Jaccard
+      1.0 → identical signatures too) chain: consecutive ids, g-1 edges
+      instead of g²/2 — chain edges pass BOTH verification tiers by
+      construction;
+    - DISTINCT digests pair all-vs-all via their min-id representatives
+      (set-identical members are interchangeable for any partner, so one
+      representative decides for the group)."""
+    df = df.sort_values(["band", "key", "dig", id_col], kind="mergesort")
+    ids = df[id_col].to_numpy()
+    band = df["band"].to_numpy()
+    key = df["key"].to_numpy()
+    dig = df["dig"].to_numpy()
+    same_bucket = np.zeros(len(df), bool)
+    same_bucket[1:] = (band[1:] == band[:-1]) & (key[1:] == key[:-1])
+    same_dig = same_bucket.copy()
+    same_dig[1:] &= dig[1:] == dig[:-1]
+    # STAR edges inside each digest group (hub = the group's first/min
+    # id): g-1 edges like a chain, but graph diameter stays 2 so the
+    # distributed min-label propagation converges in ~3 shuffle rounds
+    # (a chain of g duplicates needs g rounds). A star hub is safe HERE
+    # because same-digest edges are duplicates by construction and skip
+    # verification — the hub can never be rejected.
+    group_first = np.cumsum(~same_dig) - 1  # index into the firsts array
+    firsts = ids[~same_dig]
+    member_rows = same_dig
+    star_a = firsts[group_first[member_rows]]
+    star_b = ids[member_rows]
+    # representatives: first row of each (band,key,dig) group
+    reps = df[~same_dig]
+    rep_a, rep_b, rep_fb = _group_all_pairs(reps, ["band", "key"], id_col,
+                                            cap=pair_cap)
+    # ch=1 marks same-digest edges: identical shingle sets ⇒ true
+    # Jaccard 1.0 ⇒ accepted at any threshold WITHOUT verification;
+    # fb=1 marks fallback star edges from oversized rep groups — if one
+    # fails verification its members are RE-PAIRED in a repair round
+    ch = np.concatenate(
+        [np.ones(len(star_a), np.int8), np.zeros(len(rep_a), np.int8)]
+    )
+    fb = np.concatenate([np.zeros(len(star_a), np.int8), rep_fb])
+    return (np.concatenate([star_a, rep_a]),
+            np.concatenate([star_b, rep_b]), ch, fb)
+
+
+def _band_edges(id_col: str, pair_cap: int, watermark, *tables) -> tuple:
+    """Edge task of ``minhash_lsh_dedup``: ``(edge count, edges (a, b, ch,
+    fb))`` of one band partition, which holds MANY (band,key) LSH buckets
+    → vectorized pandas/numpy inside. ALL pairs within an LSH bucket are
+    candidates (star-edges to the group min would silently drop real pairs
+    whenever the min is a false-positive collision that fails downstream
+    verification), with the signature-digest reduction collapsing
+    identical-signature members to chains + one representative. With a
+    ``watermark`` (an index's max id), pairs whose both endpoints are
+    historical are dropped: they were resolved when those docs were
+    indexed."""
+    a_np, b_np, ch, fb = _digest_pairs(
+        concat_reconciled(list(tables)).to_pandas(), id_col, pair_cap)
+    out = _dedupe_pairs_df(pd.DataFrame({"a": a_np, "b": b_np, "ch": ch, "fb": fb}))
+    if watermark is not None:
+        # a<b on every emitted pair, so b ≤ watermark ⇔ both are historical
+        out = out[out["b"].to_numpy() > watermark]
+    t = pa.table({"a": pa.array(out["a"]), "b": pa.array(out["b"]),
+                  "ch": pa.array(out["ch"].astype(np.int8)),
+                  "fb": pa.array(out["fb"].astype(np.int8))})
+    return t.num_rows, t
+
+
+def _rows_with_ids(id_col: str, ids: np.ndarray, block) -> pa.Table:
+    """Scan task: the rows of ``block`` whose id is in ``ids``."""
+    t = to_arrow(block)
+    return t.filter(pa.array(np.isin(t.column(id_col).to_numpy(zero_copy_only=False), ids)))
+
+
+def _shingle_rows(id_col: str, text_col: str, shingle_k: int, ids: np.ndarray,
+                  block) -> pa.Table:
+    """Text-fetch task: (id, sorted shingle hashes as bytes) of the rows of
+    ``block`` whose id is in ``ids`` — shingled once per doc in the
+    worker."""
+    t = _rows_with_ids(id_col, ids, block)
+    arrs = [
+        np.sort(_shingle_hashes(x, shingle_k)).astype(np.int64)
+        if x is not None else np.empty(0, np.int64)
+        for x in t.column(text_col).to_pylist()
+    ]
+    return pa.table({id_col: t.column(id_col),
+                     "sh": pa.array([a.tobytes() for a in arrs], pa.binary())})
+
+
+def _true_jaccard_ok(threshold: float, aa: np.ndarray, bb: np.ndarray,
+                     sh: dict) -> np.ndarray:
+    """Accept mask of edges (aa, bb) by TRUE shingle-set Jaccard over the
+    sorted shingle arrays ``sh`` (by id)."""
+    oks = np.zeros(len(aa), bool)
+    empty = np.empty(0, np.int64)
+    for j in range(len(aa)):
+        s_a = sh.get(aa[j], empty)
+        s_b = sh.get(bb[j], empty)
+        inter = len(np.intersect1d(s_a, s_b, assume_unique=True))
+        union = len(s_a) + len(s_b) - inter
+        oks[j] = ((inter / union) if union else 1.0) >= threshold
+    return oks
+
+
 def minhash_lsh_dedup(
     ds,
     text_col: str = "text",
@@ -643,17 +815,24 @@ def minhash_lsh_dedup(
     indexed=None,
     return_artifacts: bool = False,
 ):
-    """MinHash+LSH near-dup removal: shingle→minhash→band→bucket groupby→
+    """MinHash+LSH near-dup removal: shingle→minhash→band→bucket exchange→
     candidate pairs→verify Jaccard→connected components→keep min-id per
-    cluster. Returns the deduplicated Dataset.
+    cluster. Eager: returns the deduplicated rows as a materialized
+    Dataset.
 
-    ``pre_exact`` first collapses byte-identical texts with ``exact_dedup``
-    (keep min id per distinct text). This is semantics-preserving —
-    identical texts have identical shingle sets, so Jaccard 1.0 ≥ any
-    threshold and every copy always lands in its original's cluster with
-    the group minimum id — but on dup-heavy corpora (crawl data) it shrinks
-    signature work linearly and candidate-edge volume quadratically before
-    the expensive stages run.
+    The work runs as plain Ray tasks over object refs (``wrangler_ray.
+    tasks``): a sign-and-band task per block splits its band rows by
+    partition (``_bkt`` modulo ``num_parts`` of the row count), and an edge
+    task per partition emits the candidate edges; ``_drop_clustered``
+    verifies, clusters and filters.
+
+    ``pre_exact`` first collapses byte-identical texts with the
+    ``exact_dedup`` exchange (keep min id per distinct text). This is
+    semantics-preserving — identical texts have identical shingle sets, so
+    Jaccard 1.0 ≥ any threshold and every copy always lands in its
+    original's cluster with the group minimum id — but on dup-heavy
+    corpora (crawl data) it shrinks signature work linearly and
+    candidate-edge volume quadratically before the expensive stages run.
 
     Verification is two-tier so dup-heavy corpora (crawl data) stay cheap:
     every candidate edge is scored with the vectorized MinHash Jaccard
@@ -669,6 +848,7 @@ def minhash_lsh_dedup(
     (_bkt, band, key, id, dig) pruned to the partitions/keys the increment
     actually hashes to, ``sigs_for(ids | None)`` → (id, sig, dig) rows for
     exactly those ids (None = all), and ``texts_for(ids)`` → (id, text).
+    The historical band rows join the band exchange as extra map inputs.
     Historical signatures are read only for candidate-edge endpoints and
     historical band rows only from matching partitions — O(increment) work
     per call, not O(index). Candidate pairs whose BOTH endpoints are
@@ -681,9 +861,9 @@ def minhash_lsh_dedup(
     indexed docs never reappear in the output.
 
     ``return_artifacts=True`` returns ``(result, signed, banded)`` where
-    ``signed``/``banded`` are the materialized signature and band-row tables
-    of THIS call's input docs — so an index appending the survivors persists
-    them by filtering instead of re-signing.
+    ``signed``/``banded`` are materialized Datasets of the signature and
+    band-row tables of THIS call's input docs — so an index appending the
+    survivors persists them by filtering instead of re-signing.
 
     Past ``max_driver_edges`` distinct candidate edges (so always with
     ``max_driver_edges=0``) the tail takes the no-driver-state path: edges
@@ -692,146 +872,45 @@ def minhash_lsh_dedup(
     exact-borderline pass), and clustering + drop run via wrangler_ray.ops.cc
     (min-label-propagation connected components + representative join).
     Same semantics up to the borderline estimate band."""
+    import ray
+
     assert num_perm % bands == 0
     if pre_exact:
-        # materialized: the deduped result is consumed up to three times
-        # (signing, borderline text fetch, final survivor filter) — left
-        # lazy, each consumption re-executes the full exact-dedup exchange
-        ds = exact_dedup(ds, text_col=text_col, id_col=id_col).materialize()
+        blocks = _min_id_blocks(ds, [text_col], id_col, _text_hash(text_col))
+    else:
+        blocks = block_refs(ds)
     hasher = MinHasher(num_perm=num_perm, shingle_k=shingle_k)
-
-    def sign(t: pa.Table) -> pa.Table:
-        # batched signer (one flattened pass; see _sign_texts). The SET
-        # digest (XOR of distinct shingle hashes, re-mixed) satisfies:
-        # identical digest ⇔ identical shingle SET (up to a 2^-64 collision)
-        # ⇒ true Jaccard 1.0 — the property the digest reduction in
-        # bucket_edges relies on for BOTH verification tiers
-        texts = t.column(text_col).to_pylist()
-        sigs, digs = _sign_texts(
-            texts, hasher.a, hasher.b, shingle_k, num_perm
-        )
-        return pa.table(
-            {
-                id_col: t.column(id_col),
-                "sig": pa.FixedSizeListArray.from_arrays(
-                    pa.array(sigs.astype(np.int64).ravel(), pa.int64()), num_perm
-                ),
-                "dig": pa.array(digs.astype(np.int64), pa.int64()),
-            }
-        )
-
-    # signatures computed ONCE, kept distributed; band keys derive from them
-    signed = ds.map_batches(sign, batch_format="pyarrow", zero_copy_batch=True).materialize()
-    # text_source(ids) is only consumed for BORDERLINE exact verification;
-    # the index pushes the candidate-id filter into its parquet read
-    # (row-group stats pruning) instead of scanning every historical text
-    text_source = lambda _ids: ds  # noqa: E731
-    if indexed is not None:
-        text_source = lambda ids: ds.select_columns(  # noqa: E731
-            [id_col, text_col]
-        ).union(indexed.texts_for(ids))
-
-    def _digest_pairs(df: pd.DataFrame):  # noqa: D401 — closes over pair_cap
-        """Candidate pairs for one coarse bucket with shingle-set-digest
-        reduction. Within a (band,key) LSH bucket:
-        - identical-digest members (identical shingle SETS → true Jaccard
-          1.0 → identical signatures too) chain: consecutive ids, g-1 edges
-          instead of g²/2 — chain edges pass BOTH verification tiers by
-          construction;
-        - DISTINCT digests pair all-vs-all via their min-id representatives
-          (set-identical members are interchangeable for any partner, so one
-          representative decides for the group)."""
-        df = df.sort_values(["band", "key", "dig", id_col], kind="mergesort")
-        ids = df[id_col].to_numpy()
-        band = df["band"].to_numpy()
-        key = df["key"].to_numpy()
-        dig = df["dig"].to_numpy()
-        same_bucket = np.zeros(len(df), bool)
-        same_bucket[1:] = (band[1:] == band[:-1]) & (key[1:] == key[:-1])
-        same_dig = same_bucket.copy()
-        same_dig[1:] &= dig[1:] == dig[:-1]
-        # STAR edges inside each digest group (hub = the group's first/min
-        # id): g-1 edges like a chain, but graph diameter stays 2 so the
-        # distributed min-label propagation converges in ~3 shuffle rounds
-        # (a chain of g duplicates needs g rounds). A star hub is safe HERE
-        # because same-digest edges are duplicates by construction and skip
-        # verification — the hub can never be rejected.
-        group_first = np.cumsum(~same_dig) - 1  # index into the firsts array
-        firsts = ids[~same_dig]
-        member_rows = same_dig
-        star_a = firsts[group_first[member_rows]]
-        star_b = ids[member_rows]
-        # representatives: first row of each (band,key,dig) group
-        reps = df[~same_dig]
-        rep_a, rep_b, rep_fb = _group_all_pairs(reps, ["band", "key"], id_col,
-                                                cap=pair_cap)
-        # ch=1 marks same-digest edges: identical shingle sets ⇒ true
-        # Jaccard 1.0 ⇒ accepted at any threshold WITHOUT verification;
-        # fb=1 marks fallback star edges from oversized rep groups — if one
-        # fails verification its members are RE-PAIRED in a repair round
-        ch = np.concatenate(
-            [np.ones(len(star_a), np.int8), np.zeros(len(rep_a), np.int8)]
-        )
-        fb = np.concatenate([np.zeros(len(star_a), np.int8), rep_fb])
-        return (np.concatenate([star_a, rep_a]),
-                np.concatenate([star_b, rep_b]), ch, fb)
-
-    def bucket_edges(g: pa.Table) -> pa.Table:
-        # one coarse bucket holds MANY (band,key) LSH buckets → vectorized
-        # pandas/numpy inside; pyarrow in/out (the pandas OUTPUT path of
-        # map_groups is pathologically slow in Ray 2.49 — measured 46s vs 1s).
-        # ALL pairs within an LSH bucket are candidates (star-edges to the
-        # group min would silently drop real pairs whenever the min is a
-        # false-positive collision that fails downstream verification), with
-        # the signature-digest reduction collapsing identical-signature
-        # members to chains + one representative.
-        df = g.to_pandas()
-        a_np, b_np, ch, fb = _digest_pairs(df)
-        out = _dedupe_pairs_df(
-            pd.DataFrame({"a": a_np, "b": b_np, "ch": ch, "fb": fb})
-        )
-        return pa.table({"a": pa.array(out["a"]), "b": pa.array(out["b"]),
-                         "ch": pa.array(out["ch"].astype(np.int8)),
-                         "fb": pa.array(out["fb"].astype(np.int8))})
-
-    banded = signed.map_batches(
-        functools.partial(_band_rows, num_perm=num_perm, bands=bands, id_col=id_col),
-        batch_format="pyarrow", zero_copy_batch=True,
+    parts = num_parts(sum(n for _, n in blocks))
+    # signatures computed ONCE, kept in the object store; band keys derive
+    # from them in the same task
+    signs = _run_tasks(
+        functools.partial(_sign_band, text_col, id_col, hasher, bands, parts),
+        [ref for ref, n in blocks if n], num_returns=parts + 2,
     )
-    if indexed is not None or return_artifacts:
-        banded = banded.materialize()
-    banded_own = banded  # THIS call's band rows only (the persistable artifact)
+    signed = [(refs[0], n) for (_, refs), n in zip(signs, [n for _, n in blocks if n])]
+    maps = [(counts, refs[1:]) for counts, refs in signs]
+    own_bands = [(ref, n) for counts, refs in maps for ref, n in zip(refs, counts)]
+    watermark = None
     if indexed is not None:
         # prune the historical read to the band partitions (and, when small
         # enough to broadcast, the exact keys) this increment hashes to —
         # O(increment) historical I/O instead of re-reading the whole index
         pbs, keys = _collect_band_keys(
-            banded_own, indexed.sig_parts, MAX_BROADCAST_KEYS
+            [ref for ref, n in own_bands if n], indexed.sig_parts, MAX_BROADCAST_KEYS
         )
-        banded = banded_own.union(indexed.banded_for(pbs, keys))
-    pairs = banded.groupby("_bkt").map_groups(bucket_edges, batch_format="pyarrow")
-    if indexed is not None:
-        w = indexed.watermark
+        hist = block_refs(indexed.banded_for(pbs, keys))
+        maps = maps + _run_tasks(functools.partial(_split_bands, parts),
+                                 [ref for ref, n in hist if n], num_returns=parts + 1)
+        watermark = indexed.watermark
+    edges = [(refs[0], n) for n, refs in reduce_parts(
+        maps, functools.partial(_band_edges, id_col, pair_cap, watermark))]
 
-        def drop_hist_hist(t: pa.Table) -> pa.Table:
-            # a<b on every emitted pair, so b ≤ watermark ⇔ both endpoints
-            # are historical — already resolved when they were indexed
-            if t.num_rows == 0 or "b" not in t.column_names:
-                return t
-            bb = t.column("b").to_numpy(zero_copy_only=False)
-            return t.filter(pa.array(bb > w))
-
-        pairs = pairs.map_batches(
-            drop_hist_hist, batch_format="pyarrow", zero_copy_batch=True
-        )
-
-    def _finish(result):
-        return (result, signed, banded_own) if return_artifacts else result
-
-    def distributed_finish(mat):
+    def distributed_finish(ds, mat):
         # the distributed tail attaches signatures by id with no driver-side
         # candidate set to prune on — union the persisted table
-        full = signed if indexed is None else signed.union(indexed.sigs_for(None))
+        full = _from_blocks(signed)
+        if indexed is not None:
+            full = full.union(indexed.sigs_for(None))
         return _distributed_dedup_finish(
             ds, full, mat, id_col, num_perm, jaccard_threshold, pair_cap
         )
@@ -839,7 +918,7 @@ def minhash_lsh_dedup(
     def verify(edges: pd.DataFrame) -> tuple:
         """Two-tier verification plus one repair round over the collected
         candidate edges; returns the accepted (a, b) id arrays."""
-        # bucket_edges flags every edge (ch, fb) and the pair-DISTINCT keeps
+        # _band_edges flags every edge (ch, fb) and the pair-DISTINCT keeps
         # the flags, so a non-empty edge frame always carries both
         a_ids = edges["a"].to_numpy()
         b_ids = edges["b"].to_numpy()
@@ -847,25 +926,19 @@ def minhash_lsh_dedup(
         fb_mask = edges["fb"].to_numpy().astype(bool)
         cand = np.unique(np.concatenate([a_ids, b_ids]))
 
-        # fetch candidate SIGNATURES (num_perm·8 bytes each, not texts),
-        # vectorized membership + matrix gather
-        def collect_sigs(t: pa.Table) -> pa.Table:
-            ids = t.column(id_col).to_numpy(zero_copy_only=False)
-            return t.filter(pa.array(np.isin(ids, cand)))
-
-        sig_scan = signed
+        # fetch candidate SIGNATURES (num_perm·8 bytes each, not texts):
+        # one scan task per signature table, vectorized membership
+        sig_refs = [ref for ref, _ in signed]
         if indexed is not None:
             # historical endpoints' signatures: an id-filtered read of the
             # persisted table (row-group pruning), not a full-index scan
             old = cand[cand <= indexed.watermark]
             if len(old):
-                sig_scan = signed.union(indexed.sigs_for(old))
-        sig_tabs = list(
-            sig_scan.map_batches(
-                collect_sigs, batch_format="pyarrow", zero_copy_batch=True
-            ).iter_batches(batch_size=None, batch_format="pyarrow")
-        )
-        sig_t = pa.concat_tables([t for t in sig_tabs if t.num_rows])
+                sig_refs += [ref for ref, n in block_refs(indexed.sigs_for(old)) if n]
+        sig_t = concat_reconciled([
+            t for t in _run_tasks(functools.partial(_rows_with_ids, id_col, cand), sig_refs)
+            if t.num_rows
+        ])
         sig_ids = sig_t.column(id_col).to_numpy(zero_copy_only=False)
         mat = (
             sig_t.column("sig").combine_chunks().flatten()
@@ -899,96 +972,39 @@ def minhash_lsh_dedup(
             if not borderline.any():
                 return accept
             # exact shingle-set Jaccard for the borderline edges: fetch only
-            # those texts, compute sets ONCE per doc, then verify edge
-            # BATCHES in parallel against a ray.put broadcast of the sorted
-            # shingle arrays (a dup-heavy crawl corpus puts most candidate
-            # edges in the borderline band — a driver-side loop here was the
-            # measured bottleneck)
-            import ray as _ray
-            import ray.data as _rd
-
+            # those texts, shingled ONCE per doc in the fetch tasks, then
+            # verify edge BATCHES in parallel against a ray.put broadcast of
+            # the sorted shingle arrays (a dup-heavy crawl corpus puts most
+            # candidate edges in the borderline band — a driver-side loop
+            # here was the measured bottleneck)
             bl = np.unique(
                 np.concatenate([aa[borderline], bb[borderline]])
             )
-
-            def collect_texts(t: pa.Table) -> pa.Table:
-                ids = t.column(id_col).to_numpy(zero_copy_only=False)
-                return t.filter(pa.array(np.isin(ids, bl))).select([id_col, text_col])
-
-            def shingle_rows(t: pa.Table) -> pa.Table:
-                # shingle once per doc in the worker, ship sorted arrays
-                ids = t.column(id_col).to_pylist()
-                texts = t.column(text_col).to_pylist()
-                arrs = [
-                    np.sort(_shingle_hashes(x, shingle_k)).astype(np.int64)
-                    if x is not None else np.empty(0, np.int64)
-                    for x in texts
-                ]
-                return pa.table(
-                    {id_col: pa.array(ids),
-                     "sh": pa.array([a.tobytes() for a in arrs], pa.binary())}
-                )
-
-            sh_tab = pa.concat_tables(
-                text_source(bl)
-                .map_batches(
-                    collect_texts, batch_format="pyarrow", zero_copy_batch=True
-                )
-                .map_batches(shingle_rows, batch_format="pyarrow")
-                .iter_batches(batch_size=None, batch_format="pyarrow")
-            )
+            text_refs = [ref for ref, n in blocks if n]
+            if indexed is not None:
+                # the index pushes the candidate-id filter into its parquet
+                # read (row-group stats pruning) instead of scanning every
+                # historical text
+                text_refs += [ref for ref, n in block_refs(indexed.texts_for(bl)) if n]
             shingles = {
                 i: np.frombuffer(b, np.int64)
-                for i, b in zip(sh_tab.column(id_col).to_pylist(),
-                                sh_tab.column("sh").to_pylist())
+                for t in _run_tasks(functools.partial(
+                    _shingle_rows, id_col, text_col, shingle_k, bl), text_refs)
+                for i, b in zip(t.column(id_col).to_pylist(), t.column("sh").to_pylist())
             }
             bl_idx = np.flatnonzero(borderline)
-
-            def _true_jaccard_ok(aa, bb, sh):
-                oks = np.zeros(len(aa), bool)
-                empty = np.empty(0, np.int64)
-                for j in range(len(aa)):
-                    s_a = sh.get(aa[j], empty)
-                    s_b = sh.get(bb[j], empty)
-                    inter = len(np.intersect1d(s_a, s_b, assume_unique=True))
-                    union = len(s_a) + len(s_b) - inter
-                    ja = (inter / union) if union else 1.0
-                    oks[j] = ja >= jaccard_threshold
-                return oks
-
             if len(bl_idx) < 20_000:
-                # small borderline set: one driver pass beats a Ray job
-                ok_mask = _true_jaccard_ok(aa[bl_idx], bb[bl_idx], shingles)
-                accept[bl_idx[ok_mask]] = True
+                # small borderline set: one driver pass beats a round of tasks
+                ok = _true_jaccard_ok(jaccard_threshold, aa[bl_idx], bb[bl_idx], shingles)
+                accept[bl_idx[ok]] = True
             else:
                 # large borderline set (dup-heavy corpora): verify edge
-                # batches in parallel against the broadcast shingle arrays
-                sh_ref = _ray.put(shingles)
-                edge_tab = pa.table(
-                    {"a": pa.array(aa[bl_idx]), "b": pa.array(bb[bl_idx]),
-                     "i": pa.array(bl_idx.astype(np.int64))}
-                )
-
-                def verify_batch(t: pa.Table) -> pa.Table:
-                    sh = _ray.get(sh_ref)
-                    aa = t.column("a").to_numpy(zero_copy_only=False)
-                    bb = t.column("b").to_numpy(zero_copy_only=False)
-                    return pa.table(
-                        {"i": t.column("i"),
-                         "ok": pa.array(_true_jaccard_ok(aa, bb, sh))}
-                    )
-
-                n_blocks = max(4, min(64, len(bl_idx) // 4096))
-                verdicts = pa.concat_tables(
-                    _rd.from_arrow(edge_tab)
-                    .repartition(n_blocks)
-                    .map_batches(verify_batch, batch_format="pyarrow")
-                    .iter_batches(batch_size=None, batch_format="pyarrow")
-                )
-                ok_idx = verdicts.column("i").to_numpy(zero_copy_only=False)[
-                    verdicts.column("ok").to_numpy(zero_copy_only=False)
-                ]
-                accept[ok_idx] = True
+                # slices in parallel against the broadcast shingle arrays
+                sh_ref = ray.put(shingles)
+                chunks = np.array_split(bl_idx, max(4, min(64, len(bl_idx) // 4096)))
+                oks = _run_tasks(functools.partial(_true_jaccard_ok, jaccard_threshold),
+                                 [(aa[c], bb[c], sh_ref) for c in chunks])
+                accept[np.concatenate(chunks)[np.concatenate(oks)]] = True
             return accept
 
         accept = _verify(a_ids, b_ids, chain_mask)
@@ -1005,10 +1021,11 @@ def minhash_lsh_dedup(
             b_ids = np.concatenate([b_ids, rep_b[rep_acc]])
         return a_ids, b_ids
 
-    return _finish(_drop_clustered(
-        ds, pairs, id_col, max_driver_edges, verify=verify,
-        distributed_finish=distributed_finish,
-    ))
+    result = _drop_clustered(blocks, edges, id_col, max_driver_edges,
+                             verify=verify, distributed_finish=distributed_finish)
+    if return_artifacts:
+        return result, _from_blocks(signed), _from_blocks(own_bands)
+    return result
 
 
 def ngram_jaccard(a: str, b: str, k: int = 5) -> float:
@@ -1095,8 +1112,7 @@ def simhash_dedup(ds, text_col: str = "text", id_col: str = "doc_id", max_hammin
     minhash_lsh_dedup)."""
 
     if pre_exact:
-        # materialized — consumed twice (signing + survivor filter)
-        ds = exact_dedup(ds, text_col=text_col, id_col=id_col).materialize()
+        ds = exact_dedup(ds, text_col=text_col, id_col=id_col)
     num_buckets = 64
 
     def sign(t: pa.Table) -> pa.Table:
@@ -1148,7 +1164,8 @@ def simhash_dedup(ds, text_col: str = "text", id_col: str = "doc_id", max_hammin
         sign, batch_format="pyarrow", zero_copy_batch=True
     ).materialize()  # signature table only — tiny vs the corpus
     pairs = signed.groupby("_bkt").map_groups(bucket_edges, batch_format="pyarrow")
-    return _drop_clustered(ds, pairs, id_col, max_driver_edges)
+    return _drop_clustered(block_refs(ds), block_refs(pairs.materialize()), id_col,
+                           max_driver_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -1202,12 +1219,12 @@ def embedding_dedup(
             t = t.append_column("_vh1", pa.array(h1.astype(np.int64)))
             return t.append_column("_vh2", pa.array(h2.astype(np.int64)))
 
-        ds = _min_id_exchange(
+        ds = _from_blocks(_min_id_blocks(
             ds.map_batches(add_vec_key, batch_format="pyarrow", zero_copy_batch=True),
-            ["_vh1", "_vh2"], id_col, EXACT_BUCKETS,
+            ["_vh1", "_vh2"], id_col,
             lambda t: t.column("_vh1").to_numpy().astype(np.uint64),
             drop=("_vh1", "_vh2"),
-        ).materialize()  # consumed by dim probe + signing + survivor filter
+        ))
 
     if dim is None:
         first = ds.take(1)
@@ -1266,7 +1283,8 @@ def embedding_dedup(
         sign, batch_format="pyarrow", zero_copy_batch=True
     ).materialize()  # signature table only — tiny vs the corpus
     pairs = signed.groupby("_bkt").map_groups(bucket_edges, batch_format="pyarrow")
-    return _drop_clustered(ds, pairs, id_col, max_driver_edges)
+    return _drop_clustered(block_refs(ds), block_refs(pairs.materialize()), id_col,
+                           max_driver_edges)
 
 
 def ngram_jaccard_dedup(

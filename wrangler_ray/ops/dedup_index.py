@@ -67,12 +67,15 @@ from wrangler_ray.ops import fsio
 from wrangler_ray.ops.dedup import (
     _band_rows,
     _coarse_bucket,
-    exact_dedup,
     minhash_lsh_dedup,
 )
 
 
 _KINDS = ("texts", "signatures", "bands")
+# every index write bundles blocks into files of at least this many rows
+# (one file per write, or per pb partition, below it): the file count
+# follows the data, not the blocks a sort or an exchange emits
+ROWS_PER_FILE = 1 << 16
 
 
 class MinHashDedupIndex:
@@ -186,12 +189,14 @@ class MinHashDedupIndex:
         texts.write_parquet(
             self._incr_dir("texts", k),
             filesystem=self.fs,
+            min_rows_per_file=ROWS_PER_FILE,
         )
         rd.read_parquet(old["signatures"], filesystem=self.fs).sort(
             id_col
         ).write_parquet(
             self._incr_dir("signatures", k),
             filesystem=self.fs,
+            min_rows_per_file=ROWS_PER_FILE,
         )
         parts = self.meta["sig_parts"]
 
@@ -209,6 +214,7 @@ class MinHashDedupIndex:
             self._incr_dir("bands", k),
             partition_cols=["pb"],
             filesystem=self.fs,
+            min_rows_per_file=ROWS_PER_FILE,
         )
         live = self.meta["live_incrs"]
         self.meta = fsio.index_commit(self.fs, self.index_dir, self.meta, live_incrs=[k])
@@ -336,11 +342,6 @@ class MinHashDedupIndex:
                 f"index at {self.index_dir} stores {stored} columns, "
                 f"got ({id_col}, {text_col})"
             )
-        # materialized: the deduped increment is consumed several times
-        # downstream (signing, banding, borderline fetch, survivor filter,
-        # text write) — lazy, each consumption re-runs the exchange
-        ds = exact_dedup(ds, text_col=text_col, id_col=id_col).materialize()
-
         out, signed, banded = minhash_lsh_dedup(
             ds,
             text_col=text_col,
@@ -349,11 +350,9 @@ class MinHashDedupIndex:
             bands=self.meta["bands"],
             jaccard_threshold=self.meta["jaccard_threshold"],
             shingle_k=self.meta["shingle_k"],
-            pre_exact=False,  # done above, against raw text
             indexed=self if self.meta["incr"] > 0 else None,
             return_artifacts=True,
         )
-        out = out.materialize()
 
         k = fsio.index_next_incr(self.fs, self.index_dir, self._roots, self.meta)
 
@@ -372,12 +371,14 @@ class MinHashDedupIndex:
         out.select_columns([id_col, text_col]).write_parquet(
             self._incr_dir("texts", k),
             filesystem=self.fs,
+            min_rows_per_file=ROWS_PER_FILE,
         )
         signed.map_batches(
             keep_surv, batch_format="pyarrow", zero_copy_batch=True
         ).write_parquet(
             self._incr_dir("signatures", k),
             filesystem=self.fs,
+            min_rows_per_file=ROWS_PER_FILE,
         )
         if not legacy:
             parts = self.meta["sig_parts"]
@@ -397,6 +398,7 @@ class MinHashDedupIndex:
                 self._incr_dir("bands", k),
                 partition_cols=["pb"],
                 filesystem=self.fs,
+                min_rows_per_file=ROWS_PER_FILE,
             )
 
         n_kept = out.count()

@@ -146,30 +146,6 @@ class ResizeImage:
         return batch.append_column("resized_nbytes", pa.array(nb, pa.int64()))
 
 
-class SampleFrames:
-    """Video frame sampling stub: given ``n_frames`` metadata, emits the frame
-    indices an ffmpeg-based sampler would extract (every ``stride``-th frame,
-    cap ``max_frames``). Adds ``frame_indices: list<int32>``."""
-
-    def __init__(self, stride: int = 30, max_frames: int = 8):
-        self.stride = stride
-        self.max_frames = max_frames
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        nf = (
-            batch.column("n_frames").to_pylist()
-            if "n_frames" in batch.column_names
-            else [0] * batch.num_rows
-        )
-        idxs = [
-            list(range(0, int(x), self.stride))[: self.max_frames] if x else []
-            for x in nf
-        ]
-        return batch.append_column(
-            "frame_indices", pa.array(idxs, pa.list_(pa.int32()))
-        )
-
-
 class VideoFrames:
     """Video frame-sampling + per-frame features. ``fake=False`` REALLY
     decodes uncompressed-DIB AVI payloads with the pure-stdlib RIFF codec

@@ -101,14 +101,6 @@ def profile(ds) -> dict:
     return result
 
 
-def schema_summary(ds) -> list[dict]:
-    """Inferred output schema (the service's /schema endpoint analog)."""
-    schema = ds.schema()
-    return [
-        {"name": n, "type": str(t)} for n, t in zip(schema.names, schema.types)
-    ]
-
-
 def profile_table(ds) -> pa.Table:
     """profile() flattened to an Arrow table (oracle-comparable subset:
     column, null_pct, non_null_pct)."""

@@ -168,12 +168,3 @@ def _read_avro(path: str, columns=None, **kw):
     return rd.read_binary_files(path, **kw).map_batches(
         decode, batch_format="pyarrow", zero_copy_batch=True
     )
-
-
-def write_partitioned_parquet(ds, path: str, partition_cols=None, **kw):
-    """Resumable output layout: partitioned directories so a re-run can skip
-    finished partitions (never one giant file). For the transactional
-    manifest-commit sink, use wrangler_ray.cdc.engine.CdcTable."""
-    if partition_cols:
-        return ds.write_parquet(path, partition_cols=list(partition_cols), **kw)
-    return ds.write_parquet(path, **kw)
