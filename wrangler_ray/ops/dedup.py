@@ -688,10 +688,9 @@ def _sign_band(text_col: str, id_col: str, hasher: MinHasher, bands: int,
     return (counts, signed, *band_parts)
 
 
-def _split_bands(parts: int, block) -> tuple:
+def _split_bands(parts: int, t: pa.Table) -> tuple:
     """Band rows split by exchange partition, ``_bkt % parts``: all rows of
     one (band, key) LSH bucket meet in one edge task."""
-    t = to_arrow(block)
     bkt = t.column("_bkt").to_numpy(zero_copy_only=False).astype(np.int64)
     return split(t, bkt % parts, parts)
 

@@ -14,10 +14,10 @@ take as arguments:
 
 The partition count follows the data, never the CPU count:
 ``num_parts(rows)`` is ``ceil(rows / ROWS_PER_PART)``, capped at
-``MAX_PARTS``, so a run on any cluster size does the same work. At 8,000
-documents near-dup dedup ran 0.6 s per op with 4 partitions and 2 s with 64
-(4 CPUs): each task costs milliseconds of scheduling, so a partition must
-hold enough rows to pay for it.
+``MAX_PARTS``, so a run on any cluster size does the same work. Each task
+costs milliseconds of scheduling, so a partition must hold enough rows to
+pay for it: at 8,000 documents on 4 CPUs, MinHash dedup took 0.81 s per op
+with 4 partitions and 1.14 s with 16 (BASELINE.md round 16).
 """
 
 from __future__ import annotations
@@ -30,7 +30,9 @@ import pyarrow as pa
 # tasks in flight at once: bounds the driver's pending refs and, for a
 # snapshot, the Dataset blocks that queued tasks pin
 TASK_WINDOW = 32
-# how long a failed call waits for its cancelled tasks to stop
+# a failed call cancels the tasks still running after CANCEL_GRACE_S, then
+# waits up to CANCEL_WAIT_S for them to stop
+CANCEL_GRACE_S = 0.2
 CANCEL_WAIT_S = 30
 # exchange partition sizing (see the module docstring)
 ROWS_PER_PART = 2048
@@ -61,11 +63,11 @@ def _run_tasks(fn, args, num_returns: int = 1) -> list:
     result is ``(meta, refs)``: the first value, fetched, and object refs
     to the others, which stay in the object store.
 
-    Once a task has failed no further task is submitted; the others are
-    cancelled (without force: a running task stops at its next Python
-    bytecode), waited for up to ``CANCEL_WAIT_S``, and the first error is
-    raised — so no sibling goes on writing after the caller has the
-    error."""
+    Once a task has failed no further task is submitted; the others get
+    ``CANCEL_GRACE_S`` to finish, those still running are cancelled
+    (without force: a running task stops at its next Python bytecode) and
+    waited for up to ``CANCEL_WAIT_S``, and the first error is raised — so
+    no sibling goes on writing after the caller has the error."""
     import ray
 
     task, fn = _remote_call().options(num_returns=num_returns), ray.put(fn)
@@ -84,9 +86,15 @@ def _run_tasks(fn, args, num_returns: int = 1) -> list:
             pending.append(heads[-1])
         metas = ray.get(heads)
     except Exception:
-        for ref in heads:
-            ray.cancel(ref)
         if heads:
+            # Ray 2.49 aborts the driver process ("Tried to complete task
+            # that was not pending") when a cancel meets a task it is
+            # completing at that moment, so the tasks get a grace period to
+            # finish, and each one left is checked right before its cancel
+            ray.wait(heads, num_returns=len(heads), timeout=CANCEL_GRACE_S)
+            for ref in heads:
+                if not ray.wait([ref], timeout=0.001)[0]:
+                    ray.cancel(ref)
             ray.wait(heads, num_returns=len(heads), timeout=CANCEL_WAIT_S)
         raise
     if num_returns == 1:
@@ -119,12 +127,12 @@ def split(t: pa.Table, part: np.ndarray, parts: int) -> tuple:
                       for p in range(parts)))
 
 
-def reduce_parts(maps: list, fn, num_returns: int = 2) -> list:
-    """One ``fn(*tables)`` task per partition that holds rows, over the
-    partition's non-empty outputs of the map tasks ``maps`` (``(counts,
-    part refs)`` pairs from ``_run_tasks``). Returns ``_run_tasks``'s
-    results in partition order."""
+def reduce_parts(maps: list, fn) -> list:
+    """One ``fn(*tables) -> (meta, table)`` task per partition that holds
+    rows, over the partition's non-empty outputs of the map tasks ``maps``
+    (``(counts, part refs)`` pairs from ``_run_tasks``). Returns ``(meta,
+    [table ref])`` per task, in partition order."""
     parts = len(maps[0][0]) if maps else 0
     args = [tuple(refs[p] for counts, refs in maps if counts[p])
             for p in range(parts)]
-    return _run_tasks(fn, [a for a in args if a], num_returns=num_returns)
+    return _run_tasks(fn, [a for a in args if a], num_returns=2)
