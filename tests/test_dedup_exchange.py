@@ -1,6 +1,6 @@
 """The dedup task exchange (``wrangler_ray.tasks``): survivors do not depend
-on the partition count, the driver-clustered path starts no Ray Data
-shuffle, and a failing task stops the op."""
+on the partition count, no dedup route starts a Ray Data shuffle, and a
+failing task stops the op."""
 
 import numpy as np
 import pyarrow as pa
@@ -55,7 +55,8 @@ def test_survivors_do_not_depend_on_partition_count(ray_session, monkeypatch, ta
                                                      corpus, exact_ids, near_ids):
     """``ROWS_PER_PART`` sized for 1, 3 and 64 partitions (the 41-doc
     corpus reaches 41, one row each): the same survivors as ever, for both
-    all-pairs caps."""
+    all-pairs caps and on both routes (``max_driver_edges=0`` runs the
+    verify and the connected components over the same partitions)."""
     import ray.data as rd
 
     from wrangler_ray import tasks
@@ -67,30 +68,81 @@ def test_survivors_do_not_depend_on_partition_count(ray_session, monkeypatch, ta
     ds = rd.from_arrow(tab).repartition(4).materialize()
     assert _ids(exact_dedup(ds)) == exact_ids
     for cap in (2, 10_000):
-        got = minhash_lsh_dedup(ds, jaccard_threshold=0.8, pair_cap=cap)
-        assert _ids(got) == near_ids, f"pair_cap={cap}"
+        for max_edges in (4_000_000, 0):
+            got = minhash_lsh_dedup(ds, jaccard_threshold=0.8, pair_cap=cap,
+                                    max_driver_edges=max_edges)
+            assert _ids(got) == near_ids, f"pair_cap={cap} max_driver_edges={max_edges}"
 
 
-def test_driver_clustered_path_starts_no_ray_data_shuffle(ray_session, monkeypatch):
-    """With ``groupby``, ``repartition`` and ``map_batches`` of every
-    Dataset raising, exact and MinHash dedup still return their survivors:
-    the driver-clustered path runs as plain tasks only."""
+# SimHash (max_hamming 3) survivors of _edited_corpus: the base docs, the
+# heavily edited copies, and these lightly edited copies whose SimHash
+# moved by more than 3 bits
+_EDITED_SIMHASH = list(range(200)) + [
+    200, 205, 206, 207, 212, 217, 218, 220, 222, 224, 229, 230, 231, 233, 237,
+    240, 241, 246, 247, 248, 251, 253, 254, 262, 263, 265, 266, 268, 277, 279,
+    281, 284, 285, 286, 290, 291, 293, 304, 306, 311, 312, 313, 315, 322, 324,
+    327, 329, 330, 333, 334, 336, 344, 347, 348, 352, 361, 362, 364, 367, 370,
+    374, 376, 379, 380, 381, 384, 385, 390, 391, 392, 393, 394, 399,
+] + list(range(400, 460))
+
+
+def _embedding_table() -> pa.Table:
+    """64 random 16-d vectors (ids 0..63) and a copy of each of the first
+    20 with noise of 1e-3 (ids 64..83): at cosine 0.99 every copy is
+    dropped."""
+    rng = np.random.default_rng(5)
+    base = rng.standard_normal((64, 16)).astype(np.float32)
+    noise = rng.standard_normal((20, 16)).astype(np.float32) * 1e-3
+    vecs = np.vstack([base, base[:20] + noise])
+    return pa.table({"vec_id": pa.array(np.arange(len(vecs)), pa.int64()),
+                     "embedding": pa.array(list(vecs), pa.list_(pa.float32()))})
+
+
+def test_dedup_starts_no_ray_data_job(ray_session, monkeypatch):
+    """With ``groupby``, ``map_batches``, ``repartition``, ``union`` and
+    ``aggregate`` of every Dataset raising, exact, MinHash, SimHash and
+    embedding dedup return their survivors on both routes — edges clustered
+    on the driver, and past the driver cap (``max_driver_edges=0``) — and a
+    ``large_string`` text column leaves with the input's Arrow schema."""
+    import ray
     import ray.data as rd
 
-    from wrangler_ray.ops.dedup import exact_dedup, minhash_lsh_dedup
+    from wrangler_ray.ops.dedup import (
+        embedding_dedup,
+        exact_dedup,
+        minhash_lsh_dedup,
+        simhash_dedup,
+    )
 
-    ds = rd.from_arrow(_edited_corpus()).repartition(3).materialize()
+    tab = _edited_corpus()
+    tab = tab.set_column(1, "text", tab.column("text").cast(pa.large_string()))
+    ds = rd.from_arrow(tab).repartition(3).materialize()
+    emb = rd.from_arrow(_embedding_table()).repartition(3).materialize()
 
     def banned(*a, **k):
         raise AssertionError("a Ray Data shuffle or map ran")
 
+    out = {}
     with monkeypatch.context() as m:
-        for name in ("groupby", "repartition", "map_batches"):
+        for name in ("groupby", "map_batches", "repartition", "union", "aggregate"):
             m.setattr(rd.Dataset, name, banned)
-        exact = exact_dedup(ds)
-        near = minhash_lsh_dedup(ds, jaccard_threshold=0.8)
-    assert _ids(exact) == _EDITED_EXACT
-    assert _ids(near) == _EDITED_NEAR
+        out["exact"] = exact_dedup(ds)
+        for cap in (4_000_000, 0):
+            out["minhash", cap] = minhash_lsh_dedup(ds, jaccard_threshold=0.8,
+                                                    max_driver_edges=cap)
+            out["simhash", cap] = simhash_dedup(ds, max_driver_edges=cap)
+            out["embedding", cap] = embedding_dedup(emb, cosine_threshold=0.99,
+                                                    max_driver_edges=cap)
+    assert _ids(out["exact"]) == _EDITED_EXACT
+    for cap in (4_000_000, 0):
+        assert _ids(out["minhash", cap]) == _EDITED_NEAR, cap
+        assert _ids(out["simhash", cap]) == _EDITED_SIMHASH, cap
+        got = out["embedding", cap].to_pandas()["vec_id"]
+        assert sorted(got) == list(range(64)), cap
+    for key, res in out.items():
+        if "embedding" not in key:
+            for t in ray.get(res.to_arrow_refs()):
+                assert t.schema == tab.schema, key
 
 
 def test_failing_sign_task_stops_the_op(ray_session):

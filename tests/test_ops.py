@@ -51,6 +51,26 @@ def test_ngram_jaccard_symmetric():
     assert ngram_jaccard(a, b) == ngram_jaccard(b, a)
 
 
+def test_borderline_exact_jaccard_counts_shingle_sets():
+    """Texts that repeat a 5-gram: the borderline tier's shingle arrays
+    are sets, so its Jaccard equals ``ngram_jaccard`` (0.727, 16 and 22
+    distinct of 34 and 29 shingles) and the pair fails 0.8."""
+    from wrangler_ray.ops.dedup import _shingle_rows, _true_jaccard_ok, ngram_jaccard
+
+    a = "alpha beta alpha beta alpha beta gamma"
+    b = "alpha beta alpha beta gamma delta"
+    t = _shingle_rows("doc_id", "text", 5, np.array([0, 1]),
+                      pa.table({"doc_id": [0, 1], "text": [a, b]}))
+    sh = {i: np.frombuffer(x, np.int64)
+          for i, x in zip(t.column("doc_id").to_pylist(), t.column("sh").to_pylist())}
+    inter = len(np.intersect1d(sh[0], sh[1]))
+    got = inter / (len(sh[0]) + len(sh[1]) - inter)
+    assert round(got, 3) == round(ngram_jaccard(a, b), 3) == 0.727
+    one, two = np.array([0]), np.array([1])
+    assert not _true_jaccard_ok(0.8, one, two, sh)[0]
+    assert _true_jaccard_ok(0.72, one, two, sh)[0]
+
+
 def test_simhash_dedup(docs_ds):
     from wrangler_ray.ops.dedup import simhash_dedup
 

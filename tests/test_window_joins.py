@@ -292,6 +292,25 @@ def test_connected_components(ray_session):
     assert lab == {1: 1, 2: 1, 3: 1, 4: 1, 10: 10, 11: 10}
 
 
+@pytest.mark.parametrize("rows_per_part", [2048, 8])
+def test_connected_components_fixed_point(ray_session, monkeypatch, rows_per_part):
+    """A path over 80 shuffled ids is one component, labelled by its min
+    id, however many rounds the labels take to cross it: in one partition,
+    and in 10 (``ROWS_PER_PART`` 8 over 79 edges)."""
+    import ray.data as rd
+
+    from wrangler_ray import tasks
+    from wrangler_ray.ops.cc import connected_components
+
+    monkeypatch.setattr(tasks, "ROWS_PER_PART", rows_per_part)
+    ids = np.random.default_rng(0).permutation(np.arange(1000, 1080))
+    edges = rd.from_arrow(pa.table({"a": pa.array(ids[:-1], pa.int64()),
+                                    "b": pa.array(ids[1:], pa.int64())}))
+    lab = {r["u"]: r["label"] for r in connected_components(edges).take_all()}
+    assert sorted(lab) == list(range(1000, 1080))
+    assert set(lab.values()) == {1000}
+
+
 def test_minhash_distributed_matches_driver(ray_session):
     import pyarrow as pa
     import ray.data as rd

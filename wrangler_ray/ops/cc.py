@@ -1,185 +1,190 @@
-"""Distributed connected components (min-label propagation) over an edge
-Dataset — the scale path for dedup clustering when the candidate-edge set
-exceeds driver memory (wrangler_ray.ops.dedup clusters edges on the driver
-with a vectorized min-label kernel while the distinct edge set fits
-``max_driver_edges``, and auto-routes here past that cap — always, with
+"""Connected components as rounds of plain Ray tasks (min-label
+propagation): the clustering of the near-dup tail once the distinct
+candidate edges pass the driver cap (``wrangler_ray.ops.dedup`` clusters
+them on the driver below it, and always routes here with
 ``max_driver_edges=0``).
 
-Algorithm: iterative min-label propagation.
-    label(u) ← min(u, neighbors(u))                    (init)
-    label(v) ← min(label(v), min_{(u,v)∈E} label(u))   (iterate)
+Nodes are partitioned by ``id % parts`` on the dedup task exchange
+(``wrangler_ray.tasks``). One map task per edge table splits both
+directions of every edge by their source node; then each partition's
+task, per round:
 
-Execution shape: NO ``Dataset.join`` (Ray 2.49's hash-join aggregator rejects
-the empty partitions that tiny/skewed key spaces produce). Each iteration is
-one bucketed ``groupby().map_groups`` — label rows and edge rows are unioned,
-co-partitioned by a coarse hash bucket of the node id, and a vectorized
-pandas merge inside each bucket emits the label offers — followed by one
-``groupby(node).min`` reduce. Work per iteration is O(|E|/cluster) with no
-driver-resident state. Converges in O(diameter) iterations; LSH candidate
-graphs are unions of stars around the min-id doc, so 2-3 iterations is
-typical. Convergence = the (count, sum) signature of the label table going
-stable (labels only ever decrease, so a stable sum is a fixed point).
+    label(u) ← min(label(u), labels offered to u)       (label(u) = u at first)
+    label(u) ← min label of u's component within the partition's own edges
+    offer label(u) to each neighbour in another partition, for every u
+    whose label changed
+
+The metadata a task returns is its count of changed labels sent to each
+partition; the rounds stop when no task sends one, and only partitions
+that were sent one run the next round. A label only ever falls and is
+always a node of the component, so at that fixed point every component
+carries its minimum id. The number of rounds follows how often a path
+crosses partitions, not a fixed cap; one partition converges in the
+first round.
+
+``drop_non_representatives`` splits the rows on the same ``id % parts``
+and filters each partition's rows by its non-minimum ids with
+``_drop_ids``, the driver route's filter: Arrow only, so the rows keep
+their schema.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
-_EMPTY_LABELS = pa.table({"u": pa.array([], pa.int64()), "label": pa.array([], pa.int64())})
+from wrangler_ray.core.schema import concat_reconciled
+from wrangler_ray.tasks import (
+    _run_tasks,
+    block_refs,
+    num_parts,
+    part_refs,
+    split,
+    split_on,
+    to_arrow,
+)
 
 
-def _clean_labels(t: pa.Table) -> pa.Table:
-    """Normalize any (possibly schema-less empty) block to (u, label) int64 —
-    empty groupby partitions otherwise emit blocks with no schema."""
-    if t.num_rows == 0 or "u" not in t.column_names:
-        return _EMPTY_LABELS
-    return pa.table(
-        {"u": t.column("u").cast(pa.int64()), "label": t.column("label").cast(pa.int64())}
-    )
+def _roots(ea: np.ndarray, eb: np.ndarray, n: int) -> np.ndarray:
+    """The root of each node ``0..n-1`` under the edges ``(ea, eb)``: the
+    smallest node of its component. Each round hooks the larger root of
+    every edge that still spans two trees onto the smaller one
+    (scatter-min), then pointer-jumps every node to its root. Every round
+    removes at least one root per live edge; pointer jumping makes a long
+    chain take O(log n) jumps, not O(n) rounds."""
+    parent = np.arange(n)
+    while True:
+        ra, rb = parent[ea], parent[eb]
+        live = ra != rb  # an edge inside one tree stays inside it
+        if not live.any():
+            return parent
+        ea, eb, ra, rb = ea[live], eb[live], ra[live], rb[live]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
 
 
-def connected_components(edges, max_iters: int = 25, num_buckets: int = 64):
-    """``edges``: Dataset with int64 columns (a, b). Returns a Dataset of
-    (node, label) where ``label`` is the minimum node id of the component —
-    i.e. the cluster representative. Only nodes that appear in an edge are
-    returned."""
-    from ray.data.aggregate import Min
-
-    def symmetrize(t: pa.Table) -> pa.Table:
-        a = t.column("a").to_numpy(zero_copy_only=False).astype(np.int64)
-        b = t.column("b").to_numpy(zero_copy_only=False).astype(np.int64)
-        k = np.concatenate([a, b])
-        v = np.concatenate([b, a])
-        return pa.table(
-            {
-                "k": pa.array(k, pa.int64()),
-                "val": pa.array(v, pa.int64()),
-                "is_lab": pa.array(np.zeros(len(k), np.int8)),
-                "_b": pa.array((k % num_buckets).astype(np.int32)),
-            }
-        )
-
-    E = edges.map_batches(
-        symmetrize, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()
-
-    def lab_rows(t: pa.Table) -> pa.Table:
-        t = _clean_labels(t)
-        u = t.column("u").to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "k": pa.array(u, pa.int64()),
-                "val": t.column("label").cast(pa.int64()),
-                "is_lab": pa.array(np.ones(len(u), np.int8)),
-                "_b": pa.array((u % num_buckets).astype(np.int32)),
-            }
-        )
-
-    def offers(g: pa.Table) -> pa.Table:
-        # one coarse bucket: nodes' current labels + their out-edges.
-        # vectorized: label per node, then a pandas merge edges⋈labels.
-        # NOTE: the emitted offers are keyed on the edge's OTHER endpoint,
-        # which may live in a different bucket — the per-u min happens in the
-        # NEXT round's bucket (or the final reduce below).
-        if g.num_rows == 0 or "k" not in g.column_names:
-            return _EMPTY_LABELS
-        df = g.to_pandas()
-        labs = df[df["is_lab"] == 1].groupby("k", sort=False)["val"].min()
-        e = df[df["is_lab"] == 0]
-        off = e.merge(labs.rename("label"), left_on="k", right_index=True)
-        out_u = np.concatenate([off["val"].to_numpy(np.int64), labs.index.to_numpy(np.int64)])
-        out_l = np.concatenate([off["label"].to_numpy(np.int64), labs.to_numpy(np.int64)])
-        # pre-reduce within the bucket: one row per (u) for offers that land
-        # here; cross-bucket duplicates are merged by the global Min reduce
-        red = pd.DataFrame({"u": out_u, "label": out_l}).groupby(
-            "u", sort=False, as_index=False
-        )["label"].min()
-        return pa.table(
-            {"u": pa.array(red["u"].to_numpy(np.int64)),
-             "label": pa.array(red["label"].to_numpy(np.int64))}
-        )
-
-    # init: label(u) = min(u, min neighbor)
-    labels = E.groupby("k").aggregate(Min("val", alias_name="label"))
-
-    def clamp_self(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "k" not in t.column_names:
-            return _EMPTY_LABELS
-        u = t.column("k").to_numpy(zero_copy_only=False).astype(np.int64)
-        l = t.column("label").to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {"u": pa.array(u, pa.int64()), "label": pa.array(np.minimum(u, l), pa.int64())}
-        )
-
-    labels = labels.map_batches(
-        clamp_self, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()
-
-    def signature(lab) -> tuple:
-        # ONE Ray job for the (count, sum) convergence check, not two
-        from ray.data.aggregate import Count, Sum
-
-        agg = lab.aggregate(Count(alias_name="n"), Sum("label", alias_name="s"))
-        return (agg["n"], agg["s"])
-
-    prev_sig = signature(labels)
-    for _ in range(max_iters):
-        tagged = labels.map_batches(
-            lab_rows, batch_format="pyarrow", zero_copy_batch=True
-        )
-        cand = E.union(tagged).groupby("_b").map_groups(offers, batch_format="pyarrow")
-        labels = (
-            cand.groupby("u")
-            .aggregate(Min("label", alias_name="label"))
-            .map_batches(_clean_labels, batch_format="pyarrow", zero_copy_batch=True)
-            .materialize()
-        )
-        sig = signature(labels)
-        if sig == prev_sig:
-            break
-        prev_sig = sig
-    return labels
+def _both_ways(parts: int, block) -> tuple:
+    """Map task: both directions (k, v) of every edge (a, b) of ``block``,
+    split on ``k % parts``."""
+    t = to_arrow(block)
+    a = t.column("a").to_numpy(zero_copy_only=False).astype(np.int64)
+    b = t.column("b").to_numpy(zero_copy_only=False).astype(np.int64)
+    k = np.concatenate([a, b])
+    return split(pa.table({"k": k, "v": np.concatenate([b, a])}), k % parts, parts)
 
 
-def drop_non_representatives(ds, labels, id_col: str = "doc_id",
-                             num_buckets: int = 64):
-    """Keep rows whose id is its component's representative (label == id) or
-    that belong to no component (never appeared in an edge). One bucketed
-    groupby over the union of data rows and label rows — no driver-resident
-    membership set and no Dataset.join."""
+def _relabel(parts: int, adj: pa.Table, labels, *offers) -> tuple:
+    """One round of one partition: ``(changed labels sent per partition,
+    labels (u, label), offers to partition 0, …)`` from its adjacency
+    ``adj`` (k, v), its ``labels`` (None in the first round) and the
+    offers (u, label) sent to it."""
+    k = adj.column("k").to_numpy()
+    v = adj.column("v").to_numpy()
+    if labels is None:
+        nodes, old = np.unique(k), None
+        lab = nodes.copy()
+    else:
+        nodes, old = labels.column("u").to_numpy(), labels.column("label").to_numpy()
+        lab = old.copy()
+    if offers:
+        o = pa.concat_tables(offers)
+        np.minimum.at(lab, np.searchsorted(nodes, o.column("u").to_numpy()),
+                      o.column("label").to_numpy())
+    local = v % parts == nodes[0] % parts
+    root = _roots(np.searchsorted(nodes, k[local]), np.searchsorted(nodes, v[local]),
+                  len(nodes))
+    low = lab.copy()
+    np.minimum.at(low, root, lab)
+    new = low[root]
+    ik = np.searchsorted(nodes, k)
+    send = ~local
+    if old is not None:
+        send &= (new != old)[ik]
+    counts, *out = split(pa.table({"u": v[send], "label": new[ik[send]]}),
+                         v[send] % parts, parts)
+    return (counts, pa.table({"u": nodes, "label": new}), *out)
 
-    def tag_data(t: pa.Table) -> pa.Table:
-        ids = t.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        t = t.append_column("_cc_side", pa.array(np.zeros(len(ids), np.int8)))
-        t = t.append_column("_cc_label", pa.nulls(len(ids), pa.int64()))
-        return t.append_column("_b", pa.array((ids % num_buckets).astype(np.int32)))
 
-    def tag_labels(t: pa.Table) -> pa.Table:
-        t = _clean_labels(t)
-        u = t.column("u").to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                id_col: pa.array(u, pa.int64()),
-                "_cc_side": pa.array(np.ones(len(u), np.int8)),
-                "_cc_label": t.column("label").cast(pa.int64()),
-                "_b": pa.array((u % num_buckets).astype(np.int32)),
-            }
-        )
+def _first_round(parts: int, *tables) -> tuple:
+    """The first round of one partition over its adjacency parts: as
+    ``_relabel``, with the concatenated adjacency returned second."""
+    adj = pa.concat_tables(tables)
+    counts, *rest = _relabel(parts, adj, None)
+    return (counts, adj, *rest)
 
-    data = ds.map_batches(tag_data, batch_format="pyarrow", zero_copy_batch=True)
-    labs = labels.map_batches(tag_labels, batch_format="pyarrow", zero_copy_batch=True)
 
-    def keep(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or "_cc_side" not in g.column_names:
-            return pa.table({})
-        df = g.to_pandas()
-        lab_map = df[df["_cc_side"] == 1].set_index(id_col)["_cc_label"]
-        rows = df[df["_cc_side"] == 0]
-        lab = rows[id_col].map(lab_map)
-        keep_mask = lab.isna() | (lab == rows[id_col])
-        out = rows[keep_mask].drop(columns=["_cc_side", "_cc_label", "_b"])
-        return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
+def components(edges: list, parts: int) -> list:
+    """Per partition ``p < parts``: a ref to the (u, label) table of the
+    nodes ``u ≡ p (mod parts)`` of the edge tables ``edges`` (``(ref,
+    rows)`` pairs with int columns a, b), label the minimum id of u's
+    component, or None when no node falls in ``p``."""
+    sym = _run_tasks(functools.partial(_both_ways, parts),
+                     [ref for ref, n in edges if n], num_returns=parts + 1)
+    live = [p for p in range(parts) if part_refs(sym, p)]
+    first = _run_tasks(functools.partial(_first_round, parts),
+                       [part_refs(sym, p) for p in live], num_returns=parts + 3)
+    adj, labels, sent = {}, {}, []
+    for p, (counts, refs) in zip(live, first):
+        adj[p], labels[p] = refs[:2]
+        sent.append((counts, refs[2:]))
+    while any(counts.any() for counts, _ in sent):
+        to = {p: offers for p in labels if (offers := part_refs(sent, p))}
+        out = _run_tasks(functools.partial(_relabel, parts),
+                         [(adj[p], labels[p], *offers) for p, offers in to.items()],
+                         num_returns=parts + 2)
+        sent = []
+        for p, (counts, refs) in zip(to, out):
+            labels[p] = refs[0]
+            sent.append((counts, refs[1:]))
+    return [labels.get(p) for p in range(parts)]
 
-    return data.union(labs).groupby("_b").map_groups(keep, batch_format="pyarrow")
+
+def connected_components(edges):
+    """``edges``: Dataset with int columns (a, b). Returns a materialized
+    Dataset of (u, label) where ``label`` is the minimum node id of u's
+    component, i.e. the cluster representative. Only nodes that appear in
+    an edge are returned."""
+    import ray.data as rd
+
+    blocks = block_refs(edges)
+    labels = components(blocks, num_parts(sum(n for _, n in blocks)))
+    return rd.from_arrow_refs([ref for ref in labels if ref is not None])
+
+
+def _drop_ids(id_col: str, drop_arr: np.ndarray, block) -> tuple:
+    """Survivor-filter task: the rows of ``block`` whose id is not in
+    ``drop_arr``."""
+    t = to_arrow(block)
+    if len(drop_arr) and t.num_rows:
+        ids = t.column(id_col).to_numpy(zero_copy_only=False)
+        t = t.filter(pa.array(~np.isin(ids, drop_arr)))
+    return t.num_rows, t
+
+
+def _keep_representatives(id_col: str, labels, *tables) -> tuple:
+    """Filter task of one partition: its rows minus the non-minimum ids of
+    its ``labels`` (None when no node fell in the partition)."""
+    drop = np.empty(0, np.int64)
+    if labels is not None:
+        u = labels.column("u").to_numpy()
+        drop = u[u != labels.column("label").to_numpy()]
+    return _drop_ids(id_col, drop, concat_reconciled(list(tables)))
+
+
+def drop_non_representatives(blocks: list, labels: list, id_col: str = "doc_id") -> list:
+    """``(ref, rows)`` blocks of the rows of ``blocks`` whose id is its
+    component's representative (label == id) or in no component.
+    ``labels`` is ``components``' output: the rows, split on ``id %
+    len(labels)``, meet their partition's labels in one task."""
+    parts = len(labels)
+    maps = _run_tasks(functools.partial(split_on, id_col, parts),
+                      [ref for ref, n in blocks if n], num_returns=parts + 1)
+    args = [(labels[p], *rows) for p in range(parts) if (rows := part_refs(maps, p))]
+    out = _run_tasks(functools.partial(_keep_representatives, id_col), args, num_returns=2)
+    return [(refs[0], n) for n, refs in out]

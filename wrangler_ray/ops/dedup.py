@@ -1,25 +1,27 @@
 """Deduplication: exact, MinHash+LSH, SimHash, n-gram Jaccard, embedding-cosine.
 
-Shuffle shape (the part that matters at 100 TB):
-- exact: one task exchange (``wrangler_ray.tasks``) on the 64-bit content
-  hash: a map task per input block combines within the block and splits
-  its rows by hash partition, a reduce task per partition keeps the min-id
-  row per text. Shuffle volume = full data once, on a uniform hash → no
-  skew. The partition count is ``num_parts`` of the input's row count, so
-  it follows the data, never the CPU count.
-- MinHash: a sign-and-band task per (exact-deduped) block emits
-  (bucket_key, doc_id) band rows — a FRACTION of the input bytes — split
-  by band partition; an edge task per partition emits candidate edges.
-  SimHash and embedding-LSH group their bucket rows with Ray Data's
-  ``groupby``.
+Every shuffle is one task exchange (``wrangler_ray.tasks``): a map task per
+input block splits its rows by partition, a reduce task per partition does
+the grouping; the partition count is ``num_parts`` of the row count, so it
+follows the data, never the CPU count.
+- exact: the map task keeps the min-id row per distinct key within its
+  block and splits on the 64-bit content hash, the reduce task keeps the
+  min-id row per key. Shuffle volume = full data once, on a uniform hash →
+  no skew. The same exchange is every near-dup variant's ``pre_exact``
+  pass (embedding's hashes the vector bytes in its map task).
+- MinHash, SimHash, embedding: a sign task per (exact-deduped) block emits
+  its LSH bucket rows (a FRACTION of the input bytes) split by bucket
+  partition; an edge task per partition emits the verified or candidate
+  edges of its buckets.
 - every variant then shares one tail (``_drop_clustered``): connected
-  components over the candidate edges and one survivor filter. Candidate
-  edges are ~O(#duplicates); while the distinct edge set fits
-  ``max_driver_edges`` they are clustered on the driver by a vectorized
-  min-label kernel (``_non_min_ids``) and the verify and filter steps run
-  as plain tasks over object refs; past that cap the pipeline auto-routes
-  to distributed min-label propagation (``wrangler_ray.ops.cc``) — it
-  never raises on a large edge set.
+  components over the edges and one survivor filter. Edges are
+  ~O(#duplicates); while the distinct edge set fits ``max_driver_edges``
+  they are clustered on the driver by a vectorized min-label kernel
+  (``_non_min_ids``). Past that cap the edges stay in the object store:
+  the pair-DISTINCT, MinHash's signature verify, the connected components
+  (``wrangler_ray.ops.cc``) and the survivor filter all run as task rounds
+  on the same exchange, so the route never raises on a large edge set and
+  keeps the rows' Arrow schema.
 """
 
 from __future__ import annotations
@@ -31,13 +33,20 @@ import pandas as pd
 import pyarrow as pa
 
 from wrangler_ray.core.schema import concat_reconciled
-from wrangler_ray.ops.cc import connected_components, drop_non_representatives
+from wrangler_ray.ops.cc import (
+    _drop_ids,
+    _roots,
+    components,
+    drop_non_representatives,
+)
 from wrangler_ray.tasks import (
     _run_tasks,
     block_refs,
     num_parts,
+    part_refs,
     reduce_parts,
     split,
+    split_on,
     to_arrow,
 )
 
@@ -72,8 +81,40 @@ def _min_id_rows(t: pa.Table, keys: list[str], id_col: str) -> np.ndarray:
     return np.union1d(keep.to_numpy(np.int64), nulls)
 
 
-def _text_hash(text_col: str):
-    return lambda t: _content_hash(t.column(text_col).to_numpy(zero_copy_only=False))
+def _text_key(text_col: str, t: pa.Table) -> tuple:
+    return t, _content_hash(t.column(text_col).to_numpy(zero_copy_only=False))
+
+
+def _vec_key(vec_col: str, t: pa.Table) -> tuple:
+    """``t`` with two independent 64-bit digests of each vector's raw
+    bytes appended (_vh1, _vh2), and _vh1 as the key hash. Fully
+    vectorized: one hash pass over the flattened element view, then an
+    unweighted and a position-weighted fold. Distinct vectors collide on
+    BOTH with probability ~2^-128, so the pair is treated as identity."""
+    from wrangler_ray.ops.similarity import vecs_np
+
+    raw = vecs_np(t.column(vec_col))
+    n, d = raw.shape
+    eh = (
+        pd.util.hash_array(raw.view(np.uint32).ravel(), categorize=False)
+        .astype(np.uint64)
+        .reshape(n, d)
+    )
+    w = (np.arange(d, dtype=np.uint64) << np.uint64(1)) | np.uint64(1)
+    with np.errstate(over="ignore"):
+        h1 = eh.sum(axis=1, dtype=np.uint64)
+        h2 = (eh * w[None, :]).sum(axis=1, dtype=np.uint64)
+    t = t.append_column("_vh1", pa.array(h1.astype(np.int64)))
+    return t.append_column("_vh2", pa.array(h2.astype(np.int64))), h1
+
+
+def _exchange(blocks: list, map_fn, reduce_fn, parts: int) -> list:
+    """``(ref, rows)`` blocks out of one task exchange over ``blocks``: a
+    ``map_fn(block)`` task per non-empty block returns its rows split into
+    ``parts`` partitions (``split``), a ``reduce_fn(*tables) -> (rows,
+    table)`` task per partition that holds rows."""
+    maps = _run_tasks(map_fn, [ref for ref, n in blocks if n], num_returns=parts + 1)
+    return [(refs[0], n) for n, refs in reduce_parts(maps, reduce_fn)]
 
 
 def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id"):
@@ -85,32 +126,30 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id"):
     skew-free), as plain Ray tasks (see _min_id_blocks). Texts are compared
     by VALUE within a partition, so a hash collision never drops a row;
     null texts form one group, and null-id rows are always kept."""
-    return _from_blocks(_min_id_blocks(ds, [text_col], id_col, _text_hash(text_col)))
+    return _from_blocks(_min_id_blocks(ds, [text_col], id_col,
+                                       functools.partial(_text_key, text_col)))
 
 
-def _min_id_blocks(ds, keys: list[str], id_col: str, key_hash,
+def _min_id_blocks(ds, keys: list[str], id_col: str, keyed,
                    drop: tuple = ()) -> list:
     """``(ref, rows)`` blocks holding the min-id row per distinct ``keys``
-    value of ``ds`` (see _min_id_rows), through one task exchange on
-    ``key_hash(t)`` (a uint64 hash of the key columns — equal keys must
-    hash equal): a map task per block of ``ds``, a reduce task per
-    partition with a vectorized groupby inside, instead of one Python call
-    per distinct value. ``drop`` names key columns to remove after. An
-    empty ``ds`` comes back as its own blocks."""
+    value of ``ds`` (see _min_id_rows), through one task exchange on the
+    key hash: ``keyed(t)`` returns ``(t, hash)``, the block with any
+    computed key columns appended and a uint64 hash of its keys (equal
+    keys must hash equal). A map task per block of ``ds``, a reduce task
+    per partition with a vectorized groupby inside, instead of one Python
+    call per distinct value. ``drop`` names key columns to remove after.
+    An empty ``ds`` comes back as its own blocks."""
     blocks = block_refs(ds)
     rows = sum(n for _, n in blocks)
     if not rows:
         return blocks
     parts = num_parts(rows)
-    maps = _run_tasks(
-        functools.partial(_min_id_map, keys, id_col, key_hash, parts),
-        [ref for ref, n in blocks if n], num_returns=parts + 1,
-    )
-    out = reduce_parts(maps, functools.partial(_min_id_reduce, keys, id_col, drop))
-    return [(refs[0], n) for n, refs in out]
+    return _exchange(blocks, functools.partial(_min_id_map, keys, id_col, keyed, parts),
+                     functools.partial(_min_id_reduce, keys, id_col, drop), parts)
 
 
-def _min_id_map(keys: list[str], id_col: str, key_hash, parts: int, block) -> tuple:
+def _min_id_map(keys: list[str], id_col: str, keyed, parts: int, block) -> tuple:
     # WITHIN-BLOCK COMBINER before the exchange: keep the min-id row per
     # distinct key inside this block (min is associative, keys compared by
     # VALUE — collision-safe like the reduce), so the exchange ships only
@@ -119,11 +158,11 @@ def _min_id_map(keys: list[str], id_col: str, key_hash, parts: int, block) -> tu
     # all-unique block this is one vectorized groupby pass. Metadata
     # stripped: parquet files written by pandas carry a dict that makes
     # the schema unhashable.
-    t = to_arrow(block).replace_schema_metadata(None)
+    t, h = keyed(to_arrow(block).replace_schema_metadata(None))
     keep = _min_id_rows(t, keys, id_col)
     if len(keep) < t.num_rows:
-        t = t.take(pa.array(keep))
-    return split(t, (key_hash(t) % np.uint64(parts)).astype(np.int64), parts)
+        t, h = t.take(pa.array(keep)), h[keep]
+    return split(t, (h % np.uint64(parts)).astype(np.int64), parts)
 
 
 def _min_id_reduce(keys: list[str], id_col: str, drop: tuple, *tables) -> tuple:
@@ -529,67 +568,26 @@ def _dedupe_pairs_df(df: pd.DataFrame) -> pd.DataFrame:
     return df.drop_duplicates(ignore_index=True)
 
 
-def _distinct_pairs(pairs):
-    """Global DISTINCT over (a, b) edge rows via a bucketed exchange — the
-    same pair surfaces from up to `bands` different LSH buckets, so the raw
-    edge stream overcounts real candidates by up to that factor. 16 bytes per
-    row, vectorized drop_duplicates per bucket."""
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "a" not in t.column_names:
-            return pa.table({"a": pa.array([], pa.int64()),
-                             "b": pa.array([], pa.int64()),
-                             "_pb": pa.array([], pa.int32())})
-        a = t.column("a").to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = t.column("b").to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            h = _mix64(a * np.uint64(0x9E3779B97F4A7C15) ^ b)
-        return t.append_column("_pb", pa.array((h % 64).astype(np.int32)))
-
-    def dedupe(g: pa.Table) -> pa.Table:
-        df = _dedupe_pairs_df(g.drop_columns(["_pb"]).to_pandas())
-        cols = {"a": pa.array(df["a"].to_numpy(np.int64)),
-                "b": pa.array(df["b"].to_numpy(np.int64))}
-        for fl in ("ch", "fb"):
-            if fl in df.columns:
-                cols[fl] = pa.array(df[fl].to_numpy(np.int8))
-        return pa.table(cols)
-
-    return (
-        pairs.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_pb")
-        .map_groups(dedupe, batch_format="pyarrow")
-    )
+def _distinct_edges(*tables) -> tuple:
+    """Reduce task of the pair-DISTINCT (see _dedupe_pairs_df): the same
+    pair surfaces from up to `bands` different LSH buckets."""
+    df = _dedupe_pairs_df(concat_reconciled(list(tables)).to_pandas())
+    t = pa.table({c: df[c].to_numpy() for c in df.columns})
+    return t.num_rows, t
 
 
 def _non_min_ids(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Sorted ids of every edge endpoint that is NOT its connected
     component's minimum id — the rows a near-dup filter drops. Vectorized
-    min-label propagation over ``np.unique`` node ranks: each round hooks
-    the larger root of every edge that still spans two trees onto the
-    smaller one (scatter-min), then pointer-jumps every node to its root.
-    Ranks are in id order, so each component keeps its min id. Every round
-    removes at least one root per live edge; pointer jumping makes a long
-    chain take O(log n) jumps, not O(n) rounds."""
+    min-label propagation (``cc._roots``) over ``np.unique`` node ranks:
+    ranks are in id order, so each component keeps its min id."""
     nodes, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
-    ea, eb = inv[: len(a)], inv[len(a):]
-    parent = np.arange(len(nodes))
-    while True:
-        ra, rb = parent[ea], parent[eb]
-        live = ra != rb  # an edge inside one tree stays inside it
-        if not live.any():
-            return nodes[parent != np.arange(len(nodes))]
-        ea, eb, ra, rb = ea[live], eb[live], ra[live], rb[live]
-        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
-        while True:
-            grand = parent[parent]
-            if np.array_equal(grand, parent):
-                break
-            parent = grand
+    parent = _roots(inv[: len(a)], inv[len(a):], len(nodes))
+    return nodes[parent != np.arange(len(nodes))]
 
 
 def _drop_clustered(blocks: list, edges: list, id_col: str, max_driver_edges: int,
-                    verify=None, distributed_finish=None):
+                    verify=None, verify_parts=None):
     """The near-dup tail every variant shares: cluster the candidate edges
     and keep the min-id row of each cluster. ``blocks`` are the ``(ref,
     rows)`` blocks of the rows to filter and ``edges`` those of the
@@ -597,26 +595,26 @@ def _drop_clustered(blocks: list, edges: list, id_col: str, max_driver_edges: in
     metadata. Returns a materialized Dataset.
 
     A raw count over ``max_driver_edges`` is first re-counted after a
-    global pair-DISTINCT (the same pair arrives from up to `bands`
-    buckets); a DISTINCT edge set still over the cap goes to
-    ``distributed_finish(ds, pairs)`` — by default min-label-propagation
-    components + representative join (ops.cc), for edges that are already
-    fully verified — over ``rd.from_arrow_refs`` Datasets. A 100 TB crawl
-    corpus blows past any driver cap on the first run, so this never
-    raises. Under the cap the edges are fetched, ``verify(edges) -> (a,
-    b)`` keeps the accepted ones, the driver kernel clusters them and one
-    filter task per block drops every non-minimum id."""
+    pair-DISTINCT, one exchange split on ``a % parts`` (the same pair
+    arrives from up to `bands` buckets). A DISTINCT edge set still over
+    the cap never reaches the driver: ``verify_parts(edges, parts)`` keeps
+    the accepted edges, ``cc.components`` clusters them and
+    ``cc.drop_non_representatives`` filters the rows, all in task rounds.
+    A 100 TB crawl corpus blows past any driver cap on the first run, so
+    this never raises. Under the cap the edges are fetched, ``verify(edges)
+    -> (a, b)`` keeps the accepted ones, the driver kernel clusters them
+    and one filter task per block drops every non-minimum id."""
     import ray
 
     if sum(n for _, n in edges) > max_driver_edges:
-        pairs = _distinct_pairs(_from_blocks(edges)).materialize()
-        if pairs.count() > max_driver_edges:
-            ds = _from_blocks(blocks)
-            if distributed_finish is not None:
-                return distributed_finish(ds, pairs)
-            labels = connected_components(pairs)
-            return drop_non_representatives(ds, labels, id_col=id_col)
-        edges = block_refs(pairs)
+        parts = num_parts(sum(n for _, n in edges))
+        edges = _exchange(edges, functools.partial(split_on, "a", parts),
+                          _distinct_edges, parts)
+        if sum(n for _, n in edges) > max_driver_edges:
+            if verify_parts is not None:
+                edges = verify_parts(edges, parts)
+            return _from_blocks(drop_non_representatives(
+                blocks, components(edges, parts), id_col))
     # under the cap: collect as a deduplicated (a, b[, ch, fb]) frame —
     # Arrow-table collection + vectorized dedupe, never per-row iteration
     tabs = ray.get([ref for ref, n in edges if n])
@@ -630,16 +628,6 @@ def _drop_clustered(blocks: list, edges: list, id_col: str, max_driver_edges: in
     out = _run_tasks(functools.partial(_drop_ids, id_col, drop_arr),
                      [ref for ref, _ in blocks], num_returns=2)
     return _from_blocks([(refs[0], n) for n, refs in out])
-
-
-def _drop_ids(id_col: str, drop_arr: np.ndarray, block) -> tuple:
-    """Survivor-filter task: the rows of ``block`` whose id is not in
-    ``drop_arr``."""
-    t = to_arrow(block)
-    if len(drop_arr) and t.num_rows:
-        ids = t.column(id_col).to_numpy(zero_copy_only=False)
-        t = t.filter(pa.array(~np.isin(ids, drop_arr)))
-    return t.num_rows, t
 
 
 def _verified_bucket_pairs(df: pd.DataFrame, key_cols: list, id_col: str,
@@ -683,16 +671,10 @@ def _sign_band(text_col: str, id_col: str, hasher: MinHasher, bands: int,
             "dig": pa.array(digs.astype(np.int64), pa.int64()),
         }
     )
-    counts, *band_parts = _split_bands(
-        parts, _band_rows(signed, hasher.num_perm, bands, id_col))
+    # all rows of one (band, key) LSH bucket meet in one edge task
+    counts, *band_parts = split_on(
+        "_bkt", parts, _band_rows(signed, hasher.num_perm, bands, id_col))
     return (counts, signed, *band_parts)
-
-
-def _split_bands(parts: int, t: pa.Table) -> tuple:
-    """Band rows split by exchange partition, ``_bkt % parts``: all rows of
-    one (band, key) LSH bucket meet in one edge task."""
-    bkt = t.column("_bkt").to_numpy(zero_copy_only=False).astype(np.int64)
-    return split(t, bkt % parts, parts)
 
 
 def _digest_pairs(df: pd.DataFrame, id_col: str, pair_cap: int) -> tuple:
@@ -772,12 +754,13 @@ def _rows_with_ids(id_col: str, ids: np.ndarray, block) -> pa.Table:
 
 def _shingle_rows(id_col: str, text_col: str, shingle_k: int, ids: np.ndarray,
                   block) -> pa.Table:
-    """Text-fetch task: (id, sorted shingle hashes as bytes) of the rows of
-    ``block`` whose id is in ``ids`` — shingled once per doc in the
-    worker."""
+    """Text-fetch task: (id, distinct shingle hashes, sorted, as bytes) of
+    the rows of ``block`` whose id is in ``ids`` — shingled once per doc in
+    the worker. Distinct, because ``_true_jaccard_ok`` counts them as a
+    set: a text that repeats a k-gram repeats its hash."""
     t = _rows_with_ids(id_col, ids, block)
     arrs = [
-        np.sort(_shingle_hashes(x, shingle_k)).astype(np.int64)
+        np.unique(_shingle_hashes(x, shingle_k)).astype(np.int64)
         if x is not None else np.empty(0, np.int64)
         for x in t.column(text_col).to_pylist()
     ]
@@ -788,7 +771,7 @@ def _shingle_rows(id_col: str, text_col: str, shingle_k: int, ids: np.ndarray,
 def _true_jaccard_ok(threshold: float, aa: np.ndarray, bb: np.ndarray,
                      sh: dict) -> np.ndarray:
     """Accept mask of edges (aa, bb) by TRUE shingle-set Jaccard over the
-    sorted shingle arrays ``sh`` (by id)."""
+    sorted distinct shingle arrays ``sh`` (by id)."""
     oks = np.zeros(len(aa), bool)
     empty = np.empty(0, np.int64)
     for j in range(len(aa)):
@@ -798,6 +781,111 @@ def _true_jaccard_ok(threshold: float, aa: np.ndarray, bb: np.ndarray,
         union = len(s_a) + len(s_b) - inter
         oks[j] = ((inter / union) if union else 1.0) >= threshold
     return oks
+
+
+def _estimate(ma: np.ndarray, ia: np.ndarray, mb: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """MinHash Jaccard estimate of the edges (row ``ia[i]`` of the
+    signature matrix ``ma``, row ``ib[i]`` of ``mb``): the share of equal
+    signature components, unbiased. CHUNKED: gathering two (n_edges ×
+    perm) matrices at once churns GBs of fresh allocations (measured 40s
+    vs 1.3s chunked at 2M edges), so it runs in bounded slices."""
+    est = np.empty(len(ia))
+    for s in range(0, len(ia), 1 << 17):
+        sl = slice(s, s + (1 << 17))
+        est[sl] = (ma[ia[sl]] == mb[ib[sl]]).mean(axis=1)
+    return est
+
+
+def _sig_matrix(col, num_perm: int) -> np.ndarray:
+    """The (rows × num_perm) matrix of a signature list column."""
+    return (col.combine_chunks().flatten().to_numpy(zero_copy_only=False)
+            .reshape(-1, num_perm))
+
+
+def _lookup(id_col: str, col: str, n_sig: int, tables: tuple) -> tuple:
+    """``(signatures, edges, rows)`` of a verify task: the signature
+    tables (id, sig, dig) ``tables[:n_sig]`` and edge tables
+    ``tables[n_sig:]`` of one partition, each concatenated, and the
+    signature row of every edge's ``col`` endpoint."""
+    sig = concat_reconciled(list(tables[:n_sig]))
+    edges = concat_reconciled(list(tables[n_sig:]))
+    ids = sig.column(id_col).to_numpy(zero_copy_only=False)
+    order = np.argsort(ids)
+    at = np.searchsorted(ids[order], edges.column(col).to_numpy(zero_copy_only=False))
+    return sig, edges, order[at]
+
+
+def _attach_a(id_col: str, parts: int, n_sig: int, *tables) -> tuple:
+    """First verify round, partition ``a % parts``: the edges with their
+    ``a`` endpoint's signature appended (sig_a), split on ``b % parts``."""
+    sig, edges, ia = _lookup(id_col, "a", n_sig, tables)
+    t = edges.append_column("sig_a", sig.column("sig").take(pa.array(ia)))
+    return split(t, t.column("b").to_numpy(zero_copy_only=False) % parts, parts)
+
+
+def _verdicts(id_col: str, num_perm: int, threshold: float, n_sig: int,
+              *tables) -> tuple:
+    """Second verify round, partition ``b % parts``: ``((accepted,
+    fallback rows), accepted (a, b), fallback star edges (a, b, ok))``.
+    An edge is accepted when it is a chain edge or its MinHash estimate
+    against its ``b`` endpoint's signature reaches ``threshold``."""
+    sig, edges, ib = _lookup(id_col, "b", n_sig, tables)
+    est = _estimate(_sig_matrix(edges.column("sig_a"), num_perm),
+                    np.arange(edges.num_rows), _sig_matrix(sig.column("sig"), num_perm), ib)
+    ok = (est >= threshold) | edges.column("ch").to_numpy().astype(bool)
+    fb = edges.column("fb").to_numpy().astype(bool)
+    acc = edges.filter(pa.array(ok)).select(["a", "b"])
+    fbs = edges.filter(pa.array(fb)).select(["a", "b"]).append_column("ok", pa.array(ok[fb]))
+    return (acc.num_rows, fbs.num_rows), acc, fbs
+
+
+def _verify_parts(edges: list, sig_refs: list, id_col: str, num_perm: int,
+                  threshold: float, pair_cap: int, parts: int) -> list:
+    """MinHash verify past the driver cap: the accepted (a, b) edges, as
+    ``(ref, rows)`` blocks, of the distinct candidate edges (a, b, ch, fb)
+    ``edges``, in two task rounds. The signature tables ``sig_refs``
+    split on ``id % parts`` meet the edges split on ``a % parts``
+    (``_attach_a``), then again split on ``b % parts`` (``_verdicts``).
+    Estimate only: the exact tier of the driver route is not run here.
+    One repair round as on the driver route: the fallback star edges and
+    their verdicts (one row per member of an oversized LSH group) come to
+    the driver, and the repair pairs take the same two rounds."""
+    import ray
+
+    sigs = _run_tasks(functools.partial(split_on, id_col, parts), sig_refs,
+                      num_returns=parts + 1)
+
+    def meet(maps: list) -> list:
+        # per partition with edges: its signature part count, those parts,
+        # then its edge parts
+        args = []
+        for p in range(parts):
+            if edge := part_refs(maps, p):
+                sig = part_refs(sigs, p)
+                args.append((len(sig), *sig, *edge))
+        return args
+
+    def rounds(edge_refs: list) -> list:
+        by_a = _run_tasks(functools.partial(split_on, "a", parts), edge_refs,
+                          num_returns=parts + 1)
+        by_b = _run_tasks(functools.partial(_attach_a, id_col, parts), meet(by_a),
+                          num_returns=parts + 1)
+        return _run_tasks(functools.partial(_verdicts, id_col, num_perm, threshold),
+                          meet(by_b), num_returns=3)
+
+    out = rounds([ref for ref, n in edges if n])
+    accepted = [(refs[0], n) for (n, _), refs in out]
+    fb = ray.get([refs[1] for (_, n), refs in out if n])
+    if fb:
+        t = pa.concat_tables(fb)
+        a = t.column("a").to_numpy()
+        rep_a, rep_b = _repair_candidates(a, t.column("b").to_numpy(), np.ones(len(a), bool),
+                                          t.column("ok").to_numpy(), cap=pair_cap)
+        if len(rep_a):
+            zero = np.zeros(len(rep_a), np.int8)
+            rep = ray.put(pa.table({"a": rep_a, "b": rep_b, "ch": zero, "fb": zero}))
+            accepted += [(refs[0], n) for (n, _), refs in rounds([rep])]
+    return accepted
 
 
 def minhash_lsh_dedup(
@@ -865,17 +953,19 @@ def minhash_lsh_dedup(
     survivors persists them by filtering instead of re-signing.
 
     Past ``max_driver_edges`` distinct candidate edges (so always with
-    ``max_driver_edges=0``) the tail takes the no-driver-state path: edges
-    stay a Dataset, signatures attach through two bucketed-groupby stages,
-    verification uses the same MinHash estimate (estimate-only — no
-    exact-borderline pass), and clustering + drop run via wrangler_ray.ops.cc
-    (min-label-propagation connected components + representative join).
-    Same semantics up to the borderline estimate band."""
+    ``max_driver_edges=0``) no edge reaches the driver (``_drop_clustered``):
+    two task rounds attach each edge's endpoint signatures, ``a``'s then
+    ``b``'s, and apply the same estimate kernel as the driver route
+    (``_verify_parts``) with the same one repair round. The estimate alone
+    decides there, at ``jaccard_threshold``: no exact tier for the
+    borderline band, so survivors may differ from the driver route's
+    within ±EXACT_MARGIN."""
     import ray
 
     assert num_perm % bands == 0
     if pre_exact:
-        blocks = _min_id_blocks(ds, [text_col], id_col, _text_hash(text_col))
+        blocks = _min_id_blocks(ds, [text_col], id_col,
+                                functools.partial(_text_key, text_col))
     else:
         blocks = block_refs(ds)
     hasher = MinHasher(num_perm=num_perm, shingle_k=shingle_k)
@@ -898,21 +988,20 @@ def minhash_lsh_dedup(
             [ref for ref, n in own_bands if n], indexed.sig_parts, MAX_BROADCAST_KEYS
         )
         hist = block_refs(indexed.banded_for(pbs, keys))
-        maps = maps + _run_tasks(functools.partial(_split_bands, parts),
+        maps = maps + _run_tasks(functools.partial(split_on, "_bkt", parts),
                                  [ref for ref, n in hist if n], num_returns=parts + 1)
         watermark = indexed.watermark
     edges = [(refs[0], n) for n, refs in reduce_parts(
         maps, functools.partial(_band_edges, id_col, pair_cap, watermark))]
 
-    def distributed_finish(ds, mat):
-        # the distributed tail attaches signatures by id with no driver-side
-        # candidate set to prune on — union the persisted table
-        full = _from_blocks(signed)
+    def verify_parts(edges: list, parts: int) -> list:
+        # no driver-side candidate set to prune on: every signature,
+        # the whole persisted table included, goes through the exchange
+        sig_refs = [ref for ref, _ in signed]
         if indexed is not None:
-            full = full.union(indexed.sigs_for(None))
-        return _distributed_dedup_finish(
-            ds, full, mat, id_col, num_perm, jaccard_threshold, pair_cap
-        )
+            sig_refs += [ref for ref, n in block_refs(indexed.sigs_for(None)) if n]
+        return _verify_parts(edges, sig_refs, id_col, num_perm, jaccard_threshold,
+                             pair_cap, parts)
 
     def verify(edges: pd.DataFrame) -> tuple:
         """Two-tier verification plus one repair round over the collected
@@ -939,10 +1028,7 @@ def minhash_lsh_dedup(
             if t.num_rows
         ])
         sig_ids = sig_t.column(id_col).to_numpy(zero_copy_only=False)
-        mat = (
-            sig_t.column("sig").combine_chunks().flatten()
-            .to_numpy(zero_copy_only=False).reshape(len(sig_ids), num_perm)
-        )
+        mat = _sig_matrix(sig_t.column("sig"), num_perm)
         order = np.argsort(sig_ids)
         sorted_ids = sig_ids[order]
 
@@ -954,16 +1040,7 @@ def minhash_lsh_dedup(
             ``mat``)."""
             ia = order[np.searchsorted(sorted_ids, aa)]
             ib = order[np.searchsorted(sorted_ids, bb)]
-            # unbiased Jaccard estimate, CHUNKED: gathering two
-            # (n_edges × perm) matrices at once churns GBs of fresh
-            # allocations (measured 40s vs 1.3s chunked at 2M edges on this
-            # box) — process in bounded slices
-            est = np.empty(len(ia))
-            _CH = 1 << 17
-            for s in range(0, len(ia), _CH):
-                sl = slice(s, min(s + _CH, len(ia)))
-                est[sl] = (mat[ia[sl]] == mat[ib[sl]]).mean(axis=1)
-
+            est = _estimate(mat, ia, mat, ib)
             accept = est >= jaccard_threshold + EXACT_MARGIN
             accept |= chm  # same shingle set ⇒ true Jaccard 1.0
             borderline = (~accept) & (est >= jaccard_threshold - EXACT_MARGIN)
@@ -1021,7 +1098,7 @@ def minhash_lsh_dedup(
         return a_ids, b_ids
 
     result = _drop_clustered(blocks, edges, id_col, max_driver_edges,
-                             verify=verify, distributed_finish=distributed_finish)
+                             verify=verify, verify_parts=verify_parts)
     if return_artifacts:
         return result, _from_blocks(signed), _from_blocks(own_bands)
     return result
@@ -1098,78 +1175,129 @@ def simhash64_batch(texts) -> np.ndarray:
     return out
 
 
+def _simhash_split(text_col: str, id_col: str, parts: int, block) -> tuple:
+    """Sign-and-split map task of ``simhash_dedup``: 4 band rows (band,
+    key, id, sig) per doc of one block, ``key`` one 16-bit band of the
+    doc's SimHash ``sig``, split on ``(key·4 + band) % parts``."""
+    t = to_arrow(block)
+    sh = simhash64_batch(t.column(text_col).to_pylist())  # one siphash pass
+    rep_sh = np.repeat(sh, 4)
+    bands = np.tile(np.arange(4, dtype=np.uint64), len(sh))
+    keys = ((rep_sh >> (bands * np.uint64(16))) & np.uint64(0xFFFF)).astype(np.int64)
+    rows = pa.table({
+        "band": pa.array(bands.astype(np.int32)),
+        "key": pa.array(keys.astype(np.int32)),
+        id_col: pa.array(np.repeat(t.column(id_col).to_numpy(zero_copy_only=False), 4)),
+        "sig": pa.array(rep_sh),
+    })
+    return split(rows, (keys * 4 + bands.astype(np.int64)) % parts, parts)
+
+
+def _simhash_edges(id_col: str, max_hamming: int, pair_cap: int, *tables) -> tuple:
+    """Edge task of ``simhash_dedup``: all pairs within each (band, key)
+    bucket of one partition (star-to-first would miss true pairs whenever
+    the first member fails the hamming check), then one vectorized hamming
+    verify over the whole pair list, repaired in place for oversized
+    groups (see _verified_bucket_pairs)."""
+    df = concat_reconciled(list(tables)).to_pandas()
+    sig_map = pd.Series(df["sig"].to_numpy(), index=df[id_col].to_numpy())
+    sig_map = sig_map[~sig_map.index.duplicated()]
+
+    def ham_keep(aa: np.ndarray, bb: np.ndarray) -> np.ndarray:
+        xor = sig_map.loc[aa].to_numpy() ^ sig_map.loc[bb].to_numpy()
+        bits = np.unpackbits(xor.view(np.uint8).reshape(len(xor), 8), axis=1)
+        return bits.sum(axis=1) <= max_hamming
+
+    t = _verified_bucket_pairs(df, ["band", "key"], id_col, pair_cap, ham_keep)
+    return t.num_rows, t
+
+
+def _bucket_dedup(blocks: list, sign, bucket_edges, id_col: str,
+                  max_driver_edges: int):
+    """The SimHash and embedding shape: a ``sign(parts, block)`` task per
+    block splits its LSH bucket rows by partition, a
+    ``bucket_edges(*tables)`` task per partition emits the verified edges
+    of its buckets, and the near-dup tail drops each cluster's non-minimum
+    ids (edges are verified already, so past the cap they cluster as they
+    are)."""
+    parts = num_parts(sum(n for _, n in blocks))
+    edges = _exchange(blocks, functools.partial(sign, parts), bucket_edges, parts)
+    return _drop_clustered(blocks, edges, id_col, max_driver_edges)
+
+
 def simhash_dedup(ds, text_col: str = "text", id_col: str = "doc_id", max_hamming: int = 3,
                   max_driver_edges: int = 4_000_000,
                   pair_cap: int = 256, pre_exact: bool = True):
     """SimHash near-dup: 64-bit signature, 4×16-bit band blocking (any pair
     within hamming ≤3 shares at least one exact 16-bit band), verify hamming
-    within buckets, drop non-representatives. Edges are already
-    hamming-verified inside the buckets, so past ``max_driver_edges`` they
-    cluster with ops.cc min-label propagation as they are. ``pre_exact`` collapses
-    byte-identical texts first (identical text ⟹ identical simhash ⟹
-    hamming 0 ≤ any max_hamming — semantics-preserving, see
-    minhash_lsh_dedup)."""
-
+    within buckets, drop non-representatives. Eager: returns a
+    materialized Dataset. ``pre_exact`` collapses byte-identical texts
+    first (identical text ⟹ identical simhash ⟹ hamming 0 ≤ any
+    max_hamming — semantics-preserving, see minhash_lsh_dedup)."""
     if pre_exact:
-        ds = exact_dedup(ds, text_col=text_col, id_col=id_col)
-    num_buckets = 64
-
-    def sign(t: pa.Table) -> pa.Table:
-        ids = t.column(id_col).to_numpy(zero_copy_only=False)
-        texts = t.column(text_col).to_pylist()
-        sh = simhash64_batch(texts)  # one siphash pass for the whole batch
-        n = len(sh)
-        # 4 band rows per doc, fully vectorized
-        rep_sh = np.repeat(sh, 4)
-        bands = np.tile(np.arange(4, dtype=np.uint64), n)
-        keys = ((rep_sh >> (bands * np.uint64(16))) & np.uint64(0xFFFF)).astype(np.int64)
-        bkt = ((keys * 4 + bands.astype(np.int64)) % num_buckets).astype(np.int32)
-        return pa.table(
-            {
-                "_bkt": pa.array(bkt),
-                "band": pa.array(bands.astype(np.int32)),
-                "key": pa.array(keys.astype(np.int32)),
-                id_col: pa.array(np.repeat(ids, 4)),
-                # order-preserving signed storage: v - 2^63 ≡ flipping the MSB
-                "sig": pa.array((rep_sh ^ np.uint64(1 << 63)).view(np.int64)),
-            }
-        )
-
-    def bucket_edges(g: pa.Table) -> pa.Table:
-        # all pairs within each (band,key) bucket (star-to-first would miss
-        # true pairs whenever the first member fails the hamming check), then
-        # one vectorized hamming verify over the whole pair list, repaired in
-        # place for oversized groups (see _verified_bucket_pairs)
-        df = g.to_pandas()
-        sig_map = pd.Series(
-            # undo the order-preserving MSB flip with an integer XOR — adding
-            # 2**63 to an int64 array silently promotes to float64 on numpy
-            # 1.x and rounds away the low ~10 signature bits
-            df["sig"].to_numpy().astype(np.int64).view(np.uint64)
-            ^ np.uint64(1 << 63),
-            index=df[id_col].to_numpy(),
-        )
-        sig_map = sig_map[~sig_map.index.duplicated()]
-
-        def ham_keep(aa: np.ndarray, bb: np.ndarray) -> np.ndarray:
-            xor = sig_map.loc[aa].to_numpy() ^ sig_map.loc[bb].to_numpy()
-            bits = np.unpackbits(xor.view(np.uint8).reshape(len(xor), 8), axis=1)
-            return bits.sum(axis=1) <= max_hamming
-
-        return _verified_bucket_pairs(df, ["band", "key"], id_col, pair_cap,
-                                      ham_keep)
-
-    signed = ds.map_batches(
-        sign, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()  # signature table only — tiny vs the corpus
-    pairs = signed.groupby("_bkt").map_groups(bucket_edges, batch_format="pyarrow")
-    return _drop_clustered(block_refs(ds), block_refs(pairs.materialize()), id_col,
-                           max_driver_edges)
+        blocks = _min_id_blocks(ds, [text_col], id_col,
+                                functools.partial(_text_key, text_col))
+    else:
+        blocks = block_refs(ds)
+    return _bucket_dedup(blocks, functools.partial(_simhash_split, text_col, id_col),
+                         functools.partial(_simhash_edges, id_col, max_hamming, pair_cap),
+                         id_col, max_driver_edges)
 
 
 # ---------------------------------------------------------------------------
 # embedding cosine near-dup
 # ---------------------------------------------------------------------------
+
+def _unit_vecs(col) -> np.ndarray:
+    from wrangler_ray.ops.similarity import vecs_np
+
+    vecs = vecs_np(col)
+    norms = np.linalg.norm(vecs, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    return vecs / norms
+
+
+def _embedding_split(vec_col: str, id_col: str, num_planes: int, seed: int, dim,
+                     parts: int, block) -> tuple:
+    """Sign-and-split map task of ``embedding_dedup``: (key, id, vector)
+    rows of one block, ``key`` the vector's ``num_planes`` random-hyperplane
+    sign bits, split on ``key % parts``. Every task draws the same planes
+    from ``seed``, of dimension ``dim`` or else the vectors' own."""
+    t = to_arrow(block)
+    unit = _unit_vecs(t.column(vec_col))
+    planes = np.random.RandomState(seed).randn(
+        unit.shape[1] if dim is None else dim, num_planes).astype(np.float32)
+    keys = ((unit @ planes) > 0).astype(np.int64) @ (np.int64(1) << np.arange(num_planes))
+    rows = pa.table({"key": keys, id_col: t.column(id_col), vec_col: t.column(vec_col)})
+    return split(rows, keys % parts, parts)
+
+
+def _embedding_edges(vec_col: str, id_col: str, threshold: float, *tables) -> tuple:
+    """Edge task of ``embedding_dedup``: the pairs of each LSH key bucket
+    of one partition whose exact cosine reaches ``threshold``, over ALL
+    pairs of the bucket (cap = the partition's rows, so never the star
+    fallback)."""
+    g = concat_reconciled(list(tables))
+    ids = g.column(id_col).to_numpy(zero_copy_only=False)
+    unit = _unit_vecs(g.column(vec_col))
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+
+    def cos_keep(aa: np.ndarray, bb: np.ndarray) -> np.ndarray:
+        ia = order[np.searchsorted(sorted_ids, aa)]
+        ib = order[np.searchsorted(sorted_ids, bb)]
+        # chunked: two (n_pairs × dim) gathers at once would be GB-scale
+        # on a large bucket
+        ok = np.empty(len(ia), bool)
+        for s in range(0, len(ia), 1 << 16):
+            sl = slice(s, s + (1 << 16))
+            ok[sl] = np.einsum("ij,ij->i", unit[ia[sl]], unit[ib[sl]]) >= threshold
+        return ok
+
+    t = _verified_bucket_pairs(g.select(["key", id_col]).to_pandas(), ["key"], id_col,
+                               g.num_rows, cos_keep)
+    return t.num_rows, t
+
 
 def embedding_dedup(
     ds,
@@ -1185,105 +1313,25 @@ def embedding_dedup(
     """Embedding near-dup: random-hyperplane LSH bucket → within-bucket exact
     cosine → connected components → keep min-id. ``num_planes`` sign bits
     per vector; exact cosine verification happens only within buckets, over
-    ALL pairs of each bucket (no pair cap).
+    ALL pairs of each bucket (no pair cap). Eager: returns a materialized
+    Dataset.
 
     ``pre_exact`` collapses BYTE-identical vectors first (keep min id per
-    distinct vector): an identical vector has cosine 1.0 ≥ any threshold
-    with its copy and identical LSH bits, so every copy always lands in its
-    original's cluster carrying the group-min id — semantics-preserving at
-    the vector level (no assumption about the texts behind the vectors),
-    same argument as the text pre-pass in minhash_lsh_dedup."""
-    import ray
-
-    from wrangler_ray.ops.similarity import vecs_np
-
+    distinct vector, keyed by ``_vec_key`` in the exchange's map task): an
+    identical vector has cosine 1.0 ≥ any threshold with its copy and
+    identical LSH bits, so every copy always lands in its original's
+    cluster carrying the group-min id — semantics-preserving at the vector
+    level (no assumption about the texts behind the vectors), same argument
+    as the text pre-pass in minhash_lsh_dedup."""
     if pre_exact:
-
-        def add_vec_key(t: pa.Table) -> pa.Table:
-            # two independent 64-bit digests of the raw bytes, fully
-            # vectorized (one hash pass over the flattened element view, then
-            # an unweighted and a position-weighted fold): distinct vectors
-            # collide on BOTH with probability ~2^-128 — treat as identity
-            raw = vecs_np(t.column(vec_col))
-            n, d = raw.shape
-            eh = (
-                pd.util.hash_array(raw.view(np.uint32).ravel(), categorize=False)
-                .astype(np.uint64)
-                .reshape(n, d)
-            )
-            w = (np.arange(d, dtype=np.uint64) << np.uint64(1)) | np.uint64(1)
-            with np.errstate(over="ignore"):
-                h1 = eh.sum(axis=1, dtype=np.uint64)
-                h2 = (eh * w[None, :]).sum(axis=1, dtype=np.uint64)
-            t = t.append_column("_vh1", pa.array(h1.astype(np.int64)))
-            return t.append_column("_vh2", pa.array(h2.astype(np.int64)))
-
-        ds = _from_blocks(_min_id_blocks(
-            ds.map_batches(add_vec_key, batch_format="pyarrow", zero_copy_batch=True),
-            ["_vh1", "_vh2"], id_col,
-            lambda t: t.column("_vh1").to_numpy().astype(np.uint64),
-            drop=("_vh1", "_vh2"),
-        ))
-
-    if dim is None:
-        first = ds.take(1)
-        if not first:  # empty corpus — nothing to dedup
-            return ds
-        dim = len(first[0][vec_col])
-    rng = np.random.RandomState(seed)
-    planes = rng.randn(dim, num_planes).astype(np.float32)
-    planes_ref = ray.put(planes)
-
-    def unit_vecs(col) -> np.ndarray:
-        vecs = vecs_np(col)
-        norms = np.linalg.norm(vecs, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        return vecs / norms
-
-    def sign(t: pa.Table) -> pa.Table:
-        bits = (unit_vecs(t.column(vec_col)) @ ray.get(planes_ref)) > 0
-        keys = np.zeros(t.num_rows, np.int64)
-        for j in range(num_planes):
-            keys |= bits[:, j].astype(np.int64) << j
-        return pa.table(
-            {
-                "_bkt": pa.array((keys % 256).astype(np.int32)),
-                "key": pa.array(keys, pa.int64()),
-                id_col: t.column(id_col),
-                vec_col: t.column(vec_col),
-            }
-        )
-
-    def bucket_edges(g: pa.Table) -> pa.Table:
-        # all pairs within each LSH key bucket (cap = bucket size, so never
-        # the star fallback), exact cosine verified over the unit vectors
-        ids = g.column(id_col).to_numpy(zero_copy_only=False)
-        unit = unit_vecs(g.column(vec_col))
-        order = np.argsort(ids, kind="stable")
-        sorted_ids = ids[order]
-
-        def cos_keep(aa: np.ndarray, bb: np.ndarray) -> np.ndarray:
-            ia = order[np.searchsorted(sorted_ids, aa)]
-            ib = order[np.searchsorted(sorted_ids, bb)]
-            # chunked: two (n_pairs × dim) gathers at once would be
-            # GB-scale on a large bucket
-            ok = np.empty(len(ia), bool)
-            for s in range(0, len(ia), 1 << 16):
-                sl = slice(s, s + (1 << 16))
-                ok[sl] = np.einsum(
-                    "ij,ij->i", unit[ia[sl]], unit[ib[sl]]
-                ) >= cosine_threshold
-            return ok
-
-        df = g.select(["key", id_col]).to_pandas()
-        return _verified_bucket_pairs(df, ["key"], id_col, len(df), cos_keep)
-
-    signed = ds.map_batches(
-        sign, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()  # signature table only — tiny vs the corpus
-    pairs = signed.groupby("_bkt").map_groups(bucket_edges, batch_format="pyarrow")
-    return _drop_clustered(block_refs(ds), block_refs(pairs.materialize()), id_col,
-                           max_driver_edges)
+        blocks = _min_id_blocks(ds, ["_vh1", "_vh2"], id_col,
+                                functools.partial(_vec_key, vec_col), drop=("_vh1", "_vh2"))
+    else:
+        blocks = block_refs(ds)
+    return _bucket_dedup(
+        blocks, functools.partial(_embedding_split, vec_col, id_col, num_planes, seed, dim),
+        functools.partial(_embedding_edges, vec_col, id_col, cosine_threshold),
+        id_col, max_driver_edges)
 
 
 def ngram_jaccard_dedup(
@@ -1297,8 +1345,11 @@ def ngram_jaccard_dedup(
     """n-gram-Jaccard dedup: exact character-k-gram Jaccard is the decision
     metric; MinHash+LSH (high-recall parameters: 128 perms × 32 bands →
     band-collision probability ≈ j^4) only generates the candidate pairs so
-    no O(n²) comparison ever happens. Every candidate pair is verified with
-    the TRUE shingle-set Jaccard before clustering."""
+    no O(n²) comparison ever happens. Candidate pairs are verified as in
+    ``minhash_lsh_dedup``: the MinHash estimate decides, and only pairs
+    whose estimate lies within ±EXACT_MARGIN of the threshold are checked
+    with the TRUE shingle-set Jaccard (on the driver route; past
+    ``max_driver_edges`` the estimate alone decides)."""
     return minhash_lsh_dedup(
         ds,
         text_col=text_col,
@@ -1309,196 +1360,3 @@ def ngram_jaccard_dedup(
         shingle_k=shingle_k,
         max_driver_edges=max_driver_edges,
     )
-
-
-def _distributed_dedup_finish(ds, signed, pairs, id_col, num_perm,
-                              jaccard_threshold, pair_cap: int = 256):
-    """No-driver-state tail of minhash_lsh_dedup: chain edges (ch=1: identical
-    shingle sets, guaranteed duplicates) skip verification entirely — on a
-    dup-heavy corpus that is the vast majority of edges; only the
-    representative pairs carry signatures through the two bucketed-groupby
-    attach stages (NO Dataset.join — Ray 2.49's hash-join aggregator rejects
-    the empty partitions tiny/skewed key spaces produce) and the MinHash
-    estimate filter. Clustering + drop run via distributed min-label
-    propagation. Every step is a Dataset operation."""
-    import ray.data as rd
-
-    B = 64
-    sig_bytes = num_perm * 8
-
-    def split_chain(t: pa.Table, want_chain: bool) -> pa.Table:
-        empty = pa.table({"a": pa.array([], pa.int64()),
-                          "b": pa.array([], pa.int64()),
-                          "fb": pa.array([], pa.int8())})
-        if t.num_rows == 0 or "a" not in t.column_names:
-            return empty if not want_chain else pa.table(
-                {"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64())}
-            )
-        if "fb" not in t.column_names:
-            t = t.append_column("fb", pa.array(np.zeros(t.num_rows, np.int8)))
-        if "ch" not in t.column_names:
-            # unflagged edge stream: everything needs verification
-            return t.select(["a", "b", "fb"]) if not want_chain else pa.table(
-                {"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64())}
-            )
-        ch = t.column("ch").to_numpy(zero_copy_only=False).astype(bool)
-        if want_chain:
-            return t.filter(pa.array(ch)).select(["a", "b"])
-        return t.filter(pa.array(~ch)).select(["a", "b", "fb"])
-
-    chain_edges = pairs.map_batches(
-        functools.partial(split_chain, want_chain=True),
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
-    pairs = pairs.map_batches(
-        functools.partial(split_chain, want_chain=False),
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
-
-    def _frame(k, other, sig, side, fb=None):
-        n = len(k)
-        if fb is None:
-            fb = np.zeros(n, np.int8)
-        return pa.table(
-            {
-                "k": pa.array(np.asarray(k, np.int64), pa.int64()),
-                "other": pa.array(np.asarray(other, np.int64), pa.int64()),
-                "sig": pa.array(list(sig), pa.binary()),
-                "side": pa.array(np.full(n, side, np.int8)),
-                "fb": pa.array(np.asarray(fb, np.int8)),
-                "_b": pa.array((np.asarray(k, np.int64) % B).astype(np.int32)),
-            }
-        )
-
-    def edge_rows(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "a" not in t.column_names:
-            return _frame([], [], [], 0)
-        a = t.column("a").to_numpy(zero_copy_only=False).astype(np.int64)
-        b = t.column("b").to_numpy(zero_copy_only=False).astype(np.int64)
-        fb = (
-            t.column("fb").to_numpy(zero_copy_only=False).astype(np.int8)
-            if "fb" in t.column_names
-            else np.zeros(len(a), np.int8)
-        )
-        return _frame(a, b, [b""] * len(a), 0, fb)
-
-    def sig_rows(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or id_col not in t.column_names:
-            return _frame([], [], [], 1)
-        n = t.num_rows
-        ids = t.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        mat = (
-            t.column("sig").combine_chunks().flatten()
-            .to_numpy(zero_copy_only=False).astype(np.int64).reshape(n, num_perm)
-        )
-        return _frame(ids, np.zeros(n, np.int64), [row.tobytes() for row in mat], 1)
-
-    def attach(g: pa.Table, out_key_is_other: bool) -> pa.Table:
-        """side-1 rows carry sigs for key k; side-0 rows are edges keyed k.
-        Emit edges re-keyed (optionally on `other`) with sig appended."""
-        if g.num_rows == 0 or "k" not in g.column_names:
-            return _frame([], [], [], 0)
-        df = g.to_pandas()
-        sig_map = df[df["side"] == 1].set_index("k")["sig"]
-        e = df[df["side"] == 0]
-        if not len(e):
-            return _frame([], [], [], 0)
-        looked = e["k"].map(sig_map)
-        ok = looked.notna()
-        e = e[ok]
-        looked = looked[ok]
-        fb = e["fb"].to_numpy(np.int8)
-        if out_key_is_other:
-            # re-key on the other endpoint; carry this endpoint + its sig by
-            # CONCATENATING it onto any sig already present (stage-2 edges
-            # then hold sig_a + sig_b back to back)
-            new_sig = (e["sig"] + looked).to_numpy()
-            return _frame(e["other"].to_numpy(np.int64), e["k"].to_numpy(np.int64),
-                          new_sig, 0, fb)
-        return _frame(e["k"].to_numpy(np.int64), e["other"].to_numpy(np.int64),
-                      (e["sig"] + looked).to_numpy(), 0, fb)
-
-    def attach_sigs(edge_ds):
-        """Two bucketed-groupby stages: append sig_a (re-key on b), then
-        sig_b — edges come out carrying both signatures back to back."""
-        st1 = (
-            edge_ds.map_batches(edge_rows, batch_format="pyarrow", zero_copy_batch=True)
-            .union(signed.map_batches(sig_rows, batch_format="pyarrow", zero_copy_batch=True))
-            .groupby("_b")
-            .map_groups(lambda g: attach(g, out_key_is_other=True), batch_format="pyarrow")
-        )
-        return (
-            st1.union(signed.map_batches(sig_rows, batch_format="pyarrow", zero_copy_batch=True))
-            .groupby("_b")
-            .map_groups(lambda g: attach(g, out_key_is_other=False), batch_format="pyarrow")
-        )
-
-    def est_split(t: pa.Table, want_failed_fb: bool) -> pa.Table:
-        """MinHash-estimate verdicts over sig-carrying edges: emit either the
-        ACCEPTED edges, or (fb mode) EVERY fallback-star edge with its
-        verdict — the repair round needs the passed members of a failing hub
-        too, not just the failures."""
-        if t.num_rows == 0 or "k" not in t.column_names:
-            cols = {"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64())}
-            if want_failed_fb:
-                cols["ok"] = pa.array([], pa.bool_())
-            return pa.table(cols)
-        b_ids = t.column("k").to_numpy(zero_copy_only=False).astype(np.int64)
-        a_ids = t.column("other").to_numpy(zero_copy_only=False).astype(np.int64)
-        sigs = t.column("sig").to_pylist()
-        both = np.stack([np.frombuffer(x, np.int64) for x in sigs])
-        sa, sb = both[:, :num_perm], both[:, num_perm:]
-        est = (sa == sb).mean(axis=1)
-        if want_failed_fb:
-            fbm = t.column("fb").to_numpy(zero_copy_only=False).astype(bool)
-            return pa.table(
-                {"a": pa.array(a_ids[fbm], pa.int64()),
-                 "b": pa.array(b_ids[fbm], pa.int64()),
-                 "ok": pa.array(est[fbm] >= jaccard_threshold)}
-            )
-        keep = est >= jaccard_threshold
-        return pa.table(
-            {"a": pa.array(a_ids[keep], pa.int64()), "b": pa.array(b_ids[keep], pa.int64())}
-        )
-
-    st2 = attach_sigs(pairs).materialize()
-    verified = st2.map_batches(
-        functools.partial(est_split, want_failed_fb=False),
-        batch_format="pyarrow", zero_copy_batch=True,
-    ).union(chain_edges)
-
-    # repair round: fallback star edges (fb=1, oversized LSH groups) that
-    # failed the estimate would silently disconnect true pairs among their
-    # members — for every hub with ≥1 failed edge, re-pair ALL its star
-    # members (passed and failed: a failed member's true duplicate may be a
-    # passed one) with chunk-bounded all-pairs. fb edges exist only for
-    # oversized LSH groups, so the driver sees ≤ one row per oversized-group
-    # member, never the corpus
-    fb_edges = st2.map_batches(
-        functools.partial(est_split, want_failed_fb=True),
-        batch_format="pyarrow", zero_copy_batch=True,
-    ).materialize()
-    if fb_edges.count() > 0:
-        ft = pa.concat_tables(
-            fb_edges.iter_batches(batch_size=None, batch_format="pyarrow")
-        )
-        fa = ft.column("a").to_numpy(zero_copy_only=False)
-        fbn = ft.column("b").to_numpy(zero_copy_only=False)
-        fok = ft.column("ok").to_numpy(zero_copy_only=False).astype(bool)
-        rep_a, rep_b = _repair_candidates(
-            fa, fbn, np.ones(len(fa), bool), fok, cap=pair_cap
-        )
-        if len(rep_a):
-            repair_ds = rd.from_arrow(
-                pa.table({"a": pa.array(rep_a, pa.int64()),
-                          "b": pa.array(rep_b, pa.int64())})
-            )
-            verified = verified.union(
-                attach_sigs(repair_ds).map_batches(
-                    functools.partial(est_split, want_failed_fb=False),
-                    batch_format="pyarrow", zero_copy_batch=True,
-                )
-            )
-
-    labels = connected_components(verified.materialize())
-    return drop_non_representatives(ds, labels, id_col=id_col)

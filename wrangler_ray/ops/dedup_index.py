@@ -241,7 +241,8 @@ class MinHashDedupIndex:
 
     def sigs_for(self, ids=None):
         """(id, sig, dig) rows for the given candidate ids (None = the whole
-        table — only the no-driver-state distributed tail needs that)."""
+        table — only MinHash's verify past the driver edge cap needs
+        that)."""
         import pyarrow.dataset as pads
         import ray.data as rd
 

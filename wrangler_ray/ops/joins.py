@@ -108,9 +108,8 @@ def hash_join(
     (explicit shuffle; both sides exchanged once).
 
     Known Ray 2.49 limitation: a fully EMPTY input side crashes the native
-    hash-join aggregator (ArrowInvalid in finalize — the same empty-partition
-    rejection the dedup distributed tail works around by avoiding
-    Dataset.join). When a side may legitimately be empty, use
+    hash-join aggregator (ArrowInvalid in finalize). When a side may
+    legitimately be empty, use
     broadcast_join (handles it) or guard with a cheap count on a
     materialized input."""
     num_partitions = join_partitions(num_partitions)

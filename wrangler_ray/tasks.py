@@ -12,6 +12,11 @@ take as arguments:
     reduce task per partition   → fn(its non-empty parts), one call
                                   (``reduce_parts``)
 
+A map task that splits on an integer column is ``split_on``. A reduce
+task that returns split parts itself feeds the next round (``part_refs``
+picks one partition's parts): the near-dup tail's verify and
+connected-components rounds chain this way.
+
 The partition count follows the data, never the CPU count:
 ``num_parts(rows)`` is ``ceil(rows / ROWS_PER_PART)``, capped at
 ``MAX_PARTS``, so a run on any cluster size does the same work. Each task
@@ -127,12 +132,24 @@ def split(t: pa.Table, part: np.ndarray, parts: int) -> tuple:
                       for p in range(parts)))
 
 
+def split_on(col: str, parts: int, block) -> tuple:
+    """A map task that splits the rows of ``block`` on their integer
+    column ``col`` modulo ``parts`` (see ``split``)."""
+    t = to_arrow(block)
+    key = t.column(col).to_numpy(zero_copy_only=False).astype(np.int64)
+    return split(t, key % parts, parts)
+
+
+def part_refs(maps: list, p: int) -> tuple:
+    """The refs of partition ``p``'s non-empty outputs of the map tasks
+    ``maps`` (``(counts, part refs)`` pairs from ``_run_tasks``)."""
+    return tuple(refs[p] for counts, refs in maps if counts[p])
+
+
 def reduce_parts(maps: list, fn) -> list:
     """One ``fn(*tables) -> (meta, table)`` task per partition that holds
-    rows, over the partition's non-empty outputs of the map tasks ``maps``
-    (``(counts, part refs)`` pairs from ``_run_tasks``). Returns ``(meta,
-    [table ref])`` per task, in partition order."""
+    rows, over the partition's non-empty outputs of the map tasks ``maps``.
+    Returns ``(meta, [table ref])`` per task, in partition order."""
     parts = len(maps[0][0]) if maps else 0
-    args = [tuple(refs[p] for counts, refs in maps if counts[p])
-            for p in range(parts)]
+    args = [part_refs(maps, p) for p in range(parts)]
     return _run_tasks(fn, [a for a in args if a], num_returns=2)
