@@ -11,7 +11,19 @@ null-backfill the missing columns.
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
+
+
+def string_buffers(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+    """The value offsets (``len(arr) + 1`` of them, from 0) and the data
+    bytes of the non-empty string or large_string array ``arr``, as numpy
+    views of its buffers; a slice gives only its own values."""
+    width = np.int64 if pa.types.is_large_string(arr.type) else np.int32
+    offsets = np.frombuffer(arr.buffers()[1], width)[arr.offset:arr.offset + len(arr) + 1]
+    data = arr.buffers()[2]
+    data = np.empty(0, np.uint8) if data is None else np.frombuffer(data, np.uint8)
+    return offsets - offsets[0], data[offsets[0]:offsets[-1]]
 
 
 def set_column(table: pa.Table, name: str, arr) -> pa.Table:

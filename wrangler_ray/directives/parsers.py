@@ -12,11 +12,12 @@ import re
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.json as pj
 
 from wrangler_ray.core.errors import DirectiveError, make_error_table
 from wrangler_ray.core.naming import resolve_column
 from wrangler_ray.core.registry import Directive, directive
-from wrangler_ray.core.schema import set_column
+from wrangler_ray.core.schema import set_column, string_buffers
 from wrangler_ray.directives.javafmt import java_datefmt_to_py
 
 
@@ -107,11 +108,81 @@ def _json_cell_to_value(v):
     return v
 
 
+# the column types the per-row path gives JSON scalars: pa.array of Python
+# ints, floats, bools, strings and Nones
+_SCALAR_TYPES = {pa.int64(), pa.float64(), pa.bool_(), pa.string(), pa.null()}
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _beyond_int64(v) -> bool:
+    return type(v) is int and not _INT64_MIN <= v <= _INT64_MAX
+
+
+def _read_json_lines(cells: pa.ChunkedArray) -> pa.Table | None:
+    """Every cell of ``cells`` parsed by one ``pyarrow.json`` call: one row
+    per cell, one column per field, typed as the per-row path types it. None
+    when the result could differ from ``json.loads`` per cell (see
+    ParseAsJson)."""
+    if not (pa.types.is_string(cells.type) or pa.types.is_large_string(cells.type)):
+        return None
+    n = len(cells)
+    # every cell holds a "{", so none is blank and the row count below
+    # catches a cell that holds two objects
+    if n == 0 or cells.null_count or not pc.all(pc.match_substring(cells, "{")).as_py():
+        return None
+    lines = pc.binary_join_element_wise(cells, pa.scalar("\n", cells.type), pa.scalar("", cells.type))
+    _, data = string_buffers(lines.combine_chunks())
+    # one line per cell; Arrow skips a byte order mark json.loads rejects
+    if np.count_nonzero(data == 10) != n or (data == 13).any() or data[0] == 0xEF:
+        return None
+    buf = pa.py_buffer(data)
+
+    def read(schema=None) -> pa.Table:
+        return pj.read_json(
+            pa.BufferReader(buf),
+            read_options=pj.ReadOptions(use_threads=False, block_size=len(data)),
+            parse_options=pj.ParseOptions(explicit_schema=schema),
+        )
+
+    try:
+        t = read()
+        if any(pa.types.is_timestamp(f.type) for f in t.schema):
+            # Arrow infers timestamps from ISO-like strings; keep the text
+            t = read(pa.schema([f.with_type(pa.string()) if pa.types.is_timestamp(f.type)
+                                else f for f in t.schema]))
+    except pa.ArrowInvalid:
+        return None
+    if t.num_rows != n or any(f.type not in _SCALAR_TYPES for f in t.schema):
+        return None
+    doubles = [c for c in t.columns if c.type == pa.float64()]
+    for c in doubles:
+        # Arrow also reads Inf and -NaN, and -0 as -0.0 in a double column
+        v = pc.drop_null(c).to_numpy()
+        if not np.isfinite(v).all() or np.signbit(v[v == 0]).any():
+            return None
+    # an integer of 16+ digits: Arrow makes one past int64 a double, and the
+    # per-row path cannot put one past 2**53 in a double column
+    if doubles and pc.any(pc.match_substring_regex(cells, r"(^|[^\d.])\d{16}")).as_py():
+        return None
+    return t
+
+
 @directive("parse-as-json")
 class ParseAsJson(Directive):
-    """parse-as-json :col [depth] — parse JSON cell; objects flatten to
-    col_field up to depth; top-level arrays explode to multiple rows
-    (reference directives/parser/JsParser.java:97-184)."""
+    """parse-as-json :col [depth] — parse JSON cells, one Arrow read per block;
+    objects flatten to col_field up to depth; top-level arrays explode to
+    multiple rows (reference directives/parser/JsParser.java:97-184).
+
+    A string block of one-line JSON objects with scalar fields is parsed in
+    one ``pyarrow.json`` call for the whole block. Any block that call might
+    not reproduce exactly runs per row through ``json.loads``: a null or
+    blank cell, a cell that spans lines or holds more than one value, a
+    top-level array or scalar, invalid JSON, duplicate keys, a field mixing
+    types Arrow will not mix (bool or string with number) or holding an
+    object or array, a non-finite or negative-zero double, an integer of 16
+    or more digits in a block with a double field, or depth < 1. Rows whose
+    JSON is invalid, or holds an integer beyond int64, go to the error
+    channel (code 3)."""
 
     usage = "parse-as-json :col [depth]"
 
@@ -123,18 +194,33 @@ class ParseAsJson(Directive):
         col = resolve_column(table, self.column)
         if col is None:
             return self.ok(table)
+        fields = _read_json_lines(table.column(col)) if self.depth > 0 else None
+        if fields is None:
+            return self._apply_rows(table, col)
+        out = {name: table.column(name) for name in table.column_names if name != col}
+        for name, arr in zip(fields.column_names, fields.columns):
+            out[f"{col}_{name}"] = arr
+        return self.ok(pa.table(out)) if out else self._apply_rows(table, col)
+
+    def _apply_rows(self, table, col):
         vals = table.column(col).to_pylist()
-        parsed = []
+        flat_rows = []
+        rep_idx = []
         bad_idx = []
         for i, v in enumerate(vals):
-            if v is None:
-                parsed.append(None)
-                continue
             try:
-                parsed.append(_json.loads(v) if isinstance(v, str) else v)
+                p = _json.loads(v) if isinstance(v, str) else v
             except (ValueError, TypeError):
-                parsed.append(None)
                 bad_idx.append(i)
+                continue
+            # explode top-level arrays, flatten objects
+            rows = [self._flatten(col, e) for e in (p if isinstance(p, list) else [p])]
+            if any(_beyond_int64(x) for r in rows for x in r.values()):
+                bad_idx.append(i)
+                continue
+            flat_rows.extend(rows)
+            rep_idx.extend([i] * len(rows))
+        # bad rows leave the main flow (they're on the error channel)
         err = (
             make_error_table(
                 table.take(pa.array(bad_idx, pa.int64())), 3, "invalid JSON", self.name
@@ -142,50 +228,21 @@ class ParseAsJson(Directive):
             if bad_idx
             else None
         )
-        if bad_idx:  # bad rows leave the main flow (they're on the error channel)
-            bad = set(bad_idx)
-            keep = pa.array([i not in bad for i in range(len(vals))])
-            table = table.filter(keep)
-            parsed = [p for i, p in enumerate(parsed) if i not in bad]
-        # explode top-level arrays
-        lens = np.fromiter(
-            (len(p) if isinstance(p, list) else 1 for p in parsed), np.int64, len(parsed)
-        )
-        rep_idx = np.repeat(np.arange(len(parsed)), lens)
-        exploded = []
-        for p in parsed:
-            if isinstance(p, list):
-                exploded.extend(p)
-            else:
-                exploded.append(p)
-        # flatten objects
-        flat_rows = []
-        keys: list[str] = []
-        seen = set()
-        for p in exploded:
-            if isinstance(p, dict):
-                flat: dict = {}
-                _flatten_json(p, "", self.depth, flat)
-                flat = {f"{col}_{k}": _json_cell_to_value(v) for k, v in flat.items()}
-                flat_rows.append(flat)
-                for k in flat:
-                    if k not in seen:
-                        seen.add(k)
-                        keys.append(k)
-            else:
-                flat_rows.append({col: _json_cell_to_value(p)})
-                if col not in seen:
-                    seen.add(col)
-                    keys.append(col)
-        out = {}
-        other_cols = [c for c in table.column_names if c != col]
-        for name in other_cols:
-            out[name] = table.column(name).take(pa.array(rep_idx))
+        keys = dict.fromkeys(k for r in flat_rows for k in r)
+        rep = pa.array(rep_idx, pa.int64())
+        out = {name: table.column(name).take(rep) for name in table.column_names if name != col}
         for k in keys:
             out[k] = pa.array([r.get(k) for r in flat_rows])
         if not out:
             out[col] = pa.array([], pa.string())
         return pa.table(out), err
+
+    def _flatten(self, col: str, p) -> dict:
+        if not isinstance(p, dict):
+            return {col: _json_cell_to_value(p)}
+        flat: dict = {}
+        _flatten_json(p, "", self.depth, flat)
+        return {f"{col}_{k}": _json_cell_to_value(v) for k, v in flat.items()}
 
 
 @directive("json-path")

@@ -21,7 +21,7 @@ import pyarrow.compute as pc
 from wrangler_ray.core.errors import DirectiveError
 from wrangler_ray.core.naming import resolve_column
 from wrangler_ray.core.registry import Directive, directive
-from wrangler_ray.core.schema import set_column
+from wrangler_ray.core.schema import set_column, string_buffers
 
 
 def _str_col(table: pa.Table, name: str) -> pa.ChunkedArray:
@@ -571,9 +571,57 @@ def mask_number_value(value, pattern: str) -> str:
     return "".join(out)
 
 
+def _mask_ascii(arr: pa.Array, pattern: str) -> pa.Array | None:
+    """``mask_number_value`` over every value of the string array ``arr``
+    at once: one vectorized step per pattern character over the value bytes,
+    with a per-row cursor. None when a value or the pattern is not ASCII."""
+    if not len(arr):
+        return arr
+    if pattern is None or not pattern.isascii():
+        return None
+    offsets, data = string_buffers(arr)
+    if (data >= 0x80).any():
+        return None
+    n, starts = len(arr), offsets[:-1].astype(np.int64)
+    lens = np.diff(offsets)
+    src = np.append(data, np.uint8(0))  # a cursor past a value reads this byte
+    past = len(data)
+    cur = np.zeros(n, np.int64)
+    out = np.empty((n, len(pattern)), np.uint8)
+    emit = np.ones((n, len(pattern)), bool)
+    for j, ch in enumerate(pattern):
+        inside = cur < lens
+        if ch == "#":
+            out[:, j] = src[np.where(inside, starts + cur, past)]
+            emit[:, j] = inside
+            cur += inside
+        elif ch in ("x", "X"):
+            out[:, j] = ord("x")
+            cur += 1
+        else:
+            out[:, j] = ord(ch)
+            cur += inside & (src[np.where(inside, starts + cur, past)] == ord(ch))
+    validity = None
+    if arr.null_count:
+        valid = arr.is_valid()
+        emit &= valid.to_numpy(zero_copy_only=False)[:, None]
+        validity = arr.buffers()[0] if arr.offset == 0 else valid.buffers()[1]
+    new_offsets = np.zeros(n + 1, offsets.dtype)
+    np.cumsum(emit.sum(axis=1), out=new_offsets[1:])
+    buffers = [validity, pa.py_buffer(new_offsets), pa.py_buffer(out[emit])]
+    return pa.Array.from_buffers(arr.type, n, buffers, arr.null_count)
+
+
 @directive("mask-number")
 class MaskNumber(Directive):
-    """mask-number :col 'pattern' (reference transformation/MaskNumber.java)."""
+    """mask-number :col 'pattern' — positional mask, one numpy pass per block
+    (reference transformation/MaskNumber.java).
+
+    Runs on the column's bytes, one numpy step per pattern character for the
+    whole block, when the pattern and every value are ASCII; otherwise per
+    value through ``mask_number_value``. A non-string column is masked as
+    its text; the output keeps a string column's type (string or
+    large_string)."""
 
     usage = "mask-number :col 'pattern'"
 
@@ -585,8 +633,13 @@ class MaskNumber(Directive):
         col = resolve_column(table, self.column)
         if col is None:
             return self.ok(table)
-        vals = _str_col(table, col).to_pylist()
-        out = pa.array([mask_number_value(v, self.pattern) for v in vals], pa.string())
+        vals = _str_col(table, col)
+        chunks = [_mask_ascii(c, self.pattern) for c in vals.chunks]
+        if any(c is None for c in chunks):
+            out = pa.array([mask_number_value(v, self.pattern) for v in vals.to_pylist()],
+                           vals.type)
+        else:
+            out = pa.chunked_array(chunks, vals.type)
         return self.ok(set_column(table, col, out))
 
 

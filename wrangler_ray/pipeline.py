@@ -88,9 +88,13 @@ class DirectiveChain:
         reads and writes, in chain order."""
         return [d.lineage() for d in self.directives]
 
-    def transform(self, batch: pa.Table) -> tuple[pa.Table, pa.Table]:
-        """Run the chain; return (ok, errors)."""
-        ctx = DirectiveContext(self.environment)
+    def transform(
+        self, batch: pa.Table, ctx: Optional[DirectiveContext] = None
+    ) -> tuple[pa.Table, pa.Table]:
+        """Run the chain in ``ctx`` (a fresh context when None); return
+        (ok, errors)."""
+        if ctx is None:
+            ctx = DirectiveContext(self.environment)
         ok = batch
         errs: list[pa.Table] = []
         for d in self.directives:
@@ -284,11 +288,7 @@ def collect_global_variables(ds, recipe, environment=None) -> dict:
 
     def run_batch(batch: pa.Table) -> pa.Table:
         ctx = DirectiveContext(chain.environment)
-        ok = batch
-        for d in chain.directives:
-            if ok.num_rows == 0:
-                break
-            ok, _err = d.apply(ok, ctx)
+        chain.transform(batch, ctx)
         return pa.table(
             {"vars": pa.array([_json.dumps(ctx.variables, default=str)], pa.string())}
         )
