@@ -41,8 +41,8 @@ def _variants(table, draw):
         k = table.num_rows // 2
         return pa.concat_tables([table.slice(0, k), table.slice(k)])
     if how == "sliced":
-        return pa.concat_tables([table.slice(0, 1), table, table.slice(0, 1)]).combine_chunks() \
-            .slice(1, table.num_rows)
+        padded = pa.concat_tables([table.slice(0, 1), table, table.slice(0, 1)]).combine_chunks()
+        return padded.slice(1, table.num_rows)
     if how == "large":
         i = table.column_names.index("j")
         return table.set_column(i, "j", table.column("j").cast(pa.large_string()))
@@ -116,8 +116,8 @@ def _json_tables(draw):
     n = len(cells)
     cols = {"id": pa.array(range(n), pa.int64()), "j": pa.array(cells, pa.string())}
     if draw(st.booleans()):  # a column that a flattened key overwrites
-        cols = {"j_a": pa.array(["old"] * n), **cols} if draw(st.booleans()) \
-            else {**cols, "j_a": pa.array(["old"] * n)}
+        old = {"j_a": pa.array(["old"] * n)}
+        cols = {**old, **cols} if draw(st.booleans()) else {**cols, **old}
     return _variants(pa.table(cols), draw)
 
 

@@ -111,11 +111,10 @@ def _json_cell_to_value(v):
 # the column types the per-row path gives JSON scalars: pa.array of Python
 # ints, floats, bools, strings and Nones
 _SCALAR_TYPES = {pa.int64(), pa.float64(), pa.bool_(), pa.string(), pa.null()}
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 def _beyond_int64(v) -> bool:
-    return type(v) is int and not _INT64_MIN <= v <= _INT64_MAX
+    return type(v) is int and not -(2**63) <= v < 2**63
 
 
 def _read_json_lines(cells: pa.ChunkedArray) -> pa.Table | None:
