@@ -71,6 +71,8 @@ _TRIGGERS = [
     '{"a": [1, 2]}',
     "{bad",  # invalid JSON
     '{"a": 1,}',
+    '{"a": NaN}',  # non-finite doubles
+    '{"a": -Infinity}',
     '{"a": Inf}',  # Arrow reads these; json.loads rejects them
     '{"a": -NaN}',
     '﻿{"a": 1}',
