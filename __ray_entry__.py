@@ -986,7 +986,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
             on="o_custkey",
             right_on="c_custkey",
             how="inner",
-            num_partitions=16,
         )
         t = pa.concat_tables(
             out.iter_batches(batch_format="pyarrow", batch_size=None)
@@ -1029,13 +1028,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return t
 
         orders = orders.map_batches(dedup_right, batch_format="pyarrow", zero_copy_batch=True)
-        out = asof_join(ev, orders, key="user_id", ts_col="ts", num_buckets=16)
+        out = asof_join(ev, orders, key="user_id", ts_col="ts")
         t = pa.concat_tables(out.iter_batches(batch_format="pyarrow", batch_size=None))
         t = t.filter(pc.is_valid(t.column("o_orderkey")))
-        for c in ("o_orderkey", "event_id"):  # float64 via union null-backfill
-            t = t.set_column(
-                t.column_names.index(c), c, pc.cast(t.column(c), pa.int64())
-            )
         return t.select(["event_id", "user_id", "ts", "o_orderkey", "o_totalprice"])
 
     def window_hourly_events(sf_dir):

@@ -174,6 +174,23 @@ def test_parse_as_json_integer_beyond_int64_is_an_error_row():
     assert [json.loads(r)["id"] for r in err.column("_wr_row").to_pylist()] == [1, 3]
 
 
+@pytest.mark.parametrize("cells, want", [
+    (['{"a": "x"}', '{"a": 1}'], ["x", "1"]),
+    (['{"a": true}', '{"a": 1}', '{"b": 2}'], ["true", "1", None]),
+    (['{"a": 1.5}', '{"a": 9007199254740993}'], ["1.5", "9007199254740993"]),
+    (['[{"a": "s"}, {"a": [1]}]', '{"a": false}'], ["s", "[1]", "false"]),
+])
+def test_parse_as_json_mixed_type_field_is_a_string_column(cells, want):
+    table = pa.table({"id": range(len(cells)), "j": cells})
+    d = _directive("parse-as-json :j 1")
+    fast = _outcome(lambda: d.apply(table, DirectiveContext({})))
+    assert fast == _outcome(lambda: d._apply_rows(table, "j"))
+    ok, err = d.apply(table, DirectiveContext({}))
+    assert err is None
+    assert ok.schema.field("j_a").type == pa.string()
+    assert ok.column("j_a").to_pylist() == want
+
+
 # -- mask-number ----------------------------------------------------------------
 
 _ASCII = st.text(alphabet="0123456789-abXx# ", max_size=12)
@@ -205,6 +222,13 @@ def test_mask_number_fast_path_equals_per_row(table, pattern):
     fast = [transform._mask_ascii(c, pattern) for c in vals.chunks]
     ascii_ = pattern.isascii() and all(v is None or v.isascii() for v in vals.to_pylist())
     assert all(c is not None for c in fast) == (ascii_ or not len(vals))
+
+
+def test_mask_number_without_a_pattern_is_a_parse_error():
+    from wrangler_ray.core.errors import RecipeParseError
+
+    with pytest.raises(RecipeParseError, match="pattern"):
+        compile_recipe(["mask-number :s"])
 
 
 @pytest.mark.parametrize("pattern", ["xxxx######", "x#-#", "##"])

@@ -11,6 +11,10 @@ def _ts(h, m=0):
     return dt.datetime(2024, 1, 1, h, m)
 
 
+def _arrow(ds) -> pa.Table:
+    return pa.concat_tables(ds.iter_batches(batch_size=None, batch_format="pyarrow"))
+
+
 @pytest.fixture()
 def events_ds(ray_session):
     import ray.data as rd
@@ -85,7 +89,7 @@ def test_asof_join_deterministic_ties(ray_session):
             }
         )
     )
-    out = asof_join(left, right, key="k", ts_col="ts", num_buckets=4).to_pandas()
+    out = asof_join(left, right, key="k", ts_col="ts").to_pandas()
     assert sorted(out["payload"]) == [7, 7]
 
 
@@ -107,7 +111,7 @@ def test_hash_and_broadcast_join(ray_session):
     assert list(bj["b"]) == ["p", "q", None]
 
     hj = hash_join(
-        left, rd.from_arrow(right_t), on="k", how="inner", num_partitions=2
+        left, rd.from_arrow(right_t), on="k", how="inner"
     ).to_pandas()
     assert sorted(hj["k"]) == [1, 2]
 
@@ -412,3 +416,78 @@ def test_broadcast_join_dataset_and_empty_small_side(ray_session):
                                  "b": pa.array([], pa.int64())}))
     out2 = broadcast_join(l, er, on="k").to_pandas()
     assert len(out2) == 3 and out2["b"].isna().all()
+
+
+def test_hash_join_with_an_empty_side(ray_session):
+    """Each side brings its own Arrow schema to the exchange, so an empty
+    right side still joins: inner gives no rows on the joined schema,
+    left_outer the left rows with null right columns."""
+    import ray.data as rd
+
+    from wrangler_ray.ops.joins import hash_join
+
+    left_t = pa.table({"k": pa.array([1, 2, 3], pa.int64()), "a": ["x", "y", "z"]})
+    right_t = pa.table({"k": pa.array([], pa.int64()), "a": pa.array([], pa.string()),
+                        "b": pa.array([], pa.float64())})
+    joined = pa.schema([("k", pa.int64()), ("a", pa.string()), ("a_r", pa.string()),
+                        ("b", pa.float64())])
+
+    inner = hash_join(rd.from_arrow(left_t), rd.from_arrow(right_t), on="k")
+    assert inner.count() == 0
+    assert inner.schema().base_schema.equals(joined)
+
+    out = _arrow(hash_join(rd.from_arrow(left_t), rd.from_arrow(right_t), on="k",
+                           how="left_outer")).sort_by("k")
+    assert out.schema.equals(joined)
+    assert out.column("a").to_pylist() == ["x", "y", "z"]
+    assert out.column("a_r").null_count == out.column("b").null_count == 3
+
+    both = hash_join(rd.from_arrow(left_t.slice(0, 0)), rd.from_arrow(right_t), on="k",
+                     how="left_outer")
+    assert both.count() == 0
+
+
+def test_asof_join_keeps_integer_types(ray_session):
+    """Output columns keep their input Arrow types on both sides; a left row
+    with no match gets null, not NaN."""
+    import ray.data as rd
+
+    from wrangler_ray.ops.joins import asof_join
+
+    left = rd.from_arrow(pa.table({
+        "k": pa.array([1, 1, 2], pa.int64()),
+        "ts": pa.array([_ts(10), _ts(12), _ts(10)], pa.timestamp("us")),
+        "eid": pa.array([2**60 + 1, 7, 8], pa.int64()),
+    }))
+    right = rd.from_arrow(pa.table({
+        "k": pa.array([1, 2], pa.int64()),
+        "ts": pa.array([_ts(11), _ts(11)], pa.timestamp("us")),
+        "payload": pa.array([2**60 + 3, 9], pa.int64()),
+        "eid": pa.array([5, 6], pa.int32()),
+    }))
+    out = _arrow(asof_join(left, right, key="k", ts_col="ts")).sort_by(
+        [("k", "ascending"), ("ts", "ascending")])
+    assert out.schema.field("eid").type == pa.int64()
+    assert out.schema.field("payload").type == pa.int64()
+    assert out.schema.field("eid_r").type == pa.int32()
+    assert out.column("eid").to_pylist() == [2**60 + 1, 7, 8]
+    assert out.column("payload").to_pylist() == [None, 2**60 + 3, None]
+    assert out.column("eid_r").to_pylist() == [None, 5, None]
+
+
+def test_sessionize_sharded_null_key_matches_plain(ray_session):
+    """Null keys form one key in both variants, also across a shard
+    boundary."""
+    import ray.data as rd
+
+    from wrangler_ray.ops.window import sessionize, sessionize_sharded
+
+    day, minute = 86_400_000_000, 60_000_000
+    ts = [day - 60 * minute, day + 60 * minute, day + 70 * minute]
+    ds = rd.from_arrow(pa.table({
+        "user_id": pa.array([None] * 3 + [1] * 3, pa.int64()),
+        "ts": pa.array(np.array(ts * 2, "datetime64[us]")),
+    }))
+    for out in (sessionize(ds), sessionize_sharded(ds, shard="1 day")):
+        got = _arrow(out).sort_by([("user_id", "ascending"), ("ts", "ascending")])
+        assert got.column("session_id").to_pylist() == [0, 1, 1, 0, 1, 1]

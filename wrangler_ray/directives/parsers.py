@@ -108,6 +108,19 @@ def _json_cell_to_value(v):
     return v
 
 
+def _json_column(vals: list) -> pa.Array:
+    """One field's values as a column; a field whose values ``pa.array``
+    cannot hold in one column (a string and a number, a bool and a number,
+    a double and an int past 2**53) becomes a string column: a string stays
+    as it is, any other value becomes its JSON text, as objects and arrays
+    already do."""
+    try:
+        return pa.array(vals)
+    except (pa.ArrowInvalid, pa.ArrowTypeError):
+        return pa.array([v if v is None or isinstance(v, str) else _json.dumps(v)
+                         for v in vals], pa.string())
+
+
 # the column types the per-row path gives JSON scalars: pa.array of Python
 # ints, floats, bools, strings and Nones
 _SCALAR_TYPES = {pa.int64(), pa.float64(), pa.bool_(), pa.string(), pa.null()}
@@ -181,7 +194,8 @@ class ParseAsJson(Directive):
     object or array, a non-finite or negative-zero double, an integer of 16
     or more digits in a block with a double field, or depth < 1. Rows whose
     JSON is invalid, or holds an integer beyond int64, go to the error
-    channel (code 3)."""
+    channel (code 3). A field whose values cannot share one Arrow column
+    becomes a string column of JSON text (``_json_column``)."""
 
     usage = "parse-as-json :col [depth]"
 
@@ -231,7 +245,7 @@ class ParseAsJson(Directive):
         rep = pa.array(rep_idx, pa.int64())
         out = {name: table.column(name).take(rep) for name in table.column_names if name != col}
         for k in keys:
-            out[k] = pa.array([r.get(k) for r in flat_rows])
+            out[k] = _json_column([r.get(k) for r in flat_rows])
         if not out:
             out[col] = pa.array([], pa.string())
         return pa.table(out), err

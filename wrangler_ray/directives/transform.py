@@ -18,7 +18,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from wrangler_ray.core.errors import DirectiveError
+from wrangler_ray.core.errors import DirectiveError, RecipeParseError
 from wrangler_ray.core.naming import resolve_column
 from wrangler_ray.core.registry import Directive, directive
 from wrangler_ray.core.schema import set_column, string_buffers
@@ -628,6 +628,8 @@ class MaskNumber(Directive):
     def __init__(self, call):
         self.column = call.col(0)
         self.pattern = call.text(1)
+        if self.pattern is None:
+            raise RecipeParseError(f"{call.name}: missing pattern argument 1: {call.source}")
 
     def apply(self, table, ctx):
         col = resolve_column(table, self.column)

@@ -32,8 +32,9 @@ All storage goes through ``pyarrow.fs`` (``filesystem=`` injectable), so the
 index can live on an object store, not just local disk.
 
 Scoring is exact within probed cells (IVF-flat): cosine via one matmul per
-batch against the broadcast query matrix, merged with the same distributed
-``groupby(query_idx)`` top-k reduce as the other similarity paths.
+batch against the broadcast query matrix, merged with the same top-k
+exchange on query_idx (plain Ray tasks, ``similarity._merge_topk``) as the
+other similarity paths.
 """
 from __future__ import annotations
 

@@ -40,6 +40,8 @@ from wrangler_ray.ops.cc import (
     drop_non_representatives,
 )
 from wrangler_ray.tasks import (
+    _exchange,
+    _from_blocks,
     _run_tasks,
     block_refs,
     num_parts,
@@ -53,13 +55,6 @@ from wrangler_ray.tasks import (
 def _content_hash(texts: np.ndarray) -> np.ndarray:
     """Stable 64-bit content hash per value (vectorized via pandas siphash)."""
     return pd.util.hash_array(texts.astype(object), categorize=False).astype(np.uint64)
-
-
-def _from_blocks(blocks: list):
-    """A materialized Dataset over ``(ref, rows)`` blocks of Arrow tables."""
-    import ray.data as rd
-
-    return rd.from_arrow_refs([ref for ref, _ in blocks])
 
 
 # ---------------------------------------------------------------------------
@@ -106,15 +101,6 @@ def _vec_key(vec_col: str, t: pa.Table) -> tuple:
         h2 = (eh * w[None, :]).sum(axis=1, dtype=np.uint64)
     t = t.append_column("_vh1", pa.array(h1.astype(np.int64)))
     return t.append_column("_vh2", pa.array(h2.astype(np.int64))), h1
-
-
-def _exchange(blocks: list, map_fn, reduce_fn, parts: int) -> list:
-    """``(ref, rows)`` blocks out of one task exchange over ``blocks``: a
-    ``map_fn(block)`` task per non-empty block returns its rows split into
-    ``parts`` partitions (``split``), a ``reduce_fn(*tables) -> (rows,
-    table)`` task per partition that holds rows."""
-    maps = _run_tasks(map_fn, [ref for ref, n in blocks if n], num_returns=parts + 1)
-    return [(refs[0], n) for n, refs in reduce_parts(maps, reduce_fn)]
 
 
 def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id"):

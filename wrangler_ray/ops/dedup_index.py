@@ -55,6 +55,11 @@ existed, meta without ``layout``) have no ``bands/`` tree: ``banded_for``
 bands their stored signatures in flight with the same kernel as the
 increment (one partition, so every read is a full signature read), and
 they never gain band partitions — rebuild to get pruned increments.
+
+The sorted writes (``compact()`` and the increment's band rows) stay on Ray
+Data's ``Dataset.sort`` + ``write_parquet``: the tight per-file id and key
+row-group stats that prune reads come from a global range sort, and the
+task exchange (``wrangler_ray.tasks``) hash-partitions instead.
 """
 from __future__ import annotations
 

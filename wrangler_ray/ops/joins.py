@@ -5,33 +5,27 @@ Strategy selection mirrors a distributed SQL planner:
 - **broadcast_join**: small side shipped once via ``ray.put`` (read per actor
   / task, NOT per batch), probe vectorized with a pyarrow hash join per
   batch. No shuffle. Use when one side fits in worker memory.
-- **hash_join**: both sides large → Ray Data's native hash-partitioned join
-  (``Dataset.join``), an explicit all-to-all exchange; num_partitions sized
-  by the caller to ≥ 2× cluster cores.
-- **asof_join**: sort-merge within co-partitioned key buckets
-  (``pd.merge_asof`` per group) — for event-time enrichment.
+- **hash_join**: both sides large → one hash exchange on the keys as plain
+  Ray tasks (``wrangler_ray.tasks.keyed``), then pyarrow's main-memory hash
+  join per partition. Each side brings its own Arrow schema, so an empty
+  side still joins; the partition count is ``num_parts`` of both sides'
+  rows.
+- **asof_join**: the same exchange on the key, then one ``pd.merge_asof``
+  per partition over row positions, so every output column keeps its input
+  Arrow type — for event-time enrichment.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-
-def join_partitions(requested: Optional[int] = None) -> int:
-    """Safe partition count for ``Dataset.join``: Ray 2.49's hash join
-    schedules one aggregator actor per partition, and a partition count far
-    above the session's CPUs deadlocks the pool (measured: 64 partitions on a
-    4-cpu session hangs). Cap at the cluster CPU count; on a real multi-node
-    cluster this returns the full cluster width."""
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    cap = max(2, cpus)
-    return min(requested, cap) if requested else cap
+from wrangler_ray.tasks import _from_blocks, keyed
 
 
 # per-worker-process cache of the fetched broadcast table keyed by its object
@@ -96,111 +90,57 @@ def broadcast_join(
     return ds.map_batches(probe, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def hash_join(
-    left,
-    right,
-    on,
-    right_on=None,
-    how: str = "inner",
-    num_partitions: int | None = None,
-):
-    """Large-large join → Ray Data's hash-partitioned join operator
-    (explicit shuffle; both sides exchanged once).
-
-    Known Ray 2.49 limitation: a fully EMPTY input side crashes the native
-    hash-join aggregator (ArrowInvalid in finalize). When a side may
-    legitimately be empty, use
-    broadcast_join (handles it) or guard with a cheap count on a
-    materialized input."""
-    num_partitions = join_partitions(num_partitions)
-    on = (on,) if isinstance(on, str) else tuple(on)
-    right_on = (right_on,) if isinstance(right_on, str) else (
-        tuple(right_on) if right_on else None
-    )
-    return left.join(
-        right,
-        join_type=how,
-        num_partitions=num_partitions,
-        on=on,
-        right_on=right_on,
-        left_suffix="",
-        right_suffix="_r",
-    )
+def hash_join(left, right, on, right_on=None, how: str = "inner"):
+    """Large-large join: both sides hash-split on their keys and met per
+    partition by ``pyarrow.Table.join`` (``how``: ``inner``,
+    ``left_outer``, ``right_outer``, ``full_outer``, ``left_semi``, …), a
+    right non-key column that collides with a left one gets ``_r``. Eager:
+    returns a materialized Dataset."""
+    on = [on] if isinstance(on, str) else list(on)
+    right_on = [right_on] if isinstance(right_on, str) else list(right_on or on)
+    return _from_blocks(keyed([(left, on), (right, right_on)], functools.partial(
+        _join_partition, on, right_on, how.replace("_", " "))))
 
 
-def asof_join(
-    left,
-    right,
-    key: str,
-    ts_col: str,
-    num_buckets: int = 64,
-    direction: str = "backward",
-):
-    """As-of join: co-partition both sides by key-hash bucket, sort within
-    bucket, ``pd.merge_asof`` per bucket (SURVEY §2.7 — reference has no
-    such operator; partitioning assumption: all rows of one key land in one
-    bucket)."""
+def _join_partition(on: list, right_on: list, how: str, left: pa.Table,
+                    right: pa.Table) -> tuple:
+    out = left.join(right, keys=on, right_keys=right_on, join_type=how,
+                    left_suffix="", right_suffix="_r")
+    return out.num_rows, out
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        k = t.column(key).to_numpy(zero_copy_only=False)
-        b = (pd.util.hash_array(k.astype(object)) % np.uint64(num_buckets)).astype(np.int32)
-        return t.append_column("_jb", pa.array(b))
 
-    def tag(side: str):
-        def fn(t: pa.Table) -> pa.Table:
-            return t.append_column("_side", pa.array([side] * t.num_rows))
+def asof_join(left, right, key: str, ts_col: str, direction: str = "backward"):
+    """As-of join: each left row gets the right row of the same ``key``
+    nearest in ``ts_col`` (``direction`` as in ``pd.merge_asof``); a right
+    column other than ``key`` and ``ts_col`` that collides with a left one
+    gets ``_r``, and an unmatched left row gets nulls. When the right side
+    has several rows at the same (key, ts), the greatest row (by its
+    columns in order) matches, so block order never decides. Both sides
+    are hash-split on ``key`` (all rows of one key meet in one task).
+    Eager: returns a materialized Dataset (SURVEY §2.7 — the reference has
+    no such operator)."""
+    return _from_blocks(keyed([(left, [key]), (right, [key])], functools.partial(
+        _asof_partition, key, ts_col, direction)))
 
-        return fn
 
-    l_cols = list(left.columns())
-    r_cols = list(right.columns())
-    lt = left.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True).map_batches(
-        tag("l"), batch_format="pyarrow", zero_copy_batch=True
-    )
-    rt = right.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True).map_batches(
-        tag("r"), batch_format="pyarrow", zero_copy_batch=True
-    )
-    # stream the union straight into the groupby exchange — materializing
-    # here would double peak object-store footprint for no correctness gain
-    # (the groupby already barriers)
-    both = lt.union(rt)
+def _asof_partition(key: str, ts_col: str, direction: str, left: pa.Table,
+                    right: pa.Table) -> tuple:
+    """One partition's as-of join. Only the key, the ts and row positions go
+    through pandas; every output column is taken from its input table, so
+    it keeps its Arrow type."""
+    rest = [c for c in right.column_names if c not in (key, ts_col)]
+    right = right.take(pc.sort_indices(right, [(c, "ascending") for c in [key, ts_col, *rest]]))
 
-    def merge_bucket(g: pa.Table) -> pa.Table:
-        df = g.to_pandas()
-        # restrict each side to ITS columns (the union null-backfills the
-        # other side's fields; leaving them would shadow the join output).
-        # reindex, not column selection: a bucket whose rows all came from
-        # ONE side arrives without the other side's columns at all (small
-        # corpora make single-side buckets common), and selecting missing
-        # columns raises
-        ldf = df[df["_side"] == "l"]
-        if len(ldf) == 0:
-            return pa.table({})
-        l = ldf.reindex(columns=l_cols).sort_values(ts_col)
-        rdf = df[df["_side"] == "r"]
-        if len(rdf) == 0:
-            # no right rows in this bucket: every left row misses — emit the
-            # left side with null right-only columns (same shape merge_asof
-            # would produce against an empty right frame)
-            out = l.copy()
-            for c in r_cols:
-                if c in (key, ts_col):
-                    continue
-                name = c if c not in out.columns else c + "_r"
-                out[name] = None
-            return pa.Table.from_pandas(
-                out, preserve_index=False
-            ).replace_schema_metadata(None)
-        r = rdf.reindex(columns=r_cols)
-        # deterministic tie-break: when the right side has several rows at the
-        # SAME (key, ts), keep the lexicographically-greatest row (block order
-        # must never decide the match)
-        r = r.sort_values(list(r.columns)).drop_duplicates(
-            subset=[key, ts_col], keep="last"
-        ).sort_values(ts_col, kind="mergesort")
-        merged = pd.merge_asof(
-            l, r, on=ts_col, by=key, direction=direction, suffixes=("", "_r")
-        )
-        return pa.Table.from_pandas(merged, preserve_index=False).replace_schema_metadata(None)
+    def positions(t: pa.Table, name: str) -> pd.DataFrame:
+        return pd.DataFrame({key: t.column(key).to_pandas(), ts_col: t.column(ts_col).to_pandas(),
+                             name: np.arange(t.num_rows)}).sort_values(ts_col, kind="mergesort")
 
-    return both.groupby("_jb").map_groups(merge_bucket, batch_format="pyarrow")
+    r = positions(right, "_r").drop_duplicates([key, ts_col], keep="last")
+    m = pd.merge_asof(positions(left, "_l"), r, on=ts_col, by=key, direction=direction)
+    hit = m["_r"].to_numpy(dtype=np.float64)
+    taken = right.select(rest).take(pa.array(np.nan_to_num(hit).astype(np.int64),
+                                             mask=np.isnan(hit)))
+    out = left.take(pa.array(m["_l"].to_numpy(np.int64)))
+    for name, col in zip(rest, taken.columns):
+        out = out.append_column(name + "_r" if name in out.column_names else name, col)
+    return out.num_rows, out

@@ -2,9 +2,9 @@
 
 - ``brute_force_topk``: the exact baseline — the query matrix is broadcast
   once via ``ray.put``; every batch does one numpy matmul and emits only its
-  local top-k (k rows per query per batch), reduced to the global top-k by a
-  distributed ``groupby("query_idx")`` merge so the driver only ever sees
-  nq×k rows (never O(blocks × k × queries)).
+  local top-k (k rows per query per batch), reduced to the global top-k by
+  one hash exchange on query_idx as plain Ray tasks (``_merge_topk``) so
+  the driver only ever sees nq×k rows (never O(blocks × k × queries)).
 - ``lsh_topk``: random-hyperplane bucket signatures with multi-probe
   (hamming radius 1); batches prune candidates to matching buckets before
   the matmul.
@@ -14,10 +14,13 @@
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
 
 import numpy as np
 import pyarrow as pa
+
+from wrangler_ray.tasks import keyed
 
 
 def _normalize(m: np.ndarray) -> np.ndarray:
@@ -111,32 +114,29 @@ class _BatchTopK:
 
 
 def _merge_topk(partials, k: int, id_col: str) -> pa.Table:
-    """Distributed top-k reduce: partial (query_idx, id, score) rows are
-    grouped by query_idx and cut to k INSIDE the cluster, so the driver sees
-    only nq×k rows. (The previous driver-side heap was O(blocks × k × nq)
-    through one Python loop — fine for one query, pathological for a
-    1000-query batch over a 10^6-block corpus.) Ties prefer the smaller id,
-    matching the SQL oracle's ORDER BY score DESC, id ASC."""
+    """Distributed top-k reduce: the partial (query_idx, id, score) rows of
+    the Dataset ``partials`` meet per query_idx in one hash exchange of
+    plain Ray tasks (``wrangler_ray.tasks.keyed``), and each partition is
+    cut to k rows per query by one sort INSIDE the cluster, so the driver
+    sees only nq×k rows. Ties prefer the smaller id, matching the SQL
+    oracle's ORDER BY score DESC, id ASC."""
+    import ray
 
-    def topk_group(g: pa.Table) -> pa.Table:
-        return g.sort_by(
-            [("score", "descending"), (id_col, "ascending")]
-        ).slice(0, k)
+    order = [("query_idx", "ascending"), ("score", "descending"), (id_col, "ascending")]
+    tops = keyed([(partials, ["query_idx"])], functools.partial(_topk_partition, k, order))
+    refs = [ref for ref, rows in tops if rows]
+    return pa.concat_tables(ray.get(refs)).sort_by(order) if refs else _empty_topk(id_col)
 
-    merged = partials.groupby("query_idx").map_groups(
-        topk_group, batch_format="pyarrow"
-    )
-    tabs = [
-        t
-        for t in merged.iter_batches(batch_size=None, batch_format="pyarrow")
-        if t.num_rows
-    ]
-    if not tabs:
-        return _empty_topk(id_col)
-    out = pa.concat_tables(tabs)
-    return out.sort_by(
-        [("query_idx", "ascending"), ("score", "descending"), (id_col, "ascending")]
-    )
+
+def _topk_partition(k: int, order: list, t: pa.Table) -> tuple:
+    # an empty corpus skips the partial batches, so no rows carry their columns
+    if t.num_rows:
+        t = t.sort_by(order)
+        q, pos = t.column("query_idx").to_numpy(), np.arange(t.num_rows)
+        first = np.ones(len(q), bool)
+        first[1:] = q[1:] != q[:-1]
+        t = t.filter(pa.array(pos - np.maximum.accumulate(np.where(first, pos, 0)) < k))
+    return t.num_rows, t
 
 
 def brute_force_topk(

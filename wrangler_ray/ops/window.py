@@ -2,23 +2,51 @@
 
 The reference has no windowing (its execution model is single-pass batch,
 SURVEY.md §1.1); these are the custom operators a transcript/event pipeline
-needs, expressed Ray-Data-first:
+needs:
 
-- tumbling window  = truncate-ts inside ``map_batches`` (vectorized) + one
-  hash ``groupby().aggregate()`` — the window key is just another group key,
-  so there is exactly ONE shuffle and partial aggregation happens per block.
-- sessionize       = ``groupby(key).map_groups`` with a vectorized gap scan
-  per key — the partitioning assumption (documented per SURVEY §2 custom-op
-  rule) is that one key's events fit in one group task, which holds for
-  conversation/user streams (bounded per-user history).
+- tumbling / hopping window = window start computed inside ``map_batches``
+  (vectorized) + one Ray Data ``groupby().aggregate()`` — the window key is
+  just another group key, so there is exactly ONE shuffle and partial
+  aggregation happens per block. They stay on Ray Data (as does
+  ``session_stats``) because their public ``aggs`` are Ray ``AggregateFn``
+  instances.
+- sessionize = one hash exchange on the key as plain Ray tasks
+  (``wrangler_ray.tasks.keyed``) and one sort-plus-gap-scan kernel per
+  partition (``_sessions``), shared with ``sessionize_sharded``. The
+  partitioning assumption (documented per SURVEY §2 custom-op rule) is
+  that one key's events fit in one task, which holds for conversation/user
+  streams (bounded per-user history); ``sessionize_sharded`` lifts it.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from wrangler_ray.core.schema import set_column
+from wrangler_ray.tasks import (
+    _from_blocks,
+    _run_tasks,
+    blocks_schema,
+    hash_split,
+    keyed,
+    meet,
+    num_parts,
+    to_arrow,
+)
+
+
+_US = {"second": 1_000_000, "minute": 60_000_000,
+       "hour": 3_600_000_000, "day": 86_400_000_000}
+
+
+def _span_us(span: str) -> int:
+    """``"30 minute"``, ``"1 day"``, … in microseconds."""
+    n, unit = span.split()
+    return int(n) * _US[unit.rstrip("s")]
 
 
 def tumbling_window(
@@ -31,7 +59,8 @@ def tumbling_window(
     """Tumbling-window aggregate: floor ``ts_col`` to the window start and
     group by (keys..., window_start). ``aggs`` are ray.data.aggregate.*
     instances. ``every`` accepts pyarrow multiple+unit ("15 minute", "1 hour",
-    "1 day")."""
+    "1 day"). Stays on Ray Data's ``groupby().aggregate()``: ``aggs`` are
+    Ray ``AggregateFn`` instances, which run only inside it."""
     n, unit = every.split()
     mult = int(n)
 
@@ -64,13 +93,10 @@ def hopping_window(
 
     Scale note: shuffle volume is replication-factor × input for the touched
     columns only; pre-aggregation inside the exchange (Ray's partial
-    aggregates) keeps the reduce side at one row per (key, window)."""
-    ne, ue = every.split()
-    np_, up = period.split()
-    us = {"second": 1_000_000, "minute": 60_000_000,
-          "hour": 3_600_000_000, "day": 86_400_000_000}
-    every_us = int(ne) * us[ue.rstrip("s")]
-    period_us = int(np_) * us[up.rstrip("s")]
+    aggregates) keeps the reduce side at one row per (key, window). Stays
+    on Ray Data, as ``tumbling_window`` does: ``aggs`` are Ray
+    ``AggregateFn`` instances."""
+    every_us, period_us = _span_us(every), _span_us(period)
     if period_us % every_us:
         raise ValueError("hopping_window: period must be a multiple of every")
     k = period_us // every_us  # replication factor
@@ -98,6 +124,40 @@ def hopping_window(
     )
 
 
+def _changed(col) -> np.ndarray:
+    """True where a sorted column's value differs from the previous row's,
+    and at the first row; nulls equal each other."""
+    cur, prev = col.slice(1), col.slice(0, max(len(col) - 1, 0))
+    ne = pc.or_(pc.fill_null(pc.not_equal(cur, prev), False),
+                pc.xor(pc.is_null(cur), pc.is_null(prev)))
+    return np.concatenate((np.ones(min(len(col), 1), bool), ne.to_numpy(zero_copy_only=False)))
+
+
+def _sessions(keys: list[str], ts_col: str, gap_us: int, t: pa.Table) -> tuple:
+    """The gap-scan kernel of a whole partition: ``t`` sorted by (``keys``,
+    ``ts_col``) with ``session_id`` appended (0-based per ``keys`` value, a
+    new session where the time since the previous event of the same keys
+    exceeds ``gap_us``), and the row positions where each keys value
+    starts."""
+    t = t.take(pc.sort_indices(t, [(k, "ascending") for k in [*keys, ts_col]]))
+    ts = t.column(ts_col).cast(pa.timestamp("us")).cast(pa.int64()).to_numpy(
+        zero_copy_only=False)
+    new_key = np.zeros(len(ts), bool)
+    for k in keys:
+        new_key |= _changed(t.column(k))
+    new_sess = new_key.copy()
+    new_sess[1:] |= np.diff(ts) > gap_us
+    count = np.cumsum(new_sess)
+    first = np.maximum.accumulate(np.where(new_key, count, 0))
+    return t.append_column("session_id", pa.array(count - first, pa.int64())), \
+        np.flatnonzero(new_key)
+
+
+def _sessionize_partition(key_col: str, ts_col: str, gap_us: int, t: pa.Table) -> tuple:
+    t, _ = _sessions([key_col], ts_col, gap_us, t)
+    return t.num_rows, t
+
+
 def sessionize(
     ds,
     key_col: str = "user_id",
@@ -106,31 +166,20 @@ def sessionize(
 ):
     """Assign session ids per key: a new session starts when the time since
     the previous event of the same key exceeds ``gap``. Returns the input
-    rows plus ``session_id`` (0-based per key, in ts order)."""
-    n, unit = gap.split()
-    gap_us = int(n) * {
-        "second": 1_000_000,
-        "minute": 60_000_000,
-        "hour": 3_600_000_000,
-        "day": 86_400_000_000,
-    }[unit.rstrip("s")]
-
-    def assign(g: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(g, sort_keys=[(ts_col, "ascending")])
-        g = g.take(idx)
-        ts = g.column(ts_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        new_sess = np.ones(len(ts), dtype=bool)
-        if len(ts) > 1:
-            new_sess[1:] = (ts[1:] - ts[:-1]) > gap_us
-        sess = np.cumsum(new_sess) - 1
-        return g.append_column("session_id", pa.array(sess, pa.int64()))
-
-    return ds.groupby(key_col).map_groups(assign, batch_format="pyarrow")
+    rows plus ``session_id`` (0-based per key, in ts order), as a
+    materialized Dataset. One hash exchange on the key (``wrangler_ray.
+    tasks.keyed``) and one gap scan per partition, so all of one key's
+    events sit in one task: use ``sessionize_sharded`` for keys whose
+    history exceeds one task's heap."""
+    return _from_blocks(keyed([(ds, [key_col])], functools.partial(
+        _sessionize_partition, key_col, ts_col, _span_us(gap))))
 
 
 def session_stats(ds, key_col: str = "user_id", ts_col: str = "ts", gap: str = "30 minute"):
     """Per-key session count (compact, oracle-comparable summary of
-    sessionize): (key, n_sessions, n_events)."""
+    sessionize): (key, n_sessions, n_events). Its reduce stays on Ray
+    Data's ``groupby().aggregate()`` with Ray ``AggregateFn`` instances
+    (``Max``, ``Count``), the window operators' aggregation path."""
     from ray.data.aggregate import Count, Max
 
     sess = sessionize(ds, key_col=key_col, ts_col=ts_col, gap=gap)
@@ -155,128 +204,87 @@ def sessionize_sharded(
     shard: str = "7 day",
 ):
     """Memory-bounded sessionize for keys whose FULL history exceeds one
-    group task's heap (plain ``sessionize`` holds a key's every event in one
-    task — fine for conversations, unbounded for a years-long hot stream).
+    task's heap (plain ``sessionize`` holds a key's every event in one task
+    — fine for conversations, unbounded for a years-long hot stream).
 
-    Shape: shard each key by fixed time buckets (``shard`` wide), sessionize
-    each (key, bucket) group independently (bounded rows per task), then
-    STITCH at bucket boundaries: a tiny per-(key, bucket) summary
-    (first/last ts, local session count) is collected and scanned in bucket
+    Shape: shard each key by fixed time buckets (``shard`` wide) and run
+    the exchange on (key, bucket), so each reduce task sessionizes its
+    (key, bucket) groups independently and returns, as its metadata, one
+    summary row per group (first/last ts, local session count, rows). The
+    driver STITCHES the summaries at bucket boundaries, scanned in bucket
     order — a boundary whose inter-bucket gap ≤ ``gap`` merges the adjacent
-    sessions — producing a per-bucket session-id offset that a final
-    broadcast map adds to the local ids. Identical output to ``sessionize``
-    (pinned by test). Driver state = one row per (key, bucket) — bounded by
-    distinct key×bucket, never by events. Two shuffles instead of one; use
-    plain ``sessionize`` when per-key history is known-bounded."""
-    import ray
-
-    n, unit = gap.split()
-    us = {"second": 1_000_000, "minute": 60_000_000,
-          "hour": 3_600_000_000, "day": 86_400_000_000}
-    gap_us = int(n) * us[unit.rstrip("s")]
-    ns, units = shard.split()
-    span_us = int(ns) * us[units.rstrip("s")]
+    sessions — into a per-group session-id offset, and one task per
+    partition adds its groups' offsets to the local ids. Identical output
+    to ``sessionize`` (pinned by test). Driver state = one row per (key,
+    bucket) — bounded by distinct key×bucket, never by events."""
+    gap_us, span_us = _span_us(gap), _span_us(shard)
     if span_us <= gap_us:
         raise ValueError("shard span must exceed the session gap")
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        ts = t.column(ts_col).cast(pa.timestamp("us")).cast(pa.int64())
-        # metadata stripped: pandas-written parquet carries a dict that makes
-        # the schema unhashable → Ray's shuffle schema-dedup warns per block
-        return t.replace_schema_metadata(None).append_column(
-            "_bucket", pc.divide(ts, span_us).cast(pa.int64())
-        )
-
-    def local_sessions(g: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(g, sort_keys=[(ts_col, "ascending")])
-        g = g.take(idx)
-        ts = g.column(ts_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        new_sess = np.ones(len(ts), dtype=bool)
-        if len(ts) > 1:
-            new_sess[1:] = (ts[1:] - ts[:-1]) > gap_us
-        local = np.cumsum(new_sess) - 1
-        g = g.append_column("_local_sess", pa.array(local, pa.int64()))
-        g = g.append_column("_first_ts", pa.array(np.full(len(ts), ts[0] if len(ts) else 0), pa.int64()))
-        g = g.append_column("_last_ts", pa.array(np.full(len(ts), ts[-1] if len(ts) else 0), pa.int64()))
-        g = g.append_column("_n_sess", pa.array(np.full(len(ts), local[-1] + 1 if len(ts) else 0), pa.int64()))
-        return g
-
-    local = (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby([key_col, "_bucket"])
-        .map_groups(local_sessions, batch_format="pyarrow")
-        .materialize()
-    )
-    if local.count() == 0:
-        # an all-empty groupby emits a degenerate schema-less block; return
-        # an empty dataset with the CONTRACT schema (input + session_id)
-        import ray.data as rd
-
-        sch = ds.schema().base_schema
-        empty = pa.table({f.name: pa.array([], f.type) for f in sch})
-        return rd.from_arrow(
-            empty.append_column("session_id", pa.array([], pa.int64()))
-        )
-    # summaries: ONE row per (key, bucket) — the only thing the driver holds
-    import pandas as pd  # noqa: F811
-
-    summaries = (
-        local.select_columns([key_col, "_bucket", "_first_ts", "_last_ts", "_n_sess"])
-        .map_batches(
-            lambda t: pa.Table.from_pandas(
-                t.to_pandas().drop_duplicates([key_col, "_bucket"]),
-                preserve_index=False,
-            ).replace_schema_metadata(None),
-            batch_format="pyarrow",
-        )
-        .to_pandas()
-        .drop_duplicates([key_col, "_bucket"])
-        .sort_values([key_col, "_bucket"], kind="mergesort")
-    )
-    # sequential stitch per key (vectorized across the summary frame):
-    # offset_i = offset_{i-1} + n_sess_{i-1} - merge_{i}, where merge_i = 1
+    blocks, schema = blocks_schema(ds)
+    parts = num_parts(sum(n for _, n in blocks))
+    maps = _run_tasks(functools.partial(_bucket_split, key_col, ts_col, span_us, parts),
+                      [ref for ref, n in blocks if n], num_returns=parts + 1)
+    local = meet([(maps, _with_bucket(ts_col, span_us, schema.empty_table()).schema)],
+                 functools.partial(_local_sessions, key_col, ts_col, gap_us))
+    summaries = pa.concat_tables([s for _, s in local])
+    order = pc.sort_indices(summaries, [(key_col, "ascending"), ("_bucket", "ascending")])
+    order = order.to_numpy()
+    # sequential stitch per key (vectorized across the sorted summaries):
+    # offset_i = offset_{i-1} + n_sess_{i-1} - merge_i, where merge_i = 1
     # when the boundary gap to the previous bucket of the SAME key <= gap
-    keys_np = summaries[key_col].to_numpy()
-    same_key = keys_np[1:] == keys_np[:-1]
-    first_ts = summaries["_first_ts"].to_numpy()
-    last_ts = summaries["_last_ts"].to_numpy()
-    n_sess = summaries["_n_sess"].to_numpy().astype(np.int64)
-    merge = np.zeros(len(summaries), dtype=np.int64)
-    merge[1:] = (same_key & ((first_ts[1:] - last_ts[:-1]) <= gap_us)).astype(np.int64)
+    grp_start = _changed(summaries.column(key_col).take(pa.array(order)))
+    same_key = ~grp_start[1:]
+    first_ts = summaries.column("_first_ts").to_numpy()[order]
+    last_ts = summaries.column("_last_ts").to_numpy()[order]
+    n_sess = summaries.column("_n_sess").to_numpy()[order]
+    merge = np.zeros(len(order), dtype=np.int64)
+    merge[1:] = same_key & ((first_ts[1:] - last_ts[:-1]) <= gap_us)
     # offset_i = Σ_{j<i, same key} n_sess_j − Σ_{j≤i, same key} merge_j
     #          = (excl_i − excl_at_key_start) − merge_i
     # with excl = exclusive prefix of delta = n_sess − merge (nondecreasing,
     # since every nonempty bucket has n_sess ≥ 1 ≥ merge — which makes the
     # maximum.accumulate forward-fill of per-key bases valid)
-    if len(summaries):
-        delta = n_sess - merge
-        excl = np.concatenate(([0], np.cumsum(delta)[:-1]))
-        grp_start = np.ones(len(summaries), dtype=bool)
-        grp_start[1:] = ~same_key
-        base = np.where(grp_start, excl, 0)
-        np.maximum.accumulate(base, out=base)
-        offsets = excl - base - merge
-    else:
-        offsets = np.zeros(0, np.int64)
-    off_map = {
-        (k, int(b)): int(o)
-        for k, b, o in zip(summaries[key_col], summaries["_bucket"], offsets)
-    }
-    off_ref = ray.put(off_map)
+    excl = np.concatenate(([0], np.cumsum(n_sess - merge)[:-1]))
+    base = np.maximum.accumulate(np.where(grp_start, excl, 0))
+    offsets = np.empty(len(order), np.int64)
+    offsets[order] = excl - base - merge
+    ends = np.cumsum([s.num_rows for _, s in local])
+    out = _run_tasks(_add_offsets, [
+        (ref, offsets[end - s.num_rows:end], s.column("_rows").to_numpy())
+        for (ref, s), end in zip(local, ends)], num_returns=2)
+    return _from_blocks([(refs[0], n) for n, refs in out])
 
-    def apply_offsets(t: pa.Table) -> pa.Table:
-        m = ray.get(off_ref)
-        keys = t.column(key_col).to_pylist()
-        buckets = t.column("_bucket").to_numpy(zero_copy_only=False)
-        local_ids = t.column("_local_sess").to_numpy(zero_copy_only=False)
-        offs = np.fromiter(
-            (m[(k, int(b))] for k, b in zip(keys, buckets)), np.int64, len(keys)
-        )
-        t = t.append_column("session_id", pa.array(local_ids + offs, pa.int64()))
-        return t.drop_columns(
-            ["_bucket", "_local_sess", "_first_ts", "_last_ts", "_n_sess"]
-        )
 
-    return local.map_batches(
-        apply_offsets, batch_format="pyarrow", zero_copy_batch=True
-    )
+def _with_bucket(ts_col: str, span_us: int, t: pa.Table) -> pa.Table:
+    ts = t.column(ts_col).cast(pa.timestamp("us")).cast(pa.int64())
+    return t.append_column("_bucket", pc.divide(ts, span_us).cast(pa.int64()))
+
+
+def _bucket_split(key_col: str, ts_col: str, span_us: int, parts: int, block) -> tuple:
+    """Map task of ``sessionize_sharded``: the block's rows with their time
+    bucket, split on (key, bucket)."""
+    return hash_split([key_col, "_bucket"], parts, _with_bucket(ts_col, span_us, to_arrow(block)))
+
+
+def _local_sessions(key_col: str, ts_col: str, gap_us: int, t: pa.Table) -> tuple:
+    """Reduce task of ``sessionize_sharded``: one summary row per (key,
+    bucket) of the partition, in row order, and the partition sessionized
+    per (key, bucket)."""
+    t, starts = _sessions([key_col, "_bucket"], ts_col, gap_us, t)
+    ends = np.append(starts[1:], t.num_rows)[:len(starts)] - 1
+    ts = t.column(ts_col).cast(pa.timestamp("us")).cast(pa.int64()).to_numpy(
+        zero_copy_only=False)
+    summary = t.select([key_col, "_bucket"]).take(pa.array(starts))
+    for name, col in (("_first_ts", ts[starts]), ("_last_ts", ts[ends]),
+                      ("_n_sess", t.column("session_id").to_numpy()[ends] + 1),
+                      ("_rows", ends - starts + 1)):
+        summary = summary.append_column(name, pa.array(col, pa.int64()))
+    return summary, t.drop_columns(["_bucket"])
+
+
+def _add_offsets(t: pa.Table, offsets: np.ndarray, rows: np.ndarray) -> tuple:
+    """Apply task of ``sessionize_sharded``: each (key, bucket) group's
+    offset added to the local session ids of its ``rows`` rows."""
+    ids = t.column("session_id").to_numpy() + np.repeat(offsets, rows)
+    return t.num_rows, set_column(t, "session_id", pa.array(ids, pa.int64()))

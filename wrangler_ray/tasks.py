@@ -1,21 +1,32 @@
 """Plain Ray tasks through one bounded window, and the object-store
-exchange the dedup operators build on it.
+exchange every keyed operator builds on it.
 
 ``_run_tasks`` runs one task per argument, at most ``TASK_WINDOW`` in
-flight. The CDC apply (spill and merge tasks) and the dedup exchanges both
-go through it. An exchange task returns a tiny metadata value first (for
-a map task, its rows per output partition); the window fetches only that,
+flight. The CDC apply (spill and merge tasks) and the exchanges all go
+through it. An exchange task returns a tiny metadata value first (for a
+map task, its rows per output partition); the window fetches only that,
 and the data returns stay in the object store as refs that later tasks
 take as arguments:
 
     map task per input block    → (rows per partition, part 0, …, part P-1)
     reduce task per partition   → fn(its non-empty parts), one call
-                                  (``reduce_parts``)
+                                  (``reduce_parts``, ``_exchange``)
 
-A map task that splits on an integer column is ``split_on``. A reduce
-task that returns split parts itself feeds the next round (``part_refs``
-picks one partition's parts): the near-dup tail's verify and
-connected-components rounds chain this way.
+A map task splits on an integer column (``split_on``) or on the hash of
+one or more key columns hashed together (``hash_split``). ``meet`` is the
+reduce side over one or more inputs split into the same partitions: each
+input brings its own Arrow schema, so an input with no rows in a partition
+(or none at all) still meets the others as an empty table. ``keyed`` runs
+both sides over Datasets. A reduce task that returns split parts itself
+feeds the next round (``part_refs`` picks one partition's parts): the
+near-dup tail's verify and connected-components rounds chain this way.
+
+Users: the CDC apply (``_run_tasks``); every dedup shuffle and connected
+components (``ops/dedup.py``, ``ops/cc.py``); ``hash_join`` and
+``asof_join`` (``ops/joins.py``); ``sessionize`` and
+``sessionize_sharded`` (``ops/window.py``); the similarity top-k merge
+(``ops/similarity.py``, ``ops/ann_index.py``); ``reservoir``
+(``ops/sampling.py``).
 
 The partition count follows the data, never the CPU count:
 ``num_parts(rows)`` is ``ceil(rows / ROWS_PER_PART)``, capped at
@@ -30,7 +41,10 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
+
+from wrangler_ray.core.schema import concat_reconciled
 
 # tasks in flight at once: bounds the driver's pending refs and, for a
 # snapshot, the Dataset blocks that queued tasks pin
@@ -107,11 +121,26 @@ def _run_tasks(fn, args, num_returns: int = 1) -> list:
     return [(m, out[1:]) for m, out in zip(metas, refs)]
 
 
+def blocks_schema(ds) -> tuple[list, pa.Schema]:
+    """``(ref, rows)`` of every block of ``ds`` (executing it if lazy), and
+    the blocks' Arrow schema: the refs come from the executed plan, the row
+    counts and the schema from its metadata."""
+    bundles = list(ds.iter_internal_ref_bundles())
+    schema = next((b.schema for b in bundles if b.schema is not None), None)
+    blocks = [(ref, meta.num_rows) for b in bundles for ref, meta in b.blocks]
+    return blocks, schema if schema is not None else ds.schema().base_schema
+
+
 def block_refs(ds) -> list[tuple]:
-    """``(ref, rows)`` of every block of ``ds`` (executing it if lazy): the
-    refs come from the executed plan, the row counts from block metadata."""
-    return [(ref, meta.num_rows) for b in ds.iter_internal_ref_bundles()
-            for ref, meta in b.blocks]
+    """``(ref, rows)`` of every block of ``ds`` (see ``blocks_schema``)."""
+    return blocks_schema(ds)[0]
+
+
+def _from_blocks(blocks: list):
+    """A materialized Dataset over ``(ref, meta)`` blocks of Arrow tables."""
+    import ray.data as rd
+
+    return rd.from_arrow_refs([ref for ref, _ in blocks])
 
 
 def to_arrow(block) -> pa.Table:
@@ -140,6 +169,30 @@ def split_on(col: str, parts: int, block) -> tuple:
     return split(t, key % parts, parts)
 
 
+def hash_rows(t: pa.Table, keys: list[str]) -> np.ndarray:
+    """A uint64 hash per row of ``t`` over its columns ``keys`` hashed
+    together. Equal values hash equal in any block of either join side: an
+    integer or boolean column hashes as int64 whatever its width, and
+    whether or not the block holds nulls (a null hashes as 0). The hash
+    only places rows; the reduce kernels compare the values."""
+    h = np.zeros(t.num_rows, np.uint64)
+    for name in keys:
+        col = t.column(name)
+        if pa.types.is_integer(col.type) or pa.types.is_boolean(col.type):
+            col = col.cast(pa.int64()).fill_null(0)
+        v = col.to_numpy(zero_copy_only=False)
+        v = v if v.dtype.kind in "biufmM" else v.astype(object)
+        h = h * np.uint64(0x100000001B3) + pd.util.hash_array(v, categorize=False)
+    return h
+
+
+def hash_split(keys: list[str], parts: int, block) -> tuple:
+    """A map task that splits the rows of ``block`` on the hash of their
+    columns ``keys`` (``hash_rows``) modulo ``parts`` (see ``split``)."""
+    t = to_arrow(block)
+    return split(t, (hash_rows(t, keys) % np.uint64(parts)).astype(np.int64), parts)
+
+
 def part_refs(maps: list, p: int) -> tuple:
     """The refs of partition ``p``'s non-empty outputs of the map tasks
     ``maps`` (``(counts, part refs)`` pairs from ``_run_tasks``)."""
@@ -153,3 +206,53 @@ def reduce_parts(maps: list, fn) -> list:
     parts = len(maps[0][0]) if maps else 0
     args = [part_refs(maps, p) for p in range(parts)]
     return _run_tasks(fn, [a for a in args if a], num_returns=2)
+
+
+def _exchange(blocks: list, map_fn, reduce_fn, parts: int) -> list:
+    """``(ref, rows)`` blocks out of one task exchange over ``blocks``: a
+    ``map_fn(block)`` task per non-empty block returns its rows split into
+    ``parts`` partitions (``split``), a ``reduce_fn(*tables) -> (rows,
+    table)`` task per partition that holds rows."""
+    maps = _run_tasks(map_fn, [ref for ref, n in blocks if n], num_returns=parts + 1)
+    return [(refs[0], n) for n, refs in reduce_parts(maps, reduce_fn)]
+
+
+def meet(sides: list, fn) -> list:
+    """``(table ref, meta)`` per task of the reduce side over one or more
+    inputs. ``sides`` holds per input its map outputs (``(counts, part
+    refs)`` pairs from ``_run_tasks``, every input split into the same
+    partitions) and its Arrow schema. One ``fn(*tables) -> (meta, table)``
+    task per partition where any input holds rows, over one table per
+    input: its parts concatenated, or its schema's empty table when it has
+    none there. With no rows at all, one task over empty tables still gives
+    the output its schema."""
+    parts = max((len(maps[0][0]) for maps, _ in sides if maps), default=1)
+    args = []
+    for p in range(parts):
+        refs = [part_refs(maps, p) for maps, _ in sides]
+        if any(refs):
+            args.append((tuple(map(len, refs)), *(r for rs in refs for r in rs)))
+    out = _run_tasks(functools.partial(_meet, fn, [schema for _, schema in sides]),
+                     args or [((0,) * len(sides),)], num_returns=2)
+    return [(refs[0], m) for m, refs in out]
+
+
+def _meet(fn, schemas: list, counts: tuple, *tables) -> tuple:
+    sides, i = [], 0
+    for n, schema in zip(counts, schemas):
+        sides.append(concat_reconciled(list(tables[i:i + n])) if n else schema.empty_table())
+        i += n
+    return fn(*sides)
+
+
+def keyed(inputs: list, fn) -> list:
+    """One hash exchange over ``inputs``, ``(Dataset, key columns)`` pairs:
+    a ``hash_split`` task per non-empty block of each input, into the
+    ``num_parts`` of all their rows, then ``meet`` with ``fn``. Equal keys
+    of every input meet in one ``fn`` call (each input's keys may have
+    their own names)."""
+    inputs = [(*blocks_schema(ds), keys) for ds, keys in inputs]
+    parts = num_parts(sum(n for blocks, _, _ in inputs for _, n in blocks))
+    return meet([(_run_tasks(functools.partial(hash_split, keys, parts),
+                             [ref for ref, n in blocks if n], num_returns=parts + 1),
+                  schema) for blocks, schema, keys in inputs], fn)
