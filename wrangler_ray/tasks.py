@@ -17,7 +17,7 @@ one or more key columns hashed together (``hash_split``). ``meet`` is the
 reduce side over one or more inputs split into the same partitions: each
 input brings its own Arrow schema, so an input with no rows in a partition
 (or none at all) still meets the others as an empty table. ``keyed`` runs
-both sides over Datasets. A reduce task that returns split parts itself
+the map and reduce sides over Datasets. A reduce task that returns split parts itself
 feeds the next round (``part_refs`` picks one partition's parts): the
 near-dup tail's verify and connected-components rounds chain this way.
 
