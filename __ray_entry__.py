@@ -1075,31 +1075,22 @@ def queries() -> dict[str, Callable[[str], Any]]:
         )
         return pa.concat_tables(out.iter_batches(batch_format="pyarrow", batch_size=None))
 
-    def sessionize_sharded_events(sf_dir):
-        # memory-bounded sessionize (time-bucket shards + boundary
-        # stitching — VERDICT r4 #8): same per-key session counts as the
-        # plain path, same SQL oracle
-        from ray.data.aggregate import Count, Max
+    def sessionize_rows_events(sf_dir):
+        # the sessionize rows, grouped on the driver: keeps the row path
+        # oracle-covered (session_stats sums summaries, never rows)
+        from wrangler_ray.ops.window import sessionize
 
-        from wrangler_ray.ops.window import sessionize_sharded
-
-        sess = sessionize_sharded(
+        sess = sessionize(
             _read(sf_dir, "events", columns=["user_id", "ts"]),
-            key_col="user_id", ts_col="ts", gap="30 minute", shard="1 day",
+            key_col="user_id", ts_col="ts", gap="30 minute",
         )
-        out = sess.groupby("user_id").aggregate(
-            Max("session_id", alias_name="_max_sess"),
-            Count(alias_name="n_events"),
-        )
-
-        def finish(t):
-            n_sessions = pc.add(t.column("_max_sess"), 1)
-            return t.drop_columns(["_max_sess"]).append_column(
-                "n_sessions", n_sessions.cast(pa.int64())
-            )
-
-        out = out.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
-        return pa.concat_tables(out.iter_batches(batch_format="pyarrow", batch_size=None))
+        t = pa.concat_tables(sess.iter_batches(batch_format="pyarrow", batch_size=None))
+        t = t.group_by("user_id").aggregate([([], "count_all"), ("session_id", "max")])
+        return pa.table({
+            "user_id": t.column("user_id"),
+            "n_events": t.column("count_all"),
+            "n_sessions": pc.add(t.column("session_id_max"), 1),
+        })
 
     def date_format_orders(sf_dir):
         ds = _read(sf_dir, "orders", columns=["o_orderkey", "o_orderdate"])
@@ -1766,7 +1757,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # -- new in round 5
         "cdc_objectstore_apply": cdc_objectstore_apply,
         "token_counts_docs": token_counts_docs,
-        "sessionize_sharded_events": sessionize_sharded_events,
+        "sessionize_rows_events": sessionize_rows_events,
         "recipe_lineage_chain": recipe_lineage_chain,
         "workspace_summary_docs": workspace_summary_docs,
         # -- oracles CONVERTED in round 5 (recall/self-retrieval invariants,
@@ -2450,7 +2441,7 @@ def oracle_sql() -> dict[str, str]:
                    AND e.ts < ws.window_start + INTERVAL 1 HOUR
             GROUP BY 1, 2
         """,
-        "sessionize_sharded_events": """
+        "sessionize_rows_events": """
             WITH d AS (
                 SELECT user_id, ts,
                        lag(ts) OVER (PARTITION BY user_id ORDER BY ts) AS prev

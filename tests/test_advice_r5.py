@@ -296,12 +296,20 @@ def test_bpe_pattern_engine_parity():
         assert duck == want, f"{s!r}: duckdb={duck} python={want}"
 
 
-def test_sessionize_sharded_matches_plain(ray_session):
-    """VERDICT r4 #8: the memory-bounded sharded sessionize (time-bucket
-    shards + boundary stitching) must produce EXACTLY the session ids of
-    plain sessionize, including sessions that span shard boundaries and
-    keys with empty buckets between active ones."""
-    from wrangler_ray.ops.window import sessionize, sessionize_sharded
+def _whole_table_sessions(t, gap="30 minute"):
+    """The session ids of ``t`` from one gap scan over the whole table on
+    the driver, sorted by (user_id, ts)."""
+    from wrangler_ray.ops.window import _sessions, _span_us
+
+    return _sessions(["user_id"], "ts", _span_us(gap), t)[0].to_pandas()
+
+
+def test_sessionize_sharded_matches_plain(ray_session, monkeypatch):
+    """VERDICT r4 #8: sessionize, sharded by 1-day time buckets and stitched
+    at the bucket boundaries, must produce EXACTLY the session ids of one
+    gap scan over the whole table, including sessions that span bucket
+    boundaries and keys with empty buckets between active ones."""
+    from wrangler_ray.ops import window
 
     rng = np.random.RandomState(9)
     rows = []
@@ -328,9 +336,10 @@ def test_sessionize_sharded_matches_plain(ray_session):
         "ts": pa.array(np.array([r[1] for r in rows], "datetime64[us]")),
     })
     ds = rd.from_arrow(t).repartition(8)
-    plain = sessionize(ds).to_pandas().sort_values(["user_id", "ts"]).reset_index(drop=True)
+    plain = _whole_table_sessions(t)
+    monkeypatch.setattr(window, "BUCKET_US", us_day)
     shard = (
-        sessionize_sharded(ds, shard="1 day")
+        window.sessionize(ds)
         .to_pandas().sort_values(["user_id", "ts"]).reset_index(drop=True)
     )
     assert list(plain.columns) == ["user_id", "ts", "session_id"]
@@ -374,13 +383,13 @@ def test_sessionize_skew_within_2x_uniform(ray_session):
 def test_sessionize_sharded_degenerate_inputs(ray_session):
     """Empty input (degenerate empty-groupby block) and a single row must
     both produce the contract schema (input + session_id)."""
-    from wrangler_ray.ops.window import sessionize_sharded
+    from wrangler_ray.ops.window import sessionize
 
     empty = rd.from_arrow(pa.table({
         "user_id": pa.array([], pa.int64()),
         "ts": pa.array([], pa.timestamp("us")),
     }))
-    out = sessionize_sharded(empty)
+    out = sessionize(empty)
     assert out.count() == 0
     assert set(out.schema().names) == {"user_id", "ts", "session_id"}
 
@@ -388,14 +397,14 @@ def test_sessionize_sharded_degenerate_inputs(ray_session):
         "user_id": pa.array([7], pa.int64()),
         "ts": pa.array(np.array([123456], "datetime64[us]")),
     }))
-    df = sessionize_sharded(one).to_pandas()
+    df = sessionize(one).to_pandas()
     assert len(df) == 1 and df["session_id"].iloc[0] == 0
 
 
-def test_sessionize_sharded_random_streams_match_plain(ray_session):
-    """Randomized A/B: across several seeds and shard widths, the sharded
-    sessionize must equal plain sessionize row-for-row."""
-    from wrangler_ray.ops.window import sessionize, sessionize_sharded
+def test_sessionize_sharded_random_streams_match_plain(ray_session, monkeypatch):
+    """Randomized A/B: across several seeds and time-bucket widths,
+    sessionize must equal one gap scan over the whole table row-for-row."""
+    from wrangler_ray.ops import window
 
     us_hour = 3_600_000_000
     for seed in (1, 2, 3):
@@ -414,13 +423,11 @@ def test_sessionize_sharded_random_streams_match_plain(ray_session):
             "ts": pa.array(ts.astype("datetime64[us]")),
         })
         ds = rd.from_arrow(t).repartition(6)
-        plain = (
-            sessionize(ds).to_pandas()
-            .sort_values(["user_id", "ts"]).reset_index(drop=True)
-        )
-        for shard in ("1 day", "3 day"):
+        plain = _whole_table_sessions(t)
+        for days in (1, 3):
+            monkeypatch.setattr(window, "BUCKET_US", days * 24 * us_hour)
             got = (
-                sessionize_sharded(ds, shard=shard).to_pandas()
+                window.sessionize(ds).to_pandas()
                 .sort_values(["user_id", "ts"]).reset_index(drop=True)
             )
             pd.testing.assert_frame_equal(plain, got[plain.columns])

@@ -475,19 +475,145 @@ def test_asof_join_keeps_integer_types(ray_session):
     assert out.column("eid_r").to_pylist() == [None, 5, None]
 
 
-def test_sessionize_sharded_null_key_matches_plain(ray_session):
-    """Null keys form one key in both variants, also across a shard
-    boundary."""
+def test_sessionize_sharded_null_key_matches_plain(ray_session, monkeypatch):
+    """Null keys form one key, also across a 1-day bucket boundary, as in
+    one gap scan over the whole table."""
     import ray.data as rd
 
-    from wrangler_ray.ops.window import sessionize, sessionize_sharded
+    from wrangler_ray.ops import window
 
     day, minute = 86_400_000_000, 60_000_000
     ts = [day - 60 * minute, day + 60 * minute, day + 70 * minute]
-    ds = rd.from_arrow(pa.table({
+    t = pa.table({
         "user_id": pa.array([None] * 3 + [1] * 3, pa.int64()),
         "ts": pa.array(np.array(ts * 2, "datetime64[us]")),
-    }))
-    for out in (sessionize(ds), sessionize_sharded(ds, shard="1 day")):
-        got = _arrow(out).sort_by([("user_id", "ascending"), ("ts", "ascending")])
-        assert got.column("session_id").to_pylist() == [0, 1, 1, 0, 1, 1]
+    })
+    monkeypatch.setattr(window, "BUCKET_US", day)
+    plain = window._sessions(["user_id"], "ts", 30 * minute, t)[0]
+    got = _arrow(window.sessionize(rd.from_arrow(t)))
+    for out in (plain, got):
+        out = out.sort_by([("user_id", "ascending"), ("ts", "ascending")])
+        assert out.column("session_id").to_pylist() == [0, 1, 1, 0, 1, 1]
+
+
+def test_sessionize_null_ts_joins_last_session(ray_session, monkeypatch):
+    """A null ts joins its key's last session, in a key spanning several
+    time buckets and in a key whose only row has a null ts, as the
+    ``lag()`` semantics of the ``sessionize_events`` oracle."""
+    import ray.data as rd
+
+    from wrangler_ray.ops import window
+
+    day, minute = 86_400_000_000, 60_000_000
+    monkeypatch.setattr(window, "BUCKET_US", day)
+    ds = rd.from_arrow(pa.table({
+        "user_id": pa.array([1] * 5 + [2], pa.int64()),
+        "ts": pa.array([0, minute, 3 * day, 6 * day, None, None], pa.timestamp("us")),
+    })).repartition(3)
+    got = _arrow(window.sessionize(ds)).sort_by([("user_id", "ascending"), ("ts", "ascending")])
+    assert got.column("session_id").to_pylist() == [0, 0, 1, 2, 2, 0]
+    stats = _arrow(window.session_stats(ds)).sort_by("user_id")
+    assert stats.column("n_sessions").to_pylist() == [3, 1]
+    assert stats.column("n_events").to_pylist() == [5, 1]
+
+
+def test_sessionize_gap_wider_than_a_bucket(ray_session, monkeypatch):
+    """The bucket stitch needs no bucket wider than ``gap``: with 1-hour
+    buckets and a 1-day gap, sessions run across whole empty buckets and
+    still match one gap scan over the whole table."""
+    import ray.data as rd
+
+    from wrangler_ray.ops import window
+
+    hour = 3_600_000_000
+    rng = np.random.RandomState(4)
+    n = 3000
+    t = pa.table({
+        "user_id": pa.array(rng.randint(0, 20, n), pa.int64()),
+        "ts": pa.array(np.cumsum(rng.choice([hour // 2, 5 * hour, 30 * hour], n))
+                       .astype("datetime64[us]")),
+    })
+    monkeypatch.setattr(window, "BUCKET_US", hour)
+    want = window._sessions(["user_id"], "ts", 24 * hour, t)[0]
+    got = _arrow(window.sessionize(rd.from_arrow(t).repartition(4), gap="1 day"))
+    got = got.sort_by([("user_id", "ascending"), ("ts", "ascending")])
+    assert got.column("session_id").equals(want.column("session_id"))
+    stats = _arrow(window.session_stats(rd.from_arrow(t), gap="1 day")).sort_by("user_id")
+    assert stats.column("n_sessions").to_pylist() == [
+        v + 1 for v in want.group_by("user_id").aggregate([("session_id", "max")])
+        .sort_by("user_id").column("session_id_max").to_pylist()]
+
+
+def test_tumbling_window_plural_units(events_ds):
+    """``every`` takes plural units, as ``hopping_window`` and
+    ``sessionize`` do."""
+    from ray.data.aggregate import Count
+
+    from wrangler_ray.ops.window import tumbling_window
+
+    def counts(every):
+        out = _arrow(tumbling_window(events_ds, ts_col="ts", aggs=[Count(alias_name="n")],
+                                     every=every))
+        return out.sort_by("window_start").column("n").to_pylist()
+
+    assert counts("60 minutes") == counts("1 hours") == counts("1 hour") == [3, 2, 1]
+
+
+def test_session_stats_empty_input(ray_session):
+    """An empty input gives zero rows of ``(key, n_events, n_sessions)``."""
+    import ray.data as rd
+
+    from wrangler_ray.ops.window import session_stats
+
+    out = session_stats(rd.from_arrow(pa.table({
+        "user_id": pa.array([], pa.int64()),
+        "ts": pa.array([], pa.timestamp("us")),
+    })))
+    assert out.count() == 0
+    assert [(f.name, f.type) for f in out.schema().base_schema] == [
+        ("user_id", pa.int64()), ("n_events", pa.int64()), ("n_sessions", pa.int64())]
+
+
+def test_sessionize_starts_no_ray_data_job(events_ds, monkeypatch):
+    """With ``groupby``, ``map_batches``, ``repartition`` and ``aggregate``
+    of every Dataset raising, sessionize and session_stats still run: both
+    are plain Ray tasks."""
+    import ray.data as rd
+
+    from wrangler_ray.ops.window import session_stats, sessionize
+
+    ds = events_ds.materialize()
+
+    def banned(*a, **k):
+        raise AssertionError("a Ray Data shuffle or map ran")
+
+    with monkeypatch.context() as m:
+        for name in ("groupby", "map_batches", "repartition", "aggregate"):
+            m.setattr(rd.Dataset, name, banned)
+        sess = _arrow(sessionize(ds))
+        stats = _arrow(session_stats(ds))
+    sess = sess.sort_by([("user_id", "ascending"), ("ts", "ascending")])
+    assert sess.column("session_id").to_pylist() == [0, 0, 1, 1, 0, 1]
+    stats = stats.sort_by("user_id")
+    assert stats.column("n_sessions").to_pylist() == [2, 2]
+    assert stats.column("n_events").to_pylist() == [4, 2]
+
+
+def test_sessionize_spreads_a_hot_key(ray_session):
+    """A key holding half of the rows over many time buckets comes out
+    spread over blocks: no output block holds more than half of the
+    rows."""
+    import ray.data as rd
+
+    from wrangler_ray.ops.window import BUCKET_US, sessionize
+    from wrangler_ray.tasks import block_refs
+
+    rng = np.random.RandomState(3)
+    n = 20_000
+    t = pa.table({
+        "user_id": pa.array(np.where(rng.rand(n) < 0.5, 0, rng.randint(1, 500, n)), pa.int64()),
+        "ts": pa.array(rng.randint(0, 40 * BUCKET_US, n).astype("datetime64[us]")),
+    })
+    rows = [k for _, k in block_refs(sessionize(rd.from_arrow(t).repartition(4)))]
+    assert sum(rows) == n
+    assert max(rows) <= n // 2, rows

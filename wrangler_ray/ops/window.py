@@ -7,15 +7,28 @@ needs:
 - tumbling / hopping window = window start computed inside ``map_batches``
   (vectorized) + one Ray Data ``groupby().aggregate()`` — the window key is
   just another group key, so there is exactly ONE shuffle and partial
-  aggregation happens per block. They stay on Ray Data (as does
-  ``session_stats``) because their public ``aggs`` are Ray ``AggregateFn``
-  instances.
-- sessionize = one hash exchange on the key as plain Ray tasks
-  (``wrangler_ray.tasks.keyed``) and one sort-plus-gap-scan kernel per
-  partition (``_sessions``), shared with ``sessionize_sharded``. The
-  partitioning assumption (documented per SURVEY §2 custom-op rule) is
-  that one key's events fit in one task, which holds for conversation/user
-  streams (bounded per-user history); ``sessionize_sharded`` lifts it.
+  aggregation happens per block. They stay on Ray Data because their
+  public ``aggs`` are Ray ``AggregateFn`` instances.
+- sessionize = four rounds of plain Ray tasks on the exchange of
+  ``wrangler_ray.tasks``, salted by time bucket (``BUCKET_US`` wide) so a
+  hot key's rows spread over its buckets' partitions and no task holds
+  more than one bucket of a key:
+
+  1. a map task per block splits its rows on (key, bucket);
+  2. a reduce task per partition sessionizes its (key, bucket) groups with
+     one sort-plus-gap-scan kernel (``_sessions``) and returns one summary
+     row per group (first and last ts, local sessions, rows), split on the
+     key into one key partition per ``STITCH_FAN_IN`` reduce tasks;
+  3. a stitch task per key partition scans each key's summaries in bucket
+     order, merging a bucket's first session into the previous bucket's
+     last where at most ``gap`` lies between them, into a session-id
+     offset per group, split on the reduce task that holds its rows;
+  4. a task per reduce partition adds those offsets to its local ids.
+
+  Every event of a key is in exactly one bucket and consecutive buckets
+  meet at the stitch, so the stitch holds for any bucket width, ``gap``
+  wider than a bucket included. ``session_stats`` ends at round 3, summing
+  the summaries per key. The driver fetches only per-task row counts.
 """
 
 from __future__ import annotations
@@ -26,27 +39,42 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from wrangler_ray.core.schema import set_column
+from wrangler_ray.core.schema import concat_reconciled, set_column
 from wrangler_ray.tasks import (
     _from_blocks,
     _run_tasks,
     blocks_schema,
     hash_split,
-    keyed,
-    meet,
     num_parts,
+    part_refs,
+    split,
     to_arrow,
 )
 
+
+# time-bucket width of sessionize's exchange, in microseconds
+BUCKET_US = 86_400_000_000
+# reduce tasks per stitch task: every reduce task splits its summaries over
+# all stitch tasks, one Ray object per part, so this sets the object count
+# (round 2 plus round 3 at 400k rows of 200k keys, 64 reduce tasks on
+# 4 CPUs: 0.4 s with 4 stitch tasks, 1.3 s with 64; BASELINE.md round 20)
+STITCH_FAN_IN = 16
 
 _US = {"second": 1_000_000, "minute": 60_000_000,
        "hour": 3_600_000_000, "day": 86_400_000_000}
 
 
-def _span_us(span: str) -> int:
-    """``"30 minute"``, ``"1 day"``, … in microseconds."""
+def _span(span: str) -> tuple[int, str]:
+    """``"30 minute"``, ``"15 minutes"``, ``"1 day"``, … as (multiple,
+    singular unit)."""
     n, unit = span.split()
-    return int(n) * _US[unit.rstrip("s")]
+    return int(n), unit.removesuffix("s")
+
+
+def _span_us(span: str) -> int:
+    """A ``_span`` in microseconds."""
+    n, unit = _span(span)
+    return n * _US[unit]
 
 
 def tumbling_window(
@@ -59,10 +87,9 @@ def tumbling_window(
     """Tumbling-window aggregate: floor ``ts_col`` to the window start and
     group by (keys..., window_start). ``aggs`` are ray.data.aggregate.*
     instances. ``every`` accepts pyarrow multiple+unit ("15 minute", "1 hour",
-    "1 day"). Stays on Ray Data's ``groupby().aggregate()``: ``aggs`` are
-    Ray ``AggregateFn`` instances, which run only inside it."""
-    n, unit = every.split()
-    mult = int(n)
+    "1 day", plural units too). Stays on Ray Data's ``groupby().aggregate()``:
+    ``aggs`` are Ray ``AggregateFn`` instances, which run only inside it."""
+    mult, unit = _span(every)
 
     def add_window(t: pa.Table) -> pa.Table:
         w = pc.floor_temporal(t.column(ts_col), multiple=mult, unit=unit)
@@ -153,9 +180,6 @@ def _sessions(keys: list[str], ts_col: str, gap_us: int, t: pa.Table) -> tuple:
         np.flatnonzero(new_key)
 
 
-def _sessionize_partition(key_col: str, ts_col: str, gap_us: int, t: pa.Table) -> tuple:
-    t, _ = _sessions([key_col], ts_col, gap_us, t)
-    return t.num_rows, t
 
 
 def sessionize(
@@ -165,126 +189,145 @@ def sessionize(
     gap: str = "30 minute",
 ):
     """Assign session ids per key: a new session starts when the time since
-    the previous event of the same key exceeds ``gap``. Returns the input
-    rows plus ``session_id`` (0-based per key, in ts order), as a
-    materialized Dataset. One hash exchange on the key (``wrangler_ray.
-    tasks.keyed``) and one gap scan per partition, so all of one key's
-    events sit in one task: use ``sessionize_sharded`` for keys whose
-    history exceeds one task's heap."""
-    return _from_blocks(keyed([(ds, [key_col])], functools.partial(
-        _sessionize_partition, key_col, ts_col, _span_us(gap))))
-
-
-def session_stats(ds, key_col: str = "user_id", ts_col: str = "ts", gap: str = "30 minute"):
-    """Per-key session count (compact, oracle-comparable summary of
-    sessionize): (key, n_sessions, n_events). Its reduce stays on Ray
-    Data's ``groupby().aggregate()`` with Ray ``AggregateFn`` instances
-    (``Max``, ``Count``), the window operators' aggregation path."""
-    from ray.data.aggregate import Count, Max
-
-    sess = sessionize(ds, key_col=key_col, ts_col=ts_col, gap=gap)
-    out = sess.groupby(key_col).aggregate(
-        Max("session_id", alias_name="_max_sess"), Count(alias_name="n_events")
-    )
-
-    def finish(t: pa.Table) -> pa.Table:
-        n_sessions = pc.add(t.column("_max_sess"), 1)
-        return t.drop_columns(["_max_sess"]).append_column(
-            "n_sessions", n_sessions.cast(pa.int64())
-        )
-
-    return out.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def sessionize_sharded(
-    ds,
-    key_col: str = "user_id",
-    ts_col: str = "ts",
-    gap: str = "30 minute",
-    shard: str = "7 day",
-):
-    """Memory-bounded sessionize for keys whose FULL history exceeds one
-    task's heap (plain ``sessionize`` holds a key's every event in one task
-    — fine for conversations, unbounded for a years-long hot stream).
-
-    Shape: shard each key by fixed time buckets (``shard`` wide) and run
-    the exchange on (key, bucket), so each reduce task sessionizes its
-    (key, bucket) groups independently and returns, as its metadata, one
-    summary row per group (first/last ts, local session count, rows). The
-    driver STITCHES the summaries at bucket boundaries, scanned in bucket
-    order — a boundary whose inter-bucket gap ≤ ``gap`` merges the adjacent
-    sessions — into a per-group session-id offset, and one task per
-    partition adds its groups' offsets to the local ids. Identical output
-    to ``sessionize`` (pinned by test). Driver state = one row per (key,
-    bucket) — bounded by distinct key×bucket, never by events."""
-    gap_us, span_us = _span_us(gap), _span_us(shard)
-    if span_us <= gap_us:
-        raise ValueError("shard span must exceed the session gap")
-
-    blocks, schema = blocks_schema(ds)
-    parts = num_parts(sum(n for _, n in blocks))
-    maps = _run_tasks(functools.partial(_bucket_split, key_col, ts_col, span_us, parts),
-                      [ref for ref, n in blocks if n], num_returns=parts + 1)
-    local = meet([(maps, _with_bucket(ts_col, span_us, schema.empty_table()).schema)],
-                 functools.partial(_local_sessions, key_col, ts_col, gap_us))
-    summaries = pa.concat_tables([s for _, s in local])
-    order = pc.sort_indices(summaries, [(key_col, "ascending"), ("_bucket", "ascending")])
-    order = order.to_numpy()
-    # sequential stitch per key (vectorized across the sorted summaries):
-    # offset_i = offset_{i-1} + n_sess_{i-1} - merge_i, where merge_i = 1
-    # when the boundary gap to the previous bucket of the SAME key <= gap
-    grp_start = _changed(summaries.column(key_col).take(pa.array(order)))
-    same_key = ~grp_start[1:]
-    first_ts = summaries.column("_first_ts").to_numpy()[order]
-    last_ts = summaries.column("_last_ts").to_numpy()[order]
-    n_sess = summaries.column("_n_sess").to_numpy()[order]
-    merge = np.zeros(len(order), dtype=np.int64)
-    merge[1:] = same_key & ((first_ts[1:] - last_ts[:-1]) <= gap_us)
-    # offset_i = Σ_{j<i, same key} n_sess_j − Σ_{j≤i, same key} merge_j
-    #          = (excl_i − excl_at_key_start) − merge_i
-    # with excl = exclusive prefix of delta = n_sess − merge (nondecreasing,
-    # since every nonempty bucket has n_sess ≥ 1 ≥ merge — which makes the
-    # maximum.accumulate forward-fill of per-key bases valid)
-    excl = np.concatenate(([0], np.cumsum(n_sess - merge)[:-1]))
-    base = np.maximum.accumulate(np.where(grp_start, excl, 0))
-    offsets = np.empty(len(order), np.int64)
-    offsets[order] = excl - base - merge
-    ends = np.cumsum([s.num_rows for _, s in local])
-    out = _run_tasks(_add_offsets, [
-        (ref, offsets[end - s.num_rows:end], s.column("_rows").to_numpy())
-        for (ref, s), end in zip(local, ends)], num_returns=2)
+    the previous event of the same key exceeds ``gap``, and an event with a
+    null ``ts`` joins its key's last session. Returns the input rows plus
+    ``session_id`` (0-based per key, in ts order) as a materialized
+    Dataset, out of the four task rounds of the module docstring."""
+    local, schema = _local(ds, key_col, ts_col, gap)
+    if not local:
+        return _empty(schema.empty_table().append_column(
+            "session_id", pa.array([], pa.int64())))
+    offs = _run_tasks(functools.partial(_offsets, key_col, _span_us(gap), len(local)),
+                      _stitch_args(local), num_returns=len(local) + 1)
+    out = _run_tasks(_add_offsets, [(refs[0], *part_refs(offs, i))
+                                    for i, (_, refs) in enumerate(local)], num_returns=2)
     return _from_blocks([(refs[0], n) for n, refs in out])
 
 
-def _with_bucket(ts_col: str, span_us: int, t: pa.Table) -> pa.Table:
-    ts = t.column(ts_col).cast(pa.timestamp("us")).cast(pa.int64())
-    return t.append_column("_bucket", pc.divide(ts, span_us).cast(pa.int64()))
+def session_stats(ds, key_col: str = "user_id", ts_col: str = "ts", gap: str = "30 minute"):
+    """Per key ``(key, n_events, n_sessions)`` of ``sessionize``, as a
+    materialized Dataset: its first three rounds, the last one summing the
+    per-(key, bucket) summaries instead of offsetting the rows."""
+    local, schema = _local(ds, key_col, ts_col, gap)
+    if not local:
+        return _empty(pa.table({key_col: schema.empty_table().column(key_col),
+                                "n_events": pa.array([], pa.int64()),
+                                "n_sessions": pa.array([], pa.int64())}))
+    out = _run_tasks(functools.partial(_stats, key_col, _span_us(gap)), _stitch_args(local),
+                     num_returns=2)
+    return _from_blocks([(refs[0], n) for n, refs in out])
+
+
+def _empty(t: pa.Table):
+    import ray.data as rd
+
+    return rd.from_arrow(t)
+
+
+def _local(ds, key_col: str, ts_col: str, gap: str) -> tuple:
+    """Rounds 1 and 2: per reduce task ``(summary rows per stitch task,
+    [sessionized rows, summary part 0, …])``, and the input's Arrow
+    schema."""
+    blocks, schema = blocks_schema(ds)
+    parts = num_parts(sum(n for _, n in blocks))
+    maps = _run_tasks(functools.partial(_bucket_split, key_col, ts_col, BUCKET_US, parts),
+                      [ref for ref, n in blocks if n], num_returns=parts + 1)
+    args = [refs for refs in (part_refs(maps, p) for p in range(parts)) if refs]
+    stitches = -(-parts // STITCH_FAN_IN)
+    return _run_tasks(functools.partial(_local_sessions, key_col, ts_col, _span_us(gap),
+                                        stitches),
+                      [(i, *refs) for i, refs in enumerate(args)],
+                      num_returns=stitches + 2), schema
+
+
+def _stitch_args(local: list) -> list:
+    """The summary parts of each stitch task that gets any."""
+    sums = [(counts, refs[1:]) for counts, refs in local]
+    return [refs for refs in (part_refs(sums, q) for q in range(len(sums[0][0]))) if refs]
 
 
 def _bucket_split(key_col: str, ts_col: str, span_us: int, parts: int, block) -> tuple:
-    """Map task of ``sessionize_sharded``: the block's rows with their time
-    bucket, split on (key, bucket)."""
-    return hash_split([key_col, "_bucket"], parts, _with_bucket(ts_col, span_us, to_arrow(block)))
+    """Round 1: the block's rows with their time bucket (null for a null
+    ts), split on (key, bucket)."""
+    t = to_arrow(block)
+    ts = t.column(ts_col).cast(pa.timestamp("us")).cast(pa.int64())
+    t = t.append_column("_bucket", pc.divide(ts, span_us))
+    return hash_split([key_col, "_bucket"], parts, t)
 
 
-def _local_sessions(key_col: str, ts_col: str, gap_us: int, t: pa.Table) -> tuple:
-    """Reduce task of ``sessionize_sharded``: one summary row per (key,
-    bucket) of the partition, in row order, and the partition sessionized
-    per (key, bucket)."""
-    t, starts = _sessions([key_col, "_bucket"], ts_col, gap_us, t)
-    ends = np.append(starts[1:], t.num_rows)[:len(starts)] - 1
-    ts = t.column(ts_col).cast(pa.timestamp("us")).cast(pa.int64()).to_numpy(
-        zero_copy_only=False)
-    summary = t.select([key_col, "_bucket"]).take(pa.array(starts))
-    for name, col in (("_first_ts", ts[starts]), ("_last_ts", ts[ends]),
-                      ("_n_sess", t.column("session_id").to_numpy()[ends] + 1),
-                      ("_rows", ends - starts + 1)):
-        summary = summary.append_column(name, pa.array(col, pa.int64()))
-    return summary, t.drop_columns(["_bucket"])
+def _local_sessions(key_col: str, ts_col: str, gap_us: int, parts: int, i: int,
+                    *tables) -> tuple:
+    """Round 2, reduce task ``i``: its rows sessionized per (key, bucket),
+    and one summary row per (key, bucket) split on the key into ``parts``
+    key partitions: first and last ts, local session count, rows, and where
+    the group sits (``_part`` = ``i``, ``_group`` = its rank in the
+    rows)."""
+    t, starts = _sessions([key_col, "_bucket"], ts_col, gap_us, concat_reconciled(list(tables)))
+    ends = np.append(starts[1:], t.num_rows) - 1
+    ts = t.column(ts_col).cast(pa.timestamp("us")).cast(pa.int64())
+    n_sess = t.column("session_id").to_numpy()[ends] + 1
+    s = t.select([key_col]).take(starts)
+    for name, col in (("_first_ts", ts.take(starts)), ("_last_ts", ts.take(ends)),
+                      ("_n_sess", pa.array(n_sess)), ("_rows", pa.array(ends - starts + 1)),
+                      ("_part", pa.array(np.full(len(starts), i))),
+                      ("_group", pa.array(np.arange(len(starts))))):
+        s = s.append_column(name, col)
+    counts, *sums = hash_split([key_col], parts, s)
+    return counts, t.drop_columns(["_bucket"]), *sums
 
 
-def _add_offsets(t: pa.Table, offsets: np.ndarray, rows: np.ndarray) -> tuple:
-    """Apply task of ``sessionize_sharded``: each (key, bucket) group's
-    offset added to the local session ids of its ``rows`` rows."""
-    ids = t.column("session_id").to_numpy() + np.repeat(offsets, rows)
+def _stitch(key_col: str, gap_us: int, tables: tuple) -> tuple:
+    """Round 3 kernel over one key partition's summaries: them sorted by
+    (key, bucket), True where a key starts, and per summary 1 where its
+    first session continues the previous bucket's last (the same key, at
+    most ``gap_us`` between the two buckets' events) or where its ts are
+    null (they sort last and join the key's last session), else 0."""
+    s = pa.concat_tables(tables, promote_options="permissive")
+    # a key's buckets in time order; its null-ts bucket sorts last
+    s = s.take(pc.sort_indices(s, [(key_col, "ascending"), ("_first_ts", "ascending")]))
+    new_key = _changed(s.column(key_col))
+    n = s.num_rows
+    near = pc.less_equal(pc.subtract(s.column("_first_ts").slice(1),
+                                     s.column("_last_ts").slice(0, n - 1)), gap_us)
+    merge = np.zeros(n, np.int64)
+    merge[1:] = ~new_key[1:] & pc.fill_null(near, True).to_numpy(zero_copy_only=False)
+    return s, new_key, merge
+
+
+def _offsets(key_col: str, gap_us: int, parts: int, *tables) -> tuple:
+    """Round 3 of ``sessionize``: per (key, bucket) the offset of its local
+    session ids, split on the reduce task that holds its rows."""
+    s, new_key, merge = _stitch(key_col, gap_us, tables)
+    # offset_i = Σ_{j<i, same key} n_sess_j − Σ_{j≤i, same key} merge_j
+    #          = (excl_i − excl_at_key_start) − merge_i
+    # with excl = exclusive prefix of n_sess − merge (nondecreasing: every
+    # bucket has n_sess ≥ 1 ≥ merge, so maximum.accumulate forward-fills
+    # each key's base)
+    excl = np.concatenate(([0], np.cumsum(s.column("_n_sess").to_numpy() - merge)[:-1]))
+    base = np.maximum.accumulate(np.where(new_key, excl, 0))
+    out = pa.table({"_group": s.column("_group"), "_offset": excl - base - merge,
+                    "_rows": s.column("_rows")})
+    return split(out, s.column("_part").to_numpy(), parts)
+
+
+def _stats(key_col: str, gap_us: int, *tables) -> tuple:
+    """Round 3 of ``session_stats``: ``(key, n_events, n_sessions)`` per key
+    of one key partition."""
+    s, new_key, merge = _stitch(key_col, gap_us, tables)
+    starts = np.flatnonzero(new_key)
+    out = pa.table({
+        key_col: s.column(key_col).take(starts),
+        "n_events": np.add.reduceat(s.column("_rows").to_numpy(), starts),
+        "n_sessions": np.add.reduceat(s.column("_n_sess").to_numpy() - merge, starts),
+    })
+    return out.num_rows, out
+
+
+def _add_offsets(t: pa.Table, *offsets) -> tuple:
+    """Round 4: each (key, bucket) group's offset added to the local session
+    ids of its rows (``t`` holds the groups in ``_group`` order)."""
+    o = pa.concat_tables(offsets)
+    o = o.take(pc.sort_indices(o, [("_group", "ascending")]))
+    ids = t.column("session_id").to_numpy() + np.repeat(
+        o.column("_offset").to_numpy(), o.column("_rows").to_numpy())
     return t.num_rows, set_column(t, "session_id", pa.array(ids, pa.int64()))

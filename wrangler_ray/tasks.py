@@ -23,8 +23,8 @@ near-dup tail's verify and connected-components rounds chain this way.
 
 Users: the CDC apply (``_run_tasks``); every dedup shuffle and connected
 components (``ops/dedup.py``, ``ops/cc.py``); ``hash_join`` and
-``asof_join`` (``ops/joins.py``); ``sessionize`` and
-``sessionize_sharded`` (``ops/window.py``); the similarity top-k merge
+``asof_join`` (``ops/joins.py``); ``sessionize`` and ``session_stats``
+(``ops/window.py``); the similarity top-k merge
 (``ops/similarity.py``, ``ops/ann_index.py``); ``reservoir``
 (``ops/sampling.py``).
 
