@@ -12,23 +12,25 @@ needs:
 - sessionize = four rounds of plain Ray tasks on the exchange of
   ``wrangler_ray.tasks``, salted by time bucket (``BUCKET_US`` wide) so a
   hot key's rows spread over its buckets' partitions and no task holds
-  more than one bucket of a key:
+  more than one bucket of a key. The partitions come in key partitions of
+  up to ``STITCH_FAN_IN``: the key's hash picks the key partition, the
+  (key, bucket) hash one partition in it.
 
   1. a map task per block splits its rows on (key, bucket);
   2. a reduce task per partition sessionizes its (key, bucket) groups with
      one sort-plus-gap-scan kernel (``_sessions``) and returns one summary
-     row per group (first and last ts, local sessions, rows), split on the
-     key into one key partition per ``STITCH_FAN_IN`` reduce tasks;
+     row per group (first and last ts, local sessions, rows);
   3. a stitch task per key partition scans each key's summaries in bucket
      order, merging a bucket's first session into the previous bucket's
      last where at most ``gap`` lies between them, into a session-id
-     offset per group, split on the reduce task that holds its rows;
-  4. a task per reduce partition adds those offsets to its local ids.
+     offset per group, split on the partition that holds its rows, and
+     sums them per key into ``session_stats``' rows;
+  4. a task per partition adds those offsets to its local ids.
 
   Every event of a key is in exactly one bucket and consecutive buckets
   meet at the stitch, so the stitch holds for any bucket width, ``gap``
-  wider than a bucket included. ``session_stats`` ends at round 3, summing
-  the summaries per key. The driver fetches only per-task row counts.
+  wider than a bucket included. ``session_stats`` ends at round 3. The
+  driver fetches only per-task row counts.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from wrangler_ray.tasks import (
     _from_blocks,
     _run_tasks,
     blocks_schema,
-    hash_split,
+    hash_rows,
     num_parts,
     part_refs,
     split,
@@ -54,10 +56,9 @@ from wrangler_ray.tasks import (
 
 # time-bucket width of sessionize's exchange, in microseconds
 BUCKET_US = 86_400_000_000
-# reduce tasks per stitch task: every reduce task splits its summaries over
-# all stitch tasks, one Ray object per part, so this sets the object count
-# (round 2 plus round 3 at 400k rows of 200k keys, 64 reduce tasks on
-# 4 CPUs: 0.4 s with 4 stitch tasks, 1.3 s with 64; BASELINE.md round 20)
+# partitions per key partition, so reduce tasks per stitch task: each
+# reduce task's summaries go to one stitch task, which splits its offsets
+# over its reduce tasks
 STITCH_FAN_IN = 16
 
 _US = {"second": 1_000_000, "minute": 60_000_000,
@@ -180,42 +181,29 @@ def _sessions(keys: list[str], ts_col: str, gap_us: int, t: pa.Table) -> tuple:
         np.flatnonzero(new_key)
 
 
-
-
-def sessionize(
-    ds,
-    key_col: str = "user_id",
-    ts_col: str = "ts",
-    gap: str = "30 minute",
-):
+def sessionize(ds, key_col: str = "user_id", ts_col: str = "ts", gap: str = "30 minute"):
     """Assign session ids per key: a new session starts when the time since
     the previous event of the same key exceeds ``gap``, and an event with a
     null ``ts`` joins its key's last session. Returns the input rows plus
     ``session_id`` (0-based per key, in ts order) as a materialized
     Dataset, out of the four task rounds of the module docstring."""
-    local, schema = _local(ds, key_col, ts_col, gap)
-    if not local:
-        return _empty(schema.empty_table().append_column(
-            "session_id", pa.array([], pa.int64())))
-    offs = _run_tasks(functools.partial(_offsets, key_col, _span_us(gap), len(local)),
-                      _stitch_args(local), num_returns=len(local) + 1)
-    out = _run_tasks(_add_offsets, [(refs[0], *part_refs(offs, i))
-                                    for i, (_, refs) in enumerate(local)], num_returns=2)
+    rows, _, schema = _rounds(ds, key_col, ts_col, _span_us(gap))
+    if not rows:
+        return _empty(schema.empty_table().append_column("session_id", pa.array([], pa.int64())))
+    out = _run_tasks(_add_offsets, rows, num_returns=2)
     return _from_blocks([(refs[0], n) for n, refs in out])
 
 
 def session_stats(ds, key_col: str = "user_id", ts_col: str = "ts", gap: str = "30 minute"):
     """Per key ``(key, n_events, n_sessions)`` of ``sessionize``, as a
-    materialized Dataset: its first three rounds, the last one summing the
-    per-(key, bucket) summaries instead of offsetting the rows."""
-    local, schema = _local(ds, key_col, ts_col, gap)
-    if not local:
+    materialized Dataset: its first three rounds, whose stitch tasks sum
+    the per-(key, bucket) summaries."""
+    _, stats, schema = _rounds(ds, key_col, ts_col, _span_us(gap))
+    if not stats:
+        none = pa.array([], pa.int64())
         return _empty(pa.table({key_col: schema.empty_table().column(key_col),
-                                "n_events": pa.array([], pa.int64()),
-                                "n_sessions": pa.array([], pa.int64())}))
-    out = _run_tasks(functools.partial(_stats, key_col, _span_us(gap)), _stitch_args(local),
-                     num_returns=2)
-    return _from_blocks([(refs[0], n) for n, refs in out])
+                                "n_events": none, "n_sessions": none}))
+    return _from_blocks(stats)
 
 
 def _empty(t: pa.Table):
@@ -224,109 +212,94 @@ def _empty(t: pa.Table):
     return rd.from_arrow(t)
 
 
-def _local(ds, key_col: str, ts_col: str, gap: str) -> tuple:
-    """Rounds 1 and 2: per reduce task ``(summary rows per stitch task,
-    [sessionized rows, summary part 0, …])``, and the input's Arrow
-    schema."""
+def _rounds(ds, key_col: str, ts_col: str, gap_us: int) -> tuple:
+    """Rounds 1 to 3: per partition that holds rows, ``(its rows sessionized
+    per (key, bucket), their groups' offsets)``; per key partition, ``(its
+    stats, their rows)``; and the input's Arrow schema."""
     blocks, schema = blocks_schema(ds)
     parts = num_parts(sum(n for _, n in blocks))
-    maps = _run_tasks(functools.partial(_bucket_split, key_col, ts_col, BUCKET_US, parts),
+    # as many key partitions as STITCH_FAN_IN asks, of equal size
+    fan = -(-parts // -(-parts // STITCH_FAN_IN))
+    parts = -(-parts // fan) * fan
+    maps = _run_tasks(functools.partial(_bucket_split, key_col, ts_col, BUCKET_US, fan, parts),
                       [ref for ref, n in blocks if n], num_returns=parts + 1)
-    args = [refs for refs in (part_refs(maps, p) for p in range(parts)) if refs]
-    stitches = -(-parts // STITCH_FAN_IN)
-    return _run_tasks(functools.partial(_local_sessions, key_col, ts_col, _span_us(gap),
-                                        stitches),
-                      [(i, *refs) for i, refs in enumerate(args)],
-                      num_returns=stitches + 2), schema
+    ps = [p for p in range(parts) if part_refs(maps, p)]
+    local = _run_tasks(functools.partial(_local_sessions, key_col, ts_col, gap_us),
+                       [(p % fan, *part_refs(maps, p)) for p in ps], num_returns=3)
+    sums = {}
+    for p, (_, refs) in zip(ps, local):
+        sums[p // fan] = (*sums.get(p // fan, ()), refs[1])
+    stitched = dict(zip(sums, _run_tasks(functools.partial(_stitch, key_col, gap_us, fan),
+                                         list(sums.values()), num_returns=fan + 2)))
+    return ([(refs[0], stitched[p // fan][1][1 + p % fan]) for p, (_, refs) in zip(ps, local)],
+            [(refs[0], n) for n, refs in stitched.values()], schema)
 
 
-def _stitch_args(local: list) -> list:
-    """The summary parts of each stitch task that gets any."""
-    sums = [(counts, refs[1:]) for counts, refs in local]
-    return [refs for refs in (part_refs(sums, q) for q in range(len(sums[0][0]))) if refs]
-
-
-def _bucket_split(key_col: str, ts_col: str, span_us: int, parts: int, block) -> tuple:
+def _bucket_split(key_col: str, ts_col: str, span_us: int, fan: int, parts: int,
+                  block) -> tuple:
     """Round 1: the block's rows with their time bucket (null for a null
-    ts), split on (key, bucket)."""
+    ts), split into ``parts`` partitions, ``fan`` per key partition: the
+    high bits of the key's hash pick the key partition, the (key, bucket)
+    hash one of its partitions."""
     t = to_arrow(block)
     ts = t.column(ts_col).cast(pa.timestamp("us")).cast(pa.int64())
     t = t.append_column("_bucket", pc.divide(ts, span_us))
-    return hash_split([key_col, "_bucket"], parts, t)
+    key_part = (hash_rows(t, [key_col]) >> np.uint64(32)) % np.uint64(parts // fan)
+    salt = hash_rows(t, [key_col, "_bucket"]) % np.uint64(fan)
+    return split(t, (key_part * np.uint64(fan) + salt).astype(np.int64), parts)
 
 
-def _local_sessions(key_col: str, ts_col: str, gap_us: int, parts: int, i: int,
-                    *tables) -> tuple:
-    """Round 2, reduce task ``i``: its rows sessionized per (key, bucket),
-    and one summary row per (key, bucket) split on the key into ``parts``
-    key partitions: first and last ts, local session count, rows, and where
-    the group sits (``_part`` = ``i``, ``_group`` = its rank in the
-    rows)."""
+def _local_sessions(key_col: str, ts_col: str, gap_us: int, q: int, *tables) -> tuple:
+    """Round 2, the ``q``-th partition of its key partition: its rows
+    sessionized per (key, bucket), and one summary row per (key, bucket):
+    first and last ts, local session count, rows, and where the group sits
+    (``_part`` = ``q``, ``_group`` = its rank in the rows)."""
     t, starts = _sessions([key_col, "_bucket"], ts_col, gap_us, concat_reconciled(list(tables)))
     ends = np.append(starts[1:], t.num_rows) - 1
     ts = t.column(ts_col).cast(pa.timestamp("us")).cast(pa.int64())
-    n_sess = t.column("session_id").to_numpy()[ends] + 1
-    s = t.select([key_col]).take(starts)
-    for name, col in (("_first_ts", ts.take(starts)), ("_last_ts", ts.take(ends)),
-                      ("_n_sess", pa.array(n_sess)), ("_rows", pa.array(ends - starts + 1)),
-                      ("_part", pa.array(np.full(len(starts), i))),
-                      ("_group", pa.array(np.arange(len(starts))))):
-        s = s.append_column(name, col)
-    counts, *sums = hash_split([key_col], parts, s)
-    return counts, t.drop_columns(["_bucket"]), *sums
+    s = pa.table({key_col: t.column(key_col).take(starts), "_first_ts": ts.take(starts),
+                  "_last_ts": ts.take(ends), "_rows": ends - starts + 1,
+                  "_n_sess": t.column("session_id").to_numpy()[ends] + 1,
+                  "_part": np.full(len(starts), q), "_group": np.arange(len(starts))})
+    return t.num_rows, t.drop_columns(["_bucket"]), s
 
 
-def _stitch(key_col: str, gap_us: int, tables: tuple) -> tuple:
-    """Round 3 kernel over one key partition's summaries: them sorted by
-    (key, bucket), True where a key starts, and per summary 1 where its
-    first session continues the previous bucket's last (the same key, at
-    most ``gap_us`` between the two buckets' events) or where its ts are
-    null (they sort last and join the key's last session), else 0."""
+def _stitch(key_col: str, gap_us: int, fan: int, *tables) -> tuple:
+    """Round 3 over one key partition's summaries, scanned in (key, bucket)
+    order: a bucket's first session continues the previous bucket's last
+    where both hold the same key and at most ``gap_us`` lies between their
+    events, or where the bucket's ts are null (they sort last and join the
+    key's last session). Returns ``(key count, stats, offsets of partition
+    0, …)``: per key ``(key, n_events, n_sessions)``, and per (key, bucket)
+    the offset of its local session ids, split on the partition of its
+    rows."""
     s = pa.concat_tables(tables, promote_options="permissive")
-    # a key's buckets in time order; its null-ts bucket sorts last
     s = s.take(pc.sort_indices(s, [(key_col, "ascending"), ("_first_ts", "ascending")]))
     new_key = _changed(s.column(key_col))
-    n = s.num_rows
     near = pc.less_equal(pc.subtract(s.column("_first_ts").slice(1),
-                                     s.column("_last_ts").slice(0, n - 1)), gap_us)
-    merge = np.zeros(n, np.int64)
+                                     s.column("_last_ts").slice(0, s.num_rows - 1)), gap_us)
+    merge = np.zeros(s.num_rows, np.int64)
     merge[1:] = ~new_key[1:] & pc.fill_null(near, True).to_numpy(zero_copy_only=False)
-    return s, new_key, merge
-
-
-def _offsets(key_col: str, gap_us: int, parts: int, *tables) -> tuple:
-    """Round 3 of ``sessionize``: per (key, bucket) the offset of its local
-    session ids, split on the reduce task that holds its rows."""
-    s, new_key, merge = _stitch(key_col, gap_us, tables)
+    sess = s.column("_n_sess").to_numpy() - merge
     # offset_i = Σ_{j<i, same key} n_sess_j − Σ_{j≤i, same key} merge_j
     #          = (excl_i − excl_at_key_start) − merge_i
     # with excl = exclusive prefix of n_sess − merge (nondecreasing: every
     # bucket has n_sess ≥ 1 ≥ merge, so maximum.accumulate forward-fills
     # each key's base)
-    excl = np.concatenate(([0], np.cumsum(s.column("_n_sess").to_numpy() - merge)[:-1]))
+    excl = np.concatenate(([0], np.cumsum(sess)[:-1]))
     base = np.maximum.accumulate(np.where(new_key, excl, 0))
-    out = pa.table({"_group": s.column("_group"), "_offset": excl - base - merge,
-                    "_rows": s.column("_rows")})
-    return split(out, s.column("_part").to_numpy(), parts)
-
-
-def _stats(key_col: str, gap_us: int, *tables) -> tuple:
-    """Round 3 of ``session_stats``: ``(key, n_events, n_sessions)`` per key
-    of one key partition."""
-    s, new_key, merge = _stitch(key_col, gap_us, tables)
     starts = np.flatnonzero(new_key)
-    out = pa.table({
-        key_col: s.column(key_col).take(starts),
-        "n_events": np.add.reduceat(s.column("_rows").to_numpy(), starts),
-        "n_sessions": np.add.reduceat(s.column("_n_sess").to_numpy() - merge, starts),
-    })
-    return out.num_rows, out
+    stats = pa.table({key_col: s.column(key_col).take(starts),
+                      "n_events": np.add.reduceat(s.column("_rows").to_numpy(), starts),
+                      "n_sessions": np.add.reduceat(sess, starts)})
+    offsets = pa.table({"_group": s.column("_group"), "_offset": excl - base - merge,
+                        "_rows": s.column("_rows")})
+    return stats.num_rows, stats, *split(offsets, s.column("_part").to_numpy(), fan)[1:]
 
 
-def _add_offsets(t: pa.Table, *offsets) -> tuple:
+def _add_offsets(t: pa.Table, o: pa.Table) -> tuple:
     """Round 4: each (key, bucket) group's offset added to the local session
     ids of its rows (``t`` holds the groups in ``_group`` order)."""
-    o = pa.concat_tables(offsets)
     o = o.take(pc.sort_indices(o, [("_group", "ascending")]))
     ids = t.column("session_id").to_numpy() + np.repeat(
         o.column("_offset").to_numpy(), o.column("_rows").to_numpy())
