@@ -126,9 +126,9 @@ class InvokeHttp(Directive):
     as a JSON object per record and merge the JSON response's fields into the
     row; a failed call diverts the row to the ERROR channel (reference
     directives/external/InvokeHttp.java:126-147 — failures → error port).
-    Works against in-cluster/localhost services; at scale run the chain
-    containing this directive with a bounded ``batch_size`` so the per-row
-    fan-out stays concurrency-capped per task."""
+    Works against in-cluster/localhost services; a block's calls run one
+    after another in its task, so the tasks running at once cap the
+    concurrent calls."""
 
     usage = "invoke-http <url> :col [,:col]* [header[,header]*]"
 

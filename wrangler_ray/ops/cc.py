@@ -37,7 +37,9 @@ import pyarrow as pa
 
 from wrangler_ray.core.schema import concat_reconciled
 from wrangler_ray.tasks import (
+    _from_blocks,
     _run_tasks,
+    block_meta,
     block_refs,
     num_parts,
     part_refs,
@@ -80,10 +82,10 @@ def _both_ways(parts: int, block) -> tuple:
 
 
 def _relabel(parts: int, adj: pa.Table, labels, *offers) -> tuple:
-    """One round of one partition: ``(changed labels sent per partition,
-    labels (u, label), offers to partition 0, …)`` from its adjacency
-    ``adj`` (k, v), its ``labels`` (None in the first round) and the
-    offers (u, label) sent to it."""
+    """One round of one partition: ``((changed labels sent per partition,
+    the labels' block_meta), labels (u, label), offers to partition 0, …)``
+    from its adjacency ``adj`` (k, v), its ``labels`` (None in the first
+    round) and the offers (u, label) sent to it."""
     k = adj.column("k").to_numpy()
     v = adj.column("v").to_numpy()
     if labels is None:
@@ -108,39 +110,40 @@ def _relabel(parts: int, adj: pa.Table, labels, *offers) -> tuple:
         send &= (new != old)[ik]
     counts, *out = split(pa.table({"u": v[send], "label": new[ik[send]]}),
                          v[send] % parts, parts)
-    return (counts, pa.table({"u": nodes, "label": new}), *out)
+    labels = pa.table({"u": nodes, "label": new})
+    return ((counts, block_meta(labels)), labels, *out)
 
 
 def _first_round(parts: int, *tables) -> tuple:
     """The first round of one partition over its adjacency parts: as
     ``_relabel``, with the concatenated adjacency returned second."""
     adj = pa.concat_tables(tables)
-    counts, *rest = _relabel(parts, adj, None)
-    return (counts, adj, *rest)
+    meta, *rest = _relabel(parts, adj, None)
+    return (meta, adj, *rest)
 
 
 def components(edges: list, parts: int) -> list:
-    """Per partition ``p < parts``: a ref to the (u, label) table of the
-    nodes ``u ≡ p (mod parts)`` of the edge tables ``edges`` (``(ref,
-    rows)`` pairs with int columns a, b), label the minimum id of u's
-    component, or None when no node falls in ``p``."""
+    """Per partition ``p < parts``: ``(ref, block_meta)`` of the (u, label)
+    table of the nodes ``u ≡ p (mod parts)`` of the edge tables ``edges``
+    (``(ref, rows)`` pairs with int columns a, b), label the minimum id of
+    u's component, or None when no node falls in ``p``."""
     sym = _run_tasks(functools.partial(_both_ways, parts),
                      [ref for ref, n in edges if n], num_returns=parts + 1)
     live = [p for p in range(parts) if part_refs(sym, p)]
     first = _run_tasks(functools.partial(_first_round, parts),
                        [part_refs(sym, p) for p in live], num_returns=parts + 3)
     adj, labels, sent = {}, {}, []
-    for p, (counts, refs) in zip(live, first):
-        adj[p], labels[p] = refs[:2]
+    for p, ((counts, meta), refs) in zip(live, first):
+        adj[p], labels[p] = refs[0], (refs[1], meta)
         sent.append((counts, refs[2:]))
     while any(counts.any() for counts, _ in sent):
         to = {p: offers for p in labels if (offers := part_refs(sent, p))}
         out = _run_tasks(functools.partial(_relabel, parts),
-                         [(adj[p], labels[p], *offers) for p, offers in to.items()],
+                         [(adj[p], labels[p][0], *offers) for p, offers in to.items()],
                          num_returns=parts + 2)
         sent = []
-        for p, (counts, refs) in zip(to, out):
-            labels[p] = refs[0]
+        for p, ((counts, meta), refs) in zip(to, out):
+            labels[p] = (refs[0], meta)
             sent.append((counts, refs[1:]))
     return [labels.get(p) for p in range(parts)]
 
@@ -150,11 +153,9 @@ def connected_components(edges):
     Dataset of (u, label) where ``label`` is the minimum node id of u's
     component, i.e. the cluster representative. Only nodes that appear in
     an edge are returned."""
-    import ray.data as rd
-
     blocks = block_refs(edges)
     labels = components(blocks, num_parts(sum(n for _, n in blocks)))
-    return rd.from_arrow_refs([ref for ref in labels if ref is not None])
+    return _from_blocks([lab for lab in labels if lab is not None])
 
 
 def _drop_ids(id_col: str, drop_arr: np.ndarray, block) -> tuple:
@@ -164,7 +165,7 @@ def _drop_ids(id_col: str, drop_arr: np.ndarray, block) -> tuple:
     if len(drop_arr) and t.num_rows:
         ids = t.column(id_col).to_numpy(zero_copy_only=False)
         t = t.filter(pa.array(~np.isin(ids, drop_arr)))
-    return t.num_rows, t
+    return block_meta(t), t
 
 
 def _keep_representatives(id_col: str, labels, *tables) -> tuple:
@@ -178,13 +179,14 @@ def _keep_representatives(id_col: str, labels, *tables) -> tuple:
 
 
 def drop_non_representatives(blocks: list, labels: list, id_col: str = "doc_id") -> list:
-    """``(ref, rows)`` blocks of the rows of ``blocks`` whose id is its
+    """``(ref, block_meta)`` blocks of the rows of ``blocks`` whose id is its
     component's representative (label == id) or in no component.
     ``labels`` is ``components``' output: the rows, split on ``id %
     len(labels)``, meet their partition's labels in one task."""
     parts = len(labels)
     maps = _run_tasks(functools.partial(split_on, id_col, parts),
                       [ref for ref, n in blocks if n], num_returns=parts + 1)
-    args = [(labels[p], *rows) for p in range(parts) if (rows := part_refs(maps, p))]
+    args = [(labels[p] and labels[p][0], *rows)
+            for p in range(parts) if (rows := part_refs(maps, p))]
     out = _run_tasks(functools.partial(_keep_representatives, id_col), args, num_returns=2)
-    return [(refs[0], n) for n, refs in out]
+    return [(refs[0], meta) for meta, refs in out]

@@ -43,6 +43,8 @@ from wrangler_ray.tasks import (
     _exchange,
     _from_blocks,
     _run_tasks,
+    block_meta,
+    blocks_schema,
     block_refs,
     num_parts,
     part_refs,
@@ -118,18 +120,21 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id"):
 
 def _min_id_blocks(ds, keys: list[str], id_col: str, keyed,
                    drop: tuple = ()) -> list:
-    """``(ref, rows)`` blocks holding the min-id row per distinct ``keys``
+    """``(ref, block_meta)`` blocks holding the min-id row per distinct ``keys``
     value of ``ds`` (see _min_id_rows), through one task exchange on the
     key hash: ``keyed(t)`` returns ``(t, hash)``, the block with any
     computed key columns appended and a uint64 hash of its keys (equal
     keys must hash equal). A map task per block of ``ds``, a reduce task
     per partition with a vectorized groupby inside, instead of one Python
     call per distinct value. ``drop`` names key columns to remove after.
-    An empty ``ds`` comes back as its own blocks."""
-    blocks = block_refs(ds)
+    An empty ``ds`` comes back as one empty block of its schema."""
+    import ray
+
+    blocks, schema = blocks_schema(ds)
     rows = sum(n for _, n in blocks)
     if not rows:
-        return blocks
+        empty = schema.empty_table()
+        return [(ray.put(empty), block_meta(empty))]
     parts = num_parts(rows)
     return _exchange(blocks, functools.partial(_min_id_map, keys, id_col, keyed, parts),
                      functools.partial(_min_id_reduce, keys, id_col, drop), parts)
@@ -155,7 +160,17 @@ def _min_id_reduce(keys: list[str], id_col: str, drop: tuple, *tables) -> tuple:
     # within one partition: min id per distinct key (collision-safe)
     t = concat_reconciled(list(tables))
     t = t.take(pa.array(_min_id_rows(t, keys, id_col))).drop_columns(list(drop))
-    return t.num_rows, t
+    return block_meta(t), t
+
+
+def _signed_blocks(ds, pre_exact: bool, keys: list[str], id_col: str, keyed,
+                   drop: tuple = ()) -> list:
+    """``(ref, rows)`` blocks of the rows a near-dup pass signs: those of
+    ``ds``, or with ``pre_exact`` its min-id row per distinct ``keys``
+    value (``_min_id_blocks``)."""
+    if not pre_exact:
+        return block_refs(ds)
+    return [(ref, meta.num_rows) for ref, meta in _min_id_blocks(ds, keys, id_col, keyed, drop)]
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +628,7 @@ def _drop_clustered(blocks: list, edges: list, id_col: str, max_driver_edges: in
         drop_arr = _non_min_ids(a, b)
     out = _run_tasks(functools.partial(_drop_ids, id_col, drop_arr),
                      [ref for ref, _ in blocks], num_returns=2)
-    return _from_blocks([(refs[0], n) for n, refs in out])
+    return _from_blocks([(refs[0], meta) for meta, refs in out])
 
 
 def _verified_bucket_pairs(df: pd.DataFrame, key_cols: list, id_col: str,
@@ -949,11 +964,8 @@ def minhash_lsh_dedup(
     import ray
 
     assert num_perm % bands == 0
-    if pre_exact:
-        blocks = _min_id_blocks(ds, [text_col], id_col,
-                                functools.partial(_text_key, text_col))
-    else:
-        blocks = block_refs(ds)
+    blocks = _signed_blocks(ds, pre_exact, [text_col], id_col,
+                            functools.partial(_text_key, text_col))
     hasher = MinHasher(num_perm=num_perm, shingle_k=shingle_k)
     parts = num_parts(sum(n for _, n in blocks))
     # signatures computed ONCE, kept in the object store; band keys derive
@@ -1086,7 +1098,11 @@ def minhash_lsh_dedup(
     result = _drop_clustered(blocks, edges, id_col, max_driver_edges,
                              verify=verify, verify_parts=verify_parts)
     if return_artifacts:
-        return result, _from_blocks(signed), _from_blocks(own_bands)
+        # the sign tasks return band rows per partition, not block metadata:
+        # one metadata task per artifact block, as ray.data.from_arrow_refs runs
+        sig_refs, band_refs = [ref for ref, _ in signed], [ref for ref, _ in own_bands]
+        return (result, _from_blocks(list(zip(sig_refs, _run_tasks(block_meta, sig_refs)))),
+                _from_blocks(list(zip(band_refs, _run_tasks(block_meta, band_refs)))))
     return result
 
 
@@ -1220,11 +1236,8 @@ def simhash_dedup(ds, text_col: str = "text", id_col: str = "doc_id", max_hammin
     materialized Dataset. ``pre_exact`` collapses byte-identical texts
     first (identical text ⟹ identical simhash ⟹ hamming 0 ≤ any
     max_hamming — semantics-preserving, see minhash_lsh_dedup)."""
-    if pre_exact:
-        blocks = _min_id_blocks(ds, [text_col], id_col,
-                                functools.partial(_text_key, text_col))
-    else:
-        blocks = block_refs(ds)
+    blocks = _signed_blocks(ds, pre_exact, [text_col], id_col,
+                            functools.partial(_text_key, text_col))
     return _bucket_dedup(blocks, functools.partial(_simhash_split, text_col, id_col),
                          functools.partial(_simhash_edges, id_col, max_hamming, pair_cap),
                          id_col, max_driver_edges)
@@ -1309,11 +1322,8 @@ def embedding_dedup(
     cluster carrying the group-min id — semantics-preserving at the vector
     level (no assumption about the texts behind the vectors), same argument
     as the text pre-pass in minhash_lsh_dedup."""
-    if pre_exact:
-        blocks = _min_id_blocks(ds, ["_vh1", "_vh2"], id_col,
-                                functools.partial(_vec_key, vec_col), drop=("_vh1", "_vh2"))
-    else:
-        blocks = block_refs(ds)
+    blocks = _signed_blocks(ds, pre_exact, ["_vh1", "_vh2"], id_col,
+                            functools.partial(_vec_key, vec_col), drop=("_vh1", "_vh2"))
     return _bucket_dedup(
         blocks, functools.partial(_embedding_split, vec_col, id_col, num_planes, seed, dim),
         functools.partial(_embedding_edges, vec_col, id_col, cosine_threshold),

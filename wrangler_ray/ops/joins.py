@@ -25,7 +25,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from wrangler_ray.tasks import _from_blocks, keyed
+from wrangler_ray.tasks import _from_blocks, block_meta, keyed
 
 
 # per-worker-process cache of the fetched broadcast table keyed by its object
@@ -106,7 +106,7 @@ def _join_partition(on: list, right_on: list, how: str, left: pa.Table,
                     right: pa.Table) -> tuple:
     out = left.join(right, keys=on, right_keys=right_on, join_type=how,
                     left_suffix="", right_suffix="_r")
-    return out.num_rows, out
+    return block_meta(out), out
 
 
 def asof_join(left, right, key: str, ts_col: str, direction: str = "backward"):
@@ -143,4 +143,4 @@ def _asof_partition(key: str, ts_col: str, direction: str, left: pa.Table,
     out = left.take(pa.array(m["_l"].to_numpy(np.int64)))
     for name, col in zip(rest, taken.columns):
         out = out.append_column(name + "_r" if name in out.column_names else name, col)
-    return out.num_rows, out
+    return block_meta(out), out

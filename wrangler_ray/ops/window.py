@@ -30,7 +30,7 @@ needs:
   Every event of a key is in exactly one bucket and consecutive buckets
   meet at the stitch, so the stitch holds for any bucket width, ``gap``
   wider than a bucket included. ``session_stats`` ends at round 3. The
-  driver fetches only per-task row counts.
+  driver fetches only per-task row counts and block metadata.
 """
 
 from __future__ import annotations
@@ -44,7 +44,9 @@ import pyarrow.compute as pc
 from wrangler_ray.core.schema import concat_reconciled, set_column
 from wrangler_ray.tasks import (
     _from_blocks,
+    _from_table,
     _run_tasks,
+    block_meta,
     blocks_schema,
     hash_rows,
     num_parts,
@@ -189,9 +191,10 @@ def sessionize(ds, key_col: str = "user_id", ts_col: str = "ts", gap: str = "30 
     Dataset, out of the four task rounds of the module docstring."""
     rows, _, schema = _rounds(ds, key_col, ts_col, _span_us(gap))
     if not rows:
-        return _empty(schema.empty_table().append_column("session_id", pa.array([], pa.int64())))
+        return _from_table(schema.empty_table().append_column(
+            "session_id", pa.array([], pa.int64())))
     out = _run_tasks(_add_offsets, rows, num_returns=2)
-    return _from_blocks([(refs[0], n) for n, refs in out])
+    return _from_blocks([(refs[0], meta) for meta, refs in out])
 
 
 def session_stats(ds, key_col: str = "user_id", ts_col: str = "ts", gap: str = "30 minute"):
@@ -201,15 +204,9 @@ def session_stats(ds, key_col: str = "user_id", ts_col: str = "ts", gap: str = "
     _, stats, schema = _rounds(ds, key_col, ts_col, _span_us(gap))
     if not stats:
         none = pa.array([], pa.int64())
-        return _empty(pa.table({key_col: schema.empty_table().column(key_col),
-                                "n_events": none, "n_sessions": none}))
+        return _from_table(pa.table({key_col: schema.empty_table().column(key_col),
+                                     "n_events": none, "n_sessions": none}))
     return _from_blocks(stats)
-
-
-def _empty(t: pa.Table):
-    import ray.data as rd
-
-    return rd.from_arrow(t)
 
 
 def _rounds(ds, key_col: str, ts_col: str, gap_us: int) -> tuple:
@@ -232,7 +229,7 @@ def _rounds(ds, key_col: str, ts_col: str, gap_us: int) -> tuple:
     stitched = dict(zip(sums, _run_tasks(functools.partial(_stitch, key_col, gap_us, fan),
                                          list(sums.values()), num_returns=fan + 2)))
     return ([(refs[0], stitched[p // fan][1][1 + p % fan]) for p, (_, refs) in zip(ps, local)],
-            [(refs[0], n) for n, refs in stitched.values()], schema)
+            [(refs[0], meta) for meta, refs in stitched.values()], schema)
 
 
 def _bucket_split(key_col: str, ts_col: str, span_us: int, fan: int, parts: int,
@@ -269,10 +266,10 @@ def _stitch(key_col: str, gap_us: int, fan: int, *tables) -> tuple:
     order: a bucket's first session continues the previous bucket's last
     where both hold the same key and at most ``gap_us`` lies between their
     events, or where the bucket's ts are null (they sort last and join the
-    key's last session). Returns ``(key count, stats, offsets of partition
-    0, …)``: per key ``(key, n_events, n_sessions)``, and per (key, bucket)
-    the offset of its local session ids, split on the partition of its
-    rows."""
+    key's last session). Returns ``(stats' block_meta, stats, offsets of
+    partition 0, …)``: per key ``(key, n_events, n_sessions)``, and per
+    (key, bucket) the offset of its local session ids, split on the
+    partition of its rows."""
     s = pa.concat_tables(tables, promote_options="permissive")
     s = s.take(pc.sort_indices(s, [(key_col, "ascending"), ("_first_ts", "ascending")]))
     new_key = _changed(s.column(key_col))
@@ -294,7 +291,7 @@ def _stitch(key_col: str, gap_us: int, fan: int, *tables) -> tuple:
                       "n_sessions": np.add.reduceat(sess, starts)})
     offsets = pa.table({"_group": s.column("_group"), "_offset": excl - base - merge,
                         "_rows": s.column("_rows")})
-    return stats.num_rows, stats, *split(offsets, s.column("_part").to_numpy(), fan)[1:]
+    return block_meta(stats), stats, *split(offsets, s.column("_part").to_numpy(), fan)[1:]
 
 
 def _add_offsets(t: pa.Table, o: pa.Table) -> tuple:
@@ -303,4 +300,5 @@ def _add_offsets(t: pa.Table, o: pa.Table) -> tuple:
     o = o.take(pc.sort_indices(o, [("_group", "ascending")]))
     ids = t.column("session_id").to_numpy() + np.repeat(
         o.column("_offset").to_numpy(), o.column("_rows").to_numpy())
-    return t.num_rows, set_column(t, "session_id", pa.array(ids, pa.int64()))
+    t = set_column(t, "session_id", pa.array(ids, pa.int64()))
+    return block_meta(t), t

@@ -1,4 +1,4 @@
-"""Recipe → fused Ray Data pipeline.
+"""Recipe → one fused chain task per input part.
 
 Lifecycle (mirrors reference wrangler-transform/.../Wrangler.java:335-489 and
 the executor at wrangler-core/.../executor/RecipePipelineExecutor.java, but
@@ -6,15 +6,19 @@ vectorized):
 
     recipe text ──parse (driver)──► [DirectiveCall]
                 ──compile──► [Directive instances]  (args bound, regexes compiled)
-    ds.map_batches(DirectiveChain(directives), batch_format="pyarrow")
+    one plain Ray task per input part (``tasks.input_parts``): read the
+    part (or take its block), DirectiveChain per block, return the output
+    block and its metadata
 
-The whole chain runs fused inside ONE batch function per block — exactly one
-Ray task per block regardless of recipe length — with errors threaded as a
-side table (see core/errors.py).
+The whole chain runs fused inside ONE call per block, inside the task that
+reads the records when the input is a bare read (as the reference runs the
+recipe in the stage that reads them), with errors threaded as a side table
+(see core/errors.py).
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Union
 
 import pyarrow as pa
@@ -27,6 +31,14 @@ from wrangler_ray.core.errors import (
 from wrangler_ray.core.registry import Directive, DirectiveContext, get_directive_class
 from wrangler_ray.core.schema import concat_reconciled, unified_schema, unify_to_schema
 from wrangler_ray.parser.recipe import parse_recipe
+from wrangler_ray.tasks import (
+    _from_blocks,
+    _run_tasks,
+    block_meta,
+    input_parts,
+    part_blocks,
+    to_arrow,
+)
 
 # Importing the directives package registers every directive.
 import wrangler_ray.directives  # noqa: F401  (registration side effect)
@@ -126,21 +138,19 @@ class DirectiveChain:
 class RecipeResult:
     """Handle on a recipe applied with on_error="tag".
 
-    ``dataset`` is the tagged stream; ``ok()`` / ``errors()`` filter it.
-    NOTE: Ray Datasets are lazy — consuming both ok() and errors() executes
-    the pipeline twice. ``write_split()`` is the one-pass path: it writes the
-    tagged stream ONCE as partitioned parquet split on the error flag.
+    ``dataset`` is the tagged output, materialized by ``apply_recipe``;
+    ``ok()`` / ``errors()`` filter it. ``write_split()`` writes it as two
+    parquet trees split on the error flag, in one pass over its blocks.
     """
 
     def __init__(self, dataset):
         self.dataset = dataset
 
     def write_split(self, out_dir: str, **write_kwargs) -> dict:
-        """Execute the tagged pipeline ONCE and write two partitioned parquet
-        trees: ``<out_dir>/ok/`` (error columns dropped) and
-        ``<out_dir>/errors/`` (the 4 error columns only). Returns
-        ``{"ok": path, "errors": path}``. This is the scale path — ok() +
-        errors() would run the whole chain twice."""
+        """Write the tagged output as two parquet trees in one pass:
+        ``<out_dir>/ok/`` (error columns dropped) and ``<out_dir>/errors/``
+        (the 4 error columns only, one file per block that holds errors).
+        Returns ``{"ok": path, "errors": path}``."""
         import os
 
         import pyarrow.compute as pc
@@ -238,27 +248,44 @@ def apply_recipe(
     recipe: Union[str, list[str]],
     on_error: str = "skip",
     environment: Optional[dict] = None,
-    batch_size: Optional[int] = None,
     config=None,
     migrate: bool = False,
 ):
     """Apply a recipe to a ``ray.data.Dataset`` (the ``TestingRig.execute``
     equivalent — reference wrangler-core/src/test/java/.../TestingRig.java:79-93).
+    Eager: runs the chain and returns a materialized Dataset (on_error=skip
+    or fail) or a RecipeResult over one (on_error=tag); a failed row under
+    on_error=fail raises ``PipelineAbort``.
+
+    One plain Ray task per part of ``ds`` (``tasks.input_parts``) runs the
+    chain over each block of its part and returns their outputs as one
+    block, in input order. The parts come from one of two sources: when
+    ``ds`` is a bare read that splits into at least two read tasks, each
+    task runs one of them itself, so no Ray Data operator stands between
+    the read and the chain (this reads Ray's internal logical plan); else
+    the blocks of ``ds``'s own execution, streamed into the tasks. The
+    output Dataset is built from the metadata the tasks return.
 
     ``config``: optional ``DirectiveConfig`` applying admin exclusions and
     aliases at compile time. ``migrate=True`` accepts legacy v1 recipe
-    syntax. Returns a Dataset (on_error=skip/fail) or a RecipeResult
-    (on_error=tag).
+    syntax.
     """
     directives = compile_recipe(recipe, environment, config=config, migrate=migrate)
     chain = DirectiveChain(directives, on_error=on_error, environment=environment)
-    kwargs = {"batch_format": "pyarrow", "zero_copy_batch": True}
-    if batch_size is not None:
-        kwargs["batch_size"] = batch_size
-    out = ds.map_batches(chain, **kwargs)
+    out = _from_blocks([(refs[0], meta) for meta, refs in _run_tasks(
+        functools.partial(_chain_part, chain), input_parts(ds), num_returns=2)])
     if on_error == "tag":
         return RecipeResult(out)
     return out
+
+
+def _chain_part(chain: DirectiveChain, part) -> tuple:
+    """One ``apply_recipe`` task: ``(metadata, output block)`` of ``chain``
+    over each block of ``part``, the outputs concatenated."""
+    out = [chain(to_arrow(b)) for b in part_blocks(part)]
+    # the read task of an empty parquet file yields no block
+    out = concat_reconciled(out) if out else pa.table({})
+    return block_meta(out), out
 
 
 def apply_recipe_table(
@@ -280,26 +307,28 @@ def collect_global_variables(ds, recipe, environment=None) -> dict:
     GLOBAL scope across batches (reference TransientStore GLOBAL semantics,
     wrangler-api/.../TransientStore.java:27-64: per-task totals; here each
     batch emits its partial variables and numeric partials are summed —
-    the §2.12 'per-batch partials + final reduce' mapping)."""
-    import json as _json
-
+    the §2.12 'per-batch partials + final reduce' mapping). The tasks are
+    ``apply_recipe``'s, one per input part; each returns only its blocks'
+    partials, merged here in input order."""
     directives = compile_recipe(recipe, environment)
     chain = DirectiveChain(directives, on_error="skip", environment=environment)
-
-    def run_batch(batch: pa.Table) -> pa.Table:
-        ctx = DirectiveContext(chain.environment)
-        chain.transform(batch, ctx)
-        return pa.table(
-            {"vars": pa.array([_json.dumps(ctx.variables, default=str)], pa.string())}
-        )
-
     merged: dict = {}
-    for row in ds.map_batches(
-        run_batch, batch_format="pyarrow", zero_copy_batch=True
-    ).take_all():
-        for k, v in _json.loads(row["vars"]).items():
-            if isinstance(v, (int, float)) and isinstance(merged.get(k), (int, float)):
-                merged[k] = merged[k] + v
-            else:
-                merged.setdefault(k, v)
+    for partials in _run_tasks(functools.partial(_part_variables, chain), input_parts(ds)):
+        for part in partials:
+            for k, v in part.items():
+                if isinstance(v, (int, float)) and isinstance(merged.get(k), (int, float)):
+                    merged[k] = merged[k] + v
+                else:
+                    merged.setdefault(k, v)
     return merged
+
+
+def _part_variables(chain: DirectiveChain, part) -> list[dict]:
+    """One ``collect_global_variables`` task: the variables ``chain`` sets
+    over each block of ``part``, one dict per block."""
+    partials = []
+    for b in part_blocks(part):
+        ctx = DirectiveContext(chain.environment)
+        chain.transform(to_arrow(b), ctx)
+        partials.append(ctx.variables)
+    return partials

@@ -21,7 +21,9 @@ the map and reduce sides over Datasets. A reduce task that returns split parts i
 feeds the next round (``part_refs`` picks one partition's parts): the
 near-dup tail's verify and connected-components rounds chain this way.
 
-Users: the CDC apply (``_run_tasks``); every dedup shuffle and connected
+Users: the CDC apply (``_run_tasks``); ``apply_recipe`` and
+``collect_global_variables`` (``pipeline.py``, one task per input part:
+``input_parts``); every dedup shuffle and connected
 components (``ops/dedup.py``, ``ops/cc.py``); ``hash_join`` and
 ``asof_join`` (``ops/joins.py``); ``sessionize`` and ``session_stats``
 (``ops/window.py``); the similarity top-k merge
@@ -136,11 +138,69 @@ def block_refs(ds) -> list[tuple]:
     return blocks_schema(ds)[0]
 
 
-def _from_blocks(blocks: list):
-    """A materialized Dataset over ``(ref, meta)`` blocks of Arrow tables."""
-    import ray.data as rd
+def read_tasks(ds) -> list:
+    """The read tasks of ``ds`` when its plan is a bare read that splits
+    into at least two (``get_read_tasks`` at the parallelism the caller
+    set on the read, else ``MAX_PARTS``), else []. A task that calls one
+    yields the blocks that part of Ray Data's read would. Ray-internal:
+    the Dataset's logical plan and its ``Read`` operator."""
+    from ray.data._internal.logical.operators.read_operator import Read
 
-    return rd.from_arrow_refs([ref for ref, _ in blocks])
+    op = ds._logical_plan.dag
+    if not isinstance(op, Read) or not op._datasource.supports_distributed_reads:
+        return []
+    tasks = op._datasource_or_legacy_reader.get_read_tasks(
+        op._parallelism if op._parallelism > 0 else MAX_PARTS)
+    return tasks if len(tasks) >= 2 else []
+
+
+def input_parts(ds):
+    """One task argument per part of the input ``ds``: its read tasks
+    (``read_tasks``), else the refs of its blocks, streamed from its
+    execution as they come. ``part_blocks`` opens one in the task."""
+    return read_tasks(ds) or (
+        ref for b in ds.iter_internal_ref_bundles() for ref, _ in b.blocks)
+
+
+def part_blocks(part):
+    """The blocks of one ``input_parts`` item, in a task: what the read
+    task yields, or the one block."""
+    from ray.data.datasource import ReadTask
+
+    return part() if isinstance(part, ReadTask) else [part]
+
+
+def block_meta(table: pa.Table):
+    """The Ray Data metadata of one output block (rows, bytes, schema): a
+    task returns it with the block, so ``_from_blocks`` needs no task of
+    its own to learn them."""
+    from ray.data.block import BlockMetadataWithSchema
+
+    return BlockMetadataWithSchema.from_block(table)
+
+
+def _from_blocks(blocks: list):
+    """A materialized Dataset over ``(ref, block_meta)`` blocks of Arrow
+    tables, built from that metadata: the plan ``ray.data.from_arrow_refs``
+    builds, without its metadata task per block (Ray-internal classes)."""
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.from_operators import FromArrow
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import DatasetStats
+    from ray.data.context import DataContext
+    from ray.data.dataset import MaterializedDataset
+
+    refs, metas = [ref for ref, _ in blocks], [meta for _, meta in blocks]
+    plan = ExecutionPlan(DatasetStats(metadata={"FromArrow": metas}, parent=None),
+                         DataContext.get_current().copy())
+    return MaterializedDataset(plan, LogicalPlan(FromArrow(refs, metas), plan._context))
+
+
+def _from_table(t: pa.Table):
+    """A materialized Dataset of the one block ``t``."""
+    import ray
+
+    return _from_blocks([(ray.put(t), block_meta(t))])
 
 
 def to_arrow(block) -> pa.Table:
@@ -209,12 +269,14 @@ def reduce_parts(maps: list, fn) -> list:
 
 
 def _exchange(blocks: list, map_fn, reduce_fn, parts: int) -> list:
-    """``(ref, rows)`` blocks out of one task exchange over ``blocks``: a
-    ``map_fn(block)`` task per non-empty block returns its rows split into
-    ``parts`` partitions (``split``), a ``reduce_fn(*tables) -> (rows,
-    table)`` task per partition that holds rows."""
+    """``(ref, meta)`` blocks out of one task exchange over the ``(ref,
+    rows)`` ``blocks``: a ``map_fn(block)`` task per non-empty block
+    returns its rows split into ``parts`` partitions (``split``), a
+    ``reduce_fn(*tables) -> (meta, table)`` task per partition that holds
+    rows. ``meta`` is the table's row count, or its ``block_meta`` where
+    the blocks end in ``_from_blocks``."""
     maps = _run_tasks(map_fn, [ref for ref, n in blocks if n], num_returns=parts + 1)
-    return [(refs[0], n) for n, refs in reduce_parts(maps, reduce_fn)]
+    return [(refs[0], meta) for meta, refs in reduce_parts(maps, reduce_fn)]
 
 
 def meet(sides: list, fn) -> list:
