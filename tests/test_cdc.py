@@ -122,6 +122,45 @@ def test_row_counts_in_manifest(tmp_path, stream, ray_session):
     assert m["total_rows"] == table.read_arrow().num_rows
 
 
+def _merge_tasks(monkeypatch) -> list:
+    """Records the merge tasks the CDC engine starts from here on: per
+    task, its (part, sub) items."""
+    seen = []
+    run = engine._run_tasks
+
+    def spy(fn, args, **kw):
+        args = list(args)
+        if isinstance(fn, engine.MergePartition):
+            seen.extend(t.to_pylist() for t in args)
+        return run(fn, args, **kw)
+
+    monkeypatch.setattr(engine, "_run_tasks", spy)
+    return seen
+
+
+def test_merge_tasks_packed_by_rows(tmp_path, ray_session, monkeypatch):
+    """On a 64-partition table, an apply and a compaction start fewer merge
+    tasks than merges, yet small merges still spread over every CPU;
+    ``merge_tasks`` counts the merges, and the table equals the replay."""
+    import ray
+    import ray.data as rd
+
+    info = generate_change_stream(str(tmp_path / "stream"), n_convs=400, n_events=3000,
+                                  n_segments=4, seed=11)
+    table = CdcTable(str(tmp_path / "lake"), num_partitions=64)
+    table.init_from_snapshot(rd.read_parquet(info["base"]))
+    tasks = _merge_tasks(monkeypatch)
+    m = table.apply_changes(info["segments"][:2], mode="mor")
+    merges = sum(map(len, tasks))
+    assert m["metrics"]["merge_tasks"] == merges == len(m["lineage"]) >= 32
+    assert min(merges, ray.cluster_resources()["CPU"]) <= len(tasks) < merges
+    for run in (table.compact, lambda: table.apply_changes(info["segments"][2:])):
+        tasks.clear()
+        m = run()
+        assert 1 <= len(tasks) < sum(map(len, tasks)) == len(m["lineage"])
+    assert_tables_equal(table.read_arrow(), replay_oracle(info["base"], info["segments"]))
+
+
 def test_hot_partition_salted_merge(tmp_path, ray_session, monkeypatch):
     """A single conversation with many distinct turns must be merged by
     several salted sub-tasks (not one straggler), and the result must still
@@ -129,7 +168,12 @@ def test_hot_partition_salted_merge(tmp_path, ray_session, monkeypatch):
     import numpy as np
     import pyarrow as pa
 
+    # the default bound keeps every salted sub (at least SPLIT_ROWS / 2 rows)
+    # at or over MERGE_ROWS; the test keeps that relation at its split size
+    assert engine.MERGE_ROWS <= engine.SPLIT_ROWS // 2
     monkeypatch.setattr(engine, "SPLIT_ROWS", 500)  # force splitting
+    monkeypatch.setattr(engine, "MERGE_ROWS", 250)
+    tasks = _merge_tasks(monkeypatch)
     n = 4000
     lsn = np.arange(1, n + 1, dtype=np.int64)
     # 90% of events hit ONE conversation across 2000 distinct turns
@@ -151,8 +195,11 @@ def test_hot_partition_salted_merge(tmp_path, ray_session, monkeypatch):
     pq.write_table(changes, seg)
     table = CdcTable(str(tmp_path / "lake"), num_partitions=4)
     m = table.apply_changes([seg])
-    # the hot partition committed multiple salted sub-files
+    # the hot partition committed multiple salted sub-files, each merged in
+    # a task of its own
     assert any(len(files) > 1 for files in m["partitions"].values())
+    salted = [t for t in tasks if any(i["n_subs"] > 1 for i in t)]
+    assert len(salted) > 1 and all(len(t) == 1 for t in salted)
     # parity with a pandas oracle replay
     df = changes.to_pandas().sort_values("lsn")
     last = df.groupby(["conv_id", "turn_idx"], sort=False).tail(1)

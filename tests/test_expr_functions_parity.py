@@ -139,6 +139,41 @@ def test_nested_pushdowns_match_row_path():
         assert [expr.evaluate_row(r) for r in t.to_pylist()] == want, src
 
 
+def test_pushdown_runs_in_a_fresh_process():
+    """A chain compiled here and unpickled in a fresh interpreter, as a Ray
+    worker receives it, runs its pushed-down call on the Arrow kernel: the
+    child replaces the per-row function with one that raises, and still
+    gets the lengths. A subprocess, not a Ray task: a reused worker that
+    once compiled an expression would hide a kernel table filled only at
+    compile time."""
+    import os
+    import subprocess
+    import sys
+
+    import cloudpickle
+
+    from wrangler_ray.pipeline import DirectiveChain, compile_recipe
+
+    chain = DirectiveChain(compile_recipe(["set-column :n exp:{string:length(text)}"]))
+    child = (
+        "import sys, cloudpickle, pyarrow as pa\n"
+        "from wrangler_ray.expr import functions as F\n"
+        "def boom(*a):\n"
+        "    raise RuntimeError('per-row string:length ran')\n"
+        "F.FUNCTIONS['string__length'] = boom\n"
+        "chain = cloudpickle.loads(sys.stdin.buffer.read())\n"
+        "out = chain(pa.table({'text': ['ab', 'cde', '', 'x']}))\n"
+        "print(out.column('n').to_pylist())\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [root] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", child], input=cloudpickle.dumps(chain),
+                          capture_output=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout.decode().split("\n")[-2] == "[2, 3, 0, 1]"
+
+
 # --- DateAndTime.java (DataStage family; parity cases ported from reference
 # wrangler-core/src/test/java/io/cdap/functions/DateAndTimeTest.java) --------
 

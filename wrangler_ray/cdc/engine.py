@@ -14,8 +14,9 @@ at most ``TASK_WINDOW`` in flight, so an apply starts no Ray Data execution):
       → index table (tiny)                            #   per partition), like a
                                                       #   sort-based shuffle
                                                       #   map output
-    merge task per (partition, salted sub)            # ranged reads of its
-      → MergePartition → lineage row (tiny)           # batches from the spills
+    merge task per run of (partition, salted sub)     # ranged reads of its
+      items, packed by rows up to MERGE_ROWS          # batches from the spills
+      → MergePartition → lineage row per item (tiny)
     manifest commit: lineage (final names, row counts, footer schemas)
                      → create the next log entry, with the table schema;
                      only that entry makes the outputs visible
@@ -26,7 +27,13 @@ at most ``TASK_WINDOW`` in flight, so an apply starts no Ray Data execution):
                                                       # shuffle
 
 ``init_from_snapshot`` feeds the blocks of its Dataset to the same spill
-task; ``compact()`` runs the same merge task with no spills.
+task; ``compact()`` runs the same merge task with no spills. A merge task
+takes consecutive (partition, sub) items, in partition order, until the
+next would take it past ``MERGE_ROWS`` rows (counted from the spill index
+and the parent manifest's ``file_rows``, no footer read) or past its share
+of the items per cluster CPU: a few-ms merge no longer pays a task of its
+own, a small apply still merges on every CPU, and an item at or over the
+bound — every salted sub — runs alone.
 
 The transactional-manifest design (a numbered manifest log, copy-on-write
 file sets, merge-on-read deltas, compaction, vacuum, time travel) follows the
@@ -62,14 +69,15 @@ footer + exactly their record batch). The spills double as the resume
 checkpoint and are deleted with the txn's staging dir at commit.
 
 Scale notes (100 TB design point):
-- ``num_partitions`` should be ≥ 2× cluster cores; one partition = one merge
-  task = one output file → bounded memory per task regardless of total size.
+- ``num_partitions`` should be ≥ 2× cluster cores; one partition = one
+  output file, and a merge task holds one partition at a time → bounded
+  memory per task regardless of total size.
 - The combiner bounds shuffle volume to ≤ one row per (key, batch) — an
   update storm on a hot conversation collapses before it moves.
 - Only changed partitions are rewritten (copy-on-write); untouched partition
   files carry forward in the manifest.
 - The driver gathers only the spill index (≤ blocks × partitions rows)
-  and the lineage (one row per merge task).
+  and the lineage (one row per partition merge).
 """
 
 from __future__ import annotations
@@ -103,6 +111,10 @@ PART_COL = "_part"
 BLOCK_ROWS = 262144
 # pending rows above which a partition merges as salted parallel sub-tasks
 SPLIT_ROWS = 524288
+# rows (pending plus, for copy-on-write, the partition's current rows) up to
+# which one merge task takes further (part, sub) items. At most SPLIT_ROWS / 2,
+# so every salted sub is at or over it and runs in a task of its own
+MERGE_ROWS = 32768
 
 
 def _hash_partition(conv_ids: np.ndarray, num_partitions: int) -> np.ndarray:
@@ -304,7 +316,9 @@ class MergePartition:
 
     Called on a table of items (part: int32, sub: int32, n_subs: int32,
     spills: json [[file, batch_index], ...], mor: bool); returns one
-    lineage row per item. The engine runs one Ray task per item. COW, MOR
+    lineage row per item. The engine packs consecutive items into one Ray
+    task up to ``MERGE_ROWS`` rows (``_run_merges``); the task opens each
+    spill's IPC footer once, whichever of its items read it. COW, MOR
     and compaction run the same steps: gather the tables (its record
     batches of each spill, read through ``fs``, plus the partition's
     current files unless MOR; schemas reconciled — additive
@@ -321,7 +335,8 @@ class MergePartition:
     **Hot-partition salting**: when the exchange index shows a partition's
     pending rows exceed the split threshold (one huge conversation, or an
     update storm over many), the partition is merged by ``n_subs`` PARALLEL
-    tasks instead of one straggler; each task keeps only rows whose
+    items instead of one straggler, each at or over ``MERGE_ROWS`` and so in
+    a task of its own; each item keeps only rows whose
     deterministic ``turn_idx % n_subs`` salt matches its ``sub``, so every
     (conv_id, turn_idx) LWW group stays whole and the subs tile the
     partition exactly."""
@@ -484,9 +499,25 @@ def _snapshot_block(snapshot_lsn: int, block) -> pa.Table:
     return t.append_column(LSN_COL, pa.array(np.full(t.num_rows, snapshot_lsn), pa.int64()))
 
 
-def _run_merges(merge: MergePartition, items: list[dict]) -> list[dict]:
-    """One merge task per (part, sub) item; their lineage rows."""
-    out = _run_tasks(merge, (pa.Table.from_pylist([i]) for i in items))
+def _run_merges(merge: MergePartition, items: list[dict], rows: list[int]) -> list[dict]:
+    """The (part, sub) ``items``, of ``rows`` rows each, as merge tasks: each
+    task takes consecutive items until the next would take it past
+    ``MERGE_ROWS`` rows, so an item at or over the bound runs alone, or past
+    its share of the items per cluster CPU, so a small apply still merges
+    on every CPU. Returns the items' lineage rows, in ``items`` order. A
+    retried task skips the items whose output already exists
+    (``MergePartition``)."""
+    import ray
+
+    share = -(-len(items) // max(1, int(ray.cluster_resources().get("CPU", 1))))
+    tasks, acc = [], 0
+    for item, n in zip(items, rows):
+        if not tasks or acc + n > MERGE_ROWS or len(tasks[-1]) >= share:
+            tasks.append([])
+            acc = 0
+        tasks[-1].append(item)
+        acc += n
+    out = _run_tasks(merge, (pa.Table.from_pylist(t) for t in tasks))
     return pa.concat_tables(out).to_pylist()
 
 
@@ -688,11 +719,13 @@ class CdcTable:
     ) -> tuple[list[dict], dict[int, tuple], dict]:
         """The exchange: one spill task per item of ``srcs``, each an
         indexed IPC spill write of ``prep(src)`` (no object-store shuffle)
-        → one merge task per touched partition, onto the files of the
-        ``parent`` manifest (None for a fresh table).
-        Returns the merge tasks' lineage rows, per touched partition
+        → one merge per touched partition (per salted sub of a hot one),
+        onto the files of the ``parent`` manifest (None for a fresh table),
+        packed by rows into merge tasks (``_run_merges``).
+        Returns the merges' lineage rows, per touched partition
         ``(changes, max_lsn)`` summed from the spill index, and the stage
-        metrics.
+        metrics. ``merge_tasks`` counts the (partition, sub) merges, not the
+        Ray tasks that ran them.
 
         The driver holds only the spill index (≤ blocks × partitions tiny
         rows) and writes it atomically once every spill is written, making
@@ -752,24 +785,28 @@ class CdcTable:
             p: (sum(s[2] for s in spills), max(s[3] for s in spills))
             for p, spills in by_part.items()
         }
-        items = []
+        # a COW rewrite must absorb the partition's pending deltas too
+        current_files = {int(k): v for k, v in self._live_files(parent).items()}
+        items, rows = [], []
         for p, spills in sorted(by_part.items()):
             # hot-partition detection from the index (no data read): a
             # partition whose pending rows exceed the split threshold is
             # merged by several salted sub-tasks instead of one straggler
             n_subs = min(16, max(1, -(-changes[p][0] // SPLIT_ROWS)))
-            item = {"part": p, "n_subs": n_subs, "mor": _use_mor(p, changes[p][0]),
+            mor = _use_mor(p, changes[p][0])
+            item = {"part": p, "n_subs": n_subs, "mor": mor,
                     "spills": json.dumps([[s[0], s[1]] for s in spills])}
             items += [dict(item, sub=sub) for sub in range(n_subs)]
+            n = -(-changes[p][0] // n_subs) + (0 if mor else sum(
+                parent["file_rows"][f] for f in current_files.get(p, [])))
+            rows += [n] * n_subs
         if not items:
             return [], {}, metrics
-        # a COW rewrite must absorb the partition's pending deltas too
-        current_files = {int(k): v for k, v in self._live_files(parent).items()}
         merge = MergePartition(
             self.table_dir, txn_id, current_files=current_files,
             fs=self.fs, spill_dir=spill_dir,
         )
-        lineage = _run_merges(merge, items)
+        lineage = _run_merges(merge, items, rows)
         metrics["merge_s"] = round(_time.perf_counter() - _t0, 3)
         metrics["merge_tasks"] = len(items)
         metrics["spill_files"] = len({s[0] for spills in by_part.values() for s in spills})
@@ -926,9 +963,10 @@ class CdcTable:
         manifest commit; the watermark is unchanged. Run it when read
         amplification from deltas/subs outweighs the write win.
 
-        Each partition is a ``MergePartition`` task with NO spills: a
-        copy-on-write merge of zero changes is exactly a compaction (same LWW
-        fold, key sort, output name and resume-skip as an apply)."""
+        Each partition is a ``MergePartition`` item with NO spills, packed
+        by its ``file_rows`` like an apply's: a copy-on-write merge of zero
+        changes is exactly a compaction (same LWW fold, key sort, output name
+        and resume-skip as an apply)."""
         m = self.latest_manifest()
         if not m:
             raise FileNotFoundError(f"no committed manifest in {self.table_dir}")
@@ -941,7 +979,8 @@ class CdcTable:
             {"part": p, "sub": 0, "n_subs": 1, "spills": "[]", "mor": False}
             for p in sorted(multi)
         ]
-        lineage = _run_merges(merge, items)
+        lineage = _run_merges(merge, items, [sum(m["file_rows"][f] for f in multi[p])
+                                             for p in sorted(multi)])
         return self._finalize(lineage, txn_id, m["watermark_lsn"], m)
 
     def vacuum(self, keep_versions: int = 2) -> dict:

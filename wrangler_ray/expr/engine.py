@@ -313,7 +313,9 @@ _HELPERS = {
 # column into a numpy OBJECT array (one Python str per row — the dominant cost
 # on wide text at scale). For functions with a pyarrow.compute equivalent the
 # call is rewritten at compile time to a synthetic variable computed per batch
-# directly on the zero-copy Arrow column.
+# directly on the zero-copy Arrow column. The kernel table is built at import,
+# so a CompiledExpr unpickled in a Ray worker (shipped inside a DirectiveChain)
+# finds every kernel its pushdown specs name.
 
 def _pd_kernels():
     import pyarrow.compute as pc
@@ -336,7 +338,7 @@ def _pd_kernels():
     }
 
 
-_ARROW_PUSHDOWN: dict = {}
+_ARROW_PUSHDOWN = _pd_kernels()
 
 
 class _PushdownRewriter(ast.NodeTransformer):
@@ -384,8 +386,6 @@ class CompiledExpr:
             raise RecipeParseError(f"cannot parse expression '{source}': {e}") from e
         _validate(tree, source)
         # vectorized variant: Arrow-kernel pushdown first, then mask rewrites
-        if not _ARROW_PUSHDOWN:
-            _ARROW_PUSHDOWN.update(_pd_kernels())
         pd = _PushdownRewriter(_ARROW_PUSHDOWN)
         vtree = pd.visit(ast.parse(py, mode="eval"))
         self.pushdowns = pd.specs
@@ -450,7 +450,9 @@ class CompiledExpr:
                     val = _ARROW_PUSHDOWN[fnkey](table.column(src), *consts).to_numpy(
                         zero_copy_only=False
                     )
-                except Exception:
+                except (pa.ArrowException, TypeError):
+                    # a column the kernel cannot take (a non-string column,
+                    # a constant of the wrong type): the per-row function
                     val = None
             if val is None:
                 val = F.FUNCTIONS[fnkey](_materialize(colname), *consts)

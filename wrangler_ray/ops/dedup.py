@@ -652,9 +652,11 @@ def _verified_bucket_pairs(df: pd.DataFrame, key_cols: list, id_col: str,
 
 def _sign_band(text_col: str, id_col: str, hasher: MinHasher, bands: int,
                parts: int, block) -> tuple:
-    """Sign-and-band map task of ``minhash_lsh_dedup``: ``(band rows per
-    partition, signed rows (id, sig, dig), band part 0, …, band part
-    parts-1)`` of one block."""
+    """Sign-and-band map task of ``minhash_lsh_dedup``: ``((band rows per
+    partition, signed rows' block_meta, band parts' block_metas), signed
+    rows (id, sig, dig), band part 0, …, band part parts-1)`` of one block.
+    The metadata lets the artifact Datasets be built with no task of their
+    own."""
     t = to_arrow(block)
     # batched signer (one flattened pass; see _sign_texts). The SET digest
     # (XOR of distinct shingle hashes, re-mixed) satisfies: identical
@@ -675,7 +677,8 @@ def _sign_band(text_col: str, id_col: str, hasher: MinHasher, bands: int,
     # all rows of one (band, key) LSH bucket meet in one edge task
     counts, *band_parts = split_on(
         "_bkt", parts, _band_rows(signed, hasher.num_perm, bands, id_col))
-    return (counts, signed, *band_parts)
+    return ((counts, block_meta(signed), [block_meta(b) for b in band_parts]),
+            signed, *band_parts)
 
 
 def _digest_pairs(df: pd.DataFrame, id_col: str, pair_cap: int) -> tuple:
@@ -974,8 +977,8 @@ def minhash_lsh_dedup(
         functools.partial(_sign_band, text_col, id_col, hasher, bands, parts),
         [ref for ref, n in blocks if n], num_returns=parts + 2,
     )
-    signed = [(refs[0], n) for (_, refs), n in zip(signs, [n for _, n in blocks if n])]
-    maps = [(counts, refs[1:]) for counts, refs in signs]
+    signed = [(refs[0], sig_meta) for (_, sig_meta, _), refs in signs]
+    maps = [(counts, refs[1:]) for (counts, _, _), refs in signs]
     own_bands = [(ref, n) for counts, refs in maps for ref, n in zip(refs, counts)]
     watermark = None
     if indexed is not None:
@@ -1098,11 +1101,8 @@ def minhash_lsh_dedup(
     result = _drop_clustered(blocks, edges, id_col, max_driver_edges,
                              verify=verify, verify_parts=verify_parts)
     if return_artifacts:
-        # the sign tasks return band rows per partition, not block metadata:
-        # one metadata task per artifact block, as ray.data.from_arrow_refs runs
-        sig_refs, band_refs = [ref for ref, _ in signed], [ref for ref, _ in own_bands]
-        return (result, _from_blocks(list(zip(sig_refs, _run_tasks(block_meta, sig_refs)))),
-                _from_blocks(list(zip(band_refs, _run_tasks(block_meta, band_refs)))))
+        banded = [(ref, m) for (_, _, metas), refs in signs for ref, m in zip(refs[1:], metas)]
+        return result, _from_blocks(signed), _from_blocks(banded)
     return result
 
 
