@@ -227,8 +227,15 @@ def test_sign_texts_byte_identical_to_per_doc_path():
     """VERDICT r4 #3: the batched signer must be byte-identical to the
     per-doc signature()/digest path for every edge case — unicode
     whitespace runs, short strings (char-pad vs byte-pad), multi-byte
-    UTF-8, repeated shingles, None texts, empty strings."""
-    from wrangler_ray.ops.dedup import MinHasher, _mix64, _shingle_hashes, _sign_texts
+    UTF-8, repeated shingles, None texts, empty strings. The exact tier's
+    batched shingle sets (``_shingles``) equal the per-doc ones."""
+    from wrangler_ray.ops.dedup import (
+        MinHasher,
+        _mix64,
+        _shingle_hashes,
+        _shingles,
+        _sign_texts,
+    )
 
     h = MinHasher(num_perm=64, shingle_k=5)
     texts = [
@@ -256,6 +263,11 @@ def test_sign_texts_byte_identical_to_per_doc_path():
         assert digs[i] == ref_dig, f"dig mismatch doc {i}: {x!r}"
     # exact dups produce identical signatures AND digests
     assert np.array_equal(sigs[0], sigs[9]) and digs[0] == digs[9]
+    # the exact tier's batched shingle sets equal the per-doc ones
+    got = _shingles("text", h.shingle_k, pa.table({"text": pa.array(texts, pa.string())}))
+    for i, x in enumerate(texts):
+        ref = np.unique(_shingle_hashes(x, h.shingle_k)).astype(np.int64).tobytes()
+        assert got[i].as_py() == (ref if x is not None else b""), f"shingles doc {i}: {x!r}"
 
 
 def test_bpe_pattern_engine_parity():

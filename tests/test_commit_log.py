@@ -796,7 +796,7 @@ def _dedup_index_state(idx) -> tuple:
     """The survivor ids an index holds, as its texts, its signatures and its
     band rows (one per band per survivor) each list them."""
     texts = idx.texts_for(np.arange(1000)).to_pandas()[idx.meta["id_col"]]
-    sigs = idx.sigs_for(None).to_pandas()[idx.meta["id_col"]]
+    sigs = idx.sigs_for(np.arange(1000)).to_pandas()[idx.meta["id_col"]]
     bands = idx.banded_for(np.arange(idx.sig_parts)).to_pandas()[idx.meta["id_col"]]
     return sorted(texts), sorted(sigs), sorted(bands)
 

@@ -1,11 +1,12 @@
-"""Driver clustering kernel of the near-dup tail: ``_non_min_ids`` must drop
-exactly the ids a sequential union-find ("smaller id wins") drops."""
+"""Clustering of the near-dup tail: ``cc.components`` and
+``cc.drop_non_representatives`` must drop exactly the ids a sequential
+union-find ("smaller id wins") drops, in one partition and in several."""
 
 import time
 
 import numpy as np
-
-from wrangler_ray.ops.dedup import _non_min_ids
+import pyarrow as pa
+import pytest
 
 
 class _UnionFind:
@@ -51,20 +52,57 @@ def _random_graph(rng):
     return a[perm], b[perm]
 
 
-def test_non_min_ids_matches_union_find():
+def _dropped(a: np.ndarray, b: np.ndarray, rows: np.ndarray, parts: int) -> np.ndarray:
+    """The ids of ``rows`` that the near-dup tail drops under the edges
+    ``(a, b)``: ``components`` of their ``adjacency`` over ``parts``
+    partitions, then ``drop_non_representatives`` over the rows split on
+    the same ids."""
+    import ray
+
+    from wrangler_ray.ops.cc import (
+        adjacency,
+        components,
+        drop_non_representatives,
+        split_rows,
+    )
+
+    counts, *adj = adjacency(parts, pa.table({"a": a, "b": b}))
+    blocks = [(ray.put(pa.table({"doc_id": rows})), len(rows))]
+    kept = drop_non_representatives(split_rows(blocks, "doc_id", parts),
+                                    components([(counts, [ray.put(t) for t in adj])], parts),
+                                    "doc_id")
+    kept = np.concatenate([ray.get(ref).column("doc_id").to_numpy() for ref, _ in kept])
+    return np.setdiff1d(rows, kept)
+
+
+@pytest.mark.parametrize("parts", [1, 3, 16])
+def test_components_match_union_find(ray_session, parts):
+    """300 random graphs (repeated edges, self-loops, isolated pairs), each
+    in its own id range, clustered as one edge set; the rows are every node
+    and ids in no edge."""
     rng = np.random.default_rng(20240611)
-    for _ in range(300):
-        a, b = _random_graph(rng)
-        np.testing.assert_array_equal(_non_min_ids(a, b), _reference_drop(a, b))
+    a, b, rows, want = [], [], [], []
+    for g in range(300):
+        ga, gb = _random_graph(rng)
+        off = np.int64(g) * 10**12
+        a.append(ga + off)
+        b.append(gb + off)
+        rows.append(np.concatenate([ga, gb, rng.choice(10**12, 3)]) + off)
+        want.append(_reference_drop(ga, gb) + off)
+    rows = np.unique(np.concatenate(rows))
+    got = _dropped(np.concatenate(a), np.concatenate(b), rows, parts)
+    np.testing.assert_array_equal(got, np.intersect1d(rows, np.concatenate(want)))
 
 
-def test_non_min_ids_reversed_chain():
+@pytest.mark.parametrize("n, parts", [(200_000, 1), (40, 3)])
+def test_components_reversed_chain(ray_session, n, parts):
     # ids descend along the chain: a union-find fed edge by edge builds one
-    # 200k-deep path, and plain label propagation would need 200k rounds
-    n = 200_000
+    # n-deep path, and plain label propagation would need n rounds. One
+    # partition converges in its first round; over 3 partitions every edge
+    # crosses partitions, so labels move one hop per round
     ids = np.arange(n, dtype=np.int64)[::-1]
     t0 = time.perf_counter()
-    got = _non_min_ids(ids[:-1], ids[1:])
+    got = _dropped(ids[:-1], ids[1:], np.arange(n, dtype=np.int64), parts)
     elapsed = time.perf_counter() - t0
     np.testing.assert_array_equal(got, np.arange(1, n))
     assert elapsed < 30, f"reversed chain took {elapsed:.1f}s"

@@ -33,6 +33,42 @@ def _edited_corpus(n_base: int = 200, seed: int = 7) -> pa.Table:
                      "text": texts})
 
 
+def _borderline_corpus(n: int = 3, seed: int = 11) -> pa.Table:
+    """Pairs of a random-word document and a copy with 2 to 4 words
+    replaced, each pair an LSH candidate (16 bands of 4) whose
+    64-permutation MinHash estimate and true shingle Jaccard fall on
+    opposite sides of 0.8, both within ``EXACT_MARGIN`` of it. Ids
+    ``0..2n-1`` are the originals; ``2n..3n-1`` their copies below 0.8
+    whose estimate reaches it (kept), ``3n..4n-1`` copies at or over 0.8
+    whose estimate falls short (dropped). The survivors follow the true
+    Jaccard only where the exact tier runs."""
+    from wrangler_ray.ops.dedup import EXACT_MARGIN, MinHasher, ngram_jaccard
+
+    hasher = MinHasher(num_perm=64, shingle_k=5)
+    rng = np.random.default_rng(seed)
+    letters = np.array(list("abcdefghijklmnopqrstuvwxyz"))
+    vocab = ["".join(rng.choice(letters, rng.integers(3, 9))) for _ in range(3000)]
+    over, under = [], []
+    while len(over) < n or len(under) < n:
+        words = list(rng.choice(vocab, 60))
+        copy = list(words)
+        for j in rng.choice(60, int(rng.integers(2, 5)), replace=False):
+            copy[j] = str(rng.choice(vocab))
+        x, y = " ".join(words), " ".join(copy)
+        same = hasher.signature(x) == hasher.signature(y)
+        if not same.reshape(16, 4).all(axis=1).any():
+            continue  # no shared band: never a candidate
+        est, true = same.mean(), ngram_jaccard(x, y)
+        if true < 0.8 <= est < 0.8 + EXACT_MARGIN and len(over) < n:
+            over.append((x, y))
+        elif 0.8 - EXACT_MARGIN <= est < 0.8 <= true and len(under) < n:
+            under.append((x, y))
+    pairs = over + under
+    texts = [x for x, _ in pairs] + [y for _, y in pairs]
+    return pa.table({"doc_id": pa.array(np.arange(len(texts)), pa.int64()),
+                     "text": texts})
+
+
 def _ids(ds) -> list:
     return sorted(ds.to_pandas()["doc_id"].tolist())
 
@@ -44,19 +80,24 @@ _DUP_EXACT = [0, 1, 2, 4, 5, 7, 8, 9, 10, 11, 13, 14, 16, 17, 18, 20, 21, 22, 23
 _DUP_NEAR = [0, 9, 16] + list(range(21, 41))
 _EDITED_EXACT = list(range(460))
 _EDITED_NEAR = list(range(200)) + list(range(400, 460))
+# _borderline_corpus: every original and the copies below 0.8
+_BORDERLINE_EXACT = list(range(12))
+_BORDERLINE_NEAR = list(range(9))
 
 
 @pytest.mark.parametrize("target", [1, 3, 64])
 @pytest.mark.parametrize("corpus, exact_ids, near_ids", [
     (_dup_corpus, _DUP_EXACT, _DUP_NEAR),
     (_edited_corpus, _EDITED_EXACT, _EDITED_NEAR),
+    (_borderline_corpus, _BORDERLINE_EXACT, _BORDERLINE_NEAR),
 ])
 def test_survivors_do_not_depend_on_partition_count(ray_session, monkeypatch, target,
                                                      corpus, exact_ids, near_ids):
     """``ROWS_PER_PART`` sized for 1, 3 and 64 partitions (the 41-doc
-    corpus reaches 41, one row each): the same survivors as ever, for both
-    all-pairs caps and on both routes (``max_driver_edges=0`` runs the
-    verify and the connected components over the same partitions)."""
+    corpus reaches 41, one row each, the 12-doc one 12): the same survivors
+    as ever, for both all-pairs caps. The verify tiers, the connected
+    components and the filter run over the same partitions; on the
+    borderline corpus the survivors follow the true Jaccard."""
     import ray.data as rd
 
     from wrangler_ray import tasks
@@ -68,10 +109,8 @@ def test_survivors_do_not_depend_on_partition_count(ray_session, monkeypatch, ta
     ds = rd.from_arrow(tab).repartition(4).materialize()
     assert _ids(exact_dedup(ds)) == exact_ids
     for cap in (2, 10_000):
-        for max_edges in (4_000_000, 0):
-            got = minhash_lsh_dedup(ds, jaccard_threshold=0.8, pair_cap=cap,
-                                    max_driver_edges=max_edges)
-            assert _ids(got) == near_ids, f"pair_cap={cap} max_driver_edges={max_edges}"
+        got = minhash_lsh_dedup(ds, jaccard_threshold=0.8, pair_cap=cap)
+        assert _ids(got) == near_ids, f"pair_cap={cap}"
 
 
 # SimHash (max_hamming 3) survivors of _edited_corpus: the base docs, the
@@ -101,9 +140,8 @@ def _embedding_table() -> pa.Table:
 def test_dedup_starts_no_ray_data_job(ray_session, monkeypatch):
     """With ``groupby``, ``map_batches``, ``repartition``, ``union`` and
     ``aggregate`` of every Dataset raising, exact, MinHash, SimHash and
-    embedding dedup return their survivors on both routes — edges clustered
-    on the driver, and past the driver cap (``max_driver_edges=0``) — and a
-    ``large_string`` text column leaves with the input's Arrow schema."""
+    embedding dedup return their survivors, and a ``large_string`` text
+    column leaves with the input's Arrow schema."""
     import ray
     import ray.data as rd
 
@@ -127,22 +165,43 @@ def test_dedup_starts_no_ray_data_job(ray_session, monkeypatch):
         for name in ("groupby", "map_batches", "repartition", "union", "aggregate"):
             m.setattr(rd.Dataset, name, banned)
         out["exact"] = exact_dedup(ds)
-        for cap in (4_000_000, 0):
-            out["minhash", cap] = minhash_lsh_dedup(ds, jaccard_threshold=0.8,
-                                                    max_driver_edges=cap)
-            out["simhash", cap] = simhash_dedup(ds, max_driver_edges=cap)
-            out["embedding", cap] = embedding_dedup(emb, cosine_threshold=0.99,
-                                                    max_driver_edges=cap)
+        out["minhash"] = minhash_lsh_dedup(ds, jaccard_threshold=0.8)
+        out["simhash"] = simhash_dedup(ds)
+        out["embedding"] = embedding_dedup(emb, cosine_threshold=0.99)
     assert _ids(out["exact"]) == _EDITED_EXACT
-    for cap in (4_000_000, 0):
-        assert _ids(out["minhash", cap]) == _EDITED_NEAR, cap
-        assert _ids(out["simhash", cap]) == _EDITED_SIMHASH, cap
-        got = out["embedding", cap].to_pandas()["vec_id"]
-        assert sorted(got) == list(range(64)), cap
+    assert _ids(out["minhash"]) == _EDITED_NEAR
+    assert _ids(out["simhash"]) == _EDITED_SIMHASH
+    assert sorted(out["embedding"].to_pandas()["vec_id"]) == list(range(64))
     for key, res in out.items():
         if "embedding" not in key:
             for t in ray.get(res.to_arrow_refs()):
                 assert t.schema == tab.schema, key
+
+
+def test_no_edge_set_reaches_the_driver(ray_session, monkeypatch):
+    """With ``ray.get`` wrapped, MinHash and SimHash dedup of a corpus with
+    no LSH group over ``pair_cap`` (so no fallback star and no repair
+    round) fetch no table with columns a and b: the edges stay in the
+    object store, whatever the input size."""
+    import ray
+    import ray.data as rd
+
+    from wrangler_ray.ops.dedup import minhash_lsh_dedup, simhash_dedup
+
+    ds = rd.from_arrow(_edited_corpus()).repartition(3).materialize()
+    real, fetched = ray.get, []
+
+    def spy(refs, *args, **kwargs):
+        out = real(refs, *args, **kwargs)
+        for value in out if isinstance(out, list) else [out]:
+            fetched.append(isinstance(value, pa.Table)
+                           and {"a", "b"} <= set(value.column_names))
+        return out
+
+    monkeypatch.setattr(ray, "get", spy)
+    assert _ids(minhash_lsh_dedup(ds, jaccard_threshold=0.8)) == _EDITED_NEAR
+    assert _ids(simhash_dedup(ds)) == _EDITED_SIMHASH
+    assert fetched and not any(fetched)
 
 
 def test_failing_sign_task_stops_the_op(ray_session):

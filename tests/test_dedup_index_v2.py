@@ -205,8 +205,9 @@ def test_v1_legacy_index_still_works(ray_session, tmp_path):
 
 def test_banded_index_distributed_tail(ray_session, tmp_path):
     """The no-driver-state distributed finish also works against the banded
-    index (historical signatures unioned for the sig-attach stages) and
-    agrees with the driver union-find path and the batch run."""
+    index (historical signatures unioned for the sig-attach stages): it
+    keeps what the driver-side clustering kept when it existed, and agrees
+    with the batch run."""
     from wrangler_ray.ops.dedup import exact_dedup, minhash_lsh_dedup
     from wrangler_ray.ops.dedup_index import MinHashDedupIndex
 
@@ -215,20 +216,54 @@ def test_banded_index_distributed_tail(ray_session, tmp_path):
     k1 = sorted(idx.dedup_increment(_mk(ids, texts, 0, 10)).to_pandas()["doc_id"])
 
     inc2 = exact_dedup(_mk(ids, texts, 10, 20)).materialize()
-    k2_driver = sorted(
-        minhash_lsh_dedup(inc2, jaccard_threshold=0.7, pre_exact=False,
-                          indexed=idx).to_pandas()["doc_id"]
-    )
     k2_dist = sorted(
         minhash_lsh_dedup(inc2, jaccard_threshold=0.7, pre_exact=False,
-                          indexed=idx, max_driver_edges=0).to_pandas()["doc_id"]
+                          indexed=idx).to_pandas()["doc_id"]
     )
     batch = sorted(
         minhash_lsh_dedup(_mk(ids, texts, 0, 20), jaccard_threshold=0.7)
         .to_pandas()["doc_id"]
     )
-    assert k2_dist == k2_driver
+    assert k2_dist == [12, 16]
     assert sorted(k1 + k2_dist) == batch
+
+
+def test_index_reads_only_historical_endpoints(ray_session, tmp_path, monkeypatch):
+    """An increment reads the index's signatures only for historical
+    candidate endpoints and its texts only for historical endpoints of
+    unsure edges, never the whole table. The index holds the originals of
+    ``_borderline_corpus`` (ids 0..5) and one more document (id 6); the
+    increment holds their copies (ids 7..12) and a byte-identical copy of
+    id 6 (id 13), whose chain edge is accepted without a text. Survivors
+    follow the true Jaccard: the copies below 0.8 (7, 8, 9)."""
+    from test_dedup_exchange import _borderline_corpus
+
+    from wrangler_ray.ops.dedup_index import MinHashDedupIndex
+
+    texts = _borderline_corpus().column("text").to_pylist()
+    extra = "a separate document about columnar files and their row group statistics"
+    texts = texts[:6] + [extra] + texts[6:] + [extra]
+    ids = list(range(len(texts)))
+    idx = MinHashDedupIndex(str(tmp_path / "idx"), jaccard_threshold=0.8)
+    assert sorted(idx.dedup_increment(_mk(ids, texts, 0, 7)).to_pandas()["doc_id"]) == ids[:7]
+
+    reads = {"sigs_for": [], "texts_for": []}
+    for name in reads:
+        real = getattr(MinHashDedupIndex, name)
+
+        def record(self, which, _real=real, _name=name):
+            reads[_name].append(which)
+            return _real(self, which)
+
+        monkeypatch.setattr(MinHashDedupIndex, name, record)
+    kept = idx.dedup_increment(_mk(ids, texts, 7, 14)).to_pandas()["doc_id"]
+    assert sorted(kept) == [7, 8, 9]
+    assert reads["sigs_for"] and reads["texts_for"]
+    assert all(which is not None for calls in reads.values() for which in calls)
+    sig_ids = set(np.concatenate(reads["sigs_for"]).tolist())
+    text_ids = set(np.concatenate(reads["texts_for"]).tolist())
+    assert sig_ids <= set(range(7)) and 6 in sig_ids
+    assert text_ids <= set(range(6))
 
 
 def test_index_compact_preserves_dedup(ray_session, tmp_path):

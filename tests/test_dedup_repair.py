@@ -160,16 +160,17 @@ def _dup_corpus():
     return pa.table({"doc_id": pa.array(ids, pa.int64()), "text": texts})
 
 
-@pytest.mark.parametrize("distributed", [False, True])
-def test_minhash_tiny_pair_cap_matches_exhaustive(ray_session, distributed):
+@pytest.mark.parametrize("several_parts", [False, True])
+def test_minhash_tiny_pair_cap_matches_exhaustive(ray_session, monkeypatch, several_parts):
     import ray.data as rd
 
+    from wrangler_ray import tasks
     from wrangler_ray.ops.dedup import minhash_lsh_dedup
 
     tab = _dup_corpus()
     kw = dict(jaccard_threshold=0.8)
-    if distributed:  # every edge set crosses the cap → distributed tail
-        kw["max_driver_edges"] = 0
+    if several_parts:  # the verify, repair and clustering rounds cross partitions
+        monkeypatch.setattr(tasks, "ROWS_PER_PART", 8)
     survivors_tiny = sorted(
         minhash_lsh_dedup(rd.from_arrow(tab), pair_cap=2, **kw)
         .to_pandas()["doc_id"]
@@ -178,7 +179,8 @@ def test_minhash_tiny_pair_cap_matches_exhaustive(ray_session, distributed):
         minhash_lsh_dedup(rd.from_arrow(tab), pair_cap=10_000, **kw)
         .to_pandas()["doc_id"]
     )
-    assert survivors_tiny == survivors_full
+    # the survivors the driver-side verify and clustering kept when they existed
+    assert survivors_tiny == survivors_full == [0, 9, 16] + list(range(21, 41))
 
 
 def test_simhash_tiny_pair_cap_matches_exhaustive(ray_session):

@@ -55,20 +55,18 @@ def test_borderline_exact_jaccard_counts_shingle_sets():
     """Texts that repeat a 5-gram: the borderline tier's shingle arrays
     are sets, so its Jaccard equals ``ngram_jaccard`` (0.727, 16 and 22
     distinct of 34 and 29 shingles) and the pair fails 0.8."""
-    from wrangler_ray.ops.dedup import _shingle_rows, _true_jaccard_ok, ngram_jaccard
+    from wrangler_ray.ops.dedup import _shingles, _true_jaccard_ok, ngram_jaccard
 
     a = "alpha beta alpha beta alpha beta gamma"
     b = "alpha beta alpha beta gamma delta"
-    t = _shingle_rows("doc_id", "text", 5, np.array([0, 1]),
-                      pa.table({"doc_id": [0, 1], "text": [a, b]}))
-    sh = {i: np.frombuffer(x, np.int64)
-          for i, x in zip(t.column("doc_id").to_pylist(), t.column("sh").to_pylist())}
+    t = _shingles("text", 5, pa.table({"doc_id": [0, 1], "text": [a, b]}))
+    sh = [np.frombuffer(x, np.int64) for x in t.to_pylist()]
     inter = len(np.intersect1d(sh[0], sh[1]))
     got = inter / (len(sh[0]) + len(sh[1]) - inter)
     assert round(got, 3) == round(ngram_jaccard(a, b), 3) == 0.727
-    one, two = np.array([0]), np.array([1])
-    assert not _true_jaccard_ok(0.8, one, two, sh)[0]
-    assert _true_jaccard_ok(0.72, one, two, sh)[0]
+    one, two = t.slice(0, 1), t.slice(1, 1)
+    assert not _true_jaccard_ok(0.8, one, two)[0]
+    assert _true_jaccard_ok(0.72, one, two)[0]
 
 
 def test_simhash_dedup(docs_ds):
@@ -282,25 +280,15 @@ def test_multimodal_real_decode_pipeline(ray_session):
 
 
 def test_dedup_auto_switch_crosses_driver_cap(docs_ds):
-    """With max_driver_edges=0 every run crosses the cap and must auto-route
-    to the distributed label-propagation path — same survivors, no raise."""
+    """The distributed tail (task-round verify, label propagation and
+    filter, the only route) keeps the survivors the driver-side clustering
+    kept when it existed: MinHash [0, 3, 4], SimHash [0, 2, 3, 4, 5]."""
     from wrangler_ray.ops.dedup import minhash_lsh_dedup, simhash_dedup
 
-    driver = sorted(
-        minhash_lsh_dedup(docs_ds, jaccard_threshold=0.7).to_pandas()["doc_id"]
-    )
-    auto = sorted(
-        minhash_lsh_dedup(
-            docs_ds, jaccard_threshold=0.7, max_driver_edges=0
-        ).to_pandas()["doc_id"]
-    )
-    assert auto == driver
-
-    sh_driver = sorted(simhash_dedup(docs_ds, max_hamming=3).to_pandas()["doc_id"])
-    sh_auto = sorted(
-        simhash_dedup(docs_ds, max_hamming=3, max_driver_edges=0).to_pandas()["doc_id"]
-    )
-    assert sh_auto == sh_driver
+    got = sorted(minhash_lsh_dedup(docs_ds, jaccard_threshold=0.7).to_pandas()["doc_id"])
+    assert got == [0, 3, 4]
+    got = sorted(simhash_dedup(docs_ds, max_hamming=3).to_pandas()["doc_id"])
+    assert got == [0, 2, 3, 4, 5]
 
     import ray.data as rd
     from wrangler_ray.ops.dedup import embedding_dedup
@@ -315,14 +303,8 @@ def test_dedup_auto_switch_crosses_driver_cap(docs_ds):
         "embedding": pa.array([list(map(float, v)) for v in vecs],
                               pa.list_(pa.float32())),
     }))
-    em_driver = sorted(
-        embedding_dedup(emb, cosine_threshold=0.99).to_pandas()["vec_id"]
-    )
-    em_auto = sorted(
-        embedding_dedup(emb, cosine_threshold=0.99, max_driver_edges=0)
-        .to_pandas()["vec_id"]
-    )
-    assert em_auto == em_driver == [0, 1, 2, 3]
+    got = sorted(embedding_dedup(emb, cosine_threshold=0.99).to_pandas()["vec_id"])
+    assert got == [0, 1, 2, 3]
 
 
 def test_brute_force_topk_many_queries(ray_session):

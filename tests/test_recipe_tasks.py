@@ -196,8 +196,6 @@ def test_outputs_need_no_from_arrow_refs(ray_session, rows, monkeypatch):
         "apply_recipe": lambda: apply_recipe(table, LIGHT_RECIPE),
         "exact_dedup": lambda: exact_dedup(docs),
         "minhash": lambda: minhash_lsh_dedup(docs, jaccard_threshold=0.5),
-        "minhash_tasks": lambda: minhash_lsh_dedup(docs, jaccard_threshold=0.5,
-                                                   max_driver_edges=0),
         # the digest cannot sort the signed artifact's fixed-size-list column
         **{f"minhash_artifact_{i}": (lambda i=i: minhash_lsh_dedup(
             docs, jaccard_threshold=0.5, return_artifacts=True)[i].drop_columns(

@@ -331,12 +331,8 @@ def test_minhash_distributed_matches_driver(ray_session):
     ds = rd.from_arrow(
         pa.table({"doc_id": pa.array(range(5), pa.int64()), "text": texts})
     )
-    drv = sorted(minhash_lsh_dedup(ds, jaccard_threshold=0.7).to_pandas()["doc_id"])
-    dist = sorted(
-        minhash_lsh_dedup(ds, jaccard_threshold=0.7, max_driver_edges=0)
-        .to_pandas()["doc_id"]
-    )
-    assert drv == dist == [0, 3, 4]
+    dist = sorted(minhash_lsh_dedup(ds, jaccard_threshold=0.7).to_pandas()["doc_id"])
+    assert dist == [0, 3, 4]
 
 
 def test_simhash_distributed_matches_driver(ray_session):
@@ -353,9 +349,8 @@ def test_simhash_distributed_matches_driver(ray_session):
     ds = rd.from_arrow(
         pa.table({"doc_id": pa.array(range(3), pa.int64()), "text": texts})
     )
-    drv = sorted(simhash_dedup(ds).to_pandas()["doc_id"])
-    dist = sorted(simhash_dedup(ds, max_driver_edges=0).to_pandas()["doc_id"])
-    assert drv == dist == [0, 2]
+    dist = sorted(simhash_dedup(ds).to_pandas()["doc_id"])
+    assert dist == [0, 2]
 
 
 def test_hopping_window(ray_session):

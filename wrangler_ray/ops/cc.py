@@ -1,13 +1,11 @@
 """Connected components as rounds of plain Ray tasks (min-label
-propagation): the clustering of the near-dup tail once the distinct
-candidate edges pass the driver cap (``wrangler_ray.ops.dedup`` clusters
-them on the driver below it, and always routes here with
-``max_driver_edges=0``).
+propagation): the clustering of the near-dup tail
+(``wrangler_ray.ops.dedup``), for every variant and every input size.
 
 Nodes are partitioned by ``id % parts`` on the dedup task exchange
-(``wrangler_ray.tasks``). One map task per edge table splits both
-directions of every edge by their source node; then each partition's
-task, per round:
+(``wrangler_ray.tasks``). The task that finds the edges also splits both
+directions of every edge by their source node (``adjacency``); then each
+partition's task, per round:
 
     label(u) ← min(label(u), labels offered to u)       (label(u) = u at first)
     label(u) ← min label of u's component within the partition's own edges
@@ -22,10 +20,9 @@ carries its minimum id. The number of rounds follows how often a path
 crosses partitions, not a fixed cap; one partition converges in the
 first round.
 
-``drop_non_representatives`` splits the rows on the same ``id % parts``
-and filters each partition's rows by its non-minimum ids with
-``_drop_ids``, the driver route's filter: Arrow only, so the rows keep
-their schema.
+``drop_non_representatives`` takes the rows split on the same ``id %
+parts`` (``split_rows``) and filters each partition's rows by its
+non-minimum ids: Arrow only, so the rows keep their schema.
 """
 
 from __future__ import annotations
@@ -41,6 +38,7 @@ from wrangler_ray.tasks import (
     _run_tasks,
     block_meta,
     block_refs,
+    live_refs,
     num_parts,
     part_refs,
     split,
@@ -71,12 +69,13 @@ def _roots(ea: np.ndarray, eb: np.ndarray, n: int) -> np.ndarray:
             parent = grand
 
 
-def _both_ways(parts: int, block) -> tuple:
-    """Map task: both directions (k, v) of every edge (a, b) of ``block``,
-    split on ``k % parts``."""
-    t = to_arrow(block)
-    a = t.column("a").to_numpy(zero_copy_only=False).astype(np.int64)
-    b = t.column("b").to_numpy(zero_copy_only=False).astype(np.int64)
+def adjacency(parts: int, edges) -> tuple:
+    """Both directions (k, v) of every edge (a, b) of the table or block
+    ``edges``, split on ``k % parts`` (see ``split``): what ``components``
+    takes, returned by the task that finds the edges."""
+    edges = to_arrow(edges)
+    a = edges.column("a").to_numpy().astype(np.int64)
+    b = edges.column("b").to_numpy().astype(np.int64)
     k = np.concatenate([a, b])
     return split(pa.table({"k": k, "v": np.concatenate([b, a])}), k % parts, parts)
 
@@ -122,24 +121,23 @@ def _first_round(parts: int, *tables) -> tuple:
     return (meta, adj, *rest)
 
 
-def components(edges: list, parts: int) -> list:
+def components(adj: list, parts: int) -> list:
     """Per partition ``p < parts``: ``(ref, block_meta)`` of the (u, label)
-    table of the nodes ``u ≡ p (mod parts)`` of the edge tables ``edges``
-    (``(ref, rows)`` pairs with int columns a, b), label the minimum id of
-    u's component, or None when no node falls in ``p``."""
-    sym = _run_tasks(functools.partial(_both_ways, parts),
-                     [ref for ref, n in edges if n], num_returns=parts + 1)
-    live = [p for p in range(parts) if part_refs(sym, p)]
+    table of the nodes ``u ≡ p (mod parts)`` of the graph whose edges
+    ``adj`` holds (``(counts, part refs)`` map outputs of ``adjacency``),
+    label the minimum id of u's component, or None when no node falls in
+    ``p``."""
+    live = [p for p in range(parts) if part_refs(adj, p)]
     first = _run_tasks(functools.partial(_first_round, parts),
-                       [part_refs(sym, p) for p in live], num_returns=parts + 3)
-    adj, labels, sent = {}, {}, []
+                       [part_refs(adj, p) for p in live], num_returns=parts + 3)
+    own, labels, sent = {}, {}, []
     for p, ((counts, meta), refs) in zip(live, first):
-        adj[p], labels[p] = refs[0], (refs[1], meta)
+        own[p], labels[p] = refs[0], (refs[1], meta)
         sent.append((counts, refs[2:]))
     while any(counts.any() for counts, _ in sent):
         to = {p: offers for p in labels if (offers := part_refs(sent, p))}
         out = _run_tasks(functools.partial(_relabel, parts),
-                         [(adj[p], labels[p][0], *offers) for p, offers in to.items()],
+                         [(own[p], labels[p][0], *offers) for p, offers in to.items()],
                          num_returns=parts + 2)
         sent = []
         for p, ((counts, meta), refs) in zip(to, out):
@@ -154,39 +152,41 @@ def connected_components(edges):
     component, i.e. the cluster representative. Only nodes that appear in
     an edge are returned."""
     blocks = block_refs(edges)
-    labels = components(blocks, num_parts(sum(n for _, n in blocks)))
-    return _from_blocks([lab for lab in labels if lab is not None])
-
-
-def _drop_ids(id_col: str, drop_arr: np.ndarray, block) -> tuple:
-    """Survivor-filter task: the rows of ``block`` whose id is not in
-    ``drop_arr``."""
-    t = to_arrow(block)
-    if len(drop_arr) and t.num_rows:
-        ids = t.column(id_col).to_numpy(zero_copy_only=False)
-        t = t.filter(pa.array(~np.isin(ids, drop_arr)))
-    return block_meta(t), t
+    parts = num_parts(sum(n for _, n in blocks))
+    adj = _run_tasks(functools.partial(adjacency, parts), [ref for ref, n in blocks if n],
+                     num_returns=parts + 1)
+    return _from_blocks([lab for lab in components(adj, parts) if lab is not None])
 
 
 def _keep_representatives(id_col: str, labels, *tables) -> tuple:
     """Filter task of one partition: its rows minus the non-minimum ids of
     its ``labels`` (None when no node fell in the partition)."""
-    drop = np.empty(0, np.int64)
-    if labels is not None:
+    t = concat_reconciled(list(tables))
+    if labels is not None and t.num_rows:
         u = labels.column("u").to_numpy()
         drop = u[u != labels.column("label").to_numpy()]
-    return _drop_ids(id_col, drop, concat_reconciled(list(tables)))
+        t = t.filter(pa.array(~np.isin(t.column(id_col).to_numpy(zero_copy_only=False), drop)))
+    return block_meta(t), t
 
 
-def drop_non_representatives(blocks: list, labels: list, id_col: str = "doc_id") -> list:
-    """``(ref, block_meta)`` blocks of the rows of ``blocks`` whose id is its
-    component's representative (label == id) or in no component.
-    ``labels`` is ``components``' output: the rows, split on ``id %
-    len(labels)``, meet their partition's labels in one task."""
-    parts = len(labels)
-    maps = _run_tasks(functools.partial(split_on, id_col, parts),
-                      [ref for ref, n in blocks if n], num_returns=parts + 1)
-    args = [(labels[p] and labels[p][0], *rows)
-            for p in range(parts) if (rows := part_refs(maps, p))]
+def split_rows(blocks: list, col: str, parts: int) -> list:
+    """The ``split_on(col, parts)`` map outputs of the ``(ref, rows)``
+    ``blocks``, such as the rows ``drop_non_representatives`` filters. With
+    no rows at all, the first block's empty split keeps the rows'
+    schema."""
+    return _run_tasks(functools.partial(split_on, col, parts), live_refs(blocks),
+                      num_returns=parts + 1)
+
+
+def drop_non_representatives(rows: list, labels: list, id_col: str = "doc_id") -> list:
+    """``(ref, block_meta)`` blocks of the rows whose id is its component's
+    representative (label == id) or in no component. ``rows`` are the
+    rows' map outputs split on ``id % len(labels)`` (``split_rows``), and
+    ``labels`` is ``components``' output: each partition's rows meet its
+    labels in one task."""
+    args = [(labels[p] and labels[p][0], *part)
+            for p in range(len(labels)) if (part := part_refs(rows, p))]
+    if not args and rows:  # no rows: one empty part keeps the schema
+        args = [(None, rows[0][1][0])]
     out = _run_tasks(functools.partial(_keep_representatives, id_col), args, num_returns=2)
     return [(refs[0], meta) for meta, refs in out]

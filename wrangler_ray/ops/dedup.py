@@ -13,32 +13,26 @@ follows the data, never the CPU count.
   its LSH bucket rows (a FRACTION of the input bytes) split by bucket
   partition; an edge task per partition emits the verified or candidate
   edges of its buckets.
-- every variant then shares one tail (``_drop_clustered``): connected
-  components over the edges and one survivor filter. Edges are
-  ~O(#duplicates); while the distinct edge set fits ``max_driver_edges``
-  they are clustered on the driver by a vectorized min-label kernel
-  (``_non_min_ids``). Past that cap the edges stay in the object store:
-  the pair-DISTINCT, MinHash's signature verify, the connected components
-  (``wrangler_ray.ops.cc``) and the survivor filter all run as task rounds
-  on the same exchange, so the route never raises on a large edge set and
-  keeps the rows' Arrow schema.
+- every variant then shares one tail, at every input size: the edges
+  stay in the object store, and MinHash's two verify tiers (the signature
+  estimate, then true shingle-set Jaccard within ±EXACT_MARGIN of the
+  threshold), the connected components (``wrangler_ray.ops.cc``) and the
+  survivor filter all run as task rounds on the same exchange, in the
+  partitions of the rows. No edge set reaches the driver, and the
+  survivors keep the rows' Arrow schema.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
 from wrangler_ray.core.schema import concat_reconciled
-from wrangler_ray.ops.cc import (
-    _drop_ids,
-    _roots,
-    components,
-    drop_non_representatives,
-)
+from wrangler_ray.ops.cc import adjacency, components, drop_non_representatives, split_rows
 from wrangler_ray.tasks import (
     _exchange,
     _from_blocks,
@@ -46,6 +40,7 @@ from wrangler_ray.tasks import (
     block_meta,
     blocks_schema,
     block_refs,
+    live_refs,
     num_parts,
     part_refs,
     reduce_parts,
@@ -216,27 +211,20 @@ def _shingle_hashes(text: str, k: int = 5) -> np.ndarray:
     return _mix64(h)
 
 
-def _sign_texts(
-    texts: list, a: np.ndarray, b: np.ndarray, shingle_k: int, num_perm: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batch MinHash signing: one flattened shingle-hash pass over ALL docs
-    plus per-permutation ``np.minimum.reduceat`` segment mins — the per-doc
-    Python/numpy-call overhead of looping ``signature()`` removed from the
-    hottest dedup stage (VERDICT r4 #3). Byte-identical to the per-doc path
-    (pinned by tests/test_advice_r5.py): the sliding-window hash of each doc
-    is a contiguous slice of the concatenated window hash, and reduceat's
-    per-segment min equals the per-doc min.
+def _shingle_chunks(texts: list, k: int):
+    """The k-shingle hashes of ``texts`` in one flattened pass per chunk,
+    equal to ``_shingle_hashes`` per text: yields per chunk ``(positions,
+    sh, bounds)``, the chunk's texts' positions in ``texts``, their hashes
+    concatenated, and the text at ``positions[d]``'s hashes
+    ``sh[bounds[d]:bounds[d + 1]]``. Null texts have none and are skipped.
 
-    Returns ``(sigs, digs)``: ``sigs[i]`` is UINT64_MAX for null texts
-    (no shingles), ``digs[i]`` the re-mixed XOR of the doc's DISTINCT
-    shingle hashes (0 for null texts)."""
-    n = len(texts)
-    sigs = np.full((n, num_perm), np.iinfo(np.uint64).max, np.uint64)
-    digs = np.zeros(n, np.uint64)
-    # string prep stays per-doc (must match str.split()'s unicode whitespace
-    # semantics exactly); all numeric work below is batched per cache chunk
-    codes_list, valid = [], []
-    k = shingle_k
+    The string prep stays per text (it must match str.split()'s unicode
+    whitespace semantics exactly); the hashing is batched per chunk of at
+    most CHUNK bytes (a longer text alone), so a chunk's hashes (~CHUNK × 8
+    B) stay L2-resident through a signer's 64 permutation passes: one
+    global pass is memory-bandwidth bound (measured 2-4× slower), one text
+    per pass is interpreter-bound."""
+    codes, pos = [], []
     for i, x in enumerate(texts):
         if x is None:
             continue
@@ -246,62 +234,68 @@ def _sign_texts(
         c = np.frombuffer(s.encode("utf-8"), dtype=np.uint8)
         if len(c) < k:
             c = np.pad(c, (0, k - len(c)), constant_values=32)
-        codes_list.append(c)
-        valid.append(i)
-    if not codes_list:
-        return sigs, digs
-    vi = np.asarray(valid)
+        codes.append(c)
+        pos.append(i)
     powers = np.empty(k, np.uint64)
     powers[0] = 1
     with np.errstate(over="ignore"):
         for j in range(1, k):
             powers[j] = powers[j - 1] * _FNV  # wraps mod 2^64
-    # chunk docs so one chunk's shingle hashes (~CHUNK × 8 B) stay L2-resident
-    # through the 64 permutation passes: one global pass is memory-bandwidth
-    # bound (measured 2-4× slower), one doc per pass is interpreter-bound
     CHUNK = 1 << 16
-    lens_all = np.array([len(c) for c in codes_list], np.int64)
-    dig_out = np.empty(len(vi), np.uint64)
-    sig_out = np.empty((len(vi), num_perm), np.uint64)
+    lens_all = np.array([len(c) for c in codes], np.int64)
     lo = 0
-    while lo < len(codes_list):
+    while lo < len(codes):
         hi = lo + 1
         tot = lens_all[lo]
-        while hi < len(codes_list) and tot + lens_all[hi] <= CHUNK:
+        while hi < len(codes) and tot + lens_all[hi] <= CHUNK:
             tot += lens_all[hi]
             hi += 1
         lens = lens_all[lo:hi]
-        C = np.concatenate(codes_list[lo:hi]).astype(np.uint64)
+        C = np.concatenate(codes[lo:hi]).astype(np.uint64)
         nw_all = len(C) - k + 1
         with np.errstate(over="ignore"):
             H = np.zeros(nw_all, np.uint64)
             for j in range(k):
                 H += C[j : j + nw_all] * powers[j]
         H = _mix64(H)
-        w = lens - k + 1  # windows per doc (padding guarantees >= 1)
+        w = lens - k + 1  # windows per text (padding guarantees >= 1)
         offsets = np.concatenate(([0], np.cumsum(lens)))[:-1]
-        wstart = np.concatenate(([0], np.cumsum(w)))[:-1]
-        # window j of doc i sits at offsets[i] + (j - wstart[i]) in H:
-        # windows crossing doc boundaries are skipped by construction
-        idx = np.arange(int(w.sum())) + np.repeat(offsets - wstart, w)
-        sh = H[idx]
+        bounds = np.concatenate(([0], np.cumsum(w)))
+        # window j of text i sits at offsets[i] + (j - bounds[i]) in H:
+        # windows crossing text boundaries are skipped by construction
+        idx = np.arange(bounds[-1]) + np.repeat(offsets - bounds[:-1], w)
+        yield np.asarray(pos[lo:hi]), H[idx], bounds
+        lo = hi
+
+
+def _sign_texts(
+    texts: list, a: np.ndarray, b: np.ndarray, shingle_k: int, num_perm: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batch MinHash signing: the flattened shingle-hash pass of
+    ``_shingle_chunks`` plus per-permutation ``np.minimum.reduceat``
+    segment mins — the per-doc Python/numpy-call overhead of looping
+    ``signature()`` removed from the hottest dedup stage (VERDICT r4 #3).
+    Byte-identical to the per-doc path (pinned by tests/test_advice_r5.py):
+    reduceat's per-segment min equals the per-doc min.
+
+    Returns ``(sigs, digs)``: ``sigs[i]`` is UINT64_MAX for null texts
+    (no shingles), ``digs[i]`` the re-mixed XOR of the doc's DISTINCT
+    shingle hashes (0 for null texts)."""
+    n = len(texts)
+    sigs = np.full((n, num_perm), np.iinfo(np.uint64).max, np.uint64)
+    digs = np.zeros(n, np.uint64)
+    for pos, sh, bounds in _shingle_chunks(texts, shingle_k):
         # SET digest per doc: XOR of DISTINCT shingle hashes, re-mixed
         # (np.unique per small slice beats a segmented lexsort by ~10×)
-        ends = wstart + w
-        for d in range(len(w)):
-            dig_out[lo + d] = np.bitwise_xor.reduce(
-                np.unique(sh[wstart[d] : ends[d]])
-            )
+        digs[pos] = _mix64(np.array([np.bitwise_xor.reduce(np.unique(sh[lo:hi]))
+                                     for lo, hi in zip(bounds[:-1], bounds[1:])], np.uint64))
+        out = np.empty((len(pos), num_perm), np.uint64)
         with np.errstate(over="ignore"):
             # one 1-D pass per permutation: 2-D reduceat(axis=1) is ~15×
             # slower in numpy (segment dispatch on the non-contiguous axis)
             for p in range(num_perm):
-                sig_out[lo:hi, p] = np.minimum.reduceat(
-                    sh * a[p] + b[p], wstart
-                )
-        lo = hi
-    digs[vi] = _mix64(dig_out)
-    sigs[vi] = sig_out
+                out[:, p] = np.minimum.reduceat(sh * a[p] + b[p], bounds[:-1])
+        sigs[pos] = out
     return sigs, digs
 
 
@@ -551,84 +545,15 @@ def _repair_candidates(a_ids: np.ndarray, b_ids: np.ndarray,
     return _repair_pairs(a_ids[sel], b_ids[sel], cap=cap)
 
 
-def _dedupe_pairs_df(df: pd.DataFrame) -> pd.DataFrame:
-    """Deduplicate an (a, b[, ch][, fb]) edge frame; a pair flagged as a chain
-    edge (ch=1: guaranteed-duplicate, skips verification) or as a fallback
-    star edge (fb=1: re-paired if verification fails) in ANY bucket keeps the
-    flag."""
-    flags = [c for c in ("ch", "fb") if c in df.columns]
-    if flags:
-        # keep the max flag per pair WITHOUT a groupby: stable-sort flagged
-        # rows first, then hash-based drop_duplicates keeps them (measured
-        # several times faster than groupby(["a","b"]).max on millions of
-        # edges)
-        return (
-            df.sort_values(flags, ascending=False, kind="stable")
-            .drop_duplicates(["a", "b"], ignore_index=True)
-        )
-    return df.drop_duplicates(ignore_index=True)
-
-
-def _distinct_edges(*tables) -> tuple:
-    """Reduce task of the pair-DISTINCT (see _dedupe_pairs_df): the same
-    pair surfaces from up to `bands` different LSH buckets."""
-    df = _dedupe_pairs_df(concat_reconciled(list(tables)).to_pandas())
-    t = pa.table({c: df[c].to_numpy() for c in df.columns})
-    return t.num_rows, t
-
-
-def _non_min_ids(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sorted ids of every edge endpoint that is NOT its connected
-    component's minimum id — the rows a near-dup filter drops. Vectorized
-    min-label propagation (``cc._roots``) over ``np.unique`` node ranks:
-    ranks are in id order, so each component keeps its min id."""
-    nodes, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
-    parent = _roots(inv[: len(a)], inv[len(a):], len(nodes))
-    return nodes[parent != np.arange(len(nodes))]
-
-
-def _drop_clustered(blocks: list, edges: list, id_col: str, max_driver_edges: int,
-                    verify=None, verify_parts=None):
-    """The near-dup tail every variant shares: cluster the candidate edges
-    and keep the min-id row of each cluster. ``blocks`` are the ``(ref,
-    rows)`` blocks of the rows to filter and ``edges`` those of the
-    candidate-edge tables (a, b[, ch, fb]), so the edge count is free
-    metadata. Returns a materialized Dataset.
-
-    A raw count over ``max_driver_edges`` is first re-counted after a
-    pair-DISTINCT, one exchange split on ``a % parts`` (the same pair
-    arrives from up to `bands` buckets). A DISTINCT edge set still over
-    the cap never reaches the driver: ``verify_parts(edges, parts)`` keeps
-    the accepted edges, ``cc.components`` clusters them and
-    ``cc.drop_non_representatives`` filters the rows, all in task rounds.
-    A 100 TB crawl corpus blows past any driver cap on the first run, so
-    this never raises. Under the cap the edges are fetched, ``verify(edges)
-    -> (a, b)`` keeps the accepted ones, the driver kernel clusters them
-    and one filter task per block drops every non-minimum id."""
-    import ray
-
-    if sum(n for _, n in edges) > max_driver_edges:
-        parts = num_parts(sum(n for _, n in edges))
-        edges = _exchange(edges, functools.partial(split_on, "a", parts),
-                          _distinct_edges, parts)
-        if sum(n for _, n in edges) > max_driver_edges:
-            if verify_parts is not None:
-                edges = verify_parts(edges, parts)
-            return _from_blocks(drop_non_representatives(
-                blocks, components(edges, parts), id_col))
-    # under the cap: collect as a deduplicated (a, b[, ch, fb]) frame —
-    # Arrow-table collection + vectorized dedupe, never per-row iteration
-    tabs = ray.get([ref for ref, n in edges if n])
-    drop_arr = np.empty(0, np.int64)
-    if tabs:
-        frame = _dedupe_pairs_df(pa.concat_tables(tabs).to_pandas())
-        a, b = frame["a"].to_numpy(), frame["b"].to_numpy()
-        if verify is not None:
-            a, b = verify(frame)
-        drop_arr = _non_min_ids(a, b)
-    out = _run_tasks(functools.partial(_drop_ids, id_col, drop_arr),
-                     [ref for ref, _ in blocks], num_returns=2)
-    return _from_blocks([(refs[0], meta) for meta, refs in out])
+def _distinct_pairs(t: pa.Table) -> pa.Table:
+    """The distinct (a, b) pairs of an edge table (a, b, ch, fb): the same
+    pair comes from up to ``bands`` LSH buckets, and a flag set on any copy
+    stays set, a chain edge's (ch=1: guaranteed duplicate, skips
+    verification) or a fallback star edge's (fb=1: re-paired if
+    verification fails)."""
+    g = t.group_by(["a", "b"]).aggregate([("ch", "max"), ("fb", "max")])
+    return pa.table({"a": g.column("a"), "b": g.column("b"),
+                     "ch": g.column("ch_max"), "fb": g.column("fb_max")})
 
 
 def _verified_bucket_pairs(df: pd.DataFrame, key_cols: list, id_col: str,
@@ -652,10 +577,13 @@ def _verified_bucket_pairs(df: pd.DataFrame, key_cols: list, id_col: str,
 
 def _sign_band(text_col: str, id_col: str, hasher: MinHasher, bands: int,
                parts: int, block) -> tuple:
-    """Sign-and-band map task of ``minhash_lsh_dedup``: ``((band rows per
-    partition, signed rows' block_meta, band parts' block_metas), signed
-    rows (id, sig, dig), band part 0, …, band part parts-1)`` of one block.
-    The metadata lets the artifact Datasets be built with no task of their
+    """Sign-and-band map task of ``minhash_lsh_dedup``: the rows of one
+    block, its signed rows (id, sig, dig) and its LSH band rows, each split
+    into ``parts`` partitions, the rows and signed rows on ``id % parts``
+    and the band rows on ``_bkt % parts``: ``((rows per partition, band
+    rows per partition, signed parts' block_metas, band parts'
+    block_metas), row part 0, …, signed part 0, …, band part 0, …)``. The
+    metadata lets the artifact Datasets be built with no task of their
     own."""
     t = to_arrow(block)
     # batched signer (one flattened pass; see _sign_texts). The SET digest
@@ -674,11 +602,14 @@ def _sign_band(text_col: str, id_col: str, hasher: MinHasher, bands: int,
             "dig": pa.array(digs.astype(np.int64), pa.int64()),
         }
     )
+    part = t.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64) % parts
+    counts, *rows = split(t, part, parts)
+    _, *sig_parts = split(signed, part, parts)
     # all rows of one (band, key) LSH bucket meet in one edge task
-    counts, *band_parts = split_on(
+    band_counts, *band_parts = split_on(
         "_bkt", parts, _band_rows(signed, hasher.num_perm, bands, id_col))
-    return ((counts, block_meta(signed), [block_meta(b) for b in band_parts]),
-            signed, *band_parts)
+    return ((counts, band_counts, [block_meta(b) for b in sig_parts],
+             [block_meta(b) for b in band_parts]), *rows, *sig_parts, *band_parts)
 
 
 def _digest_pairs(df: pd.DataFrame, id_col: str, pair_cap: int) -> tuple:
@@ -727,77 +658,61 @@ def _digest_pairs(df: pd.DataFrame, id_col: str, pair_cap: int) -> tuple:
             np.concatenate([star_b, rep_b]), ch, fb)
 
 
-def _band_edges(id_col: str, pair_cap: int, watermark, *tables) -> tuple:
-    """Edge task of ``minhash_lsh_dedup``: ``(edge count, edges (a, b, ch,
-    fb))`` of one band partition, which holds MANY (band,key) LSH buckets
-    → vectorized pandas/numpy inside. ALL pairs within an LSH bucket are
-    candidates (star-edges to the group min would silently drop real pairs
-    whenever the min is a false-positive collision that fails downstream
-    verification), with the signature-digest reduction collapsing
-    identical-signature members to chains + one representative. With a
-    ``watermark`` (an index's max id), pairs whose both endpoints are
-    historical are dropped: they were resolved when those docs were
-    indexed."""
-    a_np, b_np, ch, fb = _digest_pairs(
-        concat_reconciled(list(tables)).to_pandas(), id_col, pair_cap)
-    out = _dedupe_pairs_df(pd.DataFrame({"a": a_np, "b": b_np, "ch": ch, "fb": fb}))
+def _band_edges(id_col: str, pair_cap: int, watermark, parts: int, *tables) -> tuple:
+    """Edge task of ``minhash_lsh_dedup``: the candidate edges (a, b, ch,
+    fb) of one band partition, which holds MANY (band,key) LSH buckets
+    → vectorized pandas/numpy inside, split on ``a % parts``: ``((edges per
+    partition, historical endpoints), part 0, …)``. ALL pairs within an LSH
+    bucket are candidates (star-edges to the group min would silently drop
+    real pairs whenever the min is a false-positive collision that fails
+    downstream verification), with the signature-digest reduction
+    collapsing identical-signature members to chains + one
+    representative. With a ``watermark`` (an index's max id), pairs whose
+    both endpoints are historical are dropped: they were resolved when
+    those docs were indexed; the historical endpoints are the distinct
+    ``a ≤ watermark``."""
+    a, b, ch, fb = _digest_pairs(concat_reconciled(list(tables)).to_pandas(), id_col, pair_cap)
     if watermark is not None:
         # a<b on every emitted pair, so b ≤ watermark ⇔ both are historical
-        out = out[out["b"].to_numpy() > watermark]
-    t = pa.table({"a": pa.array(out["a"]), "b": pa.array(out["b"]),
-                  "ch": pa.array(out["ch"].astype(np.int8)),
-                  "fb": pa.array(out["fb"].astype(np.int8))})
-    return t.num_rows, t
+        new = b > watermark
+        a, b, ch, fb = a[new], b[new], ch[new], fb[new]
+    t = _distinct_pairs(pa.table({"a": a.astype(np.int64), "b": b.astype(np.int64),
+                                  "ch": ch, "fb": fb}))
+    a = t.column("a").to_numpy()
+    counts, *edges = split(t, a % parts, parts)
+    return ((counts, _historical(a, watermark)), *edges)
 
 
-def _rows_with_ids(id_col: str, ids: np.ndarray, block) -> pa.Table:
-    """Scan task: the rows of ``block`` whose id is in ``ids``."""
-    t = to_arrow(block)
-    return t.filter(pa.array(np.isin(t.column(id_col).to_numpy(zero_copy_only=False), ids)))
+def _historical(ids: np.ndarray, watermark) -> np.ndarray:
+    """The distinct ``ids`` at or below an index's ``watermark`` (none
+    without one)."""
+    return np.unique(ids[ids <= watermark]) if watermark is not None else ids[:0]
 
 
-def _shingle_rows(id_col: str, text_col: str, shingle_k: int, ids: np.ndarray,
-                  block) -> pa.Table:
-    """Text-fetch task: (id, distinct shingle hashes, sorted, as bytes) of
-    the rows of ``block`` whose id is in ``ids`` — shingled once per doc in
-    the worker. Distinct, because ``_true_jaccard_ok`` counts them as a
-    set: a text that repeats a k-gram repeats its hash."""
-    t = _rows_with_ids(id_col, ids, block)
-    arrs = [
-        np.unique(_shingle_hashes(x, shingle_k)).astype(np.int64)
-        if x is not None else np.empty(0, np.int64)
-        for x in t.column(text_col).to_pylist()
-    ]
-    return pa.table({id_col: t.column(id_col),
-                     "sh": pa.array([a.tobytes() for a in arrs], pa.binary())})
+def _shingles(text_col: str, shingle_k: int, t: pa.Table) -> pa.Array:
+    """The distinct shingle hashes of each row of ``t``, sorted, as bytes:
+    the exact tier's value of a document, shingled in one batched pass
+    (``_shingle_chunks``) in a task. Distinct, because ``_true_jaccard_ok``
+    counts them as a set: a text that repeats a k-gram repeats its hash."""
+    texts = t.column(text_col).to_pylist()
+    out = [b""] * len(texts)
+    for pos, sh, bounds in _shingle_chunks(texts, shingle_k):
+        for i, lo, hi in zip(pos, bounds[:-1], bounds[1:]):
+            out[i] = np.unique(sh[lo:hi]).astype(np.int64).tobytes()
+    return pa.array(out, pa.binary())
 
 
-def _true_jaccard_ok(threshold: float, aa: np.ndarray, bb: np.ndarray,
-                     sh: dict) -> np.ndarray:
-    """Accept mask of edges (aa, bb) by TRUE shingle-set Jaccard over the
-    sorted distinct shingle arrays ``sh`` (by id)."""
-    oks = np.zeros(len(aa), bool)
-    empty = np.empty(0, np.int64)
-    for j in range(len(aa)):
-        s_a = sh.get(aa[j], empty)
-        s_b = sh.get(bb[j], empty)
+def _true_jaccard_ok(threshold: float, sa, sb) -> np.ndarray:
+    """Accept mask of the edges whose endpoints have the sorted distinct
+    shingle arrays ``sa[i]`` and ``sb[i]`` (bytes, see ``_shingles``), by
+    TRUE shingle-set Jaccard."""
+    oks = np.zeros(len(sa), bool)
+    for j, (x, y) in enumerate(zip(sa.to_pylist(), sb.to_pylist())):
+        s_a, s_b = np.frombuffer(x, np.int64), np.frombuffer(y, np.int64)
         inter = len(np.intersect1d(s_a, s_b, assume_unique=True))
         union = len(s_a) + len(s_b) - inter
         oks[j] = ((inter / union) if union else 1.0) >= threshold
     return oks
-
-
-def _estimate(ma: np.ndarray, ia: np.ndarray, mb: np.ndarray, ib: np.ndarray) -> np.ndarray:
-    """MinHash Jaccard estimate of the edges (row ``ia[i]`` of the
-    signature matrix ``ma``, row ``ib[i]`` of ``mb``): the share of equal
-    signature components, unbiased. CHUNKED: gathering two (n_edges ×
-    perm) matrices at once churns GBs of fresh allocations (measured 40s
-    vs 1.3s chunked at 2M edges), so it runs in bounded slices."""
-    est = np.empty(len(ia))
-    for s in range(0, len(ia), 1 << 17):
-        sl = slice(s, s + (1 << 17))
-        est[sl] = (ma[ia[sl]] == mb[ib[sl]]).mean(axis=1)
-    return est
 
 
 def _sig_matrix(col, num_perm: int) -> np.ndarray:
@@ -806,90 +721,113 @@ def _sig_matrix(col, num_perm: int) -> np.ndarray:
             .reshape(-1, num_perm))
 
 
-def _lookup(id_col: str, col: str, n_sig: int, tables: tuple) -> tuple:
-    """``(signatures, edges, rows)`` of a verify task: the signature
-    tables (id, sig, dig) ``tables[:n_sig]`` and edge tables
-    ``tables[n_sig:]`` of one partition, each concatenated, and the
-    signature row of every edge's ``col`` endpoint."""
-    sig = concat_reconciled(list(tables[:n_sig]))
-    edges = concat_reconciled(list(tables[n_sig:]))
-    ids = sig.column(id_col).to_numpy(zero_copy_only=False)
-    order = np.argsort(ids)
-    at = np.searchsorted(ids[order], edges.column(col).to_numpy(zero_copy_only=False))
-    return sig, edges, order[at]
+def _values_at(id_col: str, values, side: pa.Table, ids: np.ndarray):
+    """``values(rows)`` of the ``side`` row of each id in ``ids``, computed
+    once per distinct id."""
+    have = side.column(id_col).to_numpy(zero_copy_only=False)
+    need, inv = np.unique(ids, return_inverse=True)
+    order = np.argsort(have)
+    rows = order[np.searchsorted(have[order], need)]
+    return values(side.take(pa.array(rows))).take(pa.array(inv))
 
 
-def _attach_a(id_col: str, parts: int, n_sig: int, *tables) -> tuple:
-    """First verify round, partition ``a % parts``: the edges with their
-    ``a`` endpoint's signature appended (sig_a), split on ``b % parts``."""
-    sig, edges, ia = _lookup(id_col, "a", n_sig, tables)
-    t = edges.append_column("sig_a", sig.column("sig").take(pa.array(ia)))
-    return split(t, t.column("b").to_numpy(zero_copy_only=False) % parts, parts)
+def _sides(counts: tuple, tables: tuple) -> list:
+    """A verify task's inputs: one table per side, its ``counts[i]`` parts
+    concatenated, then the edge table of the parts after them."""
+    out, i = [], 0
+    for n in (*counts, len(tables) - sum(counts)):
+        out.append(concat_reconciled(list(tables[i:i + n])))
+        i += n
+    return out
 
 
-def _verdicts(id_col: str, num_perm: int, threshold: float, n_sig: int,
-              *tables) -> tuple:
-    """Second verify round, partition ``b % parts``: ``((accepted,
-    fallback rows), accepted (a, b), fallback star edges (a, b, ok))``.
-    An edge is accepted when it is a chain edge or its MinHash estimate
-    against its ``b`` endpoint's signature reaches ``threshold``."""
-    sig, edges, ib = _lookup(id_col, "b", n_sig, tables)
-    est = _estimate(_sig_matrix(edges.column("sig_a"), num_perm),
-                    np.arange(edges.num_rows), _sig_matrix(sig.column("sig"), num_perm), ib)
-    ok = (est >= threshold) | edges.column("ch").to_numpy().astype(bool)
-    fb = edges.column("fb").to_numpy().astype(bool)
-    acc = edges.filter(pa.array(ok)).select(["a", "b"])
-    fbs = edges.filter(pa.array(fb)).select(["a", "b"]).append_column("ok", pa.array(ok[fb]))
-    return (acc.num_rows, fbs.num_rows), acc, fbs
+def _attach_sig(id_col: str, parts: int, n_sig: int, *tables) -> tuple:
+    """Estimate tier, first round, partition ``a % parts``: the signature
+    parts (id, sig, dig) ``tables[:n_sig]``, then the candidate edge parts
+    (a, b, ch, fb). Returns the distinct edges (``_distinct_pairs``) with
+    their ``a`` endpoint's signature appended (sig_a), split on ``b %
+    parts``."""
+    sig, edges = _sides((n_sig,), tables)
+    t = _distinct_pairs(edges)
+    t = t.append_column("sig_a", _values_at(id_col, operator.methodcaller("column", "sig"),
+                                            sig, t.column("a").to_numpy()))
+    return split(t, t.column("b").to_numpy() % parts, parts)
 
 
-def _verify_parts(edges: list, sig_refs: list, id_col: str, num_perm: int,
-                  threshold: float, pair_cap: int, parts: int) -> list:
-    """MinHash verify past the driver cap: the accepted (a, b) edges, as
-    ``(ref, rows)`` blocks, of the distinct candidate edges (a, b, ch, fb)
-    ``edges``, in two task rounds. The signature tables ``sig_refs``
-    split on ``id % parts`` meet the edges split on ``a % parts``
-    (``_attach_a``), then again split on ``b % parts`` (``_verdicts``).
-    Estimate only: the exact tier of the driver route is not run here.
-    One repair round as on the driver route: the fallback star edges and
-    their verdicts (one row per member of an oversized LSH group) come to
-    the driver, and the repair pairs take the same two rounds."""
-    import ray
+def _decided(edges: pa.Table, ok: np.ndarray, decided: np.ndarray, parts: int) -> tuple:
+    """A verify round's verdicts on its ``edges``: the decided fallback
+    star edges (a, b, ok), then the ``adjacency`` of the accepted edges
+    (rows per partition, part 0, …)."""
+    fb = edges.column("fb").to_numpy().astype(bool) & decided
+    return (edges.filter(pa.array(fb)).select(["a", "b"]).append_column("ok", pa.array(ok[fb])),
+            *adjacency(parts, edges.filter(pa.array(ok))))
 
-    sigs = _run_tasks(functools.partial(split_on, id_col, parts), sig_refs,
-                      num_returns=parts + 1)
 
-    def meet(maps: list) -> list:
-        # per partition with edges: its signature part count, those parts,
-        # then its edge parts
-        args = []
-        for p in range(parts):
-            if edge := part_refs(maps, p):
-                sig = part_refs(sigs, p)
-                args.append((len(sig), *sig, *edge))
-        return args
+def _estimate_verdicts(id_col: str, shingles, num_perm: int, threshold: float, watermark,
+                       parts: int, n_sig: int, n_rows: int, *tables) -> tuple:
+    """Estimate tier, second round, partition ``b % parts``: the signature
+    parts, the row parts, then the edge parts (a, b, ch, fb, sig_a). An
+    edge is accepted when it is a chain edge (same shingle set ⇒ true
+    Jaccard 1.0) or its MinHash estimate (the share of equal signature
+    components, unbiased) reaches ``threshold + EXACT_MARGIN``. It is
+    unsure when not accepted and the estimate reaches ``threshold -
+    EXACT_MARGIN``: it takes its ``b`` endpoint's ``shingles`` (sh_b) and
+    goes on to the exact tier. Returns ``((adjacency rows per partition,
+    fallback rows, unsure rows per partition, historical unsure
+    endpoints), decided fallback star edges (a, b, ok), the accepted
+    edges' adjacency parts, unsure part 0, …)``, the unsure edges (a, b,
+    fb, sh_b) split on ``a % parts``."""
+    sig, rows, edges = _sides((n_sig, n_rows), tables)
+    ma = _sig_matrix(edges.column("sig_a"), num_perm)
+    mb = _sig_matrix(_values_at(id_col, operator.methodcaller("column", "sig"), sig,
+                                edges.column("b").to_numpy()), num_perm)
+    # chunked, so the comparison temporaries stay bounded
+    est, step = np.empty(len(ma)), 1 << 17
+    for s in range(0, len(ma), step):
+        est[s:s + step] = (ma[s:s + step] == mb[s:s + step]).mean(axis=1)
+    ok = (est >= threshold + EXACT_MARGIN) | edges.column("ch").to_numpy().astype(bool)
+    unsure = ~ok & (est >= threshold - EXACT_MARGIN)
+    later = edges.filter(pa.array(unsure)).select(["a", "b", "fb"])
+    later = later.append_column("sh_b", _values_at(id_col, shingles, rows,
+                                                   later.column("b").to_numpy()))
+    a = later.column("a").to_numpy()
+    counts, *rest = split(later, a % parts, parts)
+    fbs, adj, *adj_parts = _decided(edges, ok, ~unsure, parts)
+    return ((adj, fbs.num_rows, counts, _historical(a, watermark)), fbs, *adj_parts, *rest)
 
-    def rounds(edge_refs: list) -> list:
-        by_a = _run_tasks(functools.partial(split_on, "a", parts), edge_refs,
-                          num_returns=parts + 1)
-        by_b = _run_tasks(functools.partial(_attach_a, id_col, parts), meet(by_a),
-                          num_returns=parts + 1)
-        return _run_tasks(functools.partial(_verdicts, id_col, num_perm, threshold),
-                          meet(by_b), num_returns=3)
 
-    out = rounds([ref for ref, n in edges if n])
-    accepted = [(refs[0], n) for (n, _), refs in out]
-    fb = ray.get([refs[1] for (_, n), refs in out if n])
-    if fb:
-        t = pa.concat_tables(fb)
-        a = t.column("a").to_numpy()
-        rep_a, rep_b = _repair_candidates(a, t.column("b").to_numpy(), np.ones(len(a), bool),
-                                          t.column("ok").to_numpy(), cap=pair_cap)
-        if len(rep_a):
-            zero = np.zeros(len(rep_a), np.int8)
-            rep = ray.put(pa.table({"a": rep_a, "b": rep_b, "ch": zero, "fb": zero}))
-            accepted += [(refs[0], n) for (n, _), refs in rounds([rep])]
-    return accepted
+def _exact_verdicts(id_col: str, shingles, threshold: float, parts: int, n_rows: int,
+                    *tables) -> tuple:
+    """Exact tier, partition ``a % parts``: the row parts (this call's
+    rows, then the index's texts of historical endpoints), then the unsure
+    edge parts (a, b, fb, sh_b). An edge is accepted when the TRUE
+    shingle-set Jaccard of its endpoints reaches ``threshold``. Returns
+    ``((adjacency rows per partition, fallback rows), fallback star edges
+    (a, b, ok), the accepted edges' adjacency parts)``."""
+    rows, edges = _sides((n_rows,), tables)
+    ok = _true_jaccard_ok(threshold, _values_at(id_col, shingles, rows,
+                                                edges.column("a").to_numpy()),
+                          edges.column("sh_b"))
+    fbs, adj, *adj_parts = _decided(edges, ok, np.ones(len(ok), bool), parts)
+    return ((adj, fbs.num_rows), fbs, *adj_parts)
+
+
+def _beside(parts: int, maps: list, *sides) -> list:
+    """The task arguments of a verify round: per partition that holds
+    edges in the map outputs ``maps``, the part count of each side (map
+    outputs split on ``id % parts``), those parts, then its edge parts."""
+    args = []
+    for p in range(parts):
+        if edge := part_refs(maps, p):
+            side = [part_refs(s, p) for s in sides]
+            args.append((*map(len, side), *(r for refs in side for r in refs), *edge))
+    return args
+
+
+def _split_read(ds, col: str, parts: int) -> list:
+    """The ``split_on(col, parts)`` map outputs of the blocks of an index
+    read ``ds`` that hold rows."""
+    return split_rows([(ref, n) for ref, n in block_refs(ds) if n], col, parts)
 
 
 def minhash_lsh_dedup(
@@ -900,7 +838,6 @@ def minhash_lsh_dedup(
     bands: int = 16,
     jaccard_threshold: float = 0.8,
     shingle_k: int = 5,
-    max_driver_edges: int = 4_000_000,
     pair_cap: int = 256,
     pre_exact: bool = True,
     indexed=None,
@@ -909,13 +846,16 @@ def minhash_lsh_dedup(
     """MinHash+LSH near-dup removal: shingle→minhash→band→bucket exchange→
     candidate pairs→verify Jaccard→connected components→keep min-id per
     cluster. Eager: returns the deduplicated rows as a materialized
-    Dataset.
+    Dataset, grouped by id partition.
 
     The work runs as plain Ray tasks over object refs (``wrangler_ray.
-    tasks``): a sign-and-band task per block splits its band rows by
-    partition (``_bkt`` modulo ``num_parts`` of the row count), and an edge
-    task per partition emits the candidate edges; ``_drop_clustered``
-    verifies, clusters and filters.
+    tasks``), in ``num_parts`` of the row count partitions: a sign-and-band
+    task per block splits its rows and signatures on ``id % parts`` and its
+    band rows on ``_bkt % parts``; an edge task per band partition emits
+    the candidate edges split on ``a % parts``; the verify tiers, the
+    connected components (``wrangler_ray.ops.cc``) and the survivor filter
+    run as task rounds on the same exchange. No edge set reaches the
+    driver, whatever the input size.
 
     ``pre_exact`` first collapses byte-identical texts with the
     ``exact_dedup`` exchange (keep min id per distinct text). This is
@@ -925,26 +865,31 @@ def minhash_lsh_dedup(
     corpora (crawl data) it shrinks signature work linearly and
     candidate-edge volume quadratically before the expensive stages run.
 
-    Verification is two-tier so dup-heavy corpora (crawl data) stay cheap:
-    every candidate edge is scored with the vectorized MinHash Jaccard
-    ESTIMATE (mean of matching signature components — one numpy comparison
-    over all edges at once, signatures only, ~num_perm·8 bytes per doc on the
-    driver); only edges within ``±EXACT_MARGIN`` of the threshold fall back
-    to TRUE shingle-set Jaccard, for which only those few texts are fetched.
+    Verification is two-tier so dup-heavy corpora stay cheap: every
+    distinct candidate edge meets its endpoints' signatures in two task
+    rounds, ``a``'s then ``b``'s, and is scored with the vectorized MinHash
+    Jaccard ESTIMATE (``_estimate_verdicts``); only edges within
+    ``±EXACT_MARGIN`` of the threshold take ``b``'s shingles there and meet
+    ``a``'s text in one more round, to be decided by TRUE shingle-set
+    Jaccard (``_exact_verdicts``). One repair round follows: the verdicts
+    of the fallback star edges (one row per member of an LSH group over
+    ``pair_cap``) come to the driver, and the repair pairs go through the
+    same tiers.
 
     ``indexed`` unions an already-deduped historical corpus into the
     candidate space without re-signing it, through one protocol (a
     ``MinHashDedupIndex``): ``sig_parts`` (int), ``watermark`` (max indexed
     id), ``banded_for(pbs, keys)`` → Dataset of historical band rows
     (_bkt, band, key, id, dig) pruned to the partitions/keys the increment
-    actually hashes to, ``sigs_for(ids | None)`` → (id, sig, dig) rows for
-    exactly those ids (None = all), and ``texts_for(ids)`` → (id, text).
+    actually hashes to, ``sigs_for(ids)`` → (id, sig, dig) rows for
+    exactly those ids, and ``texts_for(ids)`` → (id, text).
     The historical band rows join the band exchange as extra map inputs.
-    Historical signatures are read only for candidate-edge endpoints and
-    historical band rows only from matching partitions — O(increment) work
-    per call, not O(index). Candidate pairs whose BOTH endpoints are
-    historical (b ≤ watermark) are dropped: they were resolved when those
-    docs were indexed.
+    Historical signatures are read only for candidate-edge endpoints,
+    historical texts only for unsure-edge endpoints, and historical band
+    rows only from matching partitions — O(increment) work per call, not
+    O(index). Candidate pairs whose BOTH endpoints are historical (b ≤
+    watermark) are dropped: they were resolved when those docs were
+    indexed.
 
     Incoming ids must exceed every indexed id so cluster minima always land
     on the indexed side ("old doc wins") — enforced by MinHashDedupIndex,
@@ -954,16 +899,7 @@ def minhash_lsh_dedup(
     ``return_artifacts=True`` returns ``(result, signed, banded)`` where
     ``signed``/``banded`` are materialized Datasets of the signature and
     band-row tables of THIS call's input docs — so an index appending the
-    survivors persists them by filtering instead of re-signing.
-
-    Past ``max_driver_edges`` distinct candidate edges (so always with
-    ``max_driver_edges=0``) no edge reaches the driver (``_drop_clustered``):
-    two task rounds attach each edge's endpoint signatures, ``a``'s then
-    ``b``'s, and apply the same estimate kernel as the driver route
-    (``_verify_parts``) with the same one repair round. The estimate alone
-    decides there, at ``jaccard_threshold``: no exact tier for the
-    borderline band, so survivors may differ from the driver route's
-    within ±EXACT_MARGIN."""
+    survivors persists them by filtering instead of re-signing."""
     import ray
 
     assert num_perm % bands == 0
@@ -975,133 +911,76 @@ def minhash_lsh_dedup(
     # from them in the same task
     signs = _run_tasks(
         functools.partial(_sign_band, text_col, id_col, hasher, bands, parts),
-        [ref for ref, n in blocks if n], num_returns=parts + 2,
+        live_refs(blocks), num_returns=3 * parts + 1,
     )
-    signed = [(refs[0], sig_meta) for (_, sig_meta, _), refs in signs]
-    maps = [(counts, refs[1:]) for (counts, _, _), refs in signs]
-    own_bands = [(ref, n) for counts, refs in maps for ref, n in zip(refs, counts)]
+    rows = [(counts, refs[:parts]) for (counts, *_), refs in signs]
+    sigs = [(counts, refs[parts:2 * parts]) for (counts, *_), refs in signs]
+    maps = [(counts, refs[2 * parts:]) for (_, counts, *_), refs in signs]
     watermark = None
     if indexed is not None:
         # prune the historical read to the band partitions (and, when small
         # enough to broadcast, the exact keys) this increment hashes to —
         # O(increment) historical I/O instead of re-reading the whole index
         pbs, keys = _collect_band_keys(
-            [ref for ref, n in own_bands if n], indexed.sig_parts, MAX_BROADCAST_KEYS
-        )
-        hist = block_refs(indexed.banded_for(pbs, keys))
-        maps = maps + _run_tasks(functools.partial(split_on, "_bkt", parts),
-                                 [ref for ref, n in hist if n], num_returns=parts + 1)
+            [ref for counts, refs in maps for ref, n in zip(refs, counts) if n],
+            indexed.sig_parts, MAX_BROADCAST_KEYS)
+        maps = maps + _split_read(indexed.banded_for(pbs, keys), "_bkt", parts)
         watermark = indexed.watermark
-    edges = [(refs[0], n) for n, refs in reduce_parts(
-        maps, functools.partial(_band_edges, id_col, pair_cap, watermark))]
+    out = reduce_parts(maps, functools.partial(_band_edges, id_col, pair_cap, watermark, parts),
+                       num_returns=parts + 1)
+    edges = [(counts, refs) for (counts, _), refs in out]
+    old = np.unique(np.concatenate([np.empty(0, np.int64), *(o for (_, o), _ in out)]))
+    if len(old):
+        # the historical endpoints' signatures: an id-filtered read of the
+        # persisted table (row-group pruning), not a full-index scan
+        sigs = sigs + _split_read(indexed.sigs_for(old), id_col, parts)
 
-    def verify_parts(edges: list, parts: int) -> list:
-        # no driver-side candidate set to prune on: every signature,
-        # the whole persisted table included, goes through the exchange
-        sig_refs = [ref for ref, _ in signed]
-        if indexed is not None:
-            sig_refs += [ref for ref, n in block_refs(indexed.sigs_for(None)) if n]
-        return _verify_parts(edges, sig_refs, id_col, num_perm, jaccard_threshold,
-                             pair_cap, parts)
+    shingles = functools.partial(_shingles, text_col, shingle_k)
 
-    def verify(edges: pd.DataFrame) -> tuple:
-        """Two-tier verification plus one repair round over the collected
-        candidate edges; returns the accepted (a, b) id arrays."""
-        # _band_edges flags every edge (ch, fb) and the pair-DISTINCT keeps
-        # the flags, so a non-empty edge frame always carries both
-        a_ids = edges["a"].to_numpy()
-        b_ids = edges["b"].to_numpy()
-        chain_mask = edges["ch"].to_numpy().astype(bool)
-        fb_mask = edges["fb"].to_numpy().astype(bool)
-        cand = np.unique(np.concatenate([a_ids, b_ids]))
+    def verify(edges: list) -> tuple:
+        # the two tiers over edges split on a % parts: (the accepted edges'
+        # adjacency map outputs, refs of the decided fallback star edges)
+        by_b = _run_tasks(functools.partial(_attach_sig, id_col, parts),
+                          _beside(parts, edges, sigs), num_returns=parts + 1)
+        out = _run_tasks(functools.partial(_estimate_verdicts, id_col, shingles, num_perm,
+                                           jaccard_threshold, watermark, parts),
+                         _beside(parts, by_b, sigs, rows), num_returns=2 * parts + 2)
+        unsure = [(counts, refs[parts + 1:]) for (_, _, counts, _), refs in out]
+        if any(counts.any() for counts, _ in unsure):
+            # the index's texts for the historical endpoints of unsure
+            # edges only (an unsure edge's b is never historical)
+            old = np.unique(np.concatenate([np.empty(0, np.int64),
+                                            *(o for (*_, o), _ in out)]))
+            texts = rows + (_split_read(indexed.texts_for(old), id_col, parts)
+                            if len(old) else [])
+            out = out + _run_tasks(
+                functools.partial(_exact_verdicts, id_col, shingles, jaccard_threshold, parts),
+                _beside(parts, unsure, texts), num_returns=parts + 2)
+        return ([(meta[0], refs[1:parts + 1]) for meta, refs in out],
+                [refs[0] for meta, refs in out if meta[1]])
 
-        # fetch candidate SIGNATURES (num_perm·8 bytes each, not texts):
-        # one scan task per signature table, vectorized membership
-        sig_refs = [ref for ref, _ in signed]
-        if indexed is not None:
-            # historical endpoints' signatures: an id-filtered read of the
-            # persisted table (row-group pruning), not a full-index scan
-            old = cand[cand <= indexed.watermark]
-            if len(old):
-                sig_refs += [ref for ref, n in block_refs(indexed.sigs_for(old)) if n]
-        sig_t = concat_reconciled([
-            t for t in _run_tasks(functools.partial(_rows_with_ids, id_col, cand), sig_refs)
-            if t.num_rows
-        ])
-        sig_ids = sig_t.column(id_col).to_numpy(zero_copy_only=False)
-        mat = _sig_matrix(sig_t.column("sig"), num_perm)
-        order = np.argsort(sig_ids)
-        sorted_ids = sig_ids[order]
-
-        def _verify(aa: np.ndarray, bb: np.ndarray, chm: np.ndarray) -> np.ndarray:
-            """Accept mask for candidate edges (aa, bb): vectorized MinHash
-            estimate, then TRUE shingle-set Jaccard for the borderline band.
-            Used for the main edge set AND the repair round (whose endpoints
-            all appeared in failed edges, so their signatures are already in
-            ``mat``)."""
-            ia = order[np.searchsorted(sorted_ids, aa)]
-            ib = order[np.searchsorted(sorted_ids, bb)]
-            est = _estimate(mat, ia, mat, ib)
-            accept = est >= jaccard_threshold + EXACT_MARGIN
-            accept |= chm  # same shingle set ⇒ true Jaccard 1.0
-            borderline = (~accept) & (est >= jaccard_threshold - EXACT_MARGIN)
-
-            if not borderline.any():
-                return accept
-            # exact shingle-set Jaccard for the borderline edges: fetch only
-            # those texts, shingled ONCE per doc in the fetch tasks, then
-            # verify edge BATCHES in parallel against a ray.put broadcast of
-            # the sorted shingle arrays (a dup-heavy crawl corpus puts most
-            # candidate edges in the borderline band — a driver-side loop
-            # here was the measured bottleneck)
-            bl = np.unique(
-                np.concatenate([aa[borderline], bb[borderline]])
-            )
-            text_refs = [ref for ref, n in blocks if n]
-            if indexed is not None:
-                # the index pushes the candidate-id filter into its parquet
-                # read (row-group stats pruning) instead of scanning every
-                # historical text
-                text_refs += [ref for ref, n in block_refs(indexed.texts_for(bl)) if n]
-            shingles = {
-                i: np.frombuffer(b, np.int64)
-                for t in _run_tasks(functools.partial(
-                    _shingle_rows, id_col, text_col, shingle_k, bl), text_refs)
-                for i, b in zip(t.column(id_col).to_pylist(), t.column("sh").to_pylist())
-            }
-            bl_idx = np.flatnonzero(borderline)
-            if len(bl_idx) < 20_000:
-                # small borderline set: one driver pass beats a round of tasks
-                ok = _true_jaccard_ok(jaccard_threshold, aa[bl_idx], bb[bl_idx], shingles)
-                accept[bl_idx[ok]] = True
-            else:
-                # large borderline set (dup-heavy corpora): verify edge
-                # slices in parallel against the broadcast shingle arrays
-                sh_ref = ray.put(shingles)
-                chunks = np.array_split(bl_idx, max(4, min(64, len(bl_idx) // 4096)))
-                oks = _run_tasks(functools.partial(_true_jaccard_ok, jaccard_threshold),
-                                 [(aa[c], bb[c], sh_ref) for c in chunks])
-                accept[np.concatenate(chunks)[np.concatenate(oks)]] = True
-            return accept
-
-        accept = _verify(a_ids, b_ids, chain_mask)
+    adj, fb = verify(edges)
+    if fb:
         # repair round: a fallback star edge (fb=1, from an oversized LSH
         # group) that FAILED verification would silently disconnect true
         # pairs among its members — re-pair those members all-vs-all
         # (chunk-bounded) and verify the repair edges the same way
-        rep_a, rep_b = _repair_candidates(a_ids, b_ids, fb_mask, accept,
-                                          cap=pair_cap)
-        a_ids, b_ids = a_ids[accept], b_ids[accept]
+        t = pa.concat_tables(ray.get(fb))
+        a = t.column("a").to_numpy()
+        rep_a, rep_b = _repair_candidates(a, t.column("b").to_numpy(), np.ones(len(a), bool),
+                                          t.column("ok").to_numpy(), cap=pair_cap)
         if len(rep_a):
-            rep_acc = _verify(rep_a, rep_b, np.zeros(len(rep_a), bool))
-            a_ids = np.concatenate([a_ids, rep_a[rep_acc]])
-            b_ids = np.concatenate([b_ids, rep_b[rep_acc]])
-        return a_ids, b_ids
+            zero = np.zeros(len(rep_a), np.int8)
+            counts, *reps = split(pa.table({"a": rep_a, "b": rep_b, "ch": zero, "fb": zero}),
+                                  rep_a % parts, parts)
+            adj += verify([(counts, [ray.put(r) for r in reps])])[0]
 
-    result = _drop_clustered(blocks, edges, id_col, max_driver_edges,
-                             verify=verify, verify_parts=verify_parts)
+    result = _from_blocks(drop_non_representatives(rows, components(adj, parts), id_col))
     if return_artifacts:
-        banded = [(ref, m) for (_, _, metas), refs in signs for ref, m in zip(refs[1:], metas)]
+        signed = [(ref, m) for (_, _, metas, _), refs in signs
+                  for ref, m in zip(refs[parts:2 * parts], metas)]
+        banded = [(ref, m) for (_, _, _, metas), refs in signs
+                  for ref, m in zip(refs[2 * parts:], metas)]
         return result, _from_blocks(signed), _from_blocks(banded)
     return result
 
@@ -1195,12 +1074,13 @@ def _simhash_split(text_col: str, id_col: str, parts: int, block) -> tuple:
     return split(rows, (keys * 4 + bands.astype(np.int64)) % parts, parts)
 
 
-def _simhash_edges(id_col: str, max_hamming: int, pair_cap: int, *tables) -> tuple:
+def _simhash_edges(id_col: str, max_hamming: int, pair_cap: int, parts: int,
+                   *tables) -> tuple:
     """Edge task of ``simhash_dedup``: all pairs within each (band, key)
     bucket of one partition (star-to-first would miss true pairs whenever
     the first member fails the hamming check), then one vectorized hamming
     verify over the whole pair list, repaired in place for oversized
-    groups (see _verified_bucket_pairs)."""
+    groups (see _verified_bucket_pairs). Returns their ``adjacency``."""
     df = concat_reconciled(list(tables)).to_pandas()
     sig_map = pd.Series(df["sig"].to_numpy(), index=df[id_col].to_numpy())
     sig_map = sig_map[~sig_map.index.duplicated()]
@@ -1210,25 +1090,26 @@ def _simhash_edges(id_col: str, max_hamming: int, pair_cap: int, *tables) -> tup
         bits = np.unpackbits(xor.view(np.uint8).reshape(len(xor), 8), axis=1)
         return bits.sum(axis=1) <= max_hamming
 
-    t = _verified_bucket_pairs(df, ["band", "key"], id_col, pair_cap, ham_keep)
-    return t.num_rows, t
+    return adjacency(parts, _verified_bucket_pairs(df, ["band", "key"], id_col, pair_cap,
+                                                   ham_keep))
 
 
-def _bucket_dedup(blocks: list, sign, bucket_edges, id_col: str,
-                  max_driver_edges: int):
+def _bucket_dedup(blocks: list, sign, bucket_edges, id_col: str):
     """The SimHash and embedding shape: a ``sign(parts, block)`` task per
-    block splits its LSH bucket rows by partition, a
-    ``bucket_edges(*tables)`` task per partition emits the verified edges
-    of its buckets, and the near-dup tail drops each cluster's non-minimum
-    ids (edges are verified already, so past the cap they cluster as they
-    are)."""
+    block splits its LSH bucket rows by partition, a ``bucket_edges(parts,
+    *tables)`` task per partition emits the ``adjacency`` of the verified
+    edges of its buckets, and the near-dup tail drops each cluster's
+    non-minimum ids (the edges are verified already, so they cluster as
+    they are)."""
     parts = num_parts(sum(n for _, n in blocks))
-    edges = _exchange(blocks, functools.partial(sign, parts), bucket_edges, parts)
-    return _drop_clustered(blocks, edges, id_col, max_driver_edges)
+    maps = _run_tasks(functools.partial(sign, parts), [ref for ref, n in blocks if n],
+                      num_returns=parts + 1)
+    adj = reduce_parts(maps, functools.partial(bucket_edges, parts), num_returns=parts + 1)
+    return _from_blocks(drop_non_representatives(
+        split_rows(blocks, id_col, parts), components(adj, parts), id_col))
 
 
 def simhash_dedup(ds, text_col: str = "text", id_col: str = "doc_id", max_hamming: int = 3,
-                  max_driver_edges: int = 4_000_000,
                   pair_cap: int = 256, pre_exact: bool = True):
     """SimHash near-dup: 64-bit signature, 4×16-bit band blocking (any pair
     within hamming ≤3 shares at least one exact 16-bit band), verify hamming
@@ -1240,7 +1121,7 @@ def simhash_dedup(ds, text_col: str = "text", id_col: str = "doc_id", max_hammin
                             functools.partial(_text_key, text_col))
     return _bucket_dedup(blocks, functools.partial(_simhash_split, text_col, id_col),
                          functools.partial(_simhash_edges, id_col, max_hamming, pair_cap),
-                         id_col, max_driver_edges)
+                         id_col)
 
 
 # ---------------------------------------------------------------------------
@@ -1271,11 +1152,12 @@ def _embedding_split(vec_col: str, id_col: str, num_planes: int, seed: int, dim,
     return split(rows, keys % parts, parts)
 
 
-def _embedding_edges(vec_col: str, id_col: str, threshold: float, *tables) -> tuple:
-    """Edge task of ``embedding_dedup``: the pairs of each LSH key bucket
-    of one partition whose exact cosine reaches ``threshold``, over ALL
-    pairs of the bucket (cap = the partition's rows, so never the star
-    fallback)."""
+def _embedding_edges(vec_col: str, id_col: str, threshold: float, parts: int,
+                     *tables) -> tuple:
+    """Edge task of ``embedding_dedup``: the ``adjacency`` of the pairs of
+    each LSH key bucket of one partition whose exact cosine reaches
+    ``threshold``, over ALL pairs of the bucket (cap = the partition's
+    rows, so never the star fallback)."""
     g = concat_reconciled(list(tables))
     ids = g.column(id_col).to_numpy(zero_copy_only=False)
     unit = _unit_vecs(g.column(vec_col))
@@ -1293,9 +1175,8 @@ def _embedding_edges(vec_col: str, id_col: str, threshold: float, *tables) -> tu
             ok[sl] = np.einsum("ij,ij->i", unit[ia[sl]], unit[ib[sl]]) >= threshold
         return ok
 
-    t = _verified_bucket_pairs(g.select(["key", id_col]).to_pandas(), ["key"], id_col,
-                               g.num_rows, cos_keep)
-    return t.num_rows, t
+    return adjacency(parts, _verified_bucket_pairs(g.select(["key", id_col]).to_pandas(),
+                                                   ["key"], id_col, g.num_rows, cos_keep))
 
 
 def embedding_dedup(
@@ -1306,7 +1187,6 @@ def embedding_dedup(
     num_planes: int = 16,
     seed: int = 3,
     dim: int | None = None,
-    max_driver_edges: int = 4_000_000,
     pre_exact: bool = True,
 ):
     """Embedding near-dup: random-hyperplane LSH bucket → within-bucket exact
@@ -1327,7 +1207,7 @@ def embedding_dedup(
     return _bucket_dedup(
         blocks, functools.partial(_embedding_split, vec_col, id_col, num_planes, seed, dim),
         functools.partial(_embedding_edges, vec_col, id_col, cosine_threshold),
-        id_col, max_driver_edges)
+        id_col)
 
 
 def ngram_jaccard_dedup(
@@ -1336,16 +1216,14 @@ def ngram_jaccard_dedup(
     id_col: str = "doc_id",
     jaccard_threshold: float = 0.8,
     shingle_k: int = 5,
-    max_driver_edges: int = 4_000_000,
 ):
     """n-gram-Jaccard dedup: exact character-k-gram Jaccard is the decision
     metric; MinHash+LSH (high-recall parameters: 128 perms × 32 bands →
     band-collision probability ≈ j^4) only generates the candidate pairs so
     no O(n²) comparison ever happens. Candidate pairs are verified as in
-    ``minhash_lsh_dedup``: the MinHash estimate decides, and only pairs
-    whose estimate lies within ±EXACT_MARGIN of the threshold are checked
-    with the TRUE shingle-set Jaccard (on the driver route; past
-    ``max_driver_edges`` the estimate alone decides)."""
+    ``minhash_lsh_dedup``: the MinHash estimate decides, and every pair
+    whose estimate lies within ±EXACT_MARGIN of the threshold is checked
+    with the TRUE shingle-set Jaccard."""
     return minhash_lsh_dedup(
         ds,
         text_col=text_col,
@@ -1354,5 +1232,4 @@ def ngram_jaccard_dedup(
         bands=32,
         jaccard_threshold=jaccard_threshold,
         shingle_k=shingle_k,
-        max_driver_edges=max_driver_edges,
     )

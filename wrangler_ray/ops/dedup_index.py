@@ -244,16 +244,13 @@ class MinHashDedupIndex:
             self._incr_files("texts"), filter=flt, filesystem=self.fs
         )
 
-    def sigs_for(self, ids=None):
-        """(id, sig, dig) rows for the given candidate ids (None = the whole
-        table — only MinHash's verify past the driver edge cap needs
-        that)."""
+    def sigs_for(self, ids):
+        """(id, sig, dig) rows for the given candidate ids, with the id
+        filter pushed into the parquet read as in ``texts_for``."""
         import pyarrow.dataset as pads
         import ray.data as rd
 
-        flt = None
-        if ids is not None:
-            flt = pads.field(self.meta["id_col"]).isin(pa.array(np.asarray(ids)))
+        flt = pads.field(self.meta["id_col"]).isin(pa.array(np.asarray(ids)))
         return rd.read_parquet(
             self._incr_files("signatures"), filter=flt, filesystem=self.fs
         )

@@ -19,12 +19,14 @@ input brings its own Arrow schema, so an input with no rows in a partition
 (or none at all) still meets the others as an empty table. ``keyed`` runs
 the map and reduce sides over Datasets. A reduce task that returns split parts itself
 feeds the next round (``part_refs`` picks one partition's parts): the
-near-dup tail's verify and connected-components rounds chain this way.
+near-dup tail chains its band edges, verify tiers, connected-components
+rounds and survivor filter this way, so no edge set reaches the driver.
 
 Users: the CDC apply (``_run_tasks``); ``apply_recipe`` and
 ``collect_global_variables`` (``pipeline.py``, one task per input part:
-``input_parts``); every dedup shuffle and connected
-components (``ops/dedup.py``, ``ops/cc.py``); ``hash_join`` and
+``input_parts``); every dedup shuffle, the near-dup verify tiers, connected
+components and the survivor filter, at every input size (``ops/dedup.py``,
+``ops/cc.py``); ``hash_join`` and
 ``asof_join`` (``ops/joins.py``); ``sessionize`` and ``session_stats``
 (``ops/window.py``); the similarity top-k merge
 (``ops/similarity.py``, ``ops/ann_index.py``); ``reservoir``
@@ -121,6 +123,13 @@ def _run_tasks(fn, args, num_returns: int = 1) -> list:
     if num_returns == 1:
         return metas
     return [(m, out[1:]) for m, out in zip(metas, refs)]
+
+
+def live_refs(blocks: list) -> list:
+    """The refs of the ``(ref, rows)`` blocks that hold rows, or of the
+    first block when none does, so that an empty input still gives its
+    tasks one block of its schema."""
+    return [ref for ref, n in blocks if n] or [ref for ref, _ in blocks[:1]]
 
 
 def blocks_schema(ds) -> tuple[list, pa.Schema]:
@@ -259,13 +268,14 @@ def part_refs(maps: list, p: int) -> tuple:
     return tuple(refs[p] for counts, refs in maps if counts[p])
 
 
-def reduce_parts(maps: list, fn) -> list:
-    """One ``fn(*tables) -> (meta, table)`` task per partition that holds
-    rows, over the partition's non-empty outputs of the map tasks ``maps``.
-    Returns ``(meta, [table ref])`` per task, in partition order."""
+def reduce_parts(maps: list, fn, num_returns: int = 2) -> list:
+    """One ``fn(*tables)`` task per partition that holds rows, over the
+    partition's non-empty outputs of the map tasks ``maps``; ``fn``
+    returns ``(meta, table)``, or ``num_returns`` values. Returns ``(meta,
+    [refs of the rest])`` per task, in partition order."""
     parts = len(maps[0][0]) if maps else 0
     args = [part_refs(maps, p) for p in range(parts)]
-    return _run_tasks(fn, [a for a in args if a], num_returns=2)
+    return _run_tasks(fn, [a for a in args if a], num_returns=num_returns)
 
 
 def _exchange(blocks: list, map_fn, reduce_fn, parts: int) -> list:
